@@ -48,7 +48,6 @@ from .optimize import (
     OptResult,
     minmax_alignment,
     nsw_direction,
-    project_cone_ball,
     simplex_logsum_max,
 )
 from .threshold import (

@@ -4,7 +4,9 @@ Six subcommands map onto the library surface: ``nsw`` (best single direction),
 ``threshold`` (specialization thresholds with the hull-test trace), ``eq``
 (closed-form equilibrium CDF tables and samples as CSV), ``verify`` (full
 numerical equilibrium check), ``profit`` (equilibrium profit and the
-positive-profit flag), and ``nmf`` (ratings CSV to embeddings CSV).
+positive-profit flag), and ``nmf`` (ratings CSV to embeddings CSV).  The CLI
+only parses arguments, builds library objects and renders their results:
+validation and per-family behaviour stay in the library.
 
 Reports are flat JSON objects with snake_case keys and embed the resolved run
 configuration.  Floats are serialized at 17 significant digits, infinities as
@@ -20,23 +22,26 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .closedform import (
     FinitePCurve,
-    InfiniteTwoGenre,
     OnePopulation,
     QuarterCircle,
-    angle_cdf,
-    eq_cdf_quality,
     eq_sample,
-    finite_p_x_cdf,
     make_infinite_two_genre,
     make_one_population,
 )
-from .geometry import CostSpec, UserSet, two_user_plane
+from .geometry import (
+    CostSpec,
+    UserSet,
+    angle_pair,
+    basis_pair,
+    orthonormal_users,
+    two_user_plane,
+)
 from .ingest import (
     InputDataError,
     NmfConfig,
@@ -79,6 +84,18 @@ class RunConfig:
     epochs: int | None = None
     format: str = "json"
     out: str | None = None
+
+
+_RUN_FIELDS = {f.name for f in fields(RunConfig)}
+
+
+def _run_config(ns, **resolved) -> dict:
+    """The report's run_config: the RunConfig fields the namespace holds, alpha
+    parsed, then the values the subcommand resolved itself."""
+    given = {k: v for k, v in vars(ns).items() if k in _RUN_FIELDS}
+    if given.get("alpha") is not None:
+        given["alpha"] = tuple(_parse_alpha(given["alpha"]))
+    return asdict(RunConfig(subcommand=ns.cmd, **{**given, **resolved}))
 
 
 def _render(value, indent):
@@ -135,13 +152,11 @@ def _parse_users(source: str | None) -> UserSet | None:
     if source is None:
         return None
     if source == "basis2":
-        return UserSet(np.eye(2))
+        return basis_pair()
     if source.startswith("angle:"):
-        theta = float(source[len("angle:"):])
-        return UserSet(np.array([[1.0, 0.0], [math.cos(theta), math.sin(theta)]]))
+        return angle_pair(float(source[len("angle:"):]))
     if source.startswith("orthonormal:"):
-        n = int(source[len("orthonormal:"):])
-        return UserSet(np.eye(n))
+        return orthonormal_users(int(source[len("orthonormal:"):]))
     return load_embeddings_csv(source)
 
 
@@ -168,25 +183,12 @@ def _spec(ns) -> CostSpec:
     return CostSpec(q=ns.q, beta=beta, alpha=_parse_alpha(ns.alpha))
 
 
-def _plane_from(users: UserSet | None, theta: float | None):
-    if users is not None:
-        if users.n_users != 2:
-            raise ValueError("this variant takes exactly two users")
-        return two_user_plane(users.embeddings[0], users.embeddings[1])
-    if theta is not None:
-        return two_user_plane(
-            np.array([1.0, 0.0]), np.array([math.cos(theta), math.sin(theta)])
-        )
-    return None
-
-
-def _build_dist(ns, users, spec):
+def _build_dist(ns, users, spec, n_users=None, theta=None):
     """Distribution for the chosen variant plus an optimizer-converged flag."""
     producers = ns.producers
     if ns.variant == "onepop":
-        n_users = ns.n_users if ns.n_users is not None else (
-            users.n_users if users is not None else 1
-        )
+        if n_users is None:
+            n_users = users.n_users if users is not None else 1
         if users is None:
             return OnePopulation(
                 direction=np.array([1.0, 0.0]),
@@ -203,46 +205,37 @@ def _build_dist(ns, users, spec):
         return dist, res.converged
     if spec.q != 2.0 or spec.alpha is not None:
         raise ValueError("planar variants are defined for q = 2 with unit weights")
-    plane = _plane_from(users, ns.theta)
+    if users is None and theta is not None:
+        users = angle_pair(theta)
+    if users is None:
+        if ns.variant == "infinite":
+            raise ValueError("the infinite variant needs --users or --theta")
+        users = basis_pair()
+    if users.n_users != 2:
+        raise ValueError("this variant takes exactly two users")
+    plane = two_user_plane(*users.embeddings)
     if ns.variant == "p2":
         if producers not in (None, 2):
             raise ValueError("the p2 variant fixes producers = 2")
-        if plane is None:
-            plane = _plane_from(UserSet(np.eye(2)), None)
         return QuarterCircle(beta=spec.beta, plane=plane), True
     if ns.variant == "finitep":
-        if ns.beta is not None and ns.beta != 2.0:
+        if spec.beta != 2.0:
             raise ValueError("the finitep variant fixes beta = 2")
-        if plane is None:
-            plane = _plane_from(UserSet(np.eye(2)), None)
         return FinitePCurve(producers=producers, plane=plane), True
-    if ns.variant == "infinite":
-        if plane is None:
-            raise ValueError("the infinite variant needs --users or --theta")
-        return make_infinite_two_genre(plane, spec.beta), True
-    raise ValueError(f"unknown variant {ns.variant!r}")
+    return make_infinite_two_genre(plane, spec.beta), True
 
 
 def _cmd_nsw(ns) -> int:
     users = _parse_users(ns.users)
     spec = _spec(ns)
     res = nsw_direction(users, spec)
-    rc = RunConfig(
-        subcommand="nsw",
-        users_source=ns.users,
-        q=spec.q,
-        beta=spec.beta,
-        alpha=None if spec.alpha is None else tuple(spec.alpha),
-        seed=_resolve_seed(ns),
-        out=ns.out,
-    )
     report = {
         "direction": res.point,
         "nsw_value": res.value,
         "kkt_residual": res.kkt_residual,
         "iters": res.iters,
         "converged": res.converged,
-        "run_config": asdict(rc),
+        "run_config": _run_config(ns, users_source=ns.users),
     }
     _write_text(render_json(report), ns.out)
     return _EXIT_OK if res.converged else _EXIT_NOCONV
@@ -251,59 +244,20 @@ def _cmd_nsw(ns) -> int:
 def _cmd_threshold(ns) -> int:
     users = _parse_users(ns.users)
     spec = _spec(ns)
-    seed = _resolve_seed(ns)
     cfg = HullTestConfig(
-        trials=ns.trials, hull_points=ns.hull_points, tau=ns.tau, gap=ns.gap, seed=seed
+        trials=ns.trials, hull_points=ns.hull_points, tau=ns.tau, gap=ns.gap, seed=ns.seed
     )
     rep = threshold_report(users, spec, cfg)
-    rc = RunConfig(
-        subcommand="threshold",
-        users_source=ns.users,
-        q=spec.q,
-        beta=spec.beta,
-        alpha=None if spec.alpha is None else tuple(spec.alpha),
-        seed=seed,
-        out=ns.out,
-    )
     report = {
         "beta_star_closed": rep.beta_star_closed,
         "beta_upper": rep.beta_upper,
         "beta_estimate": rep.beta_estimate,
-        "condition_trace": [
-            {"beta": p.beta, "holds": p.holds, "lhs_log": p.lhs_log, "rhs_log": p.rhs_log}
-            for p in rep.condition_trace
-        ],
-        "run_config": asdict(rc),
+        "condition_trace": [asdict(p) for p in rep.condition_trace],
+        "run_config": _run_config(ns, users_source=ns.users),
     }
     _write_text(render_json(report), ns.out)
     unresolved = any(p.holds is None for p in rep.condition_trace)
     return _EXIT_NOCONV if unresolved else _EXIT_OK
-
-
-_CDF_AXES = {
-    "onepop": "quality",
-    "p2": "angle",
-    "finitep": "x",
-    "infinite": "quality",
-}
-
-
-def _cdf_point(dist, x: float) -> float:
-    if isinstance(dist, QuarterCircle):
-        return angle_cdf(dist, x)
-    if isinstance(dist, FinitePCurve):
-        return finite_p_x_cdf(dist, x)
-    if isinstance(dist, InfiniteTwoGenre):
-        return eq_cdf_quality(dist, x, genre_index=0)
-    return eq_cdf_quality(dist, x)
-
-
-def _cdf_grid_max(dist) -> float:
-    if isinstance(dist, QuarterCircle):
-        return math.pi / 2
-    if isinstance(dist, FinitePCurve):
-        return 1.0
-    return dist.support_max
 
 
 def _cmd_eq(ns) -> int:
@@ -311,16 +265,14 @@ def _cmd_eq(ns) -> int:
         raise ValueError("nothing to emit: pass --cdf-grid and/or --n")
     users = _parse_users(ns.users)
     spec = _spec(ns)
-    seed = _resolve_seed(ns)
-    dist, converged = _build_dist(ns, users, spec)
+    dist, converged = _build_dist(ns, users, spec, ns.n_users, ns.theta)
     if ns.cdf_grid > 0:
-        axis = _CDF_AXES[ns.variant]
-        xs = np.linspace(0.0, _cdf_grid_max(dist), ns.cdf_grid)
-        lines = [f"{axis},cdf"]
-        lines += [f"{_fmt(x)},{_fmt(_cdf_point(dist, float(x)))}" for x in xs]
+        xs = np.linspace(0.0, dist.cdf_max, ns.cdf_grid)
+        lines = [f"{dist.cdf_axis},cdf"]
+        lines += [f"{_fmt(x)},{_fmt(dist.cdf_point(float(x)))}" for x in xs]
         _write_text("\n".join(lines) + "\n", ns.out)
     if ns.n > 0:
-        pts = eq_sample(dist, ns.n, seed)
+        pts = eq_sample(dist, ns.n, ns.seed)
         lines = [",".join(f"f{k}" for k in range(pts.shape[1]))]
         lines += [",".join(_fmt(v) for v in row) for row in pts]
         _write_text("\n".join(lines) + "\n", ns.samples_out)
@@ -334,46 +286,16 @@ def _parse_grid(raw: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _report_from_verify(rep, rc) -> dict:
-    return {
-        "eq_profit": rep.eq_profit,
-        "eq_profit_mc": rep.eq_profit_mc,
-        "eq_profit_mc_stderr": rep.eq_profit_mc_stderr,
-        "best_response_gap": rep.best_response_gap,
-        "gap_argmax": rep.gap_argmax,
-        "genre_count_estimate": rep.genre_count_estimate,
-        "foc_residual_max": rep.foc_residual_max,
-        "positive_profit": rep.positive_profit,
-        "q_alignment": rep.q_alignment,
-        "q_threshold": rep.q_threshold,
-        "run_config": asdict(rc),
-    }
-
-
 def _cmd_verify(ns) -> int:
     users = _parse_users(ns.users)
     spec = _spec(ns)
-    seed = _resolve_seed(ns)
     grid = _parse_grid(ns.grid)
     dist, converged = _build_dist(ns, users, spec)
     rep = best_response_gap(
-        dist, users, spec, ns.producers, n_samples=ns.samples, grid=grid, seed=seed
+        dist, users, spec, ns.producers, n_samples=ns.samples, grid=grid, seed=ns.seed
     )
-    rc = RunConfig(
-        subcommand="verify",
-        users_source=ns.users,
-        variant=ns.variant,
-        q=spec.q,
-        beta=spec.beta,
-        alpha=None if spec.alpha is None else tuple(spec.alpha),
-        producers=ns.producers,
-        samples=ns.samples,
-        seed=seed,
-        grid_angles=grid[0],
-        grid_radii=grid[1],
-        out=ns.out,
-    )
-    _write_text(render_json(_report_from_verify(rep, rc)), ns.out)
+    rc = _run_config(ns, users_source=ns.users, grid_angles=grid[0], grid_radii=grid[1])
+    _write_text(render_json({**asdict(rep), "run_config": rc}), ns.out)
     if not converged or rep.positive_profit is None:
         return _EXIT_NOCONV
     return _EXIT_OK
@@ -385,23 +307,12 @@ def _cmd_profit(ns) -> int:
     dist, converged = _build_dist(ns, users, spec)
     eq = equilibrium_profit(dist, users, spec, ns.producers)
     flag, qval, qthr = positive_profit_condition(users, spec, ns.producers)
-    rc = RunConfig(
-        subcommand="profit",
-        users_source=ns.users,
-        variant=ns.variant,
-        q=spec.q,
-        beta=spec.beta,
-        alpha=None if spec.alpha is None else tuple(spec.alpha),
-        producers=ns.producers,
-        seed=_resolve_seed(ns),
-        out=ns.out,
-    )
     report = {
         "eq_profit": eq,
         "positive_profit": flag,
         "q_alignment": qval,
         "q_threshold": qthr,
-        "run_config": asdict(rc),
+        "run_config": _run_config(ns, users_source=ns.users),
     }
     _write_text(render_json(report), ns.out)
     if not converged or flag is None:
@@ -411,32 +322,21 @@ def _cmd_profit(ns) -> int:
 
 def _cmd_nmf(ns) -> int:
     table = load_ratings_csv(ns.ratings)
-    seed = _resolve_seed(ns)
     cfg = NmfConfig(
         factors=ns.factors,
         epochs=ns.epochs,
-        seed=seed,
+        seed=ns.seed,
         init_scale=ns.init_scale,
         min_entry=ns.min_entry,
     )
     res = nmf_factorize(table, cfg)
     save_embeddings_csv(res.users, ns.out, user_ids=res.user_ids)
-    rc = RunConfig(
-        subcommand="nmf",
-        users_source=ns.ratings,
-        samples=None,
-        seed=seed,
-        factors=ns.factors,
-        epochs=ns.epochs,
-        format="csv",
-        out=ns.out,
-    )
     report = {
         "n_users": res.users.n_users,
         "n_items": len(res.item_ids),
         "dropped_users": list(res.dropped_users),
         "final_objective": float(res.objective_trace[-1]),
-        "run_config": asdict(rc),
+        "run_config": _run_config(ns, users_source=ns.ratings, format="csv"),
     }
     sys.stdout.write(render_json(report))
     return _EXIT_OK
@@ -493,8 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", required=True, choices=["onepop", "p2", "finitep"])
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--producers", type=int, default=2)
-    p.add_argument("--n-users", type=int, default=None)
-    p.add_argument("--theta", type=float, default=None)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--grid", default="200x200")
     p.set_defaults(fn=_cmd_verify)
@@ -504,8 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", required=True, choices=["onepop", "p2", "finitep"])
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--producers", type=int, default=2)
-    p.add_argument("--n-users", type=int, default=None)
-    p.add_argument("--theta", type=float, default=None)
     p.set_defaults(fn=_cmd_profit)
 
     p = sub.add_parser("nmf", help="factorize a ratings CSV into embeddings")
@@ -528,6 +424,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return _EXIT_OK if exc.code in (0, None) else _EXIT_USAGE
     try:
+        ns.seed = _resolve_seed(ns)
         return ns.fn(ns)
     except InputDataError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,12 @@ Four families:
 Throughout, quality is the weighted production norm of a content vector and
 genre is its direction.  Samplers are inverse-transform and deterministic for
 a fixed seed.
+
+Each family class holds all of its own behaviour: ``draw`` (the
+inverse-transform sampler), ``cdf_quality``, the tabulated CDF (``cdf_axis``,
+``cdf_max``, ``cdf_point``), ``genres``, the analytic per-producer ``profit``,
+the first-order terms ``foc_terms`` and the best-response sweep directions
+``deviation_dirs``.  The module functions below dispatch to them.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CostSpec, TwoUserPlane, UserSet, two_user_plane
-from .optimize import OptimizerConfig, nsw_direction
+from .optimize import nsw_direction
 from .threshold import beta_star_two_user
 
 __all__ = [
@@ -48,9 +54,38 @@ __all__ = [
 # structure collapses to the smooth power law.
 _DEGENERATE_C2 = 1e-12
 
+_NO_DENSITY = "analytic densities are only available for QuarterCircle and FinitePCurve"
+
 
 def _canonical_plane() -> TwoUserPlane:
     return two_user_plane(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+
+def _check(ok, msg):
+    if not ok:
+        raise ValueError(msg)
+
+
+def _no_genre_index(genre_index):
+    if genre_index is not None:
+        raise ValueError("continuum variants take no genre_index")
+
+
+@dataclass(frozen=True)
+class GenreSet:
+    """Genres of a distribution: finitely many directions, or a continuum."""
+
+    kind: str
+    directions: np.ndarray | None
+    description: str
+
+
+class _PlanarFamily:
+    """A family laid out in a two-user plane; deviations sweep its angles."""
+
+    def deviation_dirs(self, n_angles: int) -> np.ndarray:
+        angles = np.linspace(0.0, self.plane.theta_star, n_angles)
+        return self.plane.direction(angles)
 
 
 @dataclass(frozen=True)
@@ -68,6 +103,7 @@ class OnePopulation:
     producers: int
 
     variant = "one_population"
+    cdf_axis = "quality"
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
@@ -85,9 +121,46 @@ class OnePopulation:
     def support_max(self) -> float:
         return self.n_users ** (1.0 / self.beta)
 
+    cdf_max = support_max
+
+    def draw(self, rng, n: int) -> np.ndarray:
+        u = rng.random(n)
+        r = (self.n_users * u ** (self.producers - 1)) ** (1.0 / self.beta)
+        return np.outer(r, self.direction)
+
+    def cdf_quality(self, q: float, genre_index: int | None) -> float:
+        if genre_index not in (None, 0):
+            raise ValueError("OnePopulation has a single genre (index 0)")
+        return self.cdf_point(q)
+
+    def cdf_point(self, q: float) -> float:
+        f = (q**self.beta / self.n_users) ** (1.0 / (self.producers - 1))
+        return min(1.0, f)
+
+    def genres(self) -> GenreSet:
+        return GenreSet(
+            kind="finite",
+            directions=self.direction.reshape(1, -1),
+            description="single ray",
+        )
+
+    def profit(self, n_users: int, spec: CostSpec, producers: int) -> float:
+        _check(producers == self.producers, "producers disagrees with dist")
+        _check(n_users == self.n_users, "user count disagrees with dist")
+        if spec.beta == self.beta:
+            return 0.0
+        bs, bd = spec.beta, self.beta
+        return n_users / producers - n_users ** (bs / bd) * bd / (bd + (producers - 1) * bs)
+
+    def foc_terms(self, spec: CostSpec, grid: int):
+        raise ValueError(_NO_DENSITY)
+
+    def deviation_dirs(self, n_angles: int) -> np.ndarray:
+        return self.direction.reshape(1, -1)
+
 
 @dataclass(frozen=True)
-class QuarterCircle:
+class QuarterCircle(_PlanarFamily):
     """Two-producer equilibrium on the quarter circle between orthogonal users.
 
     Quality is degenerate at radius (2/beta)^(1/beta); the angle has CDF
@@ -98,6 +171,8 @@ class QuarterCircle:
     plane: TwoUserPlane
 
     variant = "quarter_circle"
+    cdf_axis = "angle"
+    cdf_max = math.pi / 2
 
     def __post_init__(self):
         if not self.beta >= 2.0:
@@ -113,9 +188,42 @@ class QuarterCircle:
     def producers(self) -> int:
         return 2
 
+    def draw(self, rng, n: int) -> np.ndarray:
+        theta = np.arcsin(np.sqrt(rng.random(n)))
+        xy = self.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        return self.plane.embed(xy)
+
+    def cdf_quality(self, q: float, genre_index: int | None) -> float:
+        _no_genre_index(genre_index)
+        return 1.0 if q >= self.radius else 0.0
+
+    def cdf_point(self, theta: float) -> float:
+        if theta <= 0.0:
+            return 0.0
+        if theta >= math.pi / 2:
+            return 1.0
+        return math.sin(theta) ** 2
+
+    def genres(self) -> GenreSet:
+        return GenreSet(
+            kind="continuum",
+            directions=None,
+            description="quarter-circle arc, angles in [0, pi/2]",
+        )
+
+    def profit(self, n_users: int, spec: CostSpec, producers: int) -> float:
+        _check(producers == 2, "quarter-circle equilibrium has two producers")
+        return n_users / 2.0 - (2.0 / self.beta) ** (spec.beta / self.beta)
+
+    def foc_terms(self, spec: CostSpec, grid: int):
+        r = self.radius
+        thetas = np.linspace(0.0, self.plane.theta_star, grid + 2)[1:-1]
+        z = r * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        return z, 2.0 * z / (r * r)
+
 
 @dataclass(frozen=True)
-class FinitePCurve:
+class FinitePCurve(_PlanarFamily):
     """P-producer equilibrium on the curve y = (1 - x^(2/(P-1)))^((P-1)/2).
 
     Fixed to quadratic cost; the x coordinate has CDF min(1, x^(2/(P-1))).
@@ -126,6 +234,8 @@ class FinitePCurve:
 
     variant = "finite_p_curve"
     beta = 2.0
+    cdf_axis = "x"
+    cdf_max = 1.0
 
     def __post_init__(self):
         if self.producers < 2:
@@ -133,9 +243,61 @@ class FinitePCurve:
         if abs(self.plane.theta_star - math.pi / 2) > 1e-12:
             raise ValueError("finite-P curve requires orthogonal users")
 
+    def _curve(self, t: np.ndarray) -> np.ndarray:
+        e = 0.5 * (self.producers - 1)
+        return np.stack([t**e, (1.0 - t) ** e], axis=1)
+
+    def draw(self, rng, n: int) -> np.ndarray:
+        # u stays bound until embed returns: freeing it earlier changes the
+        # allocation order and raised peak RSS by ~12 MB over a run of
+        # 1e6-sample verify commands (glibc malloc).
+        u = rng.random(n)
+        return self.plane.embed(self._curve(u))
+
+    def cdf_quality(self, q: float, genre_index: int | None) -> float:
+        # Squared quality along the curve is phi(t) = t^(P-1) + (1-t)^(P-1) with
+        # t uniform; phi falls then rises, so the CDF is the root gap.
+        _no_genre_index(genre_index)
+        p = self.producers
+        target = q * q
+        if target >= 1.0:
+            return 1.0
+        if target <= 2.0 ** (2 - p):
+            return 0.0
+        t_lo = _bisect_to_float_limit(lambda t: _finite_p_phi(t, p) > target, 0.0, 0.5)
+        t_hi = _bisect_to_float_limit(lambda t: _finite_p_phi(t, p) < target, 0.5, 1.0)
+        return t_hi - t_lo
+
+    def cdf_point(self, x: float) -> float:
+        if x <= 0.0:
+            return 0.0
+        return min(1.0, x ** (2.0 / (self.producers - 1)))
+
+    def genres(self) -> GenreSet:
+        p = self.producers
+        return GenreSet(
+            kind="continuum",
+            directions=None,
+            description=f"curve (x, (1 - x^(2/{p - 1}))^({p - 1}/2)), x in [0, 1]",
+        )
+
+    def profit(self, n_users: int, spec: CostSpec, producers: int) -> float:
+        _check(producers == self.producers, "producers disagrees with dist")
+        if spec.beta == 2.0:
+            return n_users / producers - 2.0 / producers
+        t = np.linspace(0.0, 1.0, 200001)
+        phi = _finite_p_phi(t, producers)
+        return n_users / producers - float(np.trapezoid(phi ** (spec.beta / 2.0), t))
+
+    def foc_terms(self, spec: CostSpec, grid: int):
+        if spec.beta != 2.0:
+            raise ValueError("finite-P curve stationarity is specific to beta = 2")
+        z = self._curve(np.linspace(0.0, 1.0, grid + 2)[1:-1])
+        return z, 2.0 * z
+
 
 @dataclass(frozen=True)
-class InfiniteTwoGenre:
+class InfiniteTwoGenre(_PlanarFamily):
     """Infinite-producer two-genre equilibrium for users at angle theta_star.
 
     Genres sit at in-plane angles theta_g and theta_star - theta_g.  The
@@ -154,6 +316,7 @@ class InfiniteTwoGenre:
 
     variant = "infinite_two_genre"
     weights = (0.5, 0.5)
+    cdf_axis = "quality"
 
     def __post_init__(self):
         if self.beta <= beta_star_two_user(self.theta_star):
@@ -167,12 +330,64 @@ class InfiniteTwoGenre:
     def support_max(self) -> float:
         return self.c1 ** (1.0 / self.beta)
 
+    cdf_max = support_max
+
     @property
     def genre_angles(self) -> tuple[float, float]:
         return (self.theta_g, self.theta_star - self.theta_g)
 
     def genre_directions(self) -> np.ndarray:
         return np.stack([self.plane.direction(a) for a in self.genre_angles])
+
+    def _quantile(self, u: np.ndarray) -> np.ndarray:
+        # u in (0, 1]; flats carry no mass, so every draw lands on a power piece.
+        beta = self.beta
+        if self.c2 <= _DEGENERATE_C2:
+            return (u * self.c1**2) ** (1.0 / (2.0 * beta))
+        lc2 = math.log(self.c2)
+        n = np.floor(np.log(u) / (2.0 * beta * lc2))
+        return np.exp(
+            (np.log(u) + 2.0 * math.log(self.c1) + 2.0 * n * beta * lc2) / (2.0 * beta)
+        )
+
+    def draw(self, rng, n: int) -> np.ndarray:
+        g = rng.integers(0, 2, size=n)
+        u = 1.0 - rng.random(n)
+        return self._quantile(u)[:, None] * self.genre_directions()[g]
+
+    def cdf_quality(self, q: float, genre_index: int | None) -> float:
+        if genre_index not in (0, 1):
+            raise ValueError("genre_index must be 0 or 1 for InfiniteTwoGenre")
+        return self.cdf_point(q)
+
+    def cdf_point(self, q: float) -> float:
+        if q <= 0.0:
+            return 0.0
+        top = self.support_max
+        if q >= top:
+            return 1.0
+        beta = self.beta
+        if self.c2 <= _DEGENERATE_C2:
+            return min(1.0, q ** (2.0 * beta) / self.c1**2)
+        lc2 = math.log(self.c2)
+        k = math.floor(math.log(q / top) / lc2)
+        if k % 2 == 1:
+            return math.exp((k + 1) * beta * lc2)
+        return math.exp(2.0 * beta * math.log(q) - 2.0 * math.log(self.c1) - k * beta * lc2)
+
+    def genres(self) -> GenreSet:
+        a1, a2 = self.genre_angles
+        return GenreSet(
+            kind="finite",
+            directions=self.genre_directions(),
+            description=f"two genres at in-plane angles {a1:.6g} and {a2:.6g}",
+        )
+
+    def profit(self, n_users: int, spec: CostSpec, producers: int) -> float:
+        raise ValueError("per-producer profit is not defined in the infinite-producer limit")
+
+    def foc_terms(self, spec: CostSpec, grid: int):
+        raise ValueError(_NO_DENSITY)
 
 
 EquilibriumDist = OnePopulation | QuarterCircle | FinitePCurve | InfiniteTwoGenre
@@ -257,15 +472,8 @@ def _theta_genre(theta_star: float, beta: float) -> float:
     return cand
 
 
-def make_infinite_two_genre(
-    plane: TwoUserPlane, beta: float, cfg: OptimizerConfig | None = None
-) -> InfiniteTwoGenre:
-    """Two-genre infinite-producer equilibrium; requires beta above threshold.
-
-    cfg is accepted for interface uniformity; the genre angle is located by a
-    deterministic grid-plus-bisection search, not a stochastic optimizer.
-    """
-    del cfg
+def make_infinite_two_genre(plane: TwoUserPlane, beta: float) -> InfiniteTwoGenre:
+    """Two-genre infinite-producer equilibrium; requires beta above threshold."""
     theta_star = plane.theta_star
     if beta <= beta_star_two_user(theta_star):
         raise ValueError("beta must exceed 2/(1 - cos theta_star) for two genres")
@@ -284,35 +492,7 @@ def make_infinite_two_genre(
     )
 
 
-def _fmax_cdf(dist: InfiniteTwoGenre, q: float) -> float:
-    if q <= 0.0:
-        return 0.0
-    top = dist.support_max
-    if q >= top:
-        return 1.0
-    beta = dist.beta
-    if dist.c2 <= _DEGENERATE_C2:
-        return min(1.0, q ** (2.0 * beta) / dist.c1**2)
-    lc2 = math.log(dist.c2)
-    k = math.floor(math.log(q / top) / lc2)
-    if k % 2 == 1:
-        return math.exp((k + 1) * beta * lc2)
-    return math.exp(2.0 * beta * math.log(q) - 2.0 * math.log(dist.c1) - k * beta * lc2)
-
-
-def _fmax_quantile(dist: InfiniteTwoGenre, u: np.ndarray) -> np.ndarray:
-    # u in (0, 1]; flats carry no mass, so every draw lands on a power piece.
-    beta = dist.beta
-    if dist.c2 <= _DEGENERATE_C2:
-        return (u * dist.c1**2) ** (1.0 / (2.0 * beta))
-    lc2 = math.log(dist.c2)
-    n = np.floor(np.log(u) / (2.0 * beta * lc2))
-    return np.exp(
-        (np.log(u) + 2.0 * math.log(dist.c1) + 2.0 * n * beta * lc2) / (2.0 * beta)
-    )
-
-
-def _finite_p_phi(t: float, p: int) -> float:
+def _finite_p_phi(t, p: int):
     return t ** (p - 1) + (1.0 - t) ** (p - 1)
 
 
@@ -328,20 +508,6 @@ def _bisect_to_float_limit(keep_low, lo, hi):
             hi = mid
 
 
-def _finite_p_quality_cdf(dist: FinitePCurve, q: float) -> float:
-    # Squared quality along the curve is phi(t) = t^(P-1) + (1-t)^(P-1) with
-    # t uniform; phi falls then rises, so the CDF is the root gap.
-    p = dist.producers
-    target = q * q
-    if target >= 1.0:
-        return 1.0
-    if target <= 2.0 ** (2 - p):
-        return 0.0
-    t_lo = _bisect_to_float_limit(lambda t: _finite_p_phi(t, p) > target, 0.0, 0.5)
-    t_hi = _bisect_to_float_limit(lambda t: _finite_p_phi(t, p) < target, 0.5, 1.0)
-    return t_hi - t_lo
-
-
 def eq_cdf_quality(dist: EquilibriumDist, qvalue: float, genre_index: int | None = None) -> float:
     """Quality CDF at qvalue; the winning-producer law for InfiniteTwoGenre.
 
@@ -351,104 +517,29 @@ def eq_cdf_quality(dist: EquilibriumDist, qvalue: float, genre_index: int | None
     """
     if qvalue < 0.0:
         raise ValueError("qvalue must be >= 0")
-    if isinstance(dist, InfiniteTwoGenre):
-        if genre_index not in (0, 1):
-            raise ValueError("genre_index must be 0 or 1 for InfiniteTwoGenre")
-        return _fmax_cdf(dist, qvalue)
-    if isinstance(dist, OnePopulation):
-        if genre_index not in (None, 0):
-            raise ValueError("OnePopulation has a single genre (index 0)")
-        f = (qvalue**dist.beta / dist.n_users) ** (1.0 / (dist.producers - 1))
-        return min(1.0, f)
-    if genre_index is not None:
-        raise ValueError("continuum variants take no genre_index")
-    if isinstance(dist, QuarterCircle):
-        return 1.0 if qvalue >= dist.radius else 0.0
-    if isinstance(dist, FinitePCurve):
-        return _finite_p_quality_cdf(dist, qvalue)
-    raise TypeError(f"unknown distribution {dist!r}")
+    return dist.cdf_quality(qvalue, genre_index)
 
 
 def angle_cdf(dist: QuarterCircle, theta: float) -> float:
     """CDF sin^2(theta) of the quarter-circle angle."""
     if not isinstance(dist, QuarterCircle):
         raise TypeError("angle_cdf applies to QuarterCircle only")
-    if theta <= 0.0:
-        return 0.0
-    if theta >= math.pi / 2:
-        return 1.0
-    return math.sin(theta) ** 2
+    return dist.cdf_point(theta)
 
 
 def finite_p_x_cdf(dist: FinitePCurve, x: float) -> float:
     """CDF min(1, x^(2/(P-1))) of the curve's first coordinate."""
     if not isinstance(dist, FinitePCurve):
         raise TypeError("finite_p_x_cdf applies to FinitePCurve only")
-    if x <= 0.0:
-        return 0.0
-    return min(1.0, x ** (2.0 / (dist.producers - 1)))
+    return dist.cdf_point(x)
 
 
 def eq_sample(dist: EquilibriumDist, n: int, seed: int) -> np.ndarray:
     """n inverse-transform draws as rows of an (n, D) content array."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    if isinstance(dist, OnePopulation):
-        u = rng.random(n)
-        r = (dist.n_users * u ** (dist.producers - 1)) ** (1.0 / dist.beta)
-        return np.outer(r, dist.direction)
-    if isinstance(dist, QuarterCircle):
-        theta = np.arcsin(np.sqrt(rng.random(n)))
-        xy = dist.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return dist.plane.embed(xy)
-    if isinstance(dist, FinitePCurve):
-        u = rng.random(n)
-        e = 0.5 * (dist.producers - 1)
-        xy = np.stack([u**e, (1.0 - u) ** e], axis=1)
-        return dist.plane.embed(xy)
-    if isinstance(dist, InfiniteTwoGenre):
-        g = rng.integers(0, 2, size=n)
-        u = 1.0 - rng.random(n)
-        q = _fmax_quantile(dist, u)
-        return q[:, None] * dist.genre_directions()[g]
-    raise TypeError(f"unknown distribution {dist!r}")
-
-
-@dataclass(frozen=True)
-class GenreSet:
-    """Genres of a distribution: finitely many directions, or a continuum."""
-
-    kind: str
-    directions: np.ndarray | None
-    description: str
+    return dist.draw(np.random.default_rng(seed), n)
 
 
 def genre_set(dist: EquilibriumDist) -> GenreSet:
-    if isinstance(dist, OnePopulation):
-        return GenreSet(
-            kind="finite",
-            directions=dist.direction.reshape(1, -1),
-            description="single ray",
-        )
-    if isinstance(dist, InfiniteTwoGenre):
-        a1, a2 = dist.genre_angles
-        return GenreSet(
-            kind="finite",
-            directions=dist.genre_directions(),
-            description=f"two genres at in-plane angles {a1:.6g} and {a2:.6g}",
-        )
-    if isinstance(dist, QuarterCircle):
-        return GenreSet(
-            kind="continuum",
-            directions=None,
-            description="quarter-circle arc, angles in [0, pi/2]",
-        )
-    if isinstance(dist, FinitePCurve):
-        p = dist.producers
-        return GenreSet(
-            kind="continuum",
-            directions=None,
-            description=f"curve (x, (1 - x^(2/{p - 1}))^({p - 1}/2)), x in [0, 1]",
-        )
-    raise TypeError(f"unknown distribution {dist!r}")
+    return dist.genres()

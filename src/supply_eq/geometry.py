@@ -125,9 +125,12 @@ def basis_pair():
 
 
 def angle_pair(theta_star):
-    """Two unit users in R^2 separated by ``theta_star``, the first on e1."""
-    if not 0.0 < theta_star <= math.pi / 2:
-        raise ValueError("theta_star must lie in (0, pi/2]")
+    """Two unit users in R^2 separated by ``theta_star``, the first on e1.
+
+    theta_star = 0 gives two identical rows, a homogeneous pair.
+    """
+    if not 0.0 <= theta_star <= math.pi / 2:
+        raise ValueError("theta_star must lie in [0, pi/2]")
     return UserSet(
         np.array([[1.0, 0.0], [math.cos(theta_star), math.sin(theta_star)]])
     )
@@ -162,10 +165,7 @@ def weighted_norm(p, spec):
 
 def cost(p, spec):
     """Production cost ||alpha * p||_q ** beta (vectorized like weighted_norm)."""
-    r = weighted_norm(p, spec)
-    if isinstance(r, float):
-        return r ** spec.beta
-    return r ** spec.beta
+    return weighted_norm(p, spec) ** spec.beta
 
 
 def dual_norm(u, spec):

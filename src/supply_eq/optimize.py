@@ -16,7 +16,6 @@ from .geometry import weighted_norm
 __all__ = [
     "OptimizerConfig",
     "OptResult",
-    "project_cone_ball",
     "nsw_direction",
     "minmax_alignment",
     "simplex_logsum_max",
@@ -53,65 +52,6 @@ class OptResult:
     kkt_residual: float
     iters: int
     converged: bool
-
-
-def project_cone_ball(x, spec):
-    """Project onto { p >= 0, ||alpha * p||_q <= 1 }.
-
-    Negatives are clamped to zero first.  An infeasible remainder is rescaled
-    radially for q = 2, clipped coordinatewise for q = inf, and otherwise
-    resolved by bisecting the KKT multiplier of the norm constraint.
-    """
-    y = np.clip(np.asarray(x, dtype=float), 0.0, None)
-    r = weighted_norm(y, spec)
-    if r <= 1.0:
-        return y
-    alpha = np.ones_like(y) if spec.alpha is None else spec.alpha
-    if spec.q == 2.0:
-        return y / r
-    if math.isinf(spec.q):
-        return np.minimum(y, 1.0 / alpha)
-    p = _project_qball(y, alpha, spec.q)
-    r = weighted_norm(p, spec)
-    return p / r if r > 1.0 else p
-
-
-def _project_qball(y, alpha, q):
-    # Euclidean projection onto { sum (alpha_i p_i)^q <= 1, p >= 0 }, q in [1, inf).
-    # Outer bisection on the multiplier lam; inner per-coordinate bisection on
-    # p_i + lam * q * alpha_i^q * p_i^(q-1) = y_i (monotone in p_i).
-    aq = alpha ** q
-
-    def solve(lam):
-        if q == 1.0:
-            return np.maximum(y - lam * alpha, 0.0)
-        lo = np.zeros_like(y)
-        hi = y.copy()
-        coef = lam * q * aq
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            over = mid + coef * mid ** (q - 1.0) >= y
-            hi = np.where(over, mid, hi)
-            lo = np.where(over, lo, mid)
-        return 0.5 * (lo + hi)
-
-    def constraint(lam):
-        p = solve(lam)
-        return float(((alpha * p) ** q).sum())
-
-    lam_hi = 1.0
-    for _ in range(200):
-        if constraint(lam_hi) <= 1.0:
-            break
-        lam_hi *= 2.0
-    lam_lo = 0.0
-    for _ in range(100):
-        lam_mid = 0.5 * (lam_lo + lam_hi)
-        if constraint(lam_mid) > 1.0:
-            lam_lo = lam_mid
-        else:
-            lam_hi = lam_mid
-    return solve(lam_hi)
 
 
 def _step_direction(x, g, spec):

@@ -10,7 +10,7 @@ sampled points beats the anchor by more than tau in summed log inferred value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,21 +153,16 @@ def max_condition_holds(users, spec, beta, cfg=None, _anchor=None):
 def _probe(users, spec, beta, cfg, anchor):
     holds, lhs, rhs = max_condition_holds(users, spec, beta, cfg, _anchor=anchor)
     if holds is None:
-        retry = HullTestConfig(
-            trials=cfg.trials,
-            hull_points=cfg.hull_points,
-            tau=cfg.tau,
-            gap=cfg.gap,
-            seed=cfg.seed + _RESEED_OFFSET,
-        )
+        retry = replace(cfg, seed=cfg.seed + _RESEED_OFFSET)
         holds, lhs, rhs = max_condition_holds(users, spec, beta, retry, _anchor=anchor)
     return ConditionProbe(beta=beta, holds=holds, lhs_log=lhs, rhs_log=rhs)
 
 
 def _bisect_threshold(users, spec, cfg):
+    """(estimate, sorted probes, beta_upper) of the bisection on [1, beta_upper]."""
     upper = beta_upper(users, spec)
     if math.isinf(upper):
-        return math.inf, ()
+        return math.inf, (), upper
     anchor = nsw_direction(users, spec)
     lo, hi = 1.0, upper
     probes = []
@@ -182,7 +177,7 @@ def _bisect_threshold(users, spec, cfg):
         else:
             hi = mid
     probes.sort(key=lambda pr: pr.beta)
-    return 0.5 * (lo + hi), tuple(probes)
+    return 0.5 * (lo + hi), tuple(probes), upper
 
 
 def beta_estimate(users, spec, cfg=None) -> float:
@@ -192,8 +187,7 @@ def beta_estimate(users, spec, cfg=None) -> float:
     cfg.gap, returning the midpoint.  +inf when the upper bound is infinite.
     """
     cfg = cfg or HullTestConfig()
-    est, _ = _bisect_threshold(users, spec, cfg)
-    return est
+    return _bisect_threshold(users, spec, cfg)[0]
 
 
 def threshold_report(users, spec, cfg=None) -> ThresholdReport:
@@ -207,10 +201,10 @@ def threshold_report(users, spec, cfg=None) -> ThresholdReport:
         # e.g. orthogonal rows land on 2 rather than 2 + 4e-16.
         cos_t = float(u1 @ u2 / (np.linalg.norm(u1) * np.linalg.norm(u2)))
         closed = math.inf if cos_t >= 1.0 else 2.0 / (1.0 - cos_t)
-    est, trace = _bisect_threshold(users, spec, cfg)
+    est, trace, upper = _bisect_threshold(users, spec, cfg)
     return ThresholdReport(
         beta_star_closed=closed,
-        beta_upper=beta_upper(users, spec),
+        beta_upper=upper,
         beta_estimate=est,
         condition_trace=trace,
     )

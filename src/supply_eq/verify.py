@@ -1,9 +1,11 @@
-"""Numerical equilibrium verification.
+"""Numerical equilibrium verification by simulation.
 
 Checks a constructed distribution the way a skeptical producer would: sample
 opponents, price every deviation on a grid, and compare against the analytic
 profit.  Tie handling brackets the truth between lose-all-ties and
-win-all-ties ranks instead of simulating the tie-split.
+win-all-ties ranks instead of simulating the tie-split.  What differs between
+equilibrium families (the analytic profit, the first-order terms, the
+deviation directions) lives on the family classes in ``closedform``.
 """
 
 from __future__ import annotations
@@ -13,15 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import (
-    EquilibriumDist,
-    FinitePCurve,
-    InfiniteTwoGenre,
-    OnePopulation,
-    QuarterCircle,
-    eq_sample,
-)
-from .geometry import CostSpec, TwoUserPlane, UserSet, cost, induced_cost_grad
+from .closedform import eq_sample
+from .geometry import CostSpec, UserSet, cost, induced_cost_grad
 from .optimize import OptimizerConfig, minmax_alignment
 
 __all__ = [
@@ -91,30 +86,10 @@ def deviation_profit(p, marg: EmpiricalMarginals, users: UserSet, spec: CostSpec
 def equilibrium_profit(dist, users, spec, producers) -> float:
     """Analytic expected profit per producer: users-won share minus cost.
 
-    Exact closed forms per variant; the only quadrature is the finite-P curve
+    Exact closed forms per family; the only quadrature is the finite-P curve
     priced under an exponent other than its native 2.
     """
-    n = users.n_users
-    if isinstance(dist, OnePopulation):
-        _check(producers == dist.producers, "producers disagrees with dist")
-        _check(n == dist.n_users, "user count disagrees with dist")
-        if spec.beta == dist.beta:
-            return 0.0
-        bs, bd = spec.beta, dist.beta
-        return n / producers - n ** (bs / bd) * bd / (bd + (producers - 1) * bs)
-    if isinstance(dist, QuarterCircle):
-        _check(producers == 2, "quarter-circle equilibrium has two producers")
-        return n / 2.0 - (2.0 / dist.beta) ** (spec.beta / dist.beta)
-    if isinstance(dist, FinitePCurve):
-        _check(producers == dist.producers, "producers disagrees with dist")
-        if spec.beta == 2.0:
-            return n / producers - 2.0 / producers
-        t = np.linspace(0.0, 1.0, 200001)
-        phi = t ** (producers - 1) + (1.0 - t) ** (producers - 1)
-        return n / producers - float(np.trapezoid(phi ** (spec.beta / 2.0), t))
-    if isinstance(dist, InfiniteTwoGenre):
-        raise ValueError("per-producer profit is not defined in the infinite-producer limit")
-    raise TypeError(f"unknown distribution {dist!r}")
+    return dist.profit(users.n_users, spec, producers)
 
 
 def positive_profit_condition(users, spec, producers, cfg=None):
@@ -169,16 +144,11 @@ def best_response_gap(
     N^(1/beta), beyond which revenue cannot cover cost.  The gap uses the
     win-all-ties upper bracket.
     """
-    plane = getattr(dist, "plane", None)
     marg = empirical_marginals(dist, users, producers, n_samples, [seed, 0])
 
     n_angles, n_radii = grid
     radii = np.linspace(0.0, users.n_users ** (1.0 / spec.beta), n_radii)
-    if plane is not None:
-        angles = np.linspace(0.0, plane.theta_star, n_angles)
-        dirs = plane.direction(angles)
-    else:
-        dirs = dist.direction.reshape(1, -1)
+    dirs = dist.deviation_dirs(n_angles)
     points = radii[:, None, None] * dirs[None, :, :]
     z = points @ users.embeddings.T
     win = marg.win_probability(z, weak=True).sum(axis=-1)
@@ -192,7 +162,7 @@ def best_response_gap(
     samples = eq_sample(dist, max(1000, min(n_samples, 20000)), [seed, 2])
     count = genre_count(samples)
     try:
-        foc = foc_residual(dist, getattr(dist, "plane", None), spec)
+        foc = foc_residual(dist, None, spec)
     except ValueError:
         foc = None
     flag, qval, qthr = positive_profit_condition(users, spec, producers, cfg)
@@ -214,23 +184,8 @@ def foc_residual(dist, plane, spec, grid=512) -> float:
     """Max gap between the win-density stationarity terms and the induced-cost
     gradient over interior support points; defined for the variants with
     analytic marginal densities."""
-    if isinstance(dist, QuarterCircle):
-        theta_star = dist.plane.theta_star
-        r = dist.radius
-        thetas = np.linspace(0.0, theta_star, grid + 2)[1:-1]
-        z = r * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        h = 2.0 * z / (r * r)
-    elif isinstance(dist, FinitePCurve):
-        if spec.beta != 2.0:
-            raise ValueError("finite-P curve stationarity is specific to beta = 2")
-        theta_star = dist.plane.theta_star
-        e = 0.5 * (dist.producers - 1)
-        t = np.linspace(0.0, 1.0, grid + 2)[1:-1]
-        z = np.stack([t**e, (1.0 - t) ** e], axis=1)
-        h = 2.0 * z
-    else:
-        raise ValueError("analytic densities are only available for "
-                         "QuarterCircle and FinitePCurve")
+    z, h = dist.foc_terms(spec, grid)
+    theta_star = dist.plane.theta_star
     if plane is not None and abs(plane.theta_star - theta_star) > 1e-12:
         raise ValueError("plane disagrees with the distribution's plane")
     spec_b = CostSpec(q=2.0, beta=dist.beta, alpha=spec.alpha)
@@ -260,8 +215,3 @@ def genre_count(samples, angle_tol=1e-3):
             if len(reps) > limit:
                 return "continuum"
     return len(reps)
-
-
-def _check(ok, msg):
-    if not ok:
-        raise ValueError(msg)

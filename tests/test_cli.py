@@ -143,6 +143,14 @@ def test_eq_infinite_cdf_and_samples(capsys, tmp_path):
     assert len(pts) == 21
 
 
+
+def test_eq_p2_angle_cdf(capsys):
+    assert run(["eq", "--variant", "p2", "--beta", "4", "--cdf-grid", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "angle,cdf"
+    assert lines[1] == "0,0"
+    assert lines[-1] == "1.5707963267948966,1"
+
 def test_verify_small_run(capsys):
     argv = [
         "verify", "--users", "basis2", "--variant", "p2", "--beta", "4",
@@ -155,6 +163,35 @@ def test_verify_small_run(capsys):
     assert rep["positive_profit"] is True
     assert rep["run_config"]["grid_angles"] == 40
 
+
+
+@pytest.mark.parametrize("variant_args", [
+    ["--variant", "onepop", "--beta", "1.5"],
+    ["--variant", "finitep", "--producers", "3"],
+])
+def test_verify_onepop_and_finitep(capsys, variant_args):
+    argv = ["verify", "--users", "basis2", *variant_args, "--samples", "2000", "--grid", "40x40"]
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert rep["eq_profit"] == 0
+    if variant_args[1] == "onepop":
+        assert rep["foc_residual_max"] is None
+
+
+def test_profit_finitep(capsys):
+    argv = ["profit", "--users", "basis2", "--variant", "finitep", "--producers", "3"]
+    assert run(argv) == 0
+
+
+@pytest.mark.parametrize("cmd", ["verify", "profit"])
+def test_theta_flag_rejected_off_eq(capsys, cmd):
+    argv = [cmd, "--users", "basis2", "--variant", "p2", "--beta", "4", "--theta", "0.3"]
+    assert run(argv) == 2
+
+
+def test_bad_angle_preset_is_usage_error(capsys):
+    assert run(["threshold", "--users", "angle:2"]) == 2
+    assert "theta_star must lie in [0, pi/2]" in capsys.readouterr().err
 
 def test_nmf_end_to_end(capsys, tmp_path):
     a, b = [1.0, 2.0, 3.0], [0.5, 1.0, 2.0]

@@ -148,6 +148,13 @@ def test_builders():
         content_vector([0.3, -0.1])
 
 
+def test_angle_pair_zero_is_homogeneous_pair():
+    pair = angle_pair(0.0).embeddings
+    assert np.all(pair[0] == pair[1])
+    with pytest.raises(ValueError):
+        angle_pair(2.0)
+
+
 def test_two_user_plane_roundtrip():
     u1 = np.array([1.0, 0.0, 0.0])
     u2 = np.array([0.6, 0.8, 0.0])

@@ -1,55 +1,19 @@
-"""Solvers: cone-ball projection, NSW ascent, minmax alignment, simplex EG."""
+"""Solvers: NSW ascent, minmax alignment, simplex EG."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from supply_eq.geometry import CostSpec, UserSet, weighted_norm
 from supply_eq.optimize import (
     OptimizerConfig,
     minmax_alignment,
     nsw_direction,
-    project_cone_ball,
     simplex_logsum_max,
 )
 
 SQ2 = math.sqrt(2.0)
-
-
-def test_projection_hand_case():
-    spec = CostSpec(q=2.0, beta=1.0)
-    out = project_cone_ball(np.array([-1.0, 2.0]), spec)
-    assert np.allclose(out, [0.0, 1.0], atol=1e-12)
-
-
-def test_projection_interior_fixed_point():
-    spec = CostSpec(q=2.0, beta=1.0)
-    x = np.array([0.3, 0.4])
-    assert np.allclose(project_cone_ball(x, spec), x)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=6),
-    st.sampled_from([1.0, 1.5, 2.0, 4.0, math.inf]),
-)
-def test_projection_feasible_and_idempotent(vals, q):
-    spec = CostSpec(q=q, beta=1.0, alpha=None)
-    x = np.array(vals)
-    p = project_cone_ball(x, spec)
-    assert np.all(p >= 0)
-    assert weighted_norm(p, spec) <= 1.0 + 1e-9
-    again = project_cone_ball(p, spec)
-    assert np.allclose(again, p, atol=1e-9)
-
-
-def test_projection_weighted():
-    spec = CostSpec(q=2.0, beta=1.0, alpha=np.array([2.0, 1.0]))
-    p = project_cone_ball(np.array([3.0, 3.0]), spec)
-    assert weighted_norm(p, spec) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_nsw_direction_basis_pair():
