@@ -1,17 +1,18 @@
-"""First-order solvers over the cone-ball and the probability simplex.
+"""Solvers over the cone-ball and the probability simplex.
 
-All routines are deterministic given (inputs, seed) and report a first-order
-residual so callers can tell a converged run from a truncated one.
+All routines are deterministic given their inputs.  Each concave program is
+solved once, and every result carries a certificate (a Frank-Wolfe or duality
+gap, or the width of a two-sided bracket) plus the reason the solver stopped.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import weighted_norm
+from .geometry import dual_norm, weighted_norm
 
 __all__ = [
     "OptimizerConfig",
@@ -24,6 +25,9 @@ __all__ = [
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-14
 _MAX_STEP = 1e6
+# Frank-Wolfe gap at which nsw_direction stops: well below the 1e-9 * N an
+# independent check of the returned direction asks for.
+_FW_GAP = 1e-11
 
 
 @dataclass(frozen=True)
@@ -31,8 +35,6 @@ class OptimizerConfig:
     max_iters: int = 5000
     step_init: float = 1.0
     tol: float = 1e-8
-    seed: int = 0
-    restarts: int = 8
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -41,182 +43,188 @@ class OptimizerConfig:
             raise ValueError("step_init must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be positive")
 
 
 @dataclass(frozen=True)
 class OptResult:
+    """status is why the solver stopped: "converged" (the certificate met its
+    target), "early_accept" or "early_reject" (a caller's threshold was decided),
+    "max_iters", or "step_underflow" (the line search found no step)."""
+
     point: np.ndarray
     value: float
     kkt_residual: float
     iters: int
     converged: bool
+    status: str
 
 
-def _step_direction(x, g, spec):
-    # Pulling an outward gradient step back to the ball mostly cancels the
-    # move; on the sphere, follow the gradient's tangent component instead.
-    # The constraint normal is masked to the support so stationarity on the
-    # positive coordinates is what drives the residual to zero.
-    if math.isinf(spec.q) or weighted_norm(x, spec) < 1.0 - 1e-12:
-        return g
-    alpha = np.ones_like(x) if spec.alpha is None else spec.alpha
-    if spec.q == 1.0:
-        nrm = alpha.copy()
-    else:
-        nrm = alpha ** spec.q * x ** (spec.q - 1.0)
-    nrm[x <= 1e-15] = 0.0
-    gn = float(g @ nrm)
-    nn = float(nrm @ nrm)
-    if gn > 0.0 and nn > 0.0:
-        return g - nrm * (gn / nn)
-    return g
+def _dual_point(v, spec):
+    """The maximizer of <v, p> over the cone-ball for a nonnegative v, 1 < q < inf."""
+    alpha = 1.0 if spec.alpha is None else spec.alpha
+    x = (v / alpha / (v / alpha).max()) ** (1.0 / (spec.q - 1.0))
+    return x / np.linalg.norm(x, ord=spec.q) / alpha
 
 
-def _retract(y, spec):
-    # Cheap feasible retraction used inside the ascent loop: clamp to the
-    # cone, then rescale radially if outside the ball.  Exact for q = 2;
-    # ascent-compatible for every q when paired with tangent directions.
-    y = np.clip(y, 0.0, None)
-    r = weighted_norm(y, spec)
-    return y / r if r > 1.0 else y
+def _line_max(z, dz, hi):
+    """The t in [0, hi] maximizing sum_i log(z_i + t dz_i): safeguarded Newton
+    on the derivative, bisecting whenever a step leaves the bracket.  It reads
+    no objective values, so it stays accurate where their changes round away
+    and value line searches stall (gaps near 1e-7)."""
+    zt = z + hi * dz
+    if np.all(zt > 0) and float((dz / zt).sum()) >= 0:
+        return hi
+    lo, t = 0.0, 0.0
+    for _ in range(100):
+        r = dz / (z + t * dz)
+        slope = float(r.sum())
+        lo, hi = (t, hi) if slope >= 0 else (lo, t)
+        tn = t + slope / float(r @ r) if slope else t
+        if tn == t:
+            return t
+        t = tn if lo < tn < hi else 0.5 * (lo + hi)
+        if hi - lo <= 1e-15 * hi:
+            break
+    return lo
 
 
-def _mapping_residual(x, d, spec):
-    # Norm of the unit-step retracted displacement along the effective ascent
-    # direction; zero at a constrained stationary point.
-    return float(np.linalg.norm(_retract(x + d, spec) - x))
-
-
-def _ascend(value, grad, x0, spec, cfg, tol_scale=1.0):
-    """Projected gradient ascent with Armijo backtracking.
-
-    ``value`` may return -inf to reject an iterate (barrier semantics); the
-    step is then shrunk.  Returns (x, f, residual, iters, converged).
-    """
-    x = _retract(np.asarray(x0, dtype=float), spec)
-    fx = value(x)
-    if fx == -math.inf:
-        # nudge a zero-value start into the relative interior
-        x = _retract(x + 1e-3, spec)
-        fx = value(x)
-    step = cfg.step_init
-    tol = cfg.tol * tol_scale
-    resid = math.inf
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        gx = grad(x)
-        dx = _step_direction(x, gx, spec)
-        resid = _mapping_residual(x, dx, spec)
-        if resid <= tol:
-            return x, fx, resid, it, True
-        s = step
-        accepted = False
-        while s >= _MIN_STEP:
-            xn = _retract(x + s * dx, spec)
-            fn = value(xn)
-            if fn != -math.inf and fn >= fx + _ARMIJO * float(gx @ (xn - x)):
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            return x, fx, resid, it, resid <= tol
-        x, fx = xn, fn
-        step = min(s * 2.0, _MAX_STEP)
-    return x, fx, resid, it, resid <= tol
-
-
-def _restart_points(dim, spec, cfg):
-    ones = np.ones(dim)
-    yield _retract(ones / weighted_norm(ones, spec), spec)
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.restarts - 1):
-        draw = np.abs(rng.standard_normal(dim))
-        nrm = weighted_norm(draw, spec)
-        if nrm > 0:
-            draw = draw / nrm
-        yield _retract(draw, spec)
-
-
-def _multistart(value, grad, dim, spec, cfg):
-    # Restarts routinely tie in value to float precision; among near-ties,
-    # keep a run that certified its residual over one that stalled.
-    best = None
-    for x0 in _restart_points(dim, spec, cfg):
-        run = _ascend(value, grad, x0, spec, cfg)
-        if best is None:
-            best = run
-            continue
-        margin = 1e-10 * max(1.0, abs(best[1]))
-        if run[1] > best[1] + margin or (run[1] >= best[1] - margin and run[4] and not best[4]):
-            best = run
-    return best
+def _nsw_frank_wolfe(U, spec, max_iters):
+    """Frank-Wolfe with exact line search, 1 < q < inf.  Each step moves toward
+    the dual-norm maximizer of the gradient, then rescales onto the sphere,
+    which only raises the objective.  Returns (point, iters, status)."""
+    x = np.ones(U.shape[1]) / weighted_norm(np.ones(U.shape[1]), spec)
+    for it in range(1, max_iters + 1):
+        z = U @ x
+        g = U.T @ (1.0 / z)
+        if dual_norm(g, spec) - float(g @ x) <= _FW_GAP:
+            return x, it, "converged"
+        d = _dual_point(g, spec) - x
+        xn = np.clip(x + _line_max(z, U @ d, 1.0) * d, 0.0, None)
+        xn /= weighted_norm(xn, spec)
+        if np.array_equal(xn, x):
+            return x, it, "step_underflow"
+        x = xn
+    return x, max_iters, "max_iters"
 
 
 def nsw_direction(users, spec, cfg=None):
     """Nash-welfare direction: maximize sum_i log <p, u_i> on the unit ball.
 
-    The optimum lies on the sphere; the returned point is renormalized to
-    weighted norm 1.  kkt_residual is the unit-step projected-gradient
-    displacement at the solution.
+    Solved once: q = inf has the closed form p = 1/alpha, q = 1 is the simplex
+    program on (U/alpha)^T with p = w/alpha, and 1 < q < inf runs Frank-Wolfe
+    from the uniform start.  kkt_residual is the Frank-Wolfe gap
+    dual_norm(g) - <g, p>, g = sum_i u_i/<p, u_i>, which bounds the
+    suboptimality of p (Jaggi 2013); converged means it is <= _FW_GAP.
     """
     cfg = cfg or OptimizerConfig()
     U = users.embeddings
-
-    def value(p):
-        z = U @ p
-        if np.any(z <= 1e-300):
-            return -math.inf
-        return float(np.log(z).sum())
-
-    def grad(p):
-        z = U @ p
-        return U.T @ (1.0 / z)
-
-    x, fx, resid, iters, ok = _multistart(value, grad, users.dim, spec, cfg)
-    nrm = weighted_norm(x, spec)
-    if nrm > 0:
-        x = x / nrm
-    fx = value(x)
-    resid = _mapping_residual(x, _step_direction(x, grad(x), spec), spec)
-    return OptResult(point=x, value=fx, kkt_residual=resid, iters=iters, converged=ok)
+    alpha = np.ones(users.dim) if spec.alpha is None else spec.alpha
+    if math.isinf(spec.q):
+        x, iters, status = 1.0 / alpha, 0, "converged"
+    elif spec.q == 1.0:
+        # Half the target leaves room for the rounding between the simplex
+        # gap and the Frank-Wolfe gap recomputed at p.
+        r = simplex_logsum_max((U / alpha).T, replace(cfg, tol=0.5 * _FW_GAP))
+        x, iters, status = r.point / alpha, r.iters, r.status
+    else:
+        x, iters, status = _nsw_frank_wolfe(U, spec, cfg.max_iters)
+    z = U @ x
+    g = U.T @ (1.0 / z)
+    gap = max(dual_norm(g, spec) - float(g @ x), 0.0)
+    ok = gap <= _FW_GAP
+    return OptResult(x, float(np.log(z).sum()), gap, iters, ok, "converged" if ok else status)
 
 
-_ACTIVE_TOL = 1e-7
+def _matrix_game(A, max_iters):
+    """Optimal strategies of max over x in the simplex of min_i (A x)_i, for A
+    nonnegative with no zero row: the simplex method (Bland's rule) on
+    max 1^T z s.t. A^T z <= 1, z >= 0, whose optimum is 1/value.  Returns
+    (x, w, pivots, status): x the slacks' reduced costs, w = z, rescaled."""
+    n, d = A.shape
+    T = np.zeros((d + 1, n + d + 1))
+    T[:d, :n], T[:d, n:-1], T[:d, -1], T[d, :n] = A.T, np.eye(d), 1.0, -1.0
+    basis = np.arange(n, n + d)
+    for it in range(max_iters + 1):
+        enter = np.flatnonzero(T[d, :-1] < -1e-12)
+        rows = np.flatnonzero(T[:d, enter[0]] > 1e-12) if enter.size else enter
+        if rows.size == 0 or it == max_iters:
+            break
+        j = enter[0]
+        ratio = T[rows, -1] / T[rows, j]
+        r = min(rows[ratio == ratio.min()], key=lambda k: basis[k])
+        T[r] /= T[r, j]
+        T -= np.outer(T[:, j] - (np.arange(d + 1) == r), T[r])
+        basis[r] = j
+    status = "step_underflow" if enter.size and not rows.size else "max_iters"
+    z = np.zeros(n)
+    z[basis[basis < n]] = np.clip(T[:d, -1][basis < n], 0.0, None)
+    x = np.clip(T[d, n:-1], 0.0, None)
+    return x / x.sum(), z / z.sum(), it, status
 
 
 def minmax_alignment(users, spec, cfg=None):
     """Alignment value Q = max { min_i <p, u_i/||u_i||> : ||alpha*p||_q <= 1, p >= 0 }.
 
-    Users are normalized by the cost norm, matching the ball constraint.
-    Solved by supergradient ascent on the concave min-of-linear objective,
-    averaging the gradients of the active users.
+    Users are normalized by the cost norm, matching the ball constraint.  Any
+    p on the ball and w on the simplex bracket Q between min_i <p, u~_i> and
+    ||U~^T w||_*, the minimax dual.  q = 1 is a matrix game, solved as a
+    linear program; q = inf has p = 1/alpha and w on the least aligned user;
+    1 < q < inf runs exponentiated-gradient descent on the dual (gradient
+    U~ p, p the dual-norm maximizer of U~^T w).  value is the best lower end,
+    attained at point; kkt_residual is the bracket width, at most cfg.tol
+    when converged.
     """
     cfg = cfg or OptimizerConfig()
     U = users.embeddings
-    norms = weighted_norm(U, spec)
-    Un = U / np.asarray(norms).reshape(-1, 1)
-
-    def value(p):
-        return float((Un @ p).min())
-
-    def grad(p):
-        z = Un @ p
-        zmin = z.min()
-        active = z <= zmin + _ACTIVE_TOL * max(1.0, abs(zmin))
-        return Un[active].mean(axis=0)
-
-    x, fx, resid, iters, ok = _multistart(value, grad, users.dim, spec, cfg)
-    return OptResult(point=x, value=fx, kkt_residual=resid, iters=iters, converged=ok)
+    Un = U / np.asarray(weighted_norm(U, spec)).reshape(-1, 1)
+    alpha = np.ones(users.dim) if spec.alpha is None else spec.alpha
+    if spec.q == 1.0:
+        x, w, iters, status = _matrix_game(Un / alpha, cfg.max_iters)
+        p = x / alpha
+    elif math.isinf(spec.q):
+        p, iters, status = 1.0 / alpha, 0, "max_iters"
+        w = np.zeros(users.n_users)
+        w[np.argmin(Un @ p)] = 1.0
+    else:
+        w = np.full(users.n_users, 1.0 / users.n_users)
+        upper, lower, step = dual_norm(w @ Un, spec), -math.inf, cfg.step_init
+        status = "max_iters"
+        for iters in range(1, cfg.max_iters + 1):
+            pt = _dual_point(w @ Un, spec)
+            g = Un @ pt
+            if g.min() > lower:
+                lower, p = float(g.min()), pt
+            if upper - lower <= cfg.tol:
+                break
+            s = step  # Armijo backtracking along w * exp(-s g)
+            while s >= _MIN_STEP:
+                ex = -s * g
+                wn = w * np.exp(ex - ex.max())
+                wn /= wn.sum()
+                un = dual_norm(wn @ Un, spec)
+                if un <= upper - _ARMIJO * float(g @ (w - wn)):
+                    break
+                s *= 0.5
+            else:
+                status = "step_underflow"
+                break
+            w, upper, step = wn, un, min(s * 2.0, _MAX_STEP)
+    lower = float((Un @ p).min())
+    width = max(dual_norm(w @ Un, spec) - lower, 0.0)
+    ok = width <= cfg.tol
+    return OptResult(p, lower, width, iters, ok, "converged" if ok else status)
 
 
 def simplex_logsum_max(Y, cfg=None, early_accept=None, early_reject=None):
     """Maximize sum_i log((w^T Y)_i) over the probability simplex.
 
-    Exponentiated-gradient ascent with Armijo backtracking.  For this
-    objective the quantity max_j (Y @ (1/z))_j - N bounds the suboptimality
-    of the current iterate, so kkt_residual is a certified duality gap.
+    Active-set Newton.  It starts at the best vertex whose row of Y is
+    positive (uniform weights when none is).  Each step is a Newton step on
+    the face spanned by the support and the coordinate of largest gradient
+    (else the Frank-Wolfe vertex), searched up to the face's boundary, where
+    weights that reach zero leave.  For this objective the quantity
+    max_j (Y @ (1/z))_j - N bounds the suboptimality of the current iterate,
+    so kkt_residual is a certified duality gap.
 
     early_accept: stop once the value reaches this threshold.
     early_reject: stop once value + gap certifies the optimum stays below it.
@@ -229,46 +237,46 @@ def simplex_logsum_max(Y, cfg=None, early_accept=None, early_reject=None):
         raise ValueError("Y must be nonnegative and finite")
     if np.any(Y.max(axis=0) <= 0):
         raise ValueError("Y has a column with no positive entry")
+
     m, n = Y.shape
+    with np.errstate(divide="ignore"):
+        start = np.log(Y).sum(axis=1)
     w = np.full(m, 1.0 / m)
-    z = w @ Y
-    val = float(np.log(z).sum())
-    step = cfg.step_init
-    gap = math.inf
-    it = 0
+    if np.isfinite(start.max()):
+        w[:] = 0.0
+        w[np.argmax(start)] = 1.0
     for it in range(1, cfg.max_iters + 1):
-        g = Y @ (1.0 / z)
+        z = w @ Y
+        val, g = float(np.log(z).sum()), Y @ (1.0 / z)
         gap = float(g.max()) - n
         if gap <= cfg.tol:
+            status = "converged"
+        elif early_accept is not None and val >= early_accept:
+            status = "early_accept"
+        elif early_reject is not None and val + max(gap, 0.0) < early_reject:
+            status = "early_reject"
+        else:
+            status = "max_iters" if it == cfg.max_iters else None
+        if status:
             break
-        if early_accept is not None and val >= early_accept:
+        face = np.union1d(np.flatnonzero(w > 0), np.argmax(g))
+        # Newton step on the face.  A zero-sum step is d = (c, -sum c) and
+        # the objective's quadratic model is -|M c - 1|^2 / 2 up to a
+        # constant, M = (Y_F / z)^T [I; -1]: a least-squares problem in c.
+        A = Y[face] / z
+        c = np.linalg.lstsq((A[:-1] - A[-1]).T, np.ones(n), rcond=None)[0]
+        d = np.zeros(m)
+        d[face] = np.append(c, -c.sum())
+        if not (float(g @ d) > 0 and np.all(w[d < 0] > 0)):
+            d = -w.copy()
+            d[np.argmax(g)] += 1.0
+        ratio = np.full(m, math.inf)  # the step at which w_j reaches zero
+        ratio[d < 0] = w[d < 0] / -d[d < 0]
+        t = _line_max(z, d @ Y, float(ratio.min()))
+        wn = np.clip(w + t * d, 0.0, None)
+        wn[ratio <= t] = 0.0
+        if np.array_equal(wn, w):
+            status = "step_underflow"
             break
-        if early_reject is not None and val + max(gap, 0.0) < early_reject:
-            break
-        s = step
-        accepted = False
-        while s >= _MIN_STEP:
-            ex = s * g
-            ex -= ex.max()
-            wn = w * np.exp(ex)
-            total = wn.sum()
-            if total > 0:
-                wn /= total
-                zn = wn @ Y
-                if np.all(zn > 0):
-                    vn = float(np.log(zn).sum())
-                    if vn >= val + _ARMIJO * float(g @ (wn - w)):
-                        accepted = True
-                        break
-            s *= 0.5
-        if not accepted:
-            break
-        w, z, val = wn, zn, vn
-        step = min(s * 2.0, _MAX_STEP)
-    return OptResult(
-        point=w,
-        value=val,
-        kkt_residual=max(gap, 0.0),
-        iters=it,
-        converged=gap <= cfg.tol,
-    )
+        w = wn / wn.sum()
+    return OptResult(w, val, max(gap, 0.0), it, gap <= cfg.tol, status)

@@ -32,6 +32,11 @@ __all__ = [
     "genre_count",
 ]
 
+# Relative distance at which a bracket end ties with the profit threshold:
+# far above the few ulps that value + kkt_residual may round away from the
+# bracket's upper end.
+_TIE = 1e-12
+
 
 @dataclass(frozen=True)
 class EmpiricalMarginals:
@@ -95,11 +100,20 @@ def equilibrium_profit(dist, users, spec, producers) -> float:
 def positive_profit_condition(users, spec, producers, cfg=None):
     """(flag, Q, threshold): profit is forced positive when Q < N^(-P/beta).
 
-    flag is None when the alignment solve did not certify convergence.
+    Q is the attained lower end of the alignment solve's certified bracket
+    [Q, Q + kkt_residual].  flag is True when the bracket lies below the
+    threshold, False when it lies above, and None only when it straddles it.
+    A bracket end within a relative _TIE of the threshold is a tie, decided
+    as positive: on basis2 at beta = 4, Q and the threshold are both
+    2^(-1/2), and the p2 equilibrium there earns 0.5.
     """
     res = minmax_alignment(users, spec, cfg or OptimizerConfig())
     threshold = users.n_users ** (-producers / spec.beta)
-    flag = res.value < threshold if res.converged else None
+    flag = None
+    if res.value + res.kkt_residual <= threshold * (1.0 + _TIE):
+        flag = True
+    elif res.value > threshold * (1.0 + _TIE):
+        flag = False
     return flag, res.value, threshold
 
 

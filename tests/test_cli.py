@@ -217,6 +217,44 @@ def test_nmf_end_to_end(capsys, tmp_path):
     assert run(["nsw", "--users", str(emb), "--out", str(tmp_path / "n.json")]) == 0
 
 
+def _seeded_embeddings(path, n, d):
+    users = np.random.default_rng(0).random((n, d))
+    lines = ["user_id," + ",".join(f"f{k}" for k in range(d))]
+    lines += [f"u{i}," + ",".join(repr(float(v)) for v in row) for i, row in enumerate(users)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_profit_onepop_alignment_certified(capsys, tmp_path):
+    # The alignment bracket on 30 uniform users sits far above the
+    # threshold 30^(-2/3), so the flag is decided: no exit 4.
+    users = _seeded_embeddings(tmp_path / "u.csv", 30, 5)
+    argv = ["profit", "--users", users, "--variant", "onepop", "--beta", "3"]
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert rep["positive_profit"] is False
+    assert rep["q_alignment"] > rep["q_threshold"]
+
+
+@pytest.mark.parametrize("users, n", [("basis2", 2), ("orthonormal:3", 3)])
+def test_profit_q1_alignment_is_one_over_n(capsys, users, n):
+    # At q = 1 orthonormal users have Q = 1/N, attained by the uniform p.
+    argv = ["profit", "--users", users, "--q", "1", "--beta", "1.5", "--variant", "onepop"]
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert rep["positive_profit"] is False
+    assert rep["q_alignment"] == pytest.approx(1.0 / n, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", ["1", "inf"])
+def test_nsw_edge_norms_certified(capsys, tmp_path, q):
+    users = _seeded_embeddings(tmp_path / "u.csv", 30, 5)
+    code, rep = run_json(capsys, ["nsw", "--users", users, "--q", q])
+    assert code == 0
+    assert rep["converged"] is True
+    assert rep["kkt_residual"] <= 1e-11
+
+
 def test_inf_serialized_as_string(capsys):
     code, rep = run_json(capsys, ["threshold", "--users", "angle:0"])
     assert code == 0

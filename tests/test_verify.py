@@ -13,6 +13,7 @@ from supply_eq.closedform import (
     make_p2_quarter_circle,
 )
 from supply_eq.geometry import CostSpec, UserSet, angle_pair
+from supply_eq.optimize import OptResult
 from supply_eq.verify import (
     best_response_gap,
     deviation_profit,
@@ -122,6 +123,26 @@ def test_positive_profit_condition_flags():
     assert flag2 is False
     assert qthr2 == pytest.approx(0.5, rel=1e-12)
     assert qval2 >= qthr2
+
+
+@pytest.mark.parametrize(
+    "lower, width, expected",
+    [
+        (0.2, 0.1, True),  # bracket below the threshold 0.5
+        (0.6, 0.1, False),  # bracket above
+        (0.4, 0.2, None),  # bracket straddles it
+        (0.4, 0.1 + 2e-16, True),  # upper end ties within rounding
+        (0.4, 0.1 + 1e-9, None),  # upper end past the tie tolerance
+        (0.5, 0.0, True),  # Q exactly at the threshold
+        (0.5 + 1e-9, 0.0, False),
+    ],
+)
+def test_positive_profit_condition_bracket_rule(monkeypatch, lower, width, expected):
+    # 4 users and 1 producer at beta = 2 put the threshold at 4^(-1/2) = 0.5.
+    res = OptResult(np.ones(2), lower, width, 1, True, "converged")
+    monkeypatch.setattr("supply_eq.verify.minmax_alignment", lambda *a: res)
+    flag, qval, qthr = positive_profit_condition(UserSet(np.ones((4, 2))), SPEC2, 1)
+    assert (flag, qval, qthr) == (expected, lower, 0.5)
 
 
 @pytest.mark.parametrize("beta", [2.0, 4.0, 8.0])
