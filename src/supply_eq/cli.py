@@ -18,6 +18,7 @@ byte for byte.  Exit codes: 0 success, 2 usage error, 3 input-data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -60,6 +61,9 @@ _EXIT_OK = 0
 _EXIT_USAGE = 2
 _EXIT_INPUT = 3
 _EXIT_NOCONV = 4
+
+# CSV rows formatted per % operation by _write_rows.
+_ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -144,8 +148,24 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def _write_rows(head: str, table: np.ndarray, out: str | None) -> None:
+    """Write a CSV header line, then the rows of a 2-D float table at 17
+    significant digits, to out or to stdout.
+
+    Rows are formatted _ROW_BLOCK at a time by one % operation and written as
+    they are formatted; '%.17g' % x is the same text as format(x, '.17g')
+    for every Python float.
+    """
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with (
+        contextlib.nullcontext(sys.stdout)
+        if out is None
+        else open(out, "w", encoding="utf-8", newline="\n")
+    ) as fh:
+        fh.write(head + "\n")
+        for start in range(0, len(table), _ROW_BLOCK):
+            block = table[start:start + _ROW_BLOCK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _parse_users(source: str | None) -> UserSet | None:
@@ -261,21 +281,20 @@ def _cmd_threshold(ns) -> int:
 
 
 def _cmd_eq(ns) -> int:
-    if ns.cdf_grid <= 0 and ns.n <= 0:
+    if ns.cdf_grid < 0 or ns.n < 0:
+        raise ValueError("--n and --cdf-grid must be >= 0")
+    if ns.cdf_grid == 0 and ns.n == 0:
         raise ValueError("nothing to emit: pass --cdf-grid and/or --n")
     users = _parse_users(ns.users)
     spec = _spec(ns)
     dist, converged = _build_dist(ns, users, spec, ns.n_users, ns.theta)
     if ns.cdf_grid > 0:
         xs = np.linspace(0.0, dist.cdf_max, ns.cdf_grid)
-        lines = [f"{dist.cdf_axis},cdf"]
-        lines += [f"{_fmt(x)},{_fmt(dist.cdf_point(float(x)))}" for x in xs]
-        _write_text("\n".join(lines) + "\n", ns.out)
+        cdf = [dist.cdf_point(x) for x in xs.tolist()]
+        _write_rows(f"{dist.cdf_axis},cdf", np.column_stack([xs, cdf]), ns.out)
     if ns.n > 0:
         pts = eq_sample(dist, ns.n, ns.seed)
-        lines = [",".join(f"f{k}" for k in range(pts.shape[1]))]
-        lines += [",".join(_fmt(v) for v in row) for row in pts]
-        _write_text("\n".join(lines) + "\n", ns.samples_out)
+        _write_rows(",".join(f"f{k}" for k in range(pts.shape[1])), pts, ns.samples_out)
     return _EXIT_OK if converged else _EXIT_NOCONV
 
 

@@ -210,15 +210,22 @@ def nmf_factorize(ratings: RatingsTable, cfg: NmfConfig) -> NmfResult:
 
     mr = mask * r
     trace = np.empty(cfg.epochs)
+    # wh holds mask * (w @ h) for the current factors.  The product an epoch
+    # computes for its objective is the one the next epoch starts from, and
+    # because mask is 0/1, mr - wh is bitwise mask * (r - w @ h).
+    wh = np.empty_like(r)
+    resid = np.empty_like(r)
+    np.multiply(mask, np.matmul(w, h, out=wh), out=wh)
     for epoch in range(cfg.epochs):
-        wh = mask * (w @ h)
         w *= (mr @ h.T) / np.maximum(wh @ h.T, cfg.min_entry)
         np.maximum(w, cfg.min_entry, out=w)
-        wh = mask * (w @ h)
+        np.multiply(mask, np.matmul(w, h, out=wh), out=wh)
         h *= (w.T @ mr) / np.maximum(w.T @ wh, cfg.min_entry)
         np.maximum(h, cfg.min_entry, out=h)
-        resid = mask * (r - w @ h)
-        trace[epoch] = float((resid * resid).sum())
+        np.multiply(mask, np.matmul(w, h, out=wh), out=wh)
+        np.subtract(mr, wh, out=resid)
+        np.square(resid, out=resid)
+        trace[epoch] = float(resid.sum())
     return NmfResult(
         users=UserSet(w),
         user_ids=tuple(uid for uid, kp in zip(ratings.user_ids, keep) if kp),

@@ -8,6 +8,7 @@ import pytest
 
 import supply_eq.cli as cli
 from supply_eq.cli import run
+from supply_eq.closedform import eq_sample, make_finite_p_curve, make_p2_quarter_circle
 from supply_eq.threshold import ConditionProbe, ThresholdReport
 
 
@@ -275,6 +276,42 @@ def test_exit_usage_below_threshold_infinite(capsys):
 
 def test_exit_usage_nothing_to_emit(capsys):
     assert run(["eq", "--variant", "onepop"]) == 2
+
+
+@pytest.mark.parametrize("counts", [["--n", "-5", "--cdf-grid", "3"],
+                                    ["--n", "2", "--cdf-grid", "-4"]])
+def test_exit_usage_negative_eq_count(capsys, counts):
+    assert run(["eq", "--variant", "onepop", *counts]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ">= 0" in captured.err
+
+
+def _csv_per_value(head, rows):
+    return head + "\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows
+    )
+
+
+@pytest.mark.parametrize("variant_args, make", [
+    (["--variant", "p2", "--beta", "4"], lambda: make_p2_quarter_circle(4.0)),
+    (["--variant", "finitep", "--producers", "4"], lambda: make_finite_p_curve(4)),
+])
+def test_eq_table_bytes_match_per_value_format(capsys, tmp_path, variant_args, make):
+    # 10,001 sample rows cross two boundaries of the CLI's 4,096-row blocks.
+    dist = make()
+    xs = np.linspace(0.0, dist.cdf_max, 9)
+    cdf = _csv_per_value(f"{dist.cdf_axis},cdf",
+                         [(x, dist.cdf_point(float(x))) for x in xs])
+    samples = _csv_per_value("f0,f1", eq_sample(dist, 10001, 5))
+    argv = ["eq", *variant_args, "--n", "10001", "--cdf-grid", "9", "--seed", "5"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == cdf + samples
+    cdf_path, samples_path = tmp_path / "cdf.csv", tmp_path / "s.csv"
+    assert run([*argv, "--out", str(cdf_path), "--samples-out", str(samples_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert cdf_path.read_bytes() == cdf.encode()
+    assert samples_path.read_bytes() == samples.encode()
 
 
 def test_exit_usage_planar_variant_weighted(capsys):

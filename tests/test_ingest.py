@@ -143,6 +143,46 @@ def test_nmf_deterministic(tmp_path):
     assert np.all(a.objective_trace == b.objective_trace)
 
 
+def _nmf_reference(r, mask, cfg):
+    """The factorizer as first written: three w @ h products per epoch and
+    the residual formed as mask * (r - w @ h)."""
+    rng = np.random.default_rng(cfg.seed)
+    n, d, k = r.shape[0], r.shape[1], cfg.factors
+    w = np.maximum(cfg.init_scale * rng.random((n, k)), cfg.min_entry)
+    h = np.maximum(cfg.init_scale * rng.random((k, d)), cfg.min_entry)
+    mr = mask * r
+    trace = np.empty(cfg.epochs)
+    for epoch in range(cfg.epochs):
+        wh = mask * (w @ h)
+        w *= (mr @ h.T) / np.maximum(wh @ h.T, cfg.min_entry)
+        np.maximum(w, cfg.min_entry, out=w)
+        wh = mask * (w @ h)
+        h *= (w.T @ mr) / np.maximum(w.T @ wh, cfg.min_entry)
+        np.maximum(h, cfg.min_entry, out=h)
+        resid = mask * (r - w @ h)
+        trace[epoch] = float((resid * resid).sum())
+    return w, h, trace
+
+
+def test_nmf_matches_reference_loop_bitwise():
+    rng = np.random.default_rng(12)
+    observed = np.argwhere(rng.random((40, 30)) < 0.3)
+    table = RatingsTable(
+        user_ids=tuple(f"u{i}" for i in range(40)),
+        item_ids=tuple(f"m{j}" for j in range(30)),
+        user_index=observed[:, 0],
+        item_index=observed[:, 1],
+        rating=rng.integers(1, 6, len(observed)).astype(float),
+    )
+    cfg = NmfConfig(factors=4, epochs=20, seed=3)
+    res = nmf_factorize(table, cfg)
+    assert res.dropped_users == ()
+    w, h, trace = _nmf_reference(*table.dense(), cfg)
+    assert np.array_equal(res.users.embeddings, w)
+    assert np.array_equal(res.item_factors, h)
+    assert np.array_equal(res.objective_trace, trace)
+
+
 def test_nmf_config_validation():
     with pytest.raises(ValueError):
         NmfConfig(factors=0)
