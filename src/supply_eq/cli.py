@@ -302,7 +302,10 @@ def _parse_grid(raw: str) -> tuple[int, int]:
     parts = raw.lower().split("x")
     if len(parts) != 2:
         raise ValueError(f"grid must look like 200x200, got {raw!r}")
-    return int(parts[0]), int(parts[1])
+    angles, radii = int(parts[0]), int(parts[1])
+    if angles < 1 or radii < 1:
+        raise ValueError(f"--grid needs at least 1 angle and 1 radius, got {raw!r}")
+    return angles, radii
 
 
 def _cmd_verify(ns) -> int:

@@ -14,10 +14,11 @@ Throughout, quality is the weighted production norm of a content vector and
 genre is its direction.  Samplers are inverse-transform and deterministic for
 a fixed seed.
 
-Each family class holds all of its own behaviour: ``draw`` (the
-inverse-transform sampler), ``cdf_quality``, the tabulated CDF (``cdf_axis``,
-``cdf_max``, ``cdf_point``), ``genres``, the analytic per-producer ``profit``,
-the first-order terms ``foc_terms`` and the best-response sweep directions
+Each family class holds all of its own behaviour: ``draw_blocks`` (the
+inverse-transform sampler, yielding its rows a block at a time),
+``cdf_quality``, the tabulated CDF (``cdf_axis``, ``cdf_max``,
+``cdf_point``), ``genres``, the analytic per-producer ``profit``, the
+first-order terms ``foc_terms`` and the best-response sweep directions
 ``deviation_dirs``.  The module functions below dispatch to them.
 """
 
@@ -45,6 +46,7 @@ __all__ = [
     "make_infinite_two_genre",
     "eq_cdf_quality",
     "eq_sample",
+    "eq_sample_blocks",
     "genre_set",
     "angle_cdf",
     "finite_p_x_cdf",
@@ -80,7 +82,17 @@ class GenreSet:
     description: str
 
 
-class _PlanarFamily:
+class _StreamFamily:
+    """A family whose ``draw(rng, n)`` consumes exactly one ``rng.random(n)``."""
+
+    def draw_blocks(self, rng, n: int, block: int):
+        # Successive rng.random calls continue one stream, so these blocks
+        # concatenate bit for bit to self.draw(rng, n).
+        for start in range(0, n, block):
+            yield self.draw(rng, min(block, n - start))
+
+
+class _PlanarFamily(_StreamFamily):
     """A family laid out in a two-user plane; deviations sweep its angles."""
 
     def deviation_dirs(self, n_angles: int) -> np.ndarray:
@@ -89,7 +101,7 @@ class _PlanarFamily:
 
 
 @dataclass(frozen=True)
-class OnePopulation:
+class OnePopulation(_StreamFamily):
     """Single-genre equilibrium for N users sharing one direction.
 
     ``direction`` must have unit production norm; every sampled content
@@ -248,11 +260,7 @@ class FinitePCurve(_PlanarFamily):
         return np.stack([t**e, (1.0 - t) ** e], axis=1)
 
     def draw(self, rng, n: int) -> np.ndarray:
-        # u stays bound until embed returns: freeing it earlier changes the
-        # allocation order and raised peak RSS by ~12 MB over a run of
-        # 1e6-sample verify commands (glibc malloc).
-        u = rng.random(n)
-        return self.plane.embed(self._curve(u))
+        return self.plane.embed(self._curve(rng.random(n)))
 
     def cdf_quality(self, q: float, genre_index: int | None) -> float:
         # Squared quality along the curve is phi(t) = t^(P-1) + (1-t)^(P-1) with
@@ -350,10 +358,14 @@ class InfiniteTwoGenre(_PlanarFamily):
             (np.log(u) + 2.0 * math.log(self.c1) + 2.0 * n * beta * lc2) / (2.0 * beta)
         )
 
-    def draw(self, rng, n: int) -> np.ndarray:
+    def draw_blocks(self, rng, n: int, block: int):
+        # integers() may leave part of its last 64-bit word unused, so all n
+        # genre labels are drawn before the first uniform, as in one n-row draw.
         g = rng.integers(0, 2, size=n)
-        u = 1.0 - rng.random(n)
-        return self._quantile(u)[:, None] * self.genre_directions()[g]
+        dirs = self.genre_directions()
+        for start in range(0, n, block):
+            u = 1.0 - rng.random(min(block, n - start))
+            yield self._quantile(u)[:, None] * dirs[g[start:start + u.size]]
 
     def cdf_quality(self, q: float, genre_index: int | None) -> float:
         if genre_index not in (0, 1):
@@ -534,11 +546,26 @@ def finite_p_x_cdf(dist: FinitePCurve, x: float) -> float:
     return dist.cdf_point(x)
 
 
-def eq_sample(dist: EquilibriumDist, n: int, seed: int) -> np.ndarray:
-    """n inverse-transform draws as rows of an (n, D) content array."""
+def eq_sample_blocks(dist: EquilibriumDist, n: int, seed: int, block: int):
+    """The rows of ``eq_sample(dist, n, seed)``, yielded ``block`` rows at a time.
+
+    Every family consumes its generator the same way at any block size, so
+    the blocks concatenate bit for bit to the n-row draw; only the last one
+    may be shorter.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return dist.draw(np.random.default_rng(seed), n)
+    if block < 1:
+        raise ValueError("block must be >= 1")
+    return dist.draw_blocks(np.random.default_rng(seed), n, block)
+
+
+def eq_sample(dist: EquilibriumDist, n: int, seed: int) -> np.ndarray:
+    """n inverse-transform draws as rows of an (n, D) content array.
+
+    The concatenation of ``eq_sample_blocks``, taken as its single n-row block.
+    """
+    return next(eq_sample_blocks(dist, n, seed, n))
 
 
 def genre_set(dist: EquilibriumDist) -> GenreSet:

@@ -3,9 +3,12 @@
 Checks a constructed distribution the way a skeptical producer would: sample
 opponents, price every deviation on a grid, and compare against the analytic
 profit.  Tie handling brackets the truth between lose-all-ties and
-win-all-ties ranks instead of simulating the tie-split.  What differs between
-equilibrium families (the analytic profit, the first-order terms, the
-deviation directions) lives on the family classes in ``closedform``.
+win-all-ties ranks instead of simulating the tie-split.  Opponent draws and
+Monte Carlo rounds are handled in blocks of about _BLOCK user scores, so
+memory grows with the sample count only through the sorted marginal table.
+What differs between equilibrium families (the analytic profit, the
+first-order terms, the deviation directions) lives on the family classes in
+``closedform``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import eq_sample
+from .closedform import eq_sample, eq_sample_blocks
 from .geometry import CostSpec, UserSet, cost, induced_cost_grad
 from .optimize import OptimizerConfig, minmax_alignment
 
@@ -36,6 +39,11 @@ __all__ = [
 # far above the few ulps that value + kkt_residual may round away from the
 # bracket's upper end.
 _TIE = 1e-12
+
+# User scores (one per user per point) handled per block: each block's
+# score array is 2 MB whatever the number of users, and at N = 2 a block is
+# still large enough for numpy's per-call cost to stay small.
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -75,8 +83,12 @@ class EmpiricalMarginals:
 def empirical_marginals(dist, users, producers, n_samples, seed) -> EmpiricalMarginals:
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
-    pts = eq_sample(dist, n_samples, seed)
-    vals = np.sort(pts @ users.embeddings.T, axis=0).T
+    vals = np.empty((users.n_users, n_samples))
+    start = 0
+    for pts in eq_sample_blocks(dist, n_samples, seed, max(1, _BLOCK // users.n_users)):
+        vals[:, start:start + len(pts)] = (pts @ users.embeddings.T).T
+        start += len(pts)
+    vals.sort(axis=1)
     return EmpiricalMarginals(values=vals, producers=producers)
 
 
@@ -117,12 +129,29 @@ def positive_profit_condition(users, spec, producers, cfg=None):
     return flag, res.value, threshold
 
 
+def _first_wins(z):
+    """Users won by producer 0 in each round of z, shaped (rounds, P, N).
+
+    Producer 0 wins a user when no opponent scores strictly higher, which is
+    argmax == 0 over the round's producers, ties included, at a third to a
+    half of argmax's cost for P = 2 to 4.  The count is a product with ones,
+    exact for 0/1 entries.
+    """
+    won = z[:, 0] >= z[:, 1]
+    for j in range(2, z.shape[1]):
+        won &= z[:, 0] >= z[:, j]
+    return won.astype(float) @ np.ones(z.shape[2])
+
+
 def _mc_profit(dist, users, spec, producers, n_rounds, seed):
-    pts = eq_sample(dist, n_rounds * producers, seed)
-    z = (pts @ users.embeddings.T).reshape(n_rounds, producers, users.n_users)
-    wins = (z.argmax(axis=1) == 0).sum(axis=1)
-    costs = cost(pts[::producers], spec)
-    profits = wins - costs
+    profits = np.empty(n_rounds)
+    start = 0
+    rounds = max(1, _BLOCK // (producers * users.n_users))
+    for pts in eq_sample_blocks(dist, n_rounds * producers, seed, rounds * producers):
+        z = (pts @ users.embeddings.T).reshape(-1, producers, users.n_users)
+        stop = start + len(z)
+        profits[start:stop] = _first_wins(z) - cost(pts[::producers], spec)
+        start = stop
     mc = float(profits.mean())
     stderr = float(profits.std(ddof=1) / math.sqrt(n_rounds))
     return mc, stderr
@@ -214,7 +243,11 @@ def soc_direction_sign(theta, theta_star, beta) -> int:
 
 
 def genre_count(samples, angle_tol=1e-3):
-    """Greedy direction clustering; "continuum" past sqrt(len(samples)) clusters."""
+    """Greedy direction clustering; "continuum" past sqrt(len(samples)) clusters.
+
+    Directions go in blocks of that many; each block is first checked against
+    the clusters found so far in one product.
+    """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 100:
         raise ValueError("need at least 100 samples")
@@ -223,9 +256,16 @@ def genre_count(samples, angle_tol=1e-3):
     limit = math.isqrt(dirs.shape[0])
     cos_tol = math.cos(angle_tol)
     reps = []
-    for d in dirs:
-        if not any(d @ r >= cos_tol for r in reps):
-            reps.append(d)
-            if len(reps) > limit:
-                return "continuum"
+    step = max(1, limit)
+    for start in range(0, dirs.shape[0], step):
+        block = dirs[start:start + step]
+        if reps:
+            # Drop only what clears cos_tol by far more than the ulps this
+            # product may differ from d @ r by; the rest get the exact test.
+            block = block[(block @ np.array(reps).T).max(axis=1) < cos_tol + 1e-12]
+        for d in block:
+            if not any(d @ r >= cos_tol for r in reps):
+                reps.append(d)
+                if len(reps) > limit:
+                    return "continuum"
     return len(reps)

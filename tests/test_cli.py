@@ -179,6 +179,15 @@ def test_verify_onepop_and_finitep(capsys, variant_args):
         assert rep["foc_residual_max"] is None
 
 
+@pytest.mark.parametrize("grid", ["0x10", "10x0"])
+def test_exit_usage_empty_verify_grid(capsys, grid):
+    argv = ["verify", "--users", "basis2", "--variant", "p2", "--beta", "4",
+            "--samples", "1000", "--grid", grid]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "--grid" in err and grid in err
+
+
 def test_profit_finitep(capsys):
     argv = ["profit", "--users", "basis2", "--variant", "finitep", "--producers", "3"]
     assert run(argv) == 0

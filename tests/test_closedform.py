@@ -20,6 +20,7 @@ from supply_eq.closedform import (
     angle_cdf,
     eq_cdf_quality,
     eq_sample,
+    eq_sample_blocks,
     finite_p_x_cdf,
     genre_set,
     make_finite_p_curve,
@@ -308,3 +309,58 @@ def test_eq_sample_determinism_and_validation():
     assert np.all(a == b)
     with pytest.raises(ValueError):
         eq_sample(dist, 0, seed=7)
+
+
+def _reference_sample(dist, n, seed):
+    """One n-row draw exactly as the unblocked samplers took it."""
+    rng = np.random.default_rng(seed)
+    if isinstance(dist, OnePopulation):
+        u = rng.random(n)
+        r = (dist.n_users * u ** (dist.producers - 1)) ** (1.0 / dist.beta)
+        return np.outer(r, dist.direction)
+    if isinstance(dist, QuarterCircle):
+        theta = np.arcsin(np.sqrt(rng.random(n)))
+        return dist.plane.embed(dist.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    if isinstance(dist, FinitePCurve):
+        u = rng.random(n)
+        e = 0.5 * (dist.producers - 1)
+        return dist.plane.embed(np.stack([u**e, (1.0 - u) ** e], axis=1))
+    g = rng.integers(0, 2, size=n)
+    u = 1.0 - rng.random(n)
+    return dist._quantile(u)[:, None] * dist.genre_directions()[g]
+
+
+_S = 2.0**-0.5
+PLANE_4D = two_user_plane(np.array([_S, _S, 0.0, 0.0]), np.array([0.0, 0.0, _S, _S]))
+PLANE_4D_60 = two_user_plane(np.array([_S, _S, 0.0, 0.0]), np.array([_S, 0.0, _S, 0.0]))
+BLOCK_DISTS = {
+    "onepop-2d": OnePopulation(np.array([0.6, 0.8]), 3, 2.5, 3),
+    "onepop-5d": OnePopulation(np.array([0.1, 0.2, 0.3, 0.4, 0.5]) / math.sqrt(0.55), 30, 3.0, 2),
+    "p2-2d": make_p2_quarter_circle(4.0),
+    "p2-4d": QuarterCircle(beta=3.0, plane=PLANE_4D),
+    "finitep-2d": make_finite_p_curve(4),
+    "finitep-4d": FinitePCurve(producers=3, plane=PLANE_4D),
+    "infinite-2d": make_infinite_two_genre(_plane(1.0), 8.0),
+    "infinite-orthogonal": make_infinite_two_genre(_plane(math.pi / 2), 5.0),
+    "infinite-4d": make_infinite_two_genre(PLANE_4D_60, 6.0),
+}
+
+
+@pytest.mark.parametrize("dist", BLOCK_DISTS.values(), ids=BLOCK_DISTS.keys())
+def test_eq_sample_blocks_match_unblocked_draw_bitwise(dist):
+    ref = _reference_sample(dist, 20000, [4, 1])
+    assert np.array_equal(eq_sample(dist, 20000, [4, 1]), ref)
+    blocks = list(eq_sample_blocks(dist, 20000, [4, 1], 4099))
+    assert [len(b) for b in blocks] == [4099] * 4 + [3604]
+    assert np.array_equal(np.concatenate(blocks), ref)
+    for block in (1, 7):
+        small = np.concatenate(list(eq_sample_blocks(dist, 50, 3, block)))
+        assert np.array_equal(small, _reference_sample(dist, 50, 3))
+
+
+def test_eq_sample_blocks_validation():
+    dist = make_p2_quarter_circle(4.0)
+    with pytest.raises(ValueError):
+        eq_sample_blocks(dist, 0, 1, 10)
+    with pytest.raises(ValueError):
+        eq_sample_blocks(dist, 10, 1, 0)

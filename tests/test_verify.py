@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
+import supply_eq.verify as verify_mod
 from supply_eq.closedform import (
     OnePopulation,
     eq_sample,
     make_finite_p_curve,
+    make_infinite_two_genre,
     make_one_population,
     make_p2_quarter_circle,
 )
-from supply_eq.geometry import CostSpec, UserSet, angle_pair
+from supply_eq.geometry import CostSpec, UserSet, angle_pair, cost, two_user_plane
 from supply_eq.optimize import OptResult
 from supply_eq.verify import (
     best_response_gap,
@@ -230,3 +232,129 @@ def test_mc_profit_close_across_seeds():
     for seed in (0, 5, 9):
         rep = best_response_gap(dist, E1_USER, spec, 2, n_samples=20000, grid=(1, 50), seed=seed)
         assert abs(rep.eq_profit_mc - rep.eq_profit) <= 4 * rep.eq_profit_mc_stderr + 1e-12
+
+
+# A block size that leaves a ragged last block in every pin below.
+RAGGED = 4099
+USERS_30X5 = UserSet(np.random.default_rng(0).random((30, 5)))
+ONEPOP_30X5 = OnePopulation(np.full(5, 5.0**-0.5), 30, 3.0, 2)
+
+
+def _reference_marginals(dist, users, n_samples, seed):
+    pts = eq_sample(dist, n_samples, seed)
+    return np.sort(pts @ users.embeddings.T, axis=0).T
+
+
+def _reference_mc_profit(dist, users, spec, producers, n_rounds, seed):
+    pts = eq_sample(dist, n_rounds * producers, seed)
+    z = (pts @ users.embeddings.T).reshape(n_rounds, producers, users.n_users)
+    wins = (z.argmax(axis=1) == 0).sum(axis=1)
+    profits = wins - cost(pts[::producers], spec)
+    return float(profits.mean()), float(profits.std(ddof=1) / math.sqrt(n_rounds))
+
+
+def _reference_genre_count(samples, angle_tol=1e-3):
+    pts = np.asarray(samples, dtype=float)
+    nrm = np.linalg.norm(pts, axis=1)
+    dirs = pts[nrm > 0] / nrm[nrm > 0, None]
+    limit = math.isqrt(dirs.shape[0])
+    cos_tol = math.cos(angle_tol)
+    reps = []
+    for d in dirs:
+        if not any(d @ r >= cos_tol for r in reps):
+            reps.append(d)
+            if len(reps) > limit:
+                return "continuum"
+    return len(reps)
+
+
+@pytest.mark.parametrize("dist, users", [
+    (ONEPOP_30X5, USERS_30X5),
+    (make_p2_quarter_circle(4.0), BASIS2),
+], ids=["onepop-30x5", "p2"])
+def test_empirical_marginals_blocks_bitwise(monkeypatch, dist, users):
+    monkeypatch.setattr(verify_mod, "_BLOCK", RAGGED)
+    marg = empirical_marginals(dist, users, 2, 20000, [3, 0])
+    assert np.array_equal(marg.values, _reference_marginals(dist, users, 20000, [3, 0]))
+
+
+@pytest.mark.parametrize("producers", [2, 3, 4])
+def test_mc_profit_blocks_bitwise(monkeypatch, producers):
+    monkeypatch.setattr(verify_mod, "_BLOCK", RAGGED)
+    dist = make_finite_p_curve(producers)
+    got = verify_mod._mc_profit(dist, BASIS2, SPEC2, producers, 10000, [2, 1])
+    assert got == _reference_mc_profit(dist, BASIS2, SPEC2, producers, 10000, [2, 1])
+    spec = CostSpec(q=3.0, beta=3.0)
+    dist = OnePopulation(ONEPOP_30X5.direction, 30, 3.0, producers)
+    got = verify_mod._mc_profit(dist, USERS_30X5, spec, producers, 10000, [2, 1])
+    assert got == _reference_mc_profit(dist, USERS_30X5, spec, producers, 10000, [2, 1])
+
+
+def test_first_wins_counts_ties_like_argmax():
+    # Rounds x producers x users, with exact ties between producer 0 and others.
+    z = np.array([
+        [[1.0, 0.2], [1.0, 0.3], [0.5, 0.2]],
+        [[0.0, 0.5], [0.0, 0.5], [0.0, 0.5]],
+        [[0.4, 0.7], [0.4, 0.1], [0.41, 0.7]],
+    ])
+    wins = verify_mod._first_wins(z)
+    assert np.array_equal(wins, [1.0, 2.0, 1.0])
+    assert np.array_equal(wins, (z.argmax(axis=1) == 0).sum(axis=1))
+
+
+def test_best_response_gap_report_independent_of_block_bitwise(monkeypatch):
+    dist = make_finite_p_curve(3)
+    args = (dist, BASIS2, SPEC2, 3)
+    kw = dict(n_samples=9000, grid=(70, 90), seed=4)
+    full = best_response_gap(*args, **kw)
+    monkeypatch.setattr(verify_mod, "_BLOCK", RAGGED)
+    blocked = best_response_gap(*args, **kw)
+    for field in ("eq_profit_mc", "eq_profit_mc_stderr", "best_response_gap",
+                  "genre_count_estimate"):
+        assert getattr(blocked, field) == getattr(full, field)
+    assert np.array_equal(blocked.gap_argmax, full.gap_argmax)
+
+
+def _near_tolerance_directions(rng, n, angle_tol=1e-3):
+    """Unit rays whose cosine with the first one sits within 2 ulps of cos_tol."""
+    cos_tol = math.cos(angle_tol)
+    r = rng.random(3)
+    r /= np.linalg.norm(r)
+    rows = [r]
+    for k in range(n - 1):
+        c = cos_tol + (k % 5 - 2) * np.spacing(cos_tol)
+        w = rng.standard_normal(3)
+        w -= (w @ r) * r
+        w /= np.linalg.norm(w)
+        rows.append(c * r + math.sqrt(1.0 - c * c) * w)
+    return np.array(rows)
+
+
+def _genre_inputs():
+    rng = np.random.default_rng(8)
+    centers = rng.random((3, 5))
+    clusters = centers[rng.integers(0, 3, 3000)] * (1.0 + 1e-6 * rng.random((3000, 1)))
+    return {
+        "single-ray": eq_sample(OnePopulation(np.array([0.6, 0.8]), 3, 2.0, 2), 20000, 0),
+        "two-genre": eq_sample(make_infinite_two_genre(two_user_plane(*angle_pair(1.0).embeddings), 7.0), 20000, 1),
+        "continuum-p2": eq_sample(make_p2_quarter_circle(4.0), 20000, 2),
+        "continuum-finitep": eq_sample(make_finite_p_curve(3), 20000, 3),
+        "5d-clusters": clusters,
+        "5d-continuum": rng.random((2000, 5)),
+        "ulp-of-cos-tol": _near_tolerance_directions(rng, 2000),
+    }
+
+
+@pytest.mark.parametrize("name", list(_genre_inputs()))
+def test_genre_count_matches_reference_loop_bitwise(name):
+    samples = _genre_inputs()[name]
+    assert genre_count(samples) == _reference_genre_count(samples)
+
+
+def test_genre_count_input_straddles_cos_tol():
+    dirs = _near_tolerance_directions(np.random.default_rng(8), 200)
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dots = np.array([d @ dirs[0] for d in dirs[1:]])
+    cos_tol = math.cos(1e-3)
+    assert (dots >= cos_tol).any() and (dots < cos_tol).any()
+    assert np.abs(dots - cos_tol).max() <= 4 * np.spacing(cos_tol)
