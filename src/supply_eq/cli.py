@@ -415,7 +415,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", required=True, choices=["onepop", "p2", "finitep"])
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--producers", type=int, default=2)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument(
+        "--samples", type=int, default=100000,
+        help="Monte Carlo rounds for eq_profit_mc, and the genre-count sample (at most "
+        "20000); deviations are priced against exact CDFs, not samples",
+    )
     p.add_argument("--grid", default="200x200")
     p.set_defaults(fn=_cmd_verify)
 

@@ -18,8 +18,10 @@ Each family class holds all of its own behaviour: ``draw_blocks`` (the
 inverse-transform sampler, yielding its rows a block at a time),
 ``cdf_quality``, the tabulated CDF (``cdf_axis``, ``cdf_max``,
 ``cdf_point``), ``genres``, the analytic per-producer ``profit``, the
-first-order terms ``foc_terms`` and the best-response sweep directions
-``deviation_dirs``.  The module functions below dispatch to them.
+first-order terms ``foc_terms``, the best-response sweep directions
+``deviation_dirs`` and, for the families ``verify`` prices against, each
+user's exact value CDF ``value_cdf``.  The module functions below dispatch
+to them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CostSpec, TwoUserPlane, UserSet, two_user_plane
+from .geometry import CostSpec, TwoUserPlane, UserSet, two_user_plane, weighted_norm
 from .optimize import nsw_direction
 from .threshold import beta_star_two_user
 
@@ -57,6 +59,7 @@ __all__ = [
 _DEGENERATE_C2 = 1e-12
 
 _NO_DENSITY = "analytic densities are only available for QuarterCircle and FinitePCurve"
+_NOT_PLANE_USERS = "users must be the two users of the family's plane"
 
 
 def _canonical_plane() -> TwoUserPlane:
@@ -95,9 +98,18 @@ class _StreamFamily:
 class _PlanarFamily(_StreamFamily):
     """A family laid out in a two-user plane; deviations sweep its angles."""
 
-    def deviation_dirs(self, n_angles: int) -> np.ndarray:
+    def deviation_dirs(self, n_angles: int, users: UserSet, spec: CostSpec, seed) -> np.ndarray:
         angles = np.linspace(0.0, self.plane.theta_star, n_angles)
         return self.plane.direction(angles)
+
+    def _user_scales(self, users: UserSet) -> np.ndarray:
+        # User i values a point at scale_i times its i-th in-plane coordinate.
+        _check(users.n_users == 2, _NOT_PLANE_USERS)
+        proj = users.embeddings @ self.plane.basis.T
+        scales = np.diag(proj)
+        off = np.abs(proj - np.diag(scales)).max()
+        _check(scales.min() > 0 and off <= 1e-9 * scales.max(), _NOT_PLANE_USERS)
+        return scales
 
 
 @dataclass(frozen=True)
@@ -149,6 +161,19 @@ class OnePopulation(_StreamFamily):
         f = (q**self.beta / self.n_users) ** (1.0 / (self.producers - 1))
         return min(1.0, f)
 
+    def value_cdf(self, z: np.ndarray, users: UserSet) -> np.ndarray:
+        """P(value <= z) per user for scores z shaped (..., N).
+
+        User i values the ray at a_i = <d, u_i> times the quality, so its CDF
+        is cdf_point(z / a_i) = min(1, z / (a_i N^(1/beta)))^(beta/(P-1)); a
+        user with a_i = 0 values every draw at 0.
+        """
+        top = (users.embeddings @ self.direction) * self.support_max
+        pos = top > 0.0
+        f = np.clip(z / np.where(pos, top, 1.0), 0.0, 1.0) ** (self.beta / (self.producers - 1))
+        f[..., ~pos] = z[..., ~pos] >= 0.0
+        return f
+
     def genres(self) -> GenreSet:
         return GenreSet(
             kind="finite",
@@ -167,8 +192,26 @@ class OnePopulation(_StreamFamily):
     def foc_terms(self, spec: CostSpec, grid: int):
         raise ValueError(_NO_DENSITY)
 
-    def deviation_dirs(self, n_angles: int) -> np.ndarray:
-        return self.direction.reshape(1, -1)
+    def deviation_dirs(self, n_angles: int, users: UserSet, spec: CostSpec, seed) -> np.ndarray:
+        """The equilibrium's own ray, then directions off it, all of unit cost.
+
+        In D = 2 the off-ray directions sweep n_angles angles between the
+        users' extreme directions.  In D > 2 they are each user's direction,
+        then nonnegative random combinations of random user subsets, drawn
+        from seed, up to n_angles directions in all.
+        """
+        u = users.embeddings
+        if users.dim == 2:
+            t = np.arctan2(u[:, 1], u[:, 0])
+            t = np.linspace(t.min(), t.max(), n_angles)
+            off = np.stack([np.cos(t), np.sin(t)], axis=1)
+        else:
+            rng = np.random.default_rng(seed)
+            r = rng.random((max(0, n_angles - 1 - users.n_users), users.n_users))
+            keep = r <= np.maximum(rng.random((len(r), 1)), r.min(axis=1, keepdims=True))
+            off = np.vstack([u, (rng.random(r.shape) * keep) @ u])
+        off = off / weighted_norm(off, spec)[:, None]
+        return np.vstack([self.direction, off])
 
 
 @dataclass(frozen=True)
@@ -215,6 +258,11 @@ class QuarterCircle(_PlanarFamily):
         if theta >= math.pi / 2:
             return 1.0
         return math.sin(theta) ** 2
+
+    def value_cdf(self, z: np.ndarray, users: UserSet) -> np.ndarray:
+        """P(value <= z) per user: (z / (r |u_i|))^2, as the angle has CDF sin^2."""
+        x = np.clip(z / (self.radius * self._user_scales(users)), 0.0, 1.0)
+        return x * x
 
     def genres(self) -> GenreSet:
         return GenreSet(
@@ -280,6 +328,11 @@ class FinitePCurve(_PlanarFamily):
         if x <= 0.0:
             return 0.0
         return min(1.0, x ** (2.0 / (self.producers - 1)))
+
+    def value_cdf(self, z: np.ndarray, users: UserSet) -> np.ndarray:
+        """P(value <= z) per user: (z / |u_i|)^(2/(P-1)), the coordinate CDF."""
+        x = np.clip(z / self._user_scales(users), 0.0, 1.0)
+        return x ** (2.0 / (self.producers - 1))
 
     def genres(self) -> GenreSet:
         p = self.producers

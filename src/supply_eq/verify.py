@@ -1,14 +1,17 @@
-"""Numerical equilibrium verification by simulation.
+"""Numerical equilibrium verification.
 
-Checks a constructed distribution the way a skeptical producer would: sample
-opponents, price every deviation on a grid, and compare against the analytic
-profit.  Tie handling brackets the truth between lose-all-ties and
-win-all-ties ranks instead of simulating the tie-split.  Opponent draws and
-Monte Carlo rounds are handled in blocks of about _BLOCK user scores, so
-memory grows with the sample count only through the sorted marginal table.
-What differs between equilibrium families (the analytic profit, the
-first-order terms, the deviation directions) lives on the family classes in
-``closedform``.
+Checks a constructed distribution the way a skeptical producer would: price
+every deviation on a grid against the opponents' exact per-user value CDFs,
+and compare against the analytic profit.  A deviation wins a user when it
+beats all P-1 opponents, ties included, so the gap is the win-all-ties upper
+bracket.  A Monte Carlo simulation of the equilibrium's own profit and its
+genre count stay as the independent cross-check.  The deviation grid is
+scored and the Monte Carlo rounds are drawn in blocks of about _BLOCK user
+scores, so memory grows with neither the sample count nor the grid's radii.
+The empirical marginals (sorted sampled values) remain as a test oracle for
+the exact CDFs.  What differs between equilibrium families (the value CDFs,
+the analytic profit, the first-order terms, the deviation directions) lives
+on the family classes in ``closedform``.
 """
 
 from __future__ import annotations
@@ -181,26 +184,34 @@ def best_response_gap(
     seed=0,
     cfg=None,
 ) -> VerifyReport:
-    """Grid-search deviations against empirical opponents; full report.
+    """Grid-search deviations against the exact opponent marginals; full report.
 
-    Deviations sweep in-plane angles [0, theta_star] times qualities up to
-    N^(1/beta), beyond which revenue cannot cover cost.  The gap uses the
-    win-all-ties upper bracket.
+    Deviations sweep the family's directions (``deviation_dirs``) times
+    qualities up to N^(1/beta), beyond which revenue cannot cover cost.  A
+    deviation to p earns sum_i F_i(<u_i, p>)^(P-1) - cost(p), with F_i the
+    family's ``value_cdf``.  The grid is scored a block of radii at a time;
+    the first maximum in radius-major order wins, as one argmax would pick.
+    n_samples sizes only the Monte Carlo profit and the genre count.
     """
-    marg = empirical_marginals(dist, users, producers, n_samples, [seed, 0])
+    if n_samples < 1000:
+        raise ValueError("n_samples must be >= 1000")
+    eq_profit = equilibrium_profit(dist, users, spec, producers)
 
     n_angles, n_radii = grid
     radii = np.linspace(0.0, users.n_users ** (1.0 / spec.beta), n_radii)
-    dirs = dist.deviation_dirs(n_angles)
-    points = radii[:, None, None] * dirs[None, :, :]
-    z = points @ users.embeddings.T
-    win = marg.win_probability(z, weak=True).sum(axis=-1)
-    profits = win - np.asarray(cost(points, spec))
-    flat = int(np.argmax(profits))
-    best = float(profits.reshape(-1)[flat])
-    argmax_pt = points.reshape(-1, points.shape[-1])[flat]
+    dirs = dist.deviation_dirs(n_angles, users, spec, [seed, 3])
+    scores = dirs @ users.embeddings.T
+    rows = max(1, _BLOCK // scores.size)
+    best, flat = -math.inf, 0
+    for start in range(0, n_radii, rows):
+        r = radii[start:start + rows, None, None]
+        win = (dist.value_cdf(r * scores, users) ** (producers - 1)).sum(axis=-1)
+        profits = win - cost(r * dirs, spec)
+        i = int(np.argmax(profits))
+        if profits.flat[i] > best:
+            best, flat = float(profits.flat[i]), start * len(dirs) + i
+    argmax_pt = radii[flat // len(dirs)] * dirs[flat % len(dirs)]
 
-    eq_profit = equilibrium_profit(dist, users, spec, producers)
     mc, stderr = _mc_profit(dist, users, spec, producers, n_samples, [seed, 1])
     samples = eq_sample(dist, max(1000, min(n_samples, 20000)), [seed, 2])
     count = genre_count(samples)

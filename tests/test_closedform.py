@@ -28,7 +28,14 @@ from supply_eq.closedform import (
     make_one_population,
     make_p2_quarter_circle,
 )
-from supply_eq.geometry import CostSpec, angle_between, angle_pair, two_user_plane
+from supply_eq.geometry import (
+    CostSpec,
+    UserSet,
+    angle_between,
+    angle_pair,
+    two_user_plane,
+    weighted_norm,
+)
 from supply_eq.threshold import beta_star_two_user
 
 INFINITE_CASES = [
@@ -364,3 +371,56 @@ def test_eq_sample_blocks_validation():
         eq_sample_blocks(dist, 0, 1, 10)
     with pytest.raises(ValueError):
         eq_sample_blocks(dist, 10, 1, 0)
+
+
+def test_onepop_deviation_dirs_sweep_off_the_ray_at_unit_cost():
+    spec = CostSpec(q=3.0, beta=3.0, alpha=np.array([1.0, 2.0]))
+    users = UserSet(np.array([[1.0, 0.2], [0.5, 1.0], [0.3, 0.9]]))
+    direction = np.array([1.0, 1.0]) / weighted_norm(np.array([1.0, 1.0]), spec)
+    dirs = OnePopulation(direction, 3, 3.0, 2).deviation_dirs(50, users, spec, 0)
+    assert dirs.shape == (51, 2)
+    assert np.array_equal(dirs[0], direction)
+    assert np.allclose(weighted_norm(dirs, spec), 1.0, rtol=1e-14)
+    # The sweep spans the users' extreme angles, those of [1, 0.2] and [0.3, 0.9].
+    angles = np.arctan2(dirs[1:, 1], dirs[1:, 0])
+    assert angles[0] == pytest.approx(math.atan2(0.2, 1.0), abs=1e-14)
+    assert angles[-1] == pytest.approx(math.atan2(0.9, 0.3), abs=1e-14)
+    assert np.all(np.diff(angles) > 0)
+
+
+@pytest.mark.parametrize("n_angles, expected", [(200, 200), (5, 31)])
+def test_onepop_deviation_dirs_beyond_the_plane(n_angles, expected):
+    users = UserSet(np.random.default_rng(0).random((30, 5)))
+    spec = CostSpec(q=2.0, beta=3.0)
+    dist = OnePopulation(np.full(5, 5.0**-0.5), 30, 3.0, 2)
+    dirs = dist.deviation_dirs(n_angles, users, spec, [1, 3])
+    assert dirs.shape == (expected, 5)
+    assert np.array_equal(dirs[0], dist.direction)
+    unit = users.embeddings / np.linalg.norm(users.embeddings, axis=1)[:, None]
+    assert np.allclose(dirs[1:31], unit, rtol=0, atol=1e-15)
+    assert np.all(dirs >= 0) and np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-14)
+    assert np.array_equal(dirs, dist.deviation_dirs(n_angles, users, spec, [1, 3]))
+
+
+@pytest.mark.parametrize("dist, users", [
+    (make_p2_quarter_circle(4.0), UserSet(np.eye(2))),
+    (make_finite_p_curve(3), UserSet(np.eye(2))),
+    (FinitePCurve(producers=4, plane=PLANE_4D), UserSet(np.array([[_S, _S, 0, 0], [0, 0, _S, _S]]))),
+], ids=["p2", "finitep", "finitep-4d"])
+def test_planar_value_cdf_is_the_coordinate_law(dist, users):
+    # Value of user i is |u_i| times in-plane coordinate i; the coordinate CDFs
+    # are (x / r)^2 on the quarter circle and x^(2/(P-1)) on the curve.
+    x = np.linspace(-0.5, 1.5, 41)
+    f = dist.value_cdf(np.stack([x, 2.0 * x], axis=1), UserSet(users.embeddings * [[1.0], [2.0]]))
+    r = dist.radius if isinstance(dist, QuarterCircle) else 1.0
+    expo = 2.0 if isinstance(dist, QuarterCircle) else 2.0 / (dist.producers - 1)
+    ref = np.clip(x / r, 0.0, 1.0) ** expo
+    assert np.allclose(f, np.stack([ref, ref], axis=1), rtol=1e-14, atol=0)
+
+
+def test_planar_value_cdf_needs_the_plane_users():
+    dist = make_p2_quarter_circle(4.0)
+    for users in (UserSet(np.array([[1.0, 0.0], [0.6, 0.8]])), UserSet(np.eye(2)[[1, 0]]),
+                  UserSet(np.ones((3, 2)))):
+        with pytest.raises(ValueError):
+            dist.value_cdf(np.zeros((4, users.n_users)), users)

@@ -1,13 +1,16 @@
 """Numerical verification layer: marginals, profits, gaps, genre counts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import supply_eq.verify as verify_mod
 from supply_eq.closedform import (
+    FinitePCurve,
     OnePopulation,
+    QuarterCircle,
     eq_sample,
     make_finite_p_curve,
     make_infinite_two_genre,
@@ -15,7 +18,7 @@ from supply_eq.closedform import (
     make_p2_quarter_circle,
 )
 from supply_eq.geometry import CostSpec, UserSet, angle_pair, cost, two_user_plane
-from supply_eq.optimize import OptResult
+from supply_eq.optimize import OptResult, nsw_direction
 from supply_eq.verify import (
     best_response_gap,
     deviation_profit,
@@ -358,3 +361,120 @@ def test_genre_count_input_straddles_cos_tol():
     cos_tol = math.cos(1e-3)
     assert (dots >= cos_tol).any() and (dots < cos_tol).any()
     assert np.abs(dots - cos_tol).max() <= 4 * np.spacing(cos_tol)
+
+
+# Dvoretzky-Kiefer-Wolfowitz: an empirical CDF of 1e6 draws is within this of
+# the true CDF everywhere, except with probability 1e-6.
+DKW_1E6 = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * 1e6))
+_USERS_4D = UserSet(np.array([[0.6, 0.0, 0.8, 0.0], [0.0, 1.5, 0.0, 0.0]]))
+_PLANE_4D = two_user_plane(*_USERS_4D.embeddings)
+EXACT_CASES = {
+    "p2-beta4": (make_p2_quarter_circle(4.0), BASIS2),
+    "finitep-P2": (make_finite_p_curve(2), BASIS2),
+    "finitep-P3": (make_finite_p_curve(3), BASIS2),
+    "finitep-P4": (make_finite_p_curve(4), BASIS2),
+    "onepop-basis2": (OnePopulation(np.full(2, 2.0**-0.5), 2, 3.0, 3), BASIS2),
+    "onepop-30x5": (ONEPOP_30X5, USERS_30X5),
+    "p2-4d-plane": (QuarterCircle(beta=4.0, plane=_PLANE_4D), _USERS_4D),
+    "finitep-4d-plane": (FinitePCurve(producers=3, plane=_PLANE_4D), _USERS_4D),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_CASES))
+def test_value_cdf_matches_empirical_marginals(name):
+    dist, users = EXACT_CASES[name]
+    # Ten users at a time keep the sorted table at 80 MB; every chunk sees the
+    # same draws, and each user's CDF is its own.
+    for rows in np.array_split(np.arange(users.n_users), max(1, users.n_users // 10)):
+        part = UserSet(users.embeddings[rows]) if users.n_users > 2 else users
+        marg = empirical_marginals(dist, part, 2, 10**6, [7, 0])
+        z = np.linspace(0.0, 1.05, 2001)[:, None] * marg.values[:, -1]
+        ecdf = marg.win_probability(z, weak=True)
+        exact = dist.value_cdf(z, part)
+        assert np.abs(exact - ecdf).max() <= DKW_1E6
+        assert exact[0].max() == 0.0 and exact[-1].min() == 1.0
+
+
+@pytest.mark.parametrize("producers", [2, 3])
+def test_value_cdf_orthogonal_user_wins_every_tie_at_zero(producers):
+    # e2 values every draw along e1 at 0: F = 1 on [0, inf), as the empirical
+    # table counts ties at 0 as wins.
+    dist = OnePopulation(np.array([1.0, 0.0]), 2, 2.0, producers)
+    z = np.array([[0.0, 0.0], [0.3, 0.5], [0.7, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = dist.value_cdf(z, BASIS2) ** (producers - 1)
+        emp = empirical_marginals(dist, BASIS2, producers, 20000, 4).win_probability(z, weak=True)
+        rep = best_response_gap(dist, BASIS2, SPEC2, producers, n_samples=2000, grid=(30, 30))
+    assert np.array_equal(exact[:, 1], [1.0, 1.0, 1.0])
+    assert np.array_equal(emp[:, 1], exact[:, 1])
+    assert np.array_equal(emp[0], exact[0])
+    assert np.allclose(emp[1:, 0], exact[1:, 0], atol=0.02)
+    assert math.isfinite(rep.best_response_gap)
+
+
+def _onepop_nsw(users, beta, producers=2):
+    spec = CostSpec(q=2.0, beta=beta)
+    direction = nsw_direction(users, spec).point
+    return OnePopulation(direction, users.n_users, beta, producers), spec
+
+
+@pytest.mark.parametrize("theta", [0.6, 1.0, math.pi / 2])
+def test_onepop_gap_crosses_at_two_user_threshold(theta):
+    users = angle_pair(theta)
+    beta_star = 2.0 / (1.0 - math.cos(theta))
+    gaps = []
+    for beta in (0.9 * beta_star, 1.1 * beta_star):
+        dist, spec = _onepop_nsw(users, beta)
+        rep = best_response_gap(dist, users, spec, 2, n_samples=1000, grid=(400, 400))
+        gaps.append(rep.best_response_gap)
+    assert gaps[0] <= 1e-12
+    assert gaps[1] >= 5e-3
+
+
+def test_onepop_gap_beyond_the_plane_crosses():
+    # The 30x5 set's threshold estimates lie near 9.5.
+    gaps = []
+    for beta in (3.0, 20.0):
+        dist, spec = _onepop_nsw(USERS_30X5, beta)
+        rep = best_response_gap(dist, USERS_30X5, spec, 2, n_samples=1000, grid=(60, 60))
+        gaps.append(rep.best_response_gap)
+    assert gaps[0] <= 1e-12
+    assert gaps[1] >= 0.1
+
+
+@pytest.mark.parametrize("case", ["p2", "finitep", "onepop"])
+def test_planar_gap_independent_of_seed_bitwise(case):
+    if case == "p2":
+        args = (make_p2_quarter_circle(4.0), BASIS2, CostSpec(q=2.0, beta=4.0), 2)
+    elif case == "finitep":
+        args = (make_finite_p_curve(3), BASIS2, SPEC2, 3)
+    else:
+        dist, spec = _onepop_nsw(angle_pair(1.0), 8.0)
+        args = (dist, angle_pair(1.0), spec, 2)
+    a = best_response_gap(*args, n_samples=2000, grid=(60, 70), seed=0)
+    b = best_response_gap(*args, n_samples=2000, grid=(60, 70), seed=5)
+    assert a.best_response_gap == b.best_response_gap
+    assert np.array_equal(a.gap_argmax, b.gap_argmax)
+
+
+@pytest.mark.parametrize("users, beta", [(BASIS2, 4.0), (USERS_30X5, 12.0)], ids=["basis2", "30x5"])
+def test_onepop_gap_independent_of_grid_block_bitwise(monkeypatch, users, beta):
+    dist, spec = _onepop_nsw(users, beta)
+    kw = dict(n_samples=2000, grid=(70, 90), seed=4)
+    full = best_response_gap(dist, users, spec, 2, **kw)
+    monkeypatch.setattr(verify_mod, "_BLOCK", RAGGED)
+    blocked = best_response_gap(dist, users, spec, 2, **kw)
+    assert blocked.best_response_gap == full.best_response_gap
+    assert np.array_equal(blocked.gap_argmax, full.gap_argmax)
+    assert full.best_response_gap > 0.1
+
+
+def test_grid_blocks_keep_the_first_maximum(monkeypatch):
+    # On the two axes finitep P = 3 prices a deviation at radius x <= 1 as
+    # x*x - x*x = 0 exactly, so the maximum ties across one-radius blocks;
+    # the first one, at radius 0, wins as np.argmax over the whole grid would.
+    monkeypatch.setattr(verify_mod, "_BLOCK", 1)
+    rep = best_response_gap(make_finite_p_curve(3), BASIS2, SPEC2, 3, n_samples=1000, grid=(2, 50))
+    assert rep.best_response_gap == 0.0
+    assert np.array_equal(rep.gap_argmax, [0.0, 0.0])
