@@ -7,10 +7,14 @@ CSV schemas (UTF-8, LF, 17 significant digits):
 * ratings: header ``user_id,item_id,rating``, one observed rating per row;
   later duplicates of a (user, item) pair overwrite earlier ones.
 
-The factorizer is deliberately plain: dense matrices, multiplicative updates
-masked to the observed entries, entries floored away from zero so updates
-cannot absorb.  It exists to produce nonnegative user embeddings at desk
-scale, not to chase benchmark reconstruction error.
+The factorizer is deliberately plain: multiplicative updates over the
+observed (user, item, rating) entries only, entries floored away from zero so
+updates cannot absorb.  The entries are sorted by user once, with an
+item-sorted permutation beside them, so each update's numerator and
+denominator are segment sums over the entries; its time and memory grow with
+the number of ratings, not with users x items.  It exists to produce
+nonnegative user embeddings at desk scale, not to chase benchmark
+reconstruction error.
 """
 
 from __future__ import annotations
@@ -55,6 +59,12 @@ class RatingsTable:
             raise InputDataError("ratings must be finite")
         if len(self.user_index) != len(self.rating) or len(self.item_index) != len(self.rating):
             raise InputDataError("index and rating arrays must have equal length")
+        for name, index, size in (
+            ("user_index", self.user_index, self.n_users),
+            ("item_index", self.item_index, self.n_items),
+        ):
+            if np.any((index < 0) | (index >= size)):
+                raise InputDataError(f"{name} values must lie in [0, {size})")
 
     @property
     def n_users(self) -> int:
@@ -168,10 +178,10 @@ class NmfConfig:
             raise ValueError("factors must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not self.init_scale > 0:
-            raise ValueError("init_scale must be positive")
-        if not self.min_entry > 0:
-            raise ValueError("min_entry must be positive")
+        if not (math.isfinite(self.init_scale) and self.init_scale > 0):
+            raise ValueError(f"init_scale must be finite and positive, got {self.init_scale}")
+        if not (math.isfinite(self.min_entry) and self.min_entry > 0):
+            raise ValueError(f"min_entry must be finite and positive, got {self.min_entry}")
 
 
 @dataclass(frozen=True)
@@ -184,6 +194,14 @@ class NmfResult:
     dropped_users: tuple
 
 
+def _update_ratio(coef, gathered, starts, buf, floor):
+    """Multiplicative-update ratio: segment sums of r * gathered over those
+    of pred * gathered, one reduceat for both."""
+    np.multiply(coef[:, None], gathered, out=buf)
+    num, den = np.add.reduceat(buf, starts, axis=2)
+    return num / np.maximum(den, floor)
+
+
 def nmf_factorize(ratings: RatingsTable, cfg: NmfConfig) -> NmfResult:
     """Masked multiplicative-update NMF of the observed ratings.
 
@@ -193,41 +211,65 @@ def nmf_factorize(ratings: RatingsTable, cfg: NmfConfig) -> NmfResult:
     """
     if np.any(ratings.rating < 0):
         raise InputDataError("ratings must be nonnegative for NMF")
-    r_full, m_full = ratings.dense()
-    keep = (r_full * m_full).sum(axis=1) > 0
+    # Last write wins for a repeated (user, item) pair: unique over the
+    # reversed keys finds each pair's last entry and sorts the pairs by user.
+    key = ratings.user_index.astype(np.int64) * ratings.n_items + ratings.item_index
+    _, first_rev = np.unique(key[::-1], return_index=True)
+    last = len(key) - 1 - first_rev
+    user, item, r = ratings.user_index[last], ratings.item_index[last], ratings.rating[last]
+    keep = np.zeros(ratings.n_users, dtype=bool)
+    keep[user[r > 0]] = True
     dropped = tuple(uid for uid, k in zip(ratings.user_ids, keep) if not k)
     if dropped:
         warnings.warn(f"dropping users with no positive ratings: {list(dropped)}")
     if not np.any(keep):
         raise InputDataError("no users with a positive rating remain")
-    r = r_full[keep]
-    mask = m_full[keep]
+    kept = keep[user]
+    user = (np.cumsum(keep) - 1)[user[kept]]
+    item, r = item[kept], r[kept]
+    # Every kept user has an entry, so user segments are never empty; items
+    # without an entry get no segment and a zero update, which floors them.
+    user_starts = np.flatnonzero(np.diff(user, prepend=-1))
+    by_item = np.argsort(item, kind="stable")
+    item_sorted = item[by_item]
+    item_starts = np.flatnonzero(np.diff(item_sorted, prepend=-1))
+    rated_items = item_sorted[item_starts]
+    user_by_item = user[by_item]
 
     rng = np.random.default_rng(cfg.seed)
-    n, d, k = r.shape[0], ratings.n_items, cfg.factors
-    w = np.maximum(cfg.init_scale * rng.random((n, k)), cfg.min_entry)
+    n, d, k = len(user_starts), ratings.n_items, cfg.factors
+    w = np.maximum(cfg.init_scale * rng.random((n, k)), cfg.min_entry).T.copy()
     h = np.maximum(cfg.init_scale * rng.random((k, d)), cfg.min_entry)
 
-    mr = mask * r
+    # w is kept (k, n) like h, so the factors gathered at the entries are
+    # factor-major, (k, E), and products and segment sums run along
+    # contiguous rows.  coef stacks [r; pred] per entry, in user order and in
+    # item order.
+    e = len(r)
+    coef_u, coef_i = np.empty((2, e)), np.empty((2, e))
+    coef_u[0], coef_i[0] = r, r[by_item]
+    buf = np.empty((2, k, e))
+    ratio = np.zeros((k, d))
     trace = np.empty(cfg.epochs)
-    # wh holds mask * (w @ h) for the current factors.  The product an epoch
-    # computes for its objective is the one the next epoch starts from, and
-    # because mask is 0/1, mr - wh is bitwise mask * (r - w @ h).
-    wh = np.empty_like(r)
-    resid = np.empty_like(r)
-    np.multiply(mask, np.matmul(w, h, out=wh), out=wh)
+    wg = np.take(w, user, axis=1)
+    hg = np.take(h, item, axis=1)
+    np.einsum("ke,ke->e", wg, hg, out=coef_u[1])
     for epoch in range(cfg.epochs):
-        w *= (mr @ h.T) / np.maximum(wh @ h.T, cfg.min_entry)
+        w *= _update_ratio(coef_u, hg, user_starts, buf, cfg.min_entry)
         np.maximum(w, cfg.min_entry, out=w)
-        np.multiply(mask, np.matmul(w, h, out=wh), out=wh)
-        h *= (w.T @ mr) / np.maximum(w.T @ wh, cfg.min_entry)
+        wg = np.take(w, user, axis=1)
+        np.einsum("ke,ke->e", wg, hg, out=coef_u[1])
+        np.take(coef_u[1], by_item, out=coef_i[1])
+        wg_by_item = np.take(w, user_by_item, axis=1)
+        ratio[:, rated_items] = _update_ratio(coef_i, wg_by_item, item_starts, buf, cfg.min_entry)
+        h *= ratio
         np.maximum(h, cfg.min_entry, out=h)
-        np.multiply(mask, np.matmul(w, h, out=wh), out=wh)
-        np.subtract(mr, wh, out=resid)
-        np.square(resid, out=resid)
-        trace[epoch] = float(resid.sum())
+        hg = np.take(h, item, axis=1)
+        np.einsum("ke,ke->e", wg, hg, out=coef_u[1])
+        resid = r - coef_u[1]
+        trace[epoch] = np.einsum("e,e->", resid, resid)
     return NmfResult(
-        users=UserSet(w),
+        users=UserSet(np.ascontiguousarray(w.T)),
         user_ids=tuple(uid for uid, kp in zip(ratings.user_ids, keep) if kp),
         item_factors=h,
         item_ids=ratings.item_ids,

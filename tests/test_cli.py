@@ -337,6 +337,17 @@ def test_exit_input_on_negative_rating(capsys, tmp_path):
     assert "nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, setting", [("--init-scale", "init_scale"), ("--min-entry", "min_entry")])
+def test_exit_usage_on_non_finite_nmf_setting(capsys, tmp_path, flag, setting):
+    ratings = tmp_path / "r.csv"
+    ratings.write_text("user_id,item_id,rating\nu,m,1.0\n")
+    out = tmp_path / "e.csv"
+    argv = ["nmf", "--ratings", str(ratings), "--factors", "1", flag, "inf", "--out", str(out)]
+    assert run(argv) == 2
+    assert setting in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_input_on_missing_users_file(capsys, tmp_path):
     assert run(["nsw", "--users", str(tmp_path / "absent.csv")]) == 3
 
