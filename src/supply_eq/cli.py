@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -62,7 +63,7 @@ _EXIT_USAGE = 2
 _EXIT_INPUT = 3
 _EXIT_NOCONV = 4
 
-# CSV rows formatted per % operation by _write_rows.
+# CSV rows formatted per block by _write_rows.
 _ROW_BLOCK = 4096
 
 
@@ -148,15 +149,179 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _veltkamp(a):
+    """Split doubles into 26-bit high halves and exact remainders."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+class _G17:
+    """A vectorised '%.17g' for CSV blocks, with the tables it reads.
+
+    A value is laid out in 48 bytes; NUL bytes are padding:
+
+    - 0-7: the head, right-aligned: the separator before the value, '-',
+      '0.' and zeros when the decimal exponent e is in [-4, -1], and the
+      first digit d0; head row ((first column * 2 + negative) * 6
+      + min(max(-e, 0), 5)) * 10 + d0;
+    - 8-23: digits 1-16, the integer part when e >= 0;
+    - 27: the decimal point;
+    - 28-43: digits 1-16 again, the fraction when e >= 0 or e <= -5;
+    - 44-47: the exponent 'e-05' to 'e-99' when e <= -5 (exponent row e + 99).
+
+    keep says which of the 48 bytes '%.17g' prints, by e in [-5, 16] (-5
+    standing for every e <= -5), the place L in [0, 16] of the last nonzero
+    digit, and the sign: row ((e + 5) * 17 + L) * 2 + negative.
+    """
+
+    def __init__(self):
+        # |x| is scaled by 10**s = 2**s * 5**s with s in [0, 115].  p5 + p5_rest
+        # is 5**s as a double-double, exact for s <= 45, and p5_rest is 0 for
+        # s <= 22; p5_h and p5_l are p5's halves for Dekker's exact product.
+        self.p5 = np.array([float(5**s) for s in range(116)])
+        self.p5_rest = np.array([float(5**s - int(float(5**s))) for s in range(116)])
+        self.p5_h, self.p5_l = _veltkamp(self.p5)
+        # For each 4-digit group g: its ASCII digits as one uint32, and the
+        # 1-based place of its last nonzero digit (-16 for g = 0).
+        g = np.arange(10000, dtype=np.int32)
+        digits = (g[:, None] // np.array([1000, 100, 10, 1], np.int32)) % 10
+        self.digits4 = (digits + 48).astype(np.uint8).view(np.uint32).ravel()
+        self.last4 = np.where(g == 0, -16, 4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0))
+        self.head = np.frombuffer(b"".join(
+            (sep + b"-" * neg + (b"0." + b"0" * (c - 1) if 0 < c < 5 else b"")
+             + bytes([48 + d0])).rjust(8, b"\0")
+            for sep in (b",", b"\n") for neg in (0, 1) for c in range(6) for d0 in range(10)
+        ), np.uint64)
+        self.exponent = np.frombuffer(
+            "".join(f"e{e:+03d}" for e in range(-99, 17)).encode(), np.uint32)
+        self.point = np.frombuffer(b"\0\0\0.", np.uint32)[0]
+        e = np.arange(-5, 17)[:, None, None, None]
+        last = np.arange(17)[None, :, None, None]
+        neg = np.arange(2)[None, None, :, None]
+        b = np.arange(48)
+        sci = e < -4
+        small = (e < 0) & ~sci
+        point = np.where(sci, 0, e)  # the place the decimal point follows
+        frac = ~small & (last > point)
+        self.keep = (
+            ((b < 8) & (b >= 6 - neg - np.where(small, 1 - e, 0)))
+            | ((b >= 8) & (b < 24) & (b - 7 <= np.where(small, last, point)))
+            | ((b == 27) & frac)
+            | ((b >= 28) & (b < 44) & frac & (b - 27 > point) & (b - 27 <= last))
+            | ((b >= 44) & sci)
+        ).reshape(-1, 48)
+
+    def times_pow10(self, x, s):
+        """x * 10**s as p + err, where p = fl(y * p5) for y = x * 2**s and err
+        is p's rounding error plus y * p5_rest: exact for s <= 22, and within
+        2**-47 of x * 10**s while that is below 1e17."""
+        y = np.ldexp(x, s)
+        yh, yl = _veltkamp(y)
+        bh, bl = self.p5_h.take(s), self.p5_l.take(s)
+        p = y * self.p5.take(s)
+        err = yl * bl - (((p - yh * bh) - yl * bh) - yh * bl)
+        return p, err + y * self.p5_rest.take(s)
+
+    def round17(self, a):
+        """The decimal exponent e and the 17-digit integer d of each x in a, a
+        float array with 1e-99 <= x < 1e17: d is x * 10**(16 - e) rounded half
+        to even, in [1e16, 1e17).  None when, for some e < -6, where the
+        product is not exact, x is too near a rounding tie to tell."""
+        # log10 can be one off near powers of ten; the product says so.
+        e = np.floor(np.log10(a)).astype(np.intp)
+        np.clip(e, -99, 16, out=e)
+        hi, lo = self.times_pow10(a, 16 - e)
+        off = ((hi - 1e16) + lo < 0).view(np.int8) - ((hi - 1e17) + lo >= 0)
+        fix = np.flatnonzero(off)
+        if len(fix):
+            e[fix] -= off[fix]
+            hi[fix], lo[fix] = self.times_pow10(a[fix], 16 - e[fix])
+        # hi is an even integer, so rounding lo half to even rounds hi + lo.
+        r = np.rint(lo)
+        if ((np.abs(np.abs(lo - r) - 0.5) < 2**-30) & (e < -6)).any():
+            return None
+        d = hi.astype(np.int64)
+        d += r.astype(np.int64)
+        # Some doubles just below a power of ten round up to it.
+        up = np.flatnonzero(d == 10**17)
+        e[up] += 1
+        d[up] = 10**16
+        return e, d
+
+    def rows(self, block: np.ndarray) -> str | None:
+        """The rows of a 2-D float block as '%.17g' CSV text, or None when a
+        value is outside the domain (zeros and |x| in [1e-99, 1e17)) or
+        round17 cannot round one.  The 17 digits of each value and the fixed
+        text around them are laid out in 48 bytes, and one boolean compaction
+        keeps the bytes '%.17g' prints."""
+        a = np.abs(block).ravel()
+        zero = a == 0
+        inside = a < 1e17
+        inside &= (a >= 1e-99) | zero
+        if not inside.all():
+            return None
+        a[zero] = 1.0
+        rounded = self.round17(a)
+        if rounded is None:
+            return None
+        e, d = rounded
+        d[zero] = 0
+        e[zero] = 0
+        # Temporaries are dropped once used, so a block's peak stays near 1 MB.
+        del a, inside
+        top, bot = np.divmod(d, 10**8)
+        del d
+        d0, top = np.divmod(top.astype(np.uint32), 10**8)
+        bot = bot.astype(np.uint32)
+        buf = np.empty((len(e), 12), np.uint32)
+        last = np.zeros(len(e), np.intp)
+        for j, g in enumerate((*np.divmod(top, 10000), *np.divmod(bot, 10000))):
+            buf[:, 2 + j] = self.digits4.take(g)
+            np.maximum(last, self.last4.take(g) + 4 * j, out=last)
+        del top, bot, g
+        buf[:, 6] = self.point
+        buf[:, 7:11] = buf[:, 2:6]
+        buf[:, 11] = self.exponent.take(e + 99)
+        neg = np.signbit(block).ravel()
+        h = np.clip(-e, 0, 5) * 10 + d0 + neg * 60
+        h.reshape(len(block), -1)[:, 0] += 120
+        buf.view(np.uint64)[:, 0] = self.head.take(h)
+        np.maximum(e, -5, out=e)
+        keep = self.keep.take(((e + 5) * 17 + last) * 2 + neg, axis=0)
+        del e, last, neg, h, d0
+        # Every value carries the separator before it; the block's first has none.
+        keep[0, keep[0].argmax()] = False
+        out = buf.view(np.uint8)[keep]
+        del buf, keep
+        return str(out, "ascii") + "\n"
+
+
+@functools.cache
+def _g17() -> _G17:
+    """The kernel, built on first use, so commands that write no CSV neither
+    build nor hold its tables."""
+    return _G17()
+
+
+def _percent_rows(block: np.ndarray) -> str:
+    """The rows of a 2-D float block as '%.17g' CSV text, by one % operation."""
+    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return row * len(block) % tuple(block.ravel().tolist())
+
+
 def _write_rows(head: str, table: np.ndarray, out: str | None) -> None:
     """Write a CSV header line, then the rows of a 2-D float table at 17
     significant digits, to out or to stdout.
 
-    Rows are formatted _ROW_BLOCK at a time by one % operation and written as
-    they are formatted; '%.17g' % x is the same text as format(x, '.17g')
-    for every Python float.
+    Rows are formatted _ROW_BLOCK at a time and written as they are
+    formatted.  A block goes through the vectorised kernel _G17.rows.  A block
+    holding a value outside its domain (non-finite, or nonzero |x| outside
+    [1e-99, 1e17), which '%g' prints with a positive or three-digit exponent),
+    or one the kernel cannot round exactly, goes through one % operation
+    instead.  Both give the bytes of '%.17g' % x, which is the same text as
+    format(x, '.17g'), for every Python float.
     """
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with (
         contextlib.nullcontext(sys.stdout)
         if out is None
@@ -165,7 +330,8 @@ def _write_rows(head: str, table: np.ndarray, out: str | None) -> None:
         fh.write(head + "\n")
         for start in range(0, len(table), _ROW_BLOCK):
             block = table[start:start + _ROW_BLOCK]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            text = _g17().rows(block)
+            fh.write(_percent_rows(block) if text is None else text)
 
 
 def _parse_users(source: str | None) -> UserSet | None:
@@ -280,11 +446,23 @@ def _cmd_threshold(ns) -> int:
     return _EXIT_NOCONV if unresolved else _EXIT_OK
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _cmd_eq(ns) -> int:
     if ns.cdf_grid < 0 or ns.n < 0:
         raise ValueError("--n and --cdf-grid must be >= 0")
     if ns.cdf_grid == 0 and ns.n == 0:
         raise ValueError("nothing to emit: pass --cdf-grid and/or --n")
+    if ns.out is not None and ns.samples_out is not None and _same_file(ns.out, ns.samples_out):
+        raise ValueError(
+            f"--out and --samples-out both name {ns.samples_out!r}; the samples would "
+            "overwrite the CDF table"
+        )
     users = _parse_users(ns.users)
     spec = _spec(ns)
     dist, converged = _build_dist(ns, users, spec, ns.n_users, ns.theta)

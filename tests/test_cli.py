@@ -323,6 +323,123 @@ def test_eq_table_bytes_match_per_value_format(capsys, tmp_path, variant_args, m
     assert samples_path.read_bytes() == samples.encode()
 
 
+def _percent_per_row(head, table):
+    return head + "\n" + "".join(
+        ",".join(["%.17g"] * len(row)) % tuple(row) + "\n" for row in table.tolist()
+    )
+
+
+def _g17_ties(rng, s, count):
+    """Exact 17-digit ties at decimal exponent 16 - s: x = q / 2**(s+1) with q
+    odd has x * 10**s = q * 5**s / 2, an 18-digit expansion ending in 5."""
+    lo, hi = -(-2 * 10**16 // 5**s), min(2 * 10**17 // 5**s, 2**53)
+    q = rng.integers(lo, hi, count) | 1
+    return np.ldexp(q[q < hi].astype(float), -(s + 1))
+
+
+def _g17_domain_pool():
+    """Values inside the vectorised kernel's domain that stress its rounding."""
+    rng = np.random.default_rng(8)
+    ties = [_g17_ties(rng, s, 3000) for s in range(1, 23)]
+    # The doubles next to each power of ten; some round up to it.
+    near = []
+    for k in range(-99, 18):
+        for toward in (0.0, np.inf):
+            x = float(f"1e{k}")
+            for _ in range(20):
+                near.append(x)
+                x = np.nextafter(x, toward)
+    pool = np.concatenate([
+        *ties, near,
+        [9.9999999999999995e-05, 0.99999999999999994, 1e16, 1e17 - 16, 0.0, -0.0, 1e-99],
+        np.exp(rng.uniform(np.log(1e-99), np.log(1e17), 20000)),
+        rng.integers(0, 10**6, 2000).astype(float),
+    ])
+    pool = pool[(pool == 0) | ((np.abs(pool) >= 1e-99) & (np.abs(pool) < 1e17))]
+    pool[rng.random(len(pool)) < 0.3] *= -1
+    pool[rng.random(len(pool)) < 0.02] = 0.0
+    pool[rng.random(len(pool)) < 0.02] = -0.0
+    return rng.permutation(pool)
+
+
+# Outside the kernel's domain: '%.17g' prints these with a three-digit or a
+# positive exponent, or as inf/nan.
+_G17_OUTSIDE = [np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
+                9.9999999999999982e-100, 1e17, -1e300]
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    fallback = cli._percent_rows
+    monkeypatch.setattr(cli, "_percent_rows", lambda block: calls.append(1) or fallback(block))
+    return calls
+
+
+@pytest.mark.parametrize("rows", [4095, 4096, 4097])
+@pytest.mark.parametrize("ncols", [1, 2, 3, 8])
+def test_write_rows_bitwise_matches_percent_format(capsys, monkeypatch, ncols, rows):
+    pool = _g17_domain_pool()
+    table = np.resize(np.roll(pool, 7919 * ncols * rows), (rows, ncols))
+    if rows > cli._ROW_BLOCK:
+        # The first block falls back; the one-row second block does not.
+        table[0] = _G17_OUTSIDE[:ncols]
+    fallbacks = _count_fallbacks(monkeypatch)
+    cli._write_rows("h", table, None)
+    assert capsys.readouterr().out == _percent_per_row("h", table)
+    assert len(fallbacks) == (rows > cli._ROW_BLOCK)
+
+
+def test_write_rows_bitwise_log_uniform(capsys, monkeypatch):
+    rng = np.random.default_rng(9)
+    values = np.exp(rng.uniform(np.log(1e-9), np.log(1e17), 10**6))
+    values[rng.random(len(values)) < 0.5] *= -1
+    table = values.reshape(-1, 2)
+    fallbacks = _count_fallbacks(monkeypatch)
+    cli._write_rows("a,b", table, None)
+    assert capsys.readouterr().out == _percent_per_row("a,b", table)
+    assert fallbacks == []
+
+
+def test_write_rows_bitwise_inexact_ties_fall_back(capsys, monkeypatch):
+    # Ties at decimal exponents -7 and -8, where 5**s is no longer a double
+    # and the kernel cannot tell them from near ties.
+    rng = np.random.default_rng(10)
+    table = np.concatenate([_g17_ties(rng, s, 20) for s in (23, 24)]).reshape(-1, 1)
+    fallbacks = _count_fallbacks(monkeypatch)
+    cli._write_rows("t", table, None)
+    assert capsys.readouterr().out == _percent_per_row("t", table)
+    assert len(fallbacks) == 1
+
+
+def test_zero_columns_never_fall_back(capsys, monkeypatch):
+    def no_fallback(block):
+        raise AssertionError("a block of zeros fell back to the % operation")
+
+    monkeypatch.setattr(cli, "_percent_rows", no_fallback)
+    # onepop samples: a column of exact zeros next to the quality column.
+    assert run(["eq", "--variant", "onepop", "--n", "5000", "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "f0,f1" and len(lines) == 5001
+    assert {line.split(",")[1] for line in lines[1:]} == {"0"}
+    zeros = np.zeros((cli._ROW_BLOCK + 3, 3))
+    zeros[::2, 1] = -0.0
+    cli._write_rows("a,b,c", zeros, None)
+    assert capsys.readouterr().out == _percent_per_row("a,b,c", zeros)
+
+
+@pytest.mark.parametrize("samples_out", ["t.csv", "./t.csv", "link.csv"])
+def test_exit_usage_same_out_and_samples_out(capsys, tmp_path, monkeypatch, samples_out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.csv").symlink_to(tmp_path / "t.csv")
+    argv = ["eq", "--variant", "p2", "--n", "10", "--cdf-grid", "5",
+            "--out", "t.csv", "--samples-out", samples_out]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--out" in captured.err and "--samples-out" in captured.err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_exit_usage_planar_variant_weighted(capsys):
     argv = ["eq", "--variant", "p2", "--q", "3", "--cdf-grid", "5"]
     assert run(argv) == 2
