@@ -52,7 +52,7 @@ from .ingest import (
     nmf_factorize,
     save_embeddings_csv,
 )
-from .optimize import nsw_direction
+from .optimize import minmax_alignment, nsw_direction
 from .threshold import HullTestConfig, threshold_report
 from .verify import best_response_gap, equilibrium_profit, positive_profit_condition
 
@@ -497,6 +497,7 @@ def _cmd_verify(ns) -> int:
     rc = _run_config(ns, users_source=ns.users, grid_angles=grid[0], grid_radii=grid[1])
     _write_text(render_json({**asdict(rep), "run_config": rc}), ns.out)
     if not converged or rep.positive_profit is None:
+        _note_alignment(users, spec, rep.q_threshold)
         return _EXIT_NOCONV
     return _EXIT_OK
 
@@ -516,8 +517,17 @@ def _cmd_profit(ns) -> int:
     }
     _write_text(render_json(report), ns.out)
     if not converged or flag is None:
+        _note_alignment(users, spec, qthr)
         return _EXIT_NOCONV
     return _EXIT_OK
+
+
+def _note_alignment(users, spec, q_threshold) -> None:
+    """Say on stderr why a profit or verify run exits 4: the alignment
+    solve's stop reason and its bracket on Q, next to the threshold."""
+    res = minmax_alignment(users, spec)
+    print(f"note: alignment solve {res.status}, Q in [{res.value!r}, "
+          f"{res.value + res.kkt_residual!r}], q_threshold {q_threshold!r}", file=sys.stderr)
 
 
 def _cmd_nmf(ns) -> int:

@@ -14,17 +14,9 @@ import numpy as np
 
 from .geometry import dual_norm, weighted_norm
 
-__all__ = [
-    "OptimizerConfig",
-    "OptResult",
-    "nsw_direction",
-    "minmax_alignment",
-    "simplex_logsum_max",
-]
+__all__ = ["OptimizerConfig", "OptResult", "nsw_direction", "minmax_alignment",
+           "simplex_logsum_max"]
 
-_ARMIJO = 1e-4
-_MIN_STEP = 1e-14
-_MAX_STEP = 1e6
 # Frank-Wolfe gap at which nsw_direction stops: well below the 1e-9 * N an
 # independent check of the returned direction asks for.
 _FW_GAP = 1e-11
@@ -33,14 +25,11 @@ _FW_GAP = 1e-11
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 5000
-    step_init: float = 1.0
     tol: float = 1e-8
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.step_init <= 0:
-            raise ValueError("step_init must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 
@@ -86,6 +75,44 @@ def _line_max(z, dz, hi):
         if hi - lo <= 1e-15 * hi:
             break
     return lo
+
+
+def _line_min(r, s, e, hi):
+    """The t in [0, hi] minimizing sum_k (r_k + t s_k)^(e+1), descending at 0:
+    hi, or the Illinois false-position root of its slope (one step if e = 1)."""
+    slope = lambda t: float(np.maximum(r + t * s, 0.0) ** e @ s)  # noqa: E731
+    a, b, fa, fb, t, side = 0.0, hi, slope(0.0), slope(hi), 0.0, 0
+    for _ in range(100 if fb > 0 else 0):
+        tn = (a * fb - b * fa) / (fb - fa)
+        if not a < tn < b:
+            break
+        t, ft = tn, slope(tn)
+        if ft > 0:  # halve the slope at an end kept twice running
+            b, fb, fa, side = t, ft, fa * 0.5 if side < 0 else fa, -1
+        else:
+            a, fa, fb, side = t, ft, fb * 0.5 if side > 0 else fb, 1
+    return t if fb > 0 else hi
+
+
+def _face_step(w, g, Y, scale, b, line):
+    """One active-set step from w on the simplex, ascending along g: on the
+    face of w's support and j = argmax g, d = (c, -sum c), c the least-squares
+    solution of (A[:-1] - A[-1])^T c = b, A = Y[face] / scale (e_j - w if d
+    does not ascend or leaves the simplex at once); t = line(d @ Y, hi), hi
+    where a first weight hits 0, and weights at 0 leave.  Returns (w, status)."""
+    j = np.argmax(g)
+    face = np.union1d(np.flatnonzero(w > 0), j)
+    A = Y[face] / scale
+    c = np.linalg.lstsq((A[:-1] - A[-1]).T, b, rcond=None)[0]
+    d = np.zeros(len(w))
+    d[face] = np.append(c, -c.sum())
+    if not (float(g @ d) > 0 and np.all(w[d < 0] > 0)):
+        d = np.eye(1, len(w), j)[0] - w
+    ratio = np.divide(w, -d, out=np.full(len(w), math.inf), where=d < 0)  # w_i reaches 0
+    t = line(d @ Y, float(ratio.min()))
+    wn = np.clip(w + t * d, 0.0, None)
+    wn[ratio <= t] = 0.0
+    return (w, "step_underflow") if np.array_equal(wn, w) else (wn / wn.sum(), None)
 
 
 def _nsw_frank_wolfe(U, spec, max_iters):
@@ -168,11 +195,12 @@ def minmax_alignment(users, spec, cfg=None):
     Users are normalized by the cost norm, matching the ball constraint.  Any
     p on the ball and w on the simplex bracket Q between min_i <p, u~_i> and
     ||U~^T w||_*, the minimax dual.  q = 1 is a matrix game, solved as a
-    linear program; q = inf has p = 1/alpha and w on the least aligned user;
-    1 < q < inf runs exponentiated-gradient descent on the dual (gradient
-    U~ p, p the dual-norm maximizer of U~^T w).  value is the best lower end,
-    attained at point; kkt_residual is the bracket width, at most cfg.tol
-    when converged.
+    linear program; q = inf has p = 1/alpha and w on the least aligned user.
+    1 < q < inf tries the uniform weights, then takes active-set Newton steps
+    (_face_step) on sum_k (U~^T w / alpha)_k^q* from the best vertex, pricing
+    users by U~ p, p the dual-norm maximizer of U~^T w (at q = 2 Wolfe's 1976
+    minimum-norm point).  Both ends move out by rel, a rounding bound, the upper
+    never past the uniform weights' value; value is the lower end, at point.
     """
     cfg = cfg or OptimizerConfig()
     U = users.embeddings
@@ -180,51 +208,45 @@ def minmax_alignment(users, spec, cfg=None):
     alpha = np.ones(users.dim) if spec.alpha is None else spec.alpha
     if spec.q == 1.0:
         x, w, iters, status = _matrix_game(Un / alpha, cfg.max_iters)
-        p = x / alpha
+        p, rel = x / alpha, 0.0
     elif math.isinf(spec.q):
-        p, iters, status = 1.0 / alpha, 0, "max_iters"
-        w = np.zeros(users.n_users)
-        w[np.argmin(Un @ p)] = 1.0
+        p, iters, status, rel = 1.0 / alpha, 0, "max_iters", 0.0
+        w = np.eye(1, users.n_users, np.argmin(Un @ p))[0]
     else:
+        qs = spec.q / (spec.q - 1.0)
         w = np.full(users.n_users, 1.0 / users.n_users)
-        upper, lower, step = dual_norm(w @ Un, spec), -math.inf, cfg.step_init
-        status = "max_iters"
+        width, status, rel = math.inf, None, 2 * (users.dim + spec.q + qs) * math.ulp(1.0)
         for iters in range(1, cfg.max_iters + 1):
-            pt = _dual_point(w @ Un, spec)
-            g = Un @ pt
-            if g.min() > lower:
-                lower, p = float(g.min()), pt
-            if upper - lower <= cfg.tol:
+            z = w @ Un
+            p = _dual_point(z, spec)
+            g = Un @ p
+            # Newton's lower end lags its upper: take one more step past tol.
+            last, width = width, dual_norm(z, spec) - float(g.min())
+            if width <= cfg.tol and (last <= cfg.tol or width <= 1e-3 * cfg.tol):
                 break
-            s = step  # Armijo backtracking along w * exp(-s g)
-            while s >= _MIN_STEP:
-                ex = -s * g
-                wn = w * np.exp(ex - ex.max())
-                wn /= wn.sum()
-                un = dual_norm(wn @ Un, spec)
-                if un <= upper - _ARMIJO * float(g @ (w - wn)):
-                    break
-                s *= 0.5
-            else:
-                status = "step_underflow"
+            if iters == 1 and width > cfg.tol:  # restart from the best vertex
+                w = np.eye(1, users.n_users, np.argmin(((Un / alpha) ** qs).sum(axis=1)))[0]
+                continue
+            r = z / alpha  # rows scaled by r^(q*/2 - 1), floored where r_k = 0
+            scale = alpha * np.maximum(r, 1e-12 * r.max()) ** (1.0 - 0.5 * qs)
+            w, status = _face_step(w, -g, Un, scale, r ** (0.5 * qs) / (1.0 - qs),
+                                   lambda dz, hi: _line_min(r, dz / alpha, qs - 1.0, hi))
+            if status:
                 break
-            w, upper, step = wn, un, min(s * 2.0, _MAX_STEP)
-    lower = float((Un @ p).min())
-    width = max(dual_norm(w @ Un, spec) - lower, 0.0)
+    lower = float((Un @ p).min()) * (1.0 - rel)
+    upper = min(dual_norm(w @ Un, spec) * (1.0 + rel), dual_norm(Un.mean(axis=0), spec))
+    width = max(upper - lower, 0.0)
     ok = width <= cfg.tol
-    return OptResult(p, lower, width, iters, ok, "converged" if ok else status)
+    return OptResult(p, lower, width, iters, ok, "converged" if ok else status or "max_iters")
 
 
 def simplex_logsum_max(Y, cfg=None, early_accept=None, early_reject=None):
     """Maximize sum_i log((w^T Y)_i) over the probability simplex.
 
-    Active-set Newton.  It starts at the best vertex whose row of Y is
-    positive (uniform weights when none is).  Each step is a Newton step on
-    the face spanned by the support and the coordinate of largest gradient
-    (else the Frank-Wolfe vertex), searched up to the face's boundary, where
-    weights that reach zero leave.  For this objective the quantity
-    max_j (Y @ (1/z))_j - N bounds the suboptimality of the current iterate,
-    so kkt_residual is a certified duality gap.
+    Active-set Newton steps (_face_step, b = 1, scale = z) from the best vertex
+    whose row of Y is positive (else uniform weights).  max_j (Y @ (1/z))_j - N
+    bounds the suboptimality of the current iterate, so kkt_residual is a
+    certified duality gap.
 
     early_accept: stop once the value reaches this threshold.
     early_reject: stop once value + gap certifies the optimum stays below it.
@@ -237,14 +259,10 @@ def simplex_logsum_max(Y, cfg=None, early_accept=None, early_reject=None):
         raise ValueError("Y must be nonnegative and finite")
     if np.any(Y.max(axis=0) <= 0):
         raise ValueError("Y has a column with no positive entry")
-
     m, n = Y.shape
     with np.errstate(divide="ignore"):
         start = np.log(Y).sum(axis=1)
-    w = np.full(m, 1.0 / m)
-    if np.isfinite(start.max()):
-        w[:] = 0.0
-        w[np.argmax(start)] = 1.0
+    w = np.eye(1, m, np.argmax(start))[0] if np.isfinite(start.max()) else np.full(m, 1.0 / m)
     for it in range(1, cfg.max_iters + 1):
         z = w @ Y
         val, g = float(np.log(z).sum()), Y @ (1.0 / z)
@@ -255,28 +273,10 @@ def simplex_logsum_max(Y, cfg=None, early_accept=None, early_reject=None):
             status = "early_accept"
         elif early_reject is not None and val + max(gap, 0.0) < early_reject:
             status = "early_reject"
+        elif it == cfg.max_iters:
+            status = "max_iters"
         else:
-            status = "max_iters" if it == cfg.max_iters else None
+            w, status = _face_step(w, g, Y, z, np.ones(n), lambda dz, hi: _line_max(z, dz, hi))
         if status:
             break
-        face = np.union1d(np.flatnonzero(w > 0), np.argmax(g))
-        # Newton step on the face.  A zero-sum step is d = (c, -sum c) and
-        # the objective's quadratic model is -|M c - 1|^2 / 2 up to a
-        # constant, M = (Y_F / z)^T [I; -1]: a least-squares problem in c.
-        A = Y[face] / z
-        c = np.linalg.lstsq((A[:-1] - A[-1]).T, np.ones(n), rcond=None)[0]
-        d = np.zeros(m)
-        d[face] = np.append(c, -c.sum())
-        if not (float(g @ d) > 0 and np.all(w[d < 0] > 0)):
-            d = -w.copy()
-            d[np.argmax(g)] += 1.0
-        ratio = np.full(m, math.inf)  # the step at which w_j reaches zero
-        ratio[d < 0] = w[d < 0] / -d[d < 0]
-        t = _line_max(z, d @ Y, float(ratio.min()))
-        wn = np.clip(w + t * d, 0.0, None)
-        wn[ratio <= t] = 0.0
-        if np.array_equal(wn, w):
-            status = "step_underflow"
-            break
-        w = wn / wn.sum()
     return OptResult(w, val, max(gap, 0.0), it, gap <= cfg.tol, status)

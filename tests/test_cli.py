@@ -9,6 +9,7 @@ import pytest
 import supply_eq.cli as cli
 from supply_eq.cli import run
 from supply_eq.closedform import eq_sample, make_finite_p_curve, make_p2_quarter_circle
+from supply_eq.optimize import OptResult
 from supply_eq.threshold import ConditionProbe, ThresholdReport
 
 
@@ -490,6 +491,31 @@ def test_exit_nonconvergence_still_writes_report(capsys, monkeypatch, tmp_path):
     assert rep["condition_trace"][0]["holds"] is None
     assert rep["beta_estimate"] is None
 
+
+
+@pytest.mark.parametrize("command", [
+    ["profit", "--variant", "p2", "--beta", "4"],
+    ["verify", "--variant", "p2", "--beta", "4", "--samples", "2000", "--grid", "10x10"],
+])
+def test_exit4_names_the_alignment_bracket(capsys, monkeypatch, command):
+    # A bracket [0.6, 0.9] straddles basis2's threshold 2^(-1/2): the flag is
+    # undecided, and one stderr line says which solve left it so and why.
+    stuck = OptResult(np.ones(2), 0.6, 0.3, 5000, False, "max_iters")
+    monkeypatch.setattr("supply_eq.verify.minmax_alignment", lambda *a: stuck)
+    monkeypatch.setattr(cli, "minmax_alignment", lambda *a: stuck)
+    assert run([command[0], "--users", "basis2", *command[1:]]) == 4
+    cap = capsys.readouterr()
+    rep = json.loads(cap.out)
+    assert rep["positive_profit"] is None and rep["q_alignment"] == 0.6
+    assert cap.err == (
+        f"note: alignment solve max_iters, Q in [0.6, {0.6 + 0.3!r}], "
+        f"q_threshold {2.0 ** -0.5!r}\n"
+    )
+
+
+def test_decided_profit_writes_no_note(capsys):
+    assert run(["profit", "--users", "basis2", "--variant", "p2", "--beta", "4"]) == 0
+    assert capsys.readouterr().err == ""
 
 def test_render_json_shapes():
     text = cli.render_json(

@@ -1,11 +1,19 @@
-"""Solvers: NSW ascent, minmax alignment, simplex EG."""
+"""Solvers: NSW ascent, minmax alignment, simplex active set."""
 
+import decimal
 import math
+import os
+import pathlib
+import subprocess
+import sys
+from decimal import Decimal as Dec
 
 import numpy as np
 import pytest
 
+import supply_eq
 from supply_eq.geometry import CostSpec, UserSet, dual_norm, weighted_norm
+from supply_eq.ingest import NmfConfig, load_ratings_csv, nmf_factorize
 from supply_eq.optimize import (
     OptimizerConfig,
     minmax_alignment,
@@ -237,3 +245,147 @@ def test_minmax_alignment_q_inf_is_inverse_weights():
     rows = emb / np.asarray(weighted_norm(emb, spec))[:, None]
     assert res.value == float((rows @ (1.0 / alpha)).min())
     assert res.converged and res.kkt_residual <= 1e-15
+
+
+def _ratings_csv(path, seed, n_users=60, n_items=40, density=0.3):
+    """A seeded ratings table: integer ratings 1-5 on a random density share
+    of cells, and at least one rating per user (the benchmark's generator)."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n_users, n_items)) < density
+    empty = ~mask.any(axis=1)
+    mask[empty, rng.integers(0, n_items, size=int(empty.sum()))] = True
+    rating = rng.integers(1, 6, size=(n_users, n_items))
+    rows = [f"u{u},i{i},{rating[u, i]}" for u, i in zip(*np.nonzero(mask))]
+    path.write_text("user_id,item_id,rating\n" + "\n".join(rows) + "\n")
+    return path
+
+
+@pytest.fixture(scope="module")
+def nmf_users(tmp_path_factory):
+    """seed -> the embeddings `nmf --factors 3 --epochs 50` writes for it."""
+    tmp, cache = tmp_path_factory.mktemp("ratings"), {}
+
+    def get(seed):
+        if seed not in cache:
+            table = load_ratings_csv(_ratings_csv(tmp / f"r{seed}.csv", seed))
+            cache[seed] = nmf_factorize(table, NmfConfig(factors=3, epochs=50)).users
+        return cache[seed]
+
+    return get
+
+
+def _grid_lower_bound(users, spec, steps=300):
+    """max over a dense grid of directions p on the D = 3 cone-ball of
+    min_i <p, u~_i>: every grid point is feasible, so this bounds Q below."""
+    i, j = np.triu_indices(steps + 1)
+    x = np.stack([i, j - i, steps - j], axis=1) / steps
+    p = x / weighted_norm(x, spec)[:, None]
+    rows = users.embeddings / weighted_norm(users.embeddings, spec)[:, None]
+    return float((p @ rows.T).min(axis=1).max())
+
+
+# 36 cases on 12 seeded tables plus seed 41, whose q = 2 solve the
+# exponentiated-gradient loop left at 5,000 iterations with the bracket
+# [0.68961378037, 0.68961379377] (width 1.3e-8).
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("seed", [*range(12), 41])
+def test_minmax_alignment_certifies_nmf_tables(nmf_users, seed, q):
+    users = nmf_users(seed)
+    spec = CostSpec(q=q, beta=2.0)
+    res = minmax_alignment(users, spec)
+    assert res.converged and res.status == "converged"
+    # One Newton step past tol = 1e-8 leaves the bracket far narrower.
+    assert res.kkt_residual <= 1e-10
+    grid = _grid_lower_bound(users, spec)
+    rows = users.embeddings / weighted_norm(users.embeddings, spec)[:, None]
+    assert res.value - 1e-2 <= grid <= res.value + res.kkt_residual
+    assert res.value + res.kkt_residual <= dual_norm(rows.mean(axis=0), spec)
+    if seed == 41 and q == 2.0:
+        assert res.value >= 0.68961378037
+
+
+def _dual_oracle(u1, u2, q, alpha):
+    """Q for at most two users in the current decimal context: the minimax
+    dual min_t ||(t u~1 + (1 - t) u~2) / alpha||_q* by golden-section search,
+    with u~ the users normalized exactly."""
+    qd, qs = Dec(repr(q)), Dec(repr(q)) / (Dec(repr(q)) - 1)
+    a = [Dec(1)] * len(u1) if alpha is None else [Dec(float(x)) for x in alpha]
+
+    def norm(v, e):
+        return sum(abs(x) ** e for x in v) ** (1 / e)
+
+    def unit(u):
+        ud = [Dec(float(x)) for x in u]
+        n = norm([x * y for x, y in zip(ud, a)], qd)
+        return [x / n for x in ud]
+
+    r1, r2 = unit(u1), unit(u2)
+
+    def dual(t):
+        return norm([(t * x + (1 - t) * y) / z for x, y, z in zip(r1, r2, a)], qs)
+
+    lo, hi, g = Dec(0), Dec(1), (Dec(5).sqrt() - 1) / 2
+    for _ in range(240):
+        m1, m2 = hi - g * (hi - lo), lo + g * (hi - lo)
+        lo, hi = (lo, m2) if dual(m1) <= dual(m2) else (m1, hi)
+    return min(dual(lo), dual(hi), dual(Dec(0)), dual(Dec(1)))
+
+
+_C, _S = math.cos(0.4), math.sin(0.4)
+_EDGE_USERS = {
+    "one_user": np.array([[0.3, 0.9]]),
+    "duplicates": np.array([[0.3, 0.9], [0.3, 0.9], [0.6, 1.8]]),
+    "near_parallel": np.array([[_C, _S], [math.cos(0.4 + 1e-9), math.sin(0.4 + 1e-9)]]),
+    "zero_coordinates": np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]),
+    "orthogonal": np.diag([2.0, 0.5, 1.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_USERS))
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 7.0])
+def test_minmax_alignment_edge_inputs_true_bracket(case, weighted, q):
+    emb = _EDGE_USERS[case]
+    alpha = np.array([0.5, 2.0, 1.3])[: emb.shape[1]] if weighted else None
+    spec = CostSpec(q=q, beta=2.0, alpha=alpha)
+    res = minmax_alignment(UserSet(emb), spec)
+    assert res.converged and res.kkt_residual <= 1e-8
+    assert np.all(res.point >= 0)
+    # The upper end never passes the uniform weights' dual value as computed;
+    # where those weights are optimal, that value may round below Q.
+    top = res.value + res.kkt_residual
+    rows = emb / weighted_norm(emb, spec)[:, None]
+    short = math.ulp(top) if top == dual_norm(rows.mean(axis=0), spec) else 0.0
+    with decimal.localcontext(decimal.Context(prec=50)):
+        if case == "orthogonal":
+            # Q = max min_j p_j / alpha_j on the ball, at p = alpha^2 / ||alpha^2||_q.
+            a = [Dec(1)] * 3 if alpha is None else [Dec(float(x)) for x in alpha]
+            oracle = 1 / sum((x * x) ** Dec(repr(q)) for x in a) ** (1 / Dec(repr(q)))
+        else:
+            oracle = _dual_oracle(emb[0], emb[-1], q, alpha)
+        if case == "one_user" and q == 2.0 and not weighted:
+            assert abs(oracle - 1) < Dec("1e-35")
+        assert Dec(res.value) <= oracle <= Dec(top) + Dec(short)
+
+
+def test_minmax_alignment_bitwise_under_single_thread_blas():
+    # The benchmark's 200x10 set at q = 2: the same bits whatever the BLAS
+    # thread count.
+    code = (
+        "import numpy as np\n"
+        "from supply_eq.geometry import CostSpec, UserSet\n"
+        "from supply_eq.optimize import minmax_alignment\n"
+        "rng = np.random.default_rng(0); rng.random((30, 5))\n"
+        "r = minmax_alignment(UserSet(rng.random((200, 10))), CostSpec(q=2.0, beta=2.0))\n"
+        "print(r.point.tobytes().hex(), r.value.hex(), r.kkt_residual.hex(), r.iters)\n"
+    )
+    src = str(pathlib.Path(supply_eq.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    single = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    rng = np.random.default_rng(0)
+    rng.random((30, 5))
+    r = minmax_alignment(UserSet(rng.random((200, 10))), CostSpec(q=2.0, beta=2.0))
+    assert r.converged and r.iters < 50
+    assert single == [r.point.tobytes().hex(), r.value.hex(), r.kkt_residual.hex(), str(r.iters)]
