@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Six subcommands map onto the library surface: ``nsw`` (best single direction),
-``threshold`` (specialization thresholds with the hull-test trace), ``eq``
+``threshold`` (specialization thresholds with the probe trace), ``eq``
 (closed-form equilibrium CDF tables and samples as CSV), ``verify`` (full
 numerical equilibrium check), ``profit`` (equilibrium profit and the
 positive-profit flag), and ``nmf`` (ratings CSV to embeddings CSV).  The CLI
@@ -365,8 +365,8 @@ def _resolve_seed(ns) -> int:
 
 
 def _spec(ns) -> CostSpec:
-    beta = ns.beta if ns.beta is not None else 2.0
-    return CostSpec(q=ns.q, beta=beta, alpha=_parse_alpha(ns.alpha))
+    beta = getattr(ns, "beta", None)  # threshold has no --beta: it searches beta
+    return CostSpec(q=ns.q, beta=2.0 if beta is None else beta, alpha=_parse_alpha(ns.alpha))
 
 
 def _build_dist(ns, users, spec, n_users=None, theta=None):
@@ -430,10 +430,7 @@ def _cmd_nsw(ns) -> int:
 def _cmd_threshold(ns) -> int:
     users = _parse_users(ns.users)
     spec = _spec(ns)
-    cfg = HullTestConfig(
-        trials=ns.trials, hull_points=ns.hull_points, tau=ns.tau, gap=ns.gap, seed=ns.seed
-    )
-    rep = threshold_report(users, spec, cfg)
+    rep = threshold_report(users, spec, HullTestConfig(tau=ns.tau, gap=ns.gap))
     report = {
         "beta_star_closed": rep.beta_star_closed,
         "beta_upper": rep.beta_upper,
@@ -579,9 +576,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="specialization threshold report")
     _add_common(p, users_required=True)
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--hull-points", type=int, default=75)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--gap", type=float, default=0.05)
     p.set_defaults(fn=_cmd_threshold)

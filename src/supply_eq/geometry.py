@@ -151,15 +151,14 @@ def weighted_norm(p, spec):
     """
     arr = np.asarray(p, dtype=float)
     w = arr if spec.alpha is None else arr * spec.alpha
-    w = np.abs(w)
-    if math.isinf(spec.q):
-        out = w.max(axis=-1)
+    if spec.q == 2.0:  # squaring drops the sign exactly, so no abs pass
+        out = np.sqrt(np.square(w).sum(axis=-1))
+    elif math.isinf(spec.q):
+        out = np.abs(w).max(axis=-1)
     elif spec.q == 1.0:
-        out = w.sum(axis=-1)
-    elif spec.q == 2.0:
-        out = np.sqrt((w * w).sum(axis=-1))
+        out = np.abs(w).sum(axis=-1)
     else:
-        out = (w ** spec.q).sum(axis=-1) ** (1.0 / spec.q)
+        out = (np.abs(w) ** spec.q).sum(axis=-1) ** (1.0 / spec.q)
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,51 +1,41 @@
-"""Specialization threshold: closed forms, the dual-norm upper bound, and the
-sampled hull test deciding whether a single-genre equilibrium survives at a
-given cost exponent.
-
-The decision procedure normalizes every candidate content point by the
-single-genre optimum, so the test reduces to asking whether any mixture of
-sampled points beats the anchor by more than tau in summed log inferred value.
+"""Specialization threshold: closed forms, the dual-norm upper bound, and a
+column-generation test of whether a single-genre equilibrium survives at cost
+exponent beta.  A content point p scores y_i = (<p, u_i>/a_i)^beta against the
+single-genre optimum (the anchor, <anchor, u_i> = a_i), and the test asks
+whether a mixture of points beats the anchor's all-ones values by tau in summed
+log value.  A master problem mixes a pool of points; pricing searches the
+cone-ball for the point that best raises it and bounds what any point could add.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import CostSpec, UserSet, dual_norm, weighted_norm
-from .optimize import OptimizerConfig, nsw_direction, simplex_logsum_max
+from .optimize import nsw_direction, simplex_logsum_max
 
-__all__ = [
-    "HullTestConfig",
-    "ConditionProbe",
-    "ThresholdReport",
-    "beta_star_two_user",
-    "beta_upper",
-    "max_condition_holds",
-    "beta_estimate",
-    "threshold_report",
-]
+__all__ = ["HullTestConfig", "ConditionProbe", "ThresholdReport", "beta_star_two_user",
+           "beta_upper", "max_condition_holds", "beta_estimate", "threshold_report"]
 
-_RESEED_OFFSET = 1000003
+# _ROUND_CAP master solves per probe leave it inconclusive.  D = 2 pricing
+# grids _ANGLES angles, then _ZOOMS times _ANGLES_ZOOM around the best one.
+# D > 2 ascents of at most _ASCENT_STEPS start at the pool, the axes and the
+# _USER_STARTS most valuable users; a start stops at a relative gain < _STALL.
+_ROUND_CAP, _ANGLES, _ZOOMS, _ANGLES_ZOOM = 50, 1025, 8, 33
+_USER_STARTS, _ASCENT_STEPS, _STALL = 4, 200, 1e-12
 
 
 @dataclass(frozen=True)
 class HullTestConfig:
-    """Knobs for the sampled max-condition test and the threshold search."""
+    """Knobs for the max-condition test and the threshold search."""
 
-    trials: int = 50
-    hull_points: int = 75
     tau: float | None = None
     gap: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.hull_points < 1:
-            raise ValueError("hull_points must be >= 1")
         if not self.gap > 0:
             raise ValueError("gap must be positive")
         if self.tau is not None and not self.tau > 0:
@@ -53,19 +43,21 @@ class HullTestConfig:
 
     def resolve_tau(self, n_users: int) -> float:
         # Default threshold scales linearly in the user count.
-        if self.tau is not None:
-            return self.tau
-        return 1e-6 * n_users / 20.0
+        return self.tau if self.tau is not None else 1e-6 * n_users / 20.0
 
 
 @dataclass(frozen=True)
 class ConditionProbe:
-    """One max-condition evaluation; holds is None when inconclusive."""
+    """One max-condition evaluation.  status says what decided it: "beaten"
+    (a mixture beat the anchor by tau), "priced_out" (a global search found no
+    improving point), "local_max" (a multistart ascent found none), or
+    "round_cap" (undecided, holds is None)."""
 
     beta: float
     holds: bool | None
     lhs_log: float
     rhs_log: float
+    status: str
 
 
 @dataclass(frozen=True)
@@ -77,24 +69,17 @@ class ThresholdReport:
 
 
 def beta_star_two_user(theta_star: float) -> float:
-    """Exact two-user threshold 2/(1 - cos theta_star) for the Euclidean cost.
-
-    Degenerates to +inf as the users align (theta_star = 0).
-    """
+    """Exact two-user threshold 2/(1 - cos theta_star) for the Euclidean cost;
+    +inf as the users align (theta_star = 0)."""
     if not 0.0 <= theta_star <= math.pi / 2:
         raise ValueError("theta_star must lie in [0, pi/2]")
     denom = 1.0 - math.cos(theta_star)
-    if denom <= 0.0:
-        return math.inf
-    return 2.0 / denom
+    return math.inf if denom <= 0.0 else 2.0 / denom
 
 
 def beta_upper(users: UserSet, spec: CostSpec) -> float:
-    """Dual-norm upper bound log(N)/(log(N) - log(Z)).
-
-    Z is the dual norm of the sum of dual-normalized users; it reaches N only
-    when all users point the same way, in which case the bound is +inf.
-    """
+    """Dual-norm upper bound log(N)/(log(N) - log(Z)), Z the dual norm of the
+    sum of dual-normalized users: +inf when Z reaches N (all users aligned)."""
     n = users.n_users
     if n < 2:
         raise ValueError("beta_upper requires at least 2 users")
@@ -106,56 +91,81 @@ def beta_upper(users: UserSet, spec: CostSpec) -> float:
     return math.log(n) / (math.log(n) - math.log(z))
 
 
-def _hull_trial_matrix(users, spec, beta, anchor_point, anchor_inner, rng, m1):
-    draws = np.abs(rng.standard_normal((m1, users.dim)))
-    nrms = np.asarray(weighted_norm(draws, spec)).reshape(-1, 1)
-    pts = np.vstack([draws / nrms, anchor_point])
-    return ((pts @ users.embeddings.T) / anchor_inner) ** beta
+def _price(U, a, c, beta, spec, pool, bar):
+    """(point, price, global) for max f(p) = sum_i c_i (<p, u_i>/a_i)^beta over
+    the cone-ball.  f is convex, so at q = 1 it peaks at a vertex e_k/alpha_k,
+    at q = inf at 1/alpha, and D = 2 is a search over one angle.  D > 2 runs
+    conditional-gradient ascents p <- argmax <grad f(p), p'>, which never lower
+    f, from several starts; once one prices above bar, only those go on."""
+    f = lambda P: ((P @ U.T / a) ** beta) @ c  # noqa: E731
+    d = U.shape[1]
+    alpha = np.ones(d) if spec.alpha is None else spec.alpha
+    def ball_argmax(G):  # optimize._dual_point row by row, 1 < q < inf
+        x = (G / alpha / (G / alpha).max(axis=1, keepdims=True)) ** (1.0 / (spec.q - 1.0))
+        return x / alpha / weighted_norm(x / alpha, spec)[:, None]
+    if spec.q == 1.0 or d == 1:
+        P = np.eye(d) / alpha
+    elif math.isinf(spec.q):
+        P = (1.0 / alpha)[None]
+    elif d == 2:
+        P, t = [], np.linspace(0.0, 0.5 * math.pi, _ANGLES)
+        for _ in range(_ZOOMS + 1):
+            X = np.stack([np.cos(t), np.sin(t)], axis=1)
+            X /= weighted_norm(X, spec)[:, None]
+            k = int(np.argmax(f(X)))
+            P.append(X[k])
+            t = np.linspace(t[max(k - 1, 0)], t[min(k + 1, len(t) - 1)], _ANGLES_ZOOM)
+        P = np.array(P)
+    else:
+        S = ball_argmax(U)  # each user's own best point, ranked by the user's own term
+        own = c * ((S * U).sum(axis=1) / a) ** beta
+        P = np.vstack([pool, np.eye(d) / alpha, S[np.argsort(-own)[:_USER_STARTS]]])
+        v = f(P)
+        live = np.flatnonzero(v > 0)
+        for _ in range(_ASCENT_STEPS):
+            if v.max() >= bar:  # ascend only those: a column at its local max gains more
+                live = live[v[live] >= bar]
+            if not live.size:
+                break
+            Pn = ball_argmax(((P[live] @ U.T / a) ** (beta - 1.0) * (c / a)) @ U)
+            vn = f(Pn)
+            up = vn > v[live] * (1.0 + _STALL)
+            live = live[up]
+            P[live], v[live] = Pn[up], vn[up]
+    v = f(P)
+    return P[np.argmax(v)], float(v.max()), d <= 2 or spec.q == 1.0 or math.isinf(spec.q)
 
 
-def max_condition_holds(users, spec, beta, cfg=None, _anchor=None):
-    """Sampled test of the product-maximum condition at cost exponent beta.
-
-    Returns (holds, lhs_log, rhs_log).  lhs_log is the single-genre optimum
-    of the summed log inferred values (to the beta); rhs_log adds the best
-    hull improvement found over all trials.  holds is False as soon as any
-    trial's mixture beats the anchor by tau: the attained value is a valid
-    lower bound whether or not that solve converged.  holds is None when no
-    trial passed but some solve stopped uncertified with the optimum still
-    possibly above tau.
-    """
+def max_condition_holds(users, spec, beta, cfg=None, _anchor=None, _pool=None):
+    """Column-generation test of the product-maximum condition at cost exponent
+    beta: (holds, lhs_log, rhs_log, status) as in ConditionProbe.  lhs_log is
+    the single-genre optimum of the summed log values (to the beta); rhs_log
+    adds the master value, the best mixture's gain.  Each round solves the
+    master over the pool (the anchor first) and prices its mixed values z: no
+    mixture gains more than value + price - N, as log is concave.  New points
+    go into _pool; they do not depend on beta, so a search shares one pool."""
     if beta < 1.0:
         raise ValueError("beta must be >= 1")
     cfg = cfg or HullTestConfig()
     tau = cfg.resolve_tau(users.n_users)
     if _anchor is None:
         _anchor = nsw_direction(users, spec)
-    anchor_inner = users.embeddings @ _anchor.point
+    pool = [_anchor.point] if _pool is None else _pool
+    U = users.embeddings
+    a = U @ _anchor.point
     lhs_log = beta * _anchor.value
-
-    excess = 0.0
-    inconclusive = False
-    for t in range(cfg.trials):
-        rng = np.random.default_rng([cfg.seed, t])
-        Y = _hull_trial_matrix(
-            users, spec, beta, _anchor.point, anchor_inner, rng, cfg.hull_points
-        )
+    for _ in range(_ROUND_CAP):
+        Y = (np.array(pool) @ U.T / a) ** beta
         r = simplex_logsum_max(Y, early_accept=tau, early_reject=tau)
+        rhs_log = lhs_log + max(0.0, r.value)
         if r.value >= tau:
-            return False, lhs_log, lhs_log + r.value
-        excess = max(excess, r.value)
-        if not r.converged and r.value + r.kkt_residual >= tau:
-            inconclusive = True
-    holds = None if inconclusive else True
-    return holds, lhs_log, lhs_log + max(0.0, excess)
-
-
-def _probe(users, spec, beta, cfg, anchor):
-    holds, lhs, rhs = max_condition_holds(users, spec, beta, cfg, _anchor=anchor)
-    if holds is None:
-        retry = replace(cfg, seed=cfg.seed + _RESEED_OFFSET)
-        holds, lhs, rhs = max_condition_holds(users, spec, beta, retry, _anchor=anchor)
-    return ConditionProbe(beta=beta, holds=holds, lhs_log=lhs, rhs_log=rhs)
+            return False, lhs_log, rhs_log, "beaten"
+        bar = users.n_users + tau - r.value
+        p, price, exact = _price(U, a, 1.0 / (r.point @ Y), beta, spec, pool, bar)
+        if price < bar:
+            return True, lhs_log, rhs_log, "priced_out" if exact else "local_max"
+        pool.append(p)
+    return None, lhs_log, rhs_log, "round_cap"
 
 
 def _bisect_threshold(users, spec, cfg):
@@ -163,29 +173,23 @@ def _bisect_threshold(users, spec, cfg):
     upper = beta_upper(users, spec)
     if math.isinf(upper):
         return math.inf, (), upper
-    anchor = nsw_direction(users, spec)
+    anchor, probes = nsw_direction(users, spec), []
+    pool = [anchor.point]
     lo, hi = 1.0, upper
-    probes = []
     while hi - lo > cfg.gap:
         mid = 0.5 * (lo + hi)
-        probe = _probe(users, spec, mid, cfg, anchor)
-        probes.append(probe)
+        decided = max_condition_holds(users, spec, mid, cfg, anchor, pool)
+        probes.append(ConditionProbe(mid, *decided))
         # An unresolved probe narrows from above: treating it as a failure
         # keeps the estimate conservative rather than stalling the search.
-        if probe.holds:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if probes[-1].holds else (lo, mid)
     probes.sort(key=lambda pr: pr.beta)
     return 0.5 * (lo + hi), tuple(probes), upper
 
 
 def beta_estimate(users, spec, cfg=None) -> float:
-    """Binary-search estimate of the specialization threshold.
-
-    Searches [1, beta_upper] and stops when the bracket is narrower than
-    cfg.gap, returning the midpoint.  +inf when the upper bound is infinite.
-    """
+    """Bisection estimate of the specialization threshold on [1, beta_upper]:
+    the midpoint once the bracket is narrower than cfg.gap (+inf if the bound is)."""
     cfg = cfg or HullTestConfig()
     return _bisect_threshold(users, spec, cfg)[0]
 
@@ -202,9 +206,4 @@ def threshold_report(users, spec, cfg=None) -> ThresholdReport:
         cos_t = float(u1 @ u2 / (np.linalg.norm(u1) * np.linalg.norm(u2)))
         closed = math.inf if cos_t >= 1.0 else 2.0 / (1.0 - cos_t)
     est, trace, upper = _bisect_threshold(users, spec, cfg)
-    return ThresholdReport(
-        beta_star_closed=closed,
-        beta_upper=upper,
-        beta_estimate=est,
-        condition_trace=trace,
-    )
+    return ThresholdReport(closed, upper, est, trace)

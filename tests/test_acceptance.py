@@ -64,7 +64,7 @@ def test_criterion_01_two_user_threshold_and_estimate():
         ("pi_third", math.pi / 3, 4.0),
     ):
         start = time.perf_counter()
-        rep = threshold_report(angle_pair(theta), SPEC2, HullTestConfig(seed=0))
+        rep = threshold_report(angle_pair(theta), SPEC2, HullTestConfig())
         elapsed = time.perf_counter() - start
         checks[f"estimate_{name}"] = abs(rep.beta_estimate - target) <= 0.15
         checks[f"runtime_{name}"] = elapsed < 30.0
@@ -229,7 +229,7 @@ def _nonincreasing_flags(flags) -> bool:
 
 def test_criterion_09_condition_monotone_in_beta():
     checks = {}
-    cfg = HullTestConfig(seed=0)
+    cfg = HullTestConfig()
     flags = [
         max_condition_holds(basis_pair(), SPEC2, float(b), cfg)[0]
         for b in np.linspace(1.0, 3.0, 20)

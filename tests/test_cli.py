@@ -32,7 +32,9 @@ def test_threshold_basis2_example(capsys):
     assert rep["run_config"]["subcommand"] == "threshold"
     assert rep["run_config"]["seed"] == 0
     for probe in rep["condition_trace"]:
-        assert set(probe) == {"beta", "holds", "lhs_log", "rhs_log"}
+        assert set(probe) == {"beta", "holds", "lhs_log", "rhs_log", "status"}
+        assert probe["status"] == "priced_out"
+    assert rep["run_config"]["beta"] is None
 
 
 def test_profit_p2_example(capsys):
@@ -72,6 +74,12 @@ def test_env_seed_matches_explicit(capsys, monkeypatch):
     monkeypatch.setenv("SUPPLY_EQ_SEED", "7")
     run(["threshold", "--users", "basis2"])
     assert capsys.readouterr().out == explicit
+
+
+@pytest.mark.parametrize("flag", [["--beta", "3"], ["--trials", "5"], ["--hull-points", "9"]])
+def test_threshold_rejects_removed_flags(capsys, flag):
+    # threshold searches beta itself and decides probes without sampling.
+    assert run(["threshold", "--users", "basis2", *flag]) == 2
 
 
 def test_bad_env_seed_is_usage_error(capsys, monkeypatch):
@@ -481,7 +489,7 @@ def test_exit_nonconvergence_still_writes_report(capsys, monkeypatch, tmp_path):
         beta_upper=2.5,
         beta_estimate=None,
         condition_trace=(
-            ConditionProbe(beta=2.2, holds=None, lhs_log=-1.0, rhs_log=-1.0),
+            ConditionProbe(beta=2.2, holds=None, lhs_log=-1.0, rhs_log=-1.0, status="round_cap"),
         ),
     )
     monkeypatch.setattr(cli, "threshold_report", lambda *a, **k: stuck)

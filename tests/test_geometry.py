@@ -54,6 +54,26 @@ def test_weighted_norm_batched():
         assert v == pytest.approx(float(np.sum(row**3) ** (1 / 3)), rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [None, np.array([2.0, 0.5, 3.0])], ids=["unit", "weighted"])
+def test_weighted_norm_q2_signs_bitwise(alpha):
+    # At q = 2 the sign goes in the square: negative and -0.0 entries give the
+    # same bits as their absolute values and as the explicit |w|^2 sum.
+    spec = CostSpec(q=2.0, beta=1.0, alpha=alpha)
+    rng = np.random.default_rng(3)
+    pts = rng.standard_normal((9, 3)) * [1.0, 1e-3, 1e3]
+    pts[0] = [-0.0, -1.5, 0.0]
+    pts[1] = [-0.0, -0.0, -0.0]
+    pts[2, 1] = -0.0
+    got = weighted_norm(pts, spec)
+    w = np.abs(pts if alpha is None else pts * alpha)
+    ref = np.sqrt((w * w).sum(axis=-1))
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), weighted_norm(np.abs(pts), spec).view(np.uint64))
+    for row, v in zip(pts, got):
+        assert np.float64(weighted_norm(row, spec)).view(np.uint64) == np.float64(v).view(np.uint64)
+    assert got[1] == 0.0 and not np.signbit(got[1])
+
+
 def test_cost_is_norm_to_beta():
     spec = CostSpec(q=2.0, beta=4.0, alpha=np.array([1.0, 3.0]))
     pts = np.abs(np.random.default_rng(1).standard_normal((5, 2)))
