@@ -3,15 +3,11 @@
 from .closedform import (
     EquilibriumDist,
     FinitePCurve,
-    GenreSet,
     InfiniteTwoGenre,
     OnePopulation,
     QuarterCircle,
-    angle_cdf,
     eq_cdf_quality,
     eq_sample,
-    finite_p_x_cdf,
-    genre_set,
     make_finite_p_curve,
     make_infinite_two_genre,
     make_one_population,
@@ -24,7 +20,6 @@ from .geometry import (
     angle_between,
     angle_pair,
     basis_pair,
-    content_vector,
     cost,
     dual_norm,
     induced_cost,
@@ -69,7 +64,6 @@ from .verify import (
     foc_residual,
     genre_count,
     positive_profit_condition,
-    soc_direction_sign,
 )
 
 __version__ = "0.1.0"

@@ -10,9 +10,11 @@ validation and per-family behaviour stay in the library.
 
 Reports are flat JSON objects with snake_case keys and embed the resolved run
 configuration.  Floats are serialized at 17 significant digits, infinities as
-the strings "inf"/"-inf", so identical argv plus seed reproduce every output
-byte for byte.  Exit codes: 0 success, 2 usage error, 3 input-data error,
-4 non-convergence (the report is still written).
+the strings "inf"/"-inf", so identical argv reproduces every output byte for
+byte.  ``--seed`` (default 0) is read by ``eq``, ``verify`` and ``nmf``;
+``nsw``, ``threshold`` and ``profit`` accept it and ignore it.  Exit codes:
+0 success, 2 usage error, 3 input-data error, 4 non-convergence (the report
+is still written).
 """
 
 from __future__ import annotations
@@ -352,20 +354,8 @@ def _parse_alpha(raw: str | None) -> np.ndarray | None:
     return np.array([float(tok) for tok in raw.split(",")])
 
 
-def _resolve_seed(ns) -> int:
-    if ns.seed is not None:
-        return ns.seed
-    env = os.environ.get("SUPPLY_EQ_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"SUPPLY_EQ_SEED must be an integer, got {env!r}") from None
-    return 0
-
-
 def _spec(ns) -> CostSpec:
-    beta = getattr(ns, "beta", None)  # threshold has no --beta: it searches beta
+    beta = getattr(ns, "beta", None)  # nsw does not depend on beta; threshold searches it
     return CostSpec(q=ns.q, beta=2.0 if beta is None else beta, alpha=_parse_alpha(ns.alpha))
 
 
@@ -455,6 +445,12 @@ def _cmd_eq(ns) -> int:
         raise ValueError("--n and --cdf-grid must be >= 0")
     if ns.cdf_grid == 0 and ns.n == 0:
         raise ValueError("nothing to emit: pass --cdf-grid and/or --n")
+    if ns.theta is not None and ns.users is not None:
+        raise ValueError("--theta and --users both give the users; pass one of them")
+    if ns.theta is not None and ns.variant == "onepop":
+        raise ValueError("--theta sets a two-user angle; onepop takes --users or --n-users")
+    if ns.n_users is not None and ns.variant != "onepop":
+        raise ValueError("--n-users applies to --variant onepop only")
     if ns.out is not None and ns.samples_out is not None and _same_file(ns.out, ns.samples_out):
         raise ValueError(
             f"--out and --samples-out both name {ns.samples_out!r}; the samples would "
@@ -557,7 +553,7 @@ def _add_common(p, users_required: bool) -> None:
     )
     p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--alpha", help="comma-separated positive weights")
-    p.add_argument("--seed", type=int, default=None, help="falls back to $SUPPLY_EQ_SEED, then 0")
+    p.add_argument("--seed", type=int, default=0, help="read by eq and verify only")
     p.add_argument("--out", help="output path (default stdout)")
 
 
@@ -571,7 +567,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nsw", help="best single-genre direction and its welfare value")
     _add_common(p, users_required=True)
-    p.add_argument("--beta", type=float, default=2.0)
     p.set_defaults(fn=_cmd_nsw)
 
     p = sub.add_parser("threshold", help="specialization threshold report")
@@ -586,7 +581,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--producers", type=int, default=2)
     p.add_argument("--n-users", type=int, default=None, help="population size for onepop")
-    p.add_argument("--theta", type=float, default=None, help="user angle for infinite")
+    p.add_argument("--theta", type=float, default=None, help="user angle for the planar variants")
     p.add_argument("--n", type=int, default=0, help="sample count")
     p.add_argument("--cdf-grid", type=int, default=0, help="CDF table size")
     p.add_argument("--samples-out", help="samples path (default stdout)")
@@ -618,7 +613,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--init-scale", type=float, default=0.1)
     p.add_argument("--min-entry", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="embeddings CSV path")
     p.set_defaults(fn=_cmd_nmf)
 
@@ -632,7 +627,6 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return _EXIT_OK if exc.code in (0, None) else _EXIT_USAGE
     try:
-        ns.seed = _resolve_seed(ns)
         return ns.fn(ns)
     except InputDataError as exc:
         print(f"error: {exc}", file=sys.stderr)

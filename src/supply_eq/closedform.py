@@ -17,7 +17,7 @@ a fixed seed.
 Each family class holds all of its own behaviour: ``draw_blocks`` (the
 inverse-transform sampler, yielding its rows a block at a time),
 ``cdf_quality``, the tabulated CDF (``cdf_axis``, ``cdf_max``,
-``cdf_point``), ``genres``, the analytic per-producer ``profit``, the
+``cdf_point``), the analytic per-producer ``profit``, the
 first-order terms ``foc_terms``, the best-response sweep directions
 ``deviation_dirs`` and, for the families ``verify`` prices against, each
 user's exact value CDF ``value_cdf``.  The module functions below dispatch
@@ -41,7 +41,6 @@ __all__ = [
     "FinitePCurve",
     "InfiniteTwoGenre",
     "EquilibriumDist",
-    "GenreSet",
     "make_one_population",
     "make_p2_quarter_circle",
     "make_finite_p_curve",
@@ -49,9 +48,6 @@ __all__ = [
     "eq_cdf_quality",
     "eq_sample",
     "eq_sample_blocks",
-    "genre_set",
-    "angle_cdf",
-    "finite_p_x_cdf",
 ]
 
 # Below this, the two genres are numerically orthogonal and the band
@@ -69,20 +65,6 @@ def _canonical_plane() -> TwoUserPlane:
 def _check(ok, msg):
     if not ok:
         raise ValueError(msg)
-
-
-def _no_genre_index(genre_index):
-    if genre_index is not None:
-        raise ValueError("continuum variants take no genre_index")
-
-
-@dataclass(frozen=True)
-class GenreSet:
-    """Genres of a distribution: finitely many directions, or a continuum."""
-
-    kind: str
-    directions: np.ndarray | None
-    description: str
 
 
 class _StreamFamily:
@@ -152,14 +134,11 @@ class OnePopulation(_StreamFamily):
         r = (self.n_users * u ** (self.producers - 1)) ** (1.0 / self.beta)
         return np.outer(r, self.direction)
 
-    def cdf_quality(self, q: float, genre_index: int | None) -> float:
-        if genre_index not in (None, 0):
-            raise ValueError("OnePopulation has a single genre (index 0)")
-        return self.cdf_point(q)
-
     def cdf_point(self, q: float) -> float:
         f = (q**self.beta / self.n_users) ** (1.0 / (self.producers - 1))
         return min(1.0, f)
+
+    cdf_quality = cdf_point
 
     def value_cdf(self, z: np.ndarray, users: UserSet) -> np.ndarray:
         """P(value <= z) per user for scores z shaped (..., N).
@@ -173,13 +152,6 @@ class OnePopulation(_StreamFamily):
         f = np.clip(z / np.where(pos, top, 1.0), 0.0, 1.0) ** (self.beta / (self.producers - 1))
         f[..., ~pos] = z[..., ~pos] >= 0.0
         return f
-
-    def genres(self) -> GenreSet:
-        return GenreSet(
-            kind="finite",
-            directions=self.direction.reshape(1, -1),
-            description="single ray",
-        )
 
     def profit(self, n_users: int, spec: CostSpec, producers: int) -> float:
         _check(producers == self.producers, "producers disagrees with dist")
@@ -244,12 +216,12 @@ class QuarterCircle(_PlanarFamily):
         return 2
 
     def draw(self, rng, n: int) -> np.ndarray:
-        theta = np.arcsin(np.sqrt(rng.random(n)))
-        xy = self.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        # The angle arcsin(sqrt(u)) has cosine sqrt(1 - u) and sine sqrt(u).
+        u = rng.random(n)
+        xy = self.radius * np.stack([np.sqrt(1.0 - u), np.sqrt(u)], axis=1)
         return self.plane.embed(xy)
 
-    def cdf_quality(self, q: float, genre_index: int | None) -> float:
-        _no_genre_index(genre_index)
+    def cdf_quality(self, q: float) -> float:
         return 1.0 if q >= self.radius else 0.0
 
     def cdf_point(self, theta: float) -> float:
@@ -263,13 +235,6 @@ class QuarterCircle(_PlanarFamily):
         """P(value <= z) per user: (z / (r |u_i|))^2, as the angle has CDF sin^2."""
         x = np.clip(z / (self.radius * self._user_scales(users)), 0.0, 1.0)
         return x * x
-
-    def genres(self) -> GenreSet:
-        return GenreSet(
-            kind="continuum",
-            directions=None,
-            description="quarter-circle arc, angles in [0, pi/2]",
-        )
 
     def profit(self, n_users: int, spec: CostSpec, producers: int) -> float:
         _check(producers == 2, "quarter-circle equilibrium has two producers")
@@ -310,10 +275,9 @@ class FinitePCurve(_PlanarFamily):
     def draw(self, rng, n: int) -> np.ndarray:
         return self.plane.embed(self._curve(rng.random(n)))
 
-    def cdf_quality(self, q: float, genre_index: int | None) -> float:
+    def cdf_quality(self, q: float) -> float:
         # Squared quality along the curve is phi(t) = t^(P-1) + (1-t)^(P-1) with
         # t uniform; phi falls then rises, so the CDF is the root gap.
-        _no_genre_index(genre_index)
         p = self.producers
         target = q * q
         if target >= 1.0:
@@ -333,14 +297,6 @@ class FinitePCurve(_PlanarFamily):
         """P(value <= z) per user: (z / |u_i|)^(2/(P-1)), the coordinate CDF."""
         x = np.clip(z / self._user_scales(users), 0.0, 1.0)
         return x ** (2.0 / (self.producers - 1))
-
-    def genres(self) -> GenreSet:
-        p = self.producers
-        return GenreSet(
-            kind="continuum",
-            directions=None,
-            description=f"curve (x, (1 - x^(2/{p - 1}))^({p - 1}/2)), x in [0, 1]",
-        )
 
     def profit(self, n_users: int, spec: CostSpec, producers: int) -> float:
         _check(producers == self.producers, "producers disagrees with dist")
@@ -420,11 +376,6 @@ class InfiniteTwoGenre(_PlanarFamily):
             u = 1.0 - rng.random(min(block, n - start))
             yield self._quantile(u)[:, None] * dirs[g[start:start + u.size]]
 
-    def cdf_quality(self, q: float, genre_index: int | None) -> float:
-        if genre_index not in (0, 1):
-            raise ValueError("genre_index must be 0 or 1 for InfiniteTwoGenre")
-        return self.cdf_point(q)
-
     def cdf_point(self, q: float) -> float:
         if q <= 0.0:
             return 0.0
@@ -440,13 +391,7 @@ class InfiniteTwoGenre(_PlanarFamily):
             return math.exp((k + 1) * beta * lc2)
         return math.exp(2.0 * beta * math.log(q) - 2.0 * math.log(self.c1) - k * beta * lc2)
 
-    def genres(self) -> GenreSet:
-        a1, a2 = self.genre_angles
-        return GenreSet(
-            kind="finite",
-            directions=self.genre_directions(),
-            description=f"two genres at in-plane angles {a1:.6g} and {a2:.6g}",
-        )
+    cdf_quality = cdf_point
 
     def profit(self, n_users: int, spec: CostSpec, producers: int) -> float:
         raise ValueError("per-producer profit is not defined in the infinite-producer limit")
@@ -489,49 +434,18 @@ def _genre_slope(theta_star, beta, t):
     )
 
 
-def _golden_max(f, lo, hi):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > 1e-15:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
-
-
 def _theta_genre(theta_star: float, beta: float) -> float:
     """Maximizer of cos^beta(t) + cos^beta(theta_star - t) over [0, theta_star/2].
 
-    Coarse grid, then bisection on the slope's sign change; the slope root is
-    the stationarity condition the genre angle must satisfy.  The endpoint
-    t = 0 is compared explicitly and returned exactly when it wins, which is
-    the orthogonal-user case.
+    Bisection to the float limit on the sign of the slope, whose root is the
+    stationarity condition the genre angle must satisfy: above the threshold
+    the slope is positive at t = 0 and negative just below theta_star/2, a
+    local minimum.  The endpoint t = 0 is compared explicitly and returned
+    exactly when it wins, which is the orthogonal-user case.
     """
-    half = 0.5 * theta_star
-    grid = np.linspace(0.0, half, 10001)
-    vals = np.cos(grid) ** beta + np.cos(theta_star - grid) ** beta
-    i = int(np.argmax(vals))
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, grid.size - 1)])
-    if _genre_slope(theta_star, beta, lo) > 0.0 > _genre_slope(theta_star, beta, hi):
-        while True:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if _genre_slope(theta_star, beta, mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        cand = 0.5 * (lo + hi)
-    else:
-        cand = _golden_max(lambda t: _genre_objective(theta_star, beta, t), lo, hi)
+    cand = _bisect_to_float_limit(
+        lambda t: _genre_slope(theta_star, beta, t) > 0.0, 0.0, 0.5 * theta_star
+    )
     if _genre_objective(theta_star, beta, 0.0) >= _genre_objective(theta_star, beta, cand):
         return 0.0
     return cand
@@ -573,30 +487,12 @@ def _bisect_to_float_limit(keep_low, lo, hi):
             hi = mid
 
 
-def eq_cdf_quality(dist: EquilibriumDist, qvalue: float, genre_index: int | None = None) -> float:
-    """Quality CDF at qvalue; the winning-producer law for InfiniteTwoGenre.
-
-    genre_index selects the genre for InfiniteTwoGenre (required there, and
-    the two genres share one law); elsewhere it may only name the single
-    genre of OnePopulation.
-    """
+def eq_cdf_quality(dist: EquilibriumDist, qvalue: float) -> float:
+    """Quality CDF at qvalue; for InfiniteTwoGenre the winning-producer law,
+    which both genres share."""
     if qvalue < 0.0:
         raise ValueError("qvalue must be >= 0")
-    return dist.cdf_quality(qvalue, genre_index)
-
-
-def angle_cdf(dist: QuarterCircle, theta: float) -> float:
-    """CDF sin^2(theta) of the quarter-circle angle."""
-    if not isinstance(dist, QuarterCircle):
-        raise TypeError("angle_cdf applies to QuarterCircle only")
-    return dist.cdf_point(theta)
-
-
-def finite_p_x_cdf(dist: FinitePCurve, x: float) -> float:
-    """CDF min(1, x^(2/(P-1))) of the curve's first coordinate."""
-    if not isinstance(dist, FinitePCurve):
-        raise TypeError("finite_p_x_cdf applies to FinitePCurve only")
-    return dist.cdf_point(x)
+    return dist.cdf_quality(qvalue)
 
 
 def eq_sample_blocks(dist: EquilibriumDist, n: int, seed: int, block: int):
@@ -619,7 +515,3 @@ def eq_sample(dist: EquilibriumDist, n: int, seed: int) -> np.ndarray:
     The concatenation of ``eq_sample_blocks``, taken as its single n-row block.
     """
     return next(eq_sample_blocks(dist, n, seed, n))
-
-
-def genre_set(dist: EquilibriumDist) -> GenreSet:
-    return dist.genres()

@@ -6,8 +6,7 @@ Users and content vectors live in the nonnegative orthant of R^D.  A
     cost(p) = ||alpha * p||_q ** beta,   q in [1, inf],  beta >= 1,  alpha > 0,
 
 whose unit ball, dual norm, and two-user reduction drive everything else in
-this package.  Content vectors are plain 1-D float arrays; ``content_vector``
-validates one.
+this package.  Content vectors are plain 1-D float arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ __all__ = [
     "CostSpec",
     "UserSet",
     "TwoUserPlane",
-    "content_vector",
     "weighted_norm",
     "cost",
     "dual_norm",
@@ -42,14 +40,6 @@ def _as_vector(x, name="vector"):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
     return a
-
-
-def content_vector(values):
-    """Validate ``values`` as a content vector (1-D, finite, nonnegative)."""
-    p = _as_vector(values, "content vector")
-    if np.any(p < 0):
-        raise ValueError("content vector must be nonnegative")
-    return p
 
 
 @dataclass(frozen=True)
@@ -254,14 +244,11 @@ class TwoUserPlane:
     """Orthonormal frame for the span of two users.
 
     basis[0] points along u1; in-plane angles are measured from it toward u2,
-    so u2's direction sits at in-plane angle theta_star.  theta_min is the
-    ambient angle between e1 and the closer of the two users when D = 2, and
-    0 otherwise.
+    so u2's direction sits at in-plane angle theta_star.
     """
 
     theta_star: float
     basis: np.ndarray
-    theta_min: float = 0.0
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
@@ -304,10 +291,4 @@ def two_user_plane(u1, u2):
     if rn <= 1e-12 * n2:
         raise ValueError("user vectors are linearly dependent")
     b2 = resid / rn
-    theta_star = angle_between(u1, u2)
-    theta_min = 0.0
-    if u1.shape[0] == 2:
-        a1 = math.acos(min(1.0, max(-1.0, u1[0] / n1)))
-        a2 = math.acos(min(1.0, max(-1.0, u2[0] / n2)))
-        theta_min = min(a1, a2)
-    return TwoUserPlane(theta_star=theta_star, basis=np.stack([b1, b2]), theta_min=theta_min)
+    return TwoUserPlane(theta_star=angle_between(u1, u2), basis=np.stack([b1, b2]))

@@ -34,7 +34,6 @@ __all__ = [
     "equilibrium_profit",
     "positive_profit_condition",
     "foc_residual",
-    "soc_direction_sign",
     "genre_count",
 ]
 
@@ -216,7 +215,7 @@ def best_response_gap(
     samples = eq_sample(dist, max(1000, min(n_samples, 20000)), [seed, 2])
     count = genre_count(samples)
     try:
-        foc = foc_residual(dist, None, spec)
+        foc = foc_residual(dist, spec)
     except ValueError:
         foc = None
     flag, qval, qthr = positive_profit_condition(users, spec, producers, cfg)
@@ -234,23 +233,14 @@ def best_response_gap(
     )
 
 
-def foc_residual(dist, plane, spec, grid=512) -> float:
+def foc_residual(dist, spec, grid=512) -> float:
     """Max gap between the win-density stationarity terms and the induced-cost
     gradient over interior support points; defined for the variants with
     analytic marginal densities."""
     z, h = dist.foc_terms(spec, grid)
-    theta_star = dist.plane.theta_star
-    if plane is not None and abs(plane.theta_star - theta_star) > 1e-12:
-        raise ValueError("plane disagrees with the distribution's plane")
     spec_b = CostSpec(q=2.0, beta=dist.beta, alpha=spec.alpha)
-    grad = induced_cost_grad(z, theta_star, spec_b)
+    grad = induced_cost_grad(z, dist.plane.theta_star, spec_b)
     return float(np.abs(h - grad).max())
-
-
-def soc_direction_sign(theta, theta_star, beta) -> int:
-    """Sign of the induced-cost cross partial along the support direction."""
-    expr = (beta - 2.0) / beta * math.cos(theta_star - 2.0 * theta) - math.cos(theta_star)
-    return (expr > 0.0) - (expr < 0.0)
 
 
 def genre_count(samples, angle_tol=1e-3):

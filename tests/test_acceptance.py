@@ -156,8 +156,8 @@ def test_criterion_07_infinite_two_genre_cdf():
         for k in range(1, 12):
             edge = dist.support_max * dist.c2**k
             jump = max(jump, abs(
-                eq_cdf_quality(dist, edge, 0)
-                - eq_cdf_quality(dist, float(np.nextafter(edge, 0.0)), 0)
+                eq_cdf_quality(dist, edge)
+                - eq_cdf_quality(dist, float(np.nextafter(edge, 0.0)))
             ))
         checks[f"continuity_{tag}"] = jump <= 1e-12
 
@@ -165,8 +165,8 @@ def test_criterion_07_infinite_two_genre_cdf():
         resid = max(
             abs(
                 math.sqrt(
-                    eq_cdf_quality(dist, float(q), 0)
-                    * eq_cdf_quality(dist, float(q) * dist.c2, 0)
+                    eq_cdf_quality(dist, float(q))
+                    * eq_cdf_quality(dist, float(q) * dist.c2)
                 )
                 - dist.c2**beta * float(q) ** beta / dist.c1
             )
@@ -185,7 +185,7 @@ def test_criterion_07_infinite_two_genre_cdf():
         two_user_plane(np.array([1.0, 0.0]), np.array([0.0, 1.0])), 7.0
     )
     worst = max(
-        abs(eq_cdf_quality(orth, float(q), 0) - float(q) ** 14.0)
+        abs(eq_cdf_quality(orth, float(q)) - float(q) ** 14.0)
         for q in np.linspace(0.0, orth.support_max, 1000)
     )
     checks["orthogonal_limit"] = worst <= 1e-12

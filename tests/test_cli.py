@@ -13,11 +13,6 @@ from supply_eq.optimize import OptResult
 from supply_eq.threshold import ConditionProbe, ThresholdReport
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("SUPPLY_EQ_SEED", raising=False)
-
-
 def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
@@ -68,23 +63,15 @@ def test_output_bytes_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_env_seed_matches_explicit(capsys, monkeypatch):
-    run(["threshold", "--users", "basis2", "--seed", "7"])
-    explicit = capsys.readouterr().out
-    monkeypatch.setenv("SUPPLY_EQ_SEED", "7")
-    run(["threshold", "--users", "basis2"])
-    assert capsys.readouterr().out == explicit
-
-
 @pytest.mark.parametrize("flag", [["--beta", "3"], ["--trials", "5"], ["--hull-points", "9"]])
 def test_threshold_rejects_removed_flags(capsys, flag):
     # threshold searches beta itself and decides probes without sampling.
     assert run(["threshold", "--users", "basis2", *flag]) == 2
 
 
-def test_bad_env_seed_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("SUPPLY_EQ_SEED", "many")
-    assert run(["threshold", "--users", "basis2"]) == 2
+def test_nsw_rejects_beta(capsys):
+    # The NSW direction does not depend on the cost exponent.
+    assert run(["nsw", "--users", "basis2", "--beta", "3"]) == 2
 
 
 def test_nsw_report(capsys):
@@ -290,6 +277,18 @@ def test_exit_usage_below_threshold_infinite(capsys):
     argv = ["eq", "--variant", "infinite", "--theta", str(math.pi / 3),
             "--beta", "2", "--cdf-grid", "5"]
     assert run(argv) == 2
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["--variant", "infinite", "--users", "basis2", "--theta", "0.3", "--beta", "8"], "--theta"),
+    (["--variant", "onepop", "--beta", "2", "--theta", "0.3"], "--theta"),
+    (["--variant", "p2", "--beta", "4", "--n-users", "7"], "--n-users"),
+])
+def test_exit_usage_eq_option_the_variant_ignores(capsys, argv, option):
+    assert run(["eq", *argv, "--cdf-grid", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert option in captured.err
 
 
 def test_exit_usage_nothing_to_emit(capsys):

@@ -5,6 +5,7 @@ analytic CDFs under test never touch scipy.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,12 +18,10 @@ from supply_eq.closedform import (
     InfiniteTwoGenre,
     OnePopulation,
     QuarterCircle,
-    angle_cdf,
+    _genre_slope,
     eq_cdf_quality,
     eq_sample,
     eq_sample_blocks,
-    finite_p_x_cdf,
-    genre_set,
     make_finite_p_curve,
     make_infinite_two_genre,
     make_one_population,
@@ -65,6 +64,8 @@ def test_one_population_support_max():
     assert dist.support_max == pytest.approx(4.0 ** (1.0 / 3.0), rel=1e-15)
     assert eq_cdf_quality(dist, dist.support_max) == pytest.approx(1.0, abs=1e-12)
     assert eq_cdf_quality(dist, 0.0) == 0.0
+    with pytest.raises(ValueError):
+        eq_cdf_quality(dist, -0.1)
 
 
 def test_one_population_sampling_ks():
@@ -109,11 +110,32 @@ def test_quarter_circle_angle_law_ks():
     assert stat < 0.02
 
 
+def test_quarter_circle_draw_matches_the_arcsin_form():
+    # cos and sin of arcsin(sqrt(u)) are drawn as sqrt(1 - u) and sqrt(u).  The
+    # two forms agree to a few ulps of the radius, except where the arcsin form
+    # loses digits itself: its cosine near u = 1, by up to eps / sqrt(1 - u).
+    dist = make_p2_quarter_circle(4.0)
+    u = np.random.default_rng(8).random(100000)
+    pts = dist.draw(np.random.default_rng(8), 100000)
+    theta = np.arcsin(np.sqrt(u))
+    old = dist.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    ulp = np.spacing(dist.radius)
+    assert np.abs(pts[:, 1] - old[:, 1]).max() <= 4 * ulp
+    assert np.all(np.abs(pts[:, 0] - old[:, 0]) <= 4 * ulp / np.sqrt(1.0 - u))
+    # Against 40-digit square roots, each coordinate is within 2 of its own ulps.
+    with localcontext() as ctx:
+        ctx.prec = 40
+        r = Decimal(dist.radius)
+        exact = np.array([[float(r * (1 - Decimal(x)).sqrt()), float(r * Decimal(x).sqrt())]
+                          for x in u[:10000].tolist()])
+    assert np.all(np.abs(pts[:10000] - exact) <= 2 * np.spacing(exact))
+
+
 def test_quarter_circle_angle_cdf_values():
     dist = make_p2_quarter_circle(2.0)
-    assert angle_cdf(dist, 0.0) == 0.0
-    assert angle_cdf(dist, math.pi / 4) == pytest.approx(0.5, abs=1e-12)
-    assert angle_cdf(dist, math.pi / 2) == 1.0
+    assert dist.cdf_point(0.0) == 0.0
+    assert dist.cdf_point(math.pi / 4) == pytest.approx(0.5, abs=1e-12)
+    assert dist.cdf_point(math.pi / 2) == 1.0
 
 
 def test_quarter_circle_requires_orthogonal_plane():
@@ -142,8 +164,8 @@ def test_finite_p_x_law_ks(producers):
 def test_finite_p_example_value():
     # P = 2: the curve is the unit quarter circle, x-CDF(x) = x^2.
     dist = make_finite_p_curve(2)
-    assert finite_p_x_cdf(dist, 0.5) == pytest.approx(0.25, abs=1e-15)
-    assert finite_p_x_cdf(dist, 0.25) == pytest.approx(0.0625, abs=1e-15)
+    assert dist.cdf_point(0.5) == pytest.approx(0.25, abs=1e-15)
+    assert dist.cdf_point(0.25) == pytest.approx(0.0625, abs=1e-15)
 
 
 def test_finite_p_three_is_line_segment():
@@ -203,14 +225,25 @@ def test_infinite_genre_foc_residual(theta_star, beta, _):
     assert abs(slope) < 1e-10
 
 
+@pytest.mark.parametrize("ratio", [1 + 1e-7, 1.001, 1.01, 1.1, 1.5, 2, 3, 5, 10, 50])
+def test_infinite_genre_angle_brackets_the_slope_root(ratio):
+    # The genre angle sits on the slope's sign change, to within 1e-7, or at 0.
+    for theta_star in np.linspace(0.01, math.pi / 2 - 1e-3, 60).tolist():
+        beta = ratio * beta_star_two_user(theta_star)
+        t = make_infinite_two_genre(_plane(theta_star), beta).theta_g
+        if t != 0.0:
+            assert _genre_slope(theta_star, beta, t - 1e-7) > 0.0, theta_star
+            assert _genre_slope(theta_star, beta, t + 1e-7) < 0.0, theta_star
+
+
 @pytest.mark.parametrize("theta_star,beta,_", INFINITE_CASES)
 def test_infinite_band_continuity(theta_star, beta, _):
     dist = make_infinite_two_genre(_plane(theta_star), beta)
     top = dist.support_max
     for k in range(1, 12):
         edge = top * dist.c2**k
-        below = eq_cdf_quality(dist, float(np.nextafter(edge, 0.0)), 0)
-        at = eq_cdf_quality(dist, edge, 0)
+        below = eq_cdf_quality(dist, float(np.nextafter(edge, 0.0)))
+        at = eq_cdf_quality(dist, edge)
         assert abs(at - below) <= 1e-12
 
 
@@ -219,7 +252,7 @@ def test_infinite_product_identity(theta_star, beta, _):
     dist = make_infinite_two_genre(_plane(theta_star), beta)
     qs = np.linspace(dist.support_max * dist.c2**6, dist.support_max, 1000)
     for q in qs:
-        lhs = math.sqrt(eq_cdf_quality(dist, float(q), 0) * eq_cdf_quality(dist, float(q) * dist.c2, 0))
+        lhs = math.sqrt(eq_cdf_quality(dist, float(q)) * eq_cdf_quality(dist, float(q) * dist.c2))
         rhs = dist.c2**beta * float(q) ** beta / dist.c1
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
@@ -231,7 +264,7 @@ def test_infinite_orthogonal_limit_exact():
     assert dist.c3 == math.inf
     qs = np.linspace(0.0, 1.0, 1000)
     for q in qs:
-        assert eq_cdf_quality(dist, float(q), 0) == pytest.approx(float(q) ** 14.0, abs=1e-12)
+        assert eq_cdf_quality(dist, float(q)) == pytest.approx(float(q) ** 14.0, abs=1e-12)
 
 
 def test_infinite_requires_beta_above_threshold():
@@ -258,7 +291,7 @@ def test_infinite_sampler_two_genres_and_law():
     assert len(np.unique(angles)) == 2
     quality = np.linalg.norm(pts, axis=1)
     stat = scipy.stats.kstest(
-        quality, lambda q: np.array([eq_cdf_quality(dist, float(v), 0) for v in np.atleast_1d(q)])
+        quality, lambda q: np.array([eq_cdf_quality(dist, float(v)) for v in np.atleast_1d(q)])
     ).statistic
     assert stat < 0.02
 
@@ -271,20 +304,6 @@ def test_infinite_sampler_avoids_flat_bands():
     assert np.all(k % 2 == 0)
 
 
-def test_eq_cdf_quality_genre_index_contract():
-    inf_dist = make_infinite_two_genre(_plane(1.2), 7.0)
-    with pytest.raises(ValueError):
-        eq_cdf_quality(inf_dist, 0.5)
-    onepop = OnePopulation(np.array([1.0, 0.0]), 1, 2.0, 2)
-    assert eq_cdf_quality(onepop, 0.5, 0) == eq_cdf_quality(onepop, 0.5)
-    with pytest.raises(ValueError):
-        eq_cdf_quality(onepop, 0.5, 1)
-    with pytest.raises(ValueError):
-        eq_cdf_quality(make_p2_quarter_circle(4.0), 0.5, 0)
-    with pytest.raises(ValueError):
-        eq_cdf_quality(onepop, -0.1)
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     st.floats(0.5, math.pi / 2),
@@ -294,19 +313,10 @@ def test_infinite_cdf_monotone_property(theta_star, beta_factor):
     beta = beta_factor * beta_star_two_user(theta_star) + 0.1
     dist = make_infinite_two_genre(_plane(theta_star), beta)
     qs = np.linspace(0.0, dist.support_max * 1.1, 300)
-    fs = [eq_cdf_quality(dist, float(q), 0) for q in qs]
+    fs = [eq_cdf_quality(dist, float(q)) for q in qs]
     assert all(b >= a - 1e-15 for a, b in zip(fs, fs[1:]))
     assert fs[0] == 0.0
     assert fs[-1] == 1.0
-
-
-def test_genre_sets():
-    one = genre_set(OnePopulation(np.array([1.0, 0.0]), 1, 2.0, 2))
-    assert one.kind == "finite" and one.directions.shape == (1, 2)
-    two = genre_set(make_infinite_two_genre(_plane(1.2), 7.0))
-    assert two.kind == "finite" and two.directions.shape == (2, 2)
-    assert genre_set(make_p2_quarter_circle(4.0)).kind == "continuum"
-    assert genre_set(make_finite_p_curve(3)).kind == "continuum"
 
 
 def test_eq_sample_determinism_and_validation():
@@ -326,8 +336,8 @@ def _reference_sample(dist, n, seed):
         r = (dist.n_users * u ** (dist.producers - 1)) ** (1.0 / dist.beta)
         return np.outer(r, dist.direction)
     if isinstance(dist, QuarterCircle):
-        theta = np.arcsin(np.sqrt(rng.random(n)))
-        return dist.plane.embed(dist.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1))
+        u = rng.random(n)
+        return dist.plane.embed(dist.radius * np.stack([np.sqrt(1.0 - u), np.sqrt(u)], axis=1))
     if isinstance(dist, FinitePCurve):
         u = rng.random(n)
         e = 0.5 * (dist.producers - 1)

@@ -13,7 +13,6 @@ from supply_eq.geometry import (
     angle_between,
     angle_pair,
     basis_pair,
-    content_vector,
     cost,
     dual_norm,
     induced_cost,
@@ -162,10 +161,6 @@ def test_builders():
     us = orthonormal_users(4)
     assert us.embeddings.shape == (4, 4)
     assert np.allclose(us.embeddings @ us.embeddings.T, np.eye(4))
-    p = content_vector([0.3, 0.0, 0.1])
-    assert p.shape == (3,)
-    with pytest.raises(ValueError):
-        content_vector([0.3, -0.1])
 
 
 def test_angle_pair_zero_is_homogeneous_pair():

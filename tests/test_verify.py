@@ -27,7 +27,6 @@ from supply_eq.verify import (
     foc_residual,
     genre_count,
     positive_profit_condition,
-    soc_direction_sign,
 )
 
 BASIS2 = UserSet(np.eye(2))
@@ -154,27 +153,19 @@ def test_positive_profit_condition_bracket_rule(monkeypatch, lower, width, expec
 def test_foc_residual_quarter_circle(beta):
     dist = make_p2_quarter_circle(beta)
     spec = CostSpec(q=2.0, beta=beta)
-    assert foc_residual(dist, dist.plane, spec) < 1e-10
+    assert foc_residual(dist, spec) < 1e-10
 
 
 @pytest.mark.parametrize("producers", [2, 3, 4])
 def test_foc_residual_finite_p(producers):
     dist = make_finite_p_curve(producers)
-    assert foc_residual(dist, dist.plane, SPEC2) < 1e-10
+    assert foc_residual(dist, SPEC2) < 1e-10
 
 
 def test_foc_residual_rejects_one_population():
     dist = OnePopulation(np.array([1.0, 0.0]), 1, 2.0, 2)
     with pytest.raises(ValueError):
-        foc_residual(dist, None, SPEC2)
-
-
-def test_soc_direction_sign():
-    # (beta-2)/beta * cos(theta*-2theta) - cos(theta*): positive once beta > 2
-    # on the orthogonal pair, negative below it.
-    assert soc_direction_sign(math.pi / 4, math.pi / 2, 4.0) == 1
-    assert soc_direction_sign(math.pi / 4, math.pi / 2, 1.5) == -1
-    assert soc_direction_sign(0.1, math.pi / 3, 100.0) == 1
+        foc_residual(dist, SPEC2)
 
 
 def test_genre_count_kinds():
