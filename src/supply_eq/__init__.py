@@ -8,10 +8,6 @@ from .closedform import (
     QuarterCircle,
     eq_cdf_quality,
     eq_sample,
-    make_finite_p_curve,
-    make_infinite_two_genre,
-    make_one_population,
-    make_p2_quarter_circle,
 )
 from .geometry import (
     CostSpec,
@@ -60,7 +56,6 @@ from .verify import (
     VerifyReport,
     best_response_gap,
     empirical_marginals,
-    equilibrium_profit,
     foc_residual,
     genre_count,
     positive_profit_condition,

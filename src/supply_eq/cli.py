@@ -30,14 +30,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .closedform import (
-    FinitePCurve,
-    OnePopulation,
-    QuarterCircle,
-    eq_sample,
-    make_infinite_two_genre,
-    make_one_population,
-)
+from .closedform import FinitePCurve, InfiniteTwoGenre, OnePopulation, QuarterCircle, eq_sample
 from .geometry import (
     CostSpec,
     UserSet,
@@ -56,7 +49,7 @@ from .ingest import (
 )
 from .optimize import minmax_alignment, nsw_direction
 from .threshold import HullTestConfig, threshold_report
-from .verify import best_response_gap, equilibrium_profit, positive_profit_condition
+from .verify import best_response_gap, positive_profit_condition
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -359,21 +352,13 @@ def _spec(ns) -> CostSpec:
     return CostSpec(q=ns.q, beta=2.0 if beta is None else beta, alpha=_parse_alpha(ns.alpha))
 
 
-def _build_dist(ns, users, spec, n_users=None, theta=None):
+def _build_dist(ns, users, spec, n_users=None):
     """Distribution for the chosen variant plus an optimizer-converged flag."""
-    producers = ns.producers
+    producers = 2 if ns.producers is None else ns.producers
     if ns.variant == "onepop":
-        if n_users is None:
-            n_users = users.n_users if users is not None else 1
         if users is None:
-            return OnePopulation(
-                direction=np.array([1.0, 0.0]),
-                n_users=n_users,
-                beta=spec.beta,
-                producers=producers,
-            ), True
-        if users.n_users == 1:
-            return make_one_population(users.embeddings[0], n_users, spec, producers), True
+            users = UserSet(np.array([[1.0, 0.0]]))
+        n_users = users.n_users if n_users is None else n_users
         res = nsw_direction(users, spec)
         dist = OnePopulation(
             direction=res.point, n_users=n_users, beta=spec.beta, producers=producers
@@ -381,8 +366,6 @@ def _build_dist(ns, users, spec, n_users=None, theta=None):
         return dist, res.converged
     if spec.q != 2.0 or spec.alpha is not None:
         raise ValueError("planar variants are defined for q = 2 with unit weights")
-    if users is None and theta is not None:
-        users = angle_pair(theta)
     if users is None:
         if ns.variant == "infinite":
             raise ValueError("the infinite variant needs --users or --theta")
@@ -391,14 +374,14 @@ def _build_dist(ns, users, spec, n_users=None, theta=None):
         raise ValueError("this variant takes exactly two users")
     plane = two_user_plane(*users.embeddings)
     if ns.variant == "p2":
-        if producers not in (None, 2):
+        if producers != 2:
             raise ValueError("the p2 variant fixes producers = 2")
-        return QuarterCircle(beta=spec.beta, plane=plane), True
+        return QuarterCircle(spec.beta, plane), True
     if ns.variant == "finitep":
         if spec.beta != 2.0:
             raise ValueError("the finitep variant fixes beta = 2")
-        return FinitePCurve(producers=producers, plane=plane), True
-    return make_infinite_two_genre(plane, spec.beta), True
+        return FinitePCurve(producers, plane), True
+    return InfiniteTwoGenre(plane, spec.beta), True
 
 
 def _cmd_nsw(ns) -> int:
@@ -451,14 +434,19 @@ def _cmd_eq(ns) -> int:
         raise ValueError("--theta sets a two-user angle; onepop takes --users or --n-users")
     if ns.n_users is not None and ns.variant != "onepop":
         raise ValueError("--n-users applies to --variant onepop only")
+    if ns.producers is not None and ns.variant == "infinite":
+        raise ValueError("--producers does not apply to --variant infinite, the "
+                         "infinite-producer limit")
+    if ns.samples_out is not None and ns.n == 0:
+        raise ValueError("--samples-out names a samples file, but --n is 0")
     if ns.out is not None and ns.samples_out is not None and _same_file(ns.out, ns.samples_out):
         raise ValueError(
             f"--out and --samples-out both name {ns.samples_out!r}; the samples would "
             "overwrite the CDF table"
         )
-    users = _parse_users(ns.users)
+    users = _parse_users(ns.users) if ns.theta is None else angle_pair(ns.theta)
     spec = _spec(ns)
-    dist, converged = _build_dist(ns, users, spec, ns.n_users, ns.theta)
+    dist, converged = _build_dist(ns, users, spec, ns.n_users)
     if ns.cdf_grid > 0:
         xs = np.linspace(0.0, dist.cdf_max, ns.cdf_grid)
         cdf = [dist.cdf_point(x) for x in xs.tolist()]
@@ -499,7 +487,7 @@ def _cmd_profit(ns) -> int:
     users = _parse_users(ns.users)
     spec = _spec(ns)
     dist, converged = _build_dist(ns, users, spec)
-    eq = equilibrium_profit(dist, users, spec, ns.producers)
+    eq = dist.profit(users.n_users, spec, ns.producers)
     flag, qval, qthr = positive_profit_condition(users, spec, ns.producers)
     report = {
         "eq_profit": eq,
@@ -579,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, users_required=False)
     p.add_argument("--variant", required=True, choices=["onepop", "p2", "finitep", "infinite"])
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--producers", type=int, default=2)
+    p.add_argument("--producers", type=int, default=None, help="default 2; not for infinite")
     p.add_argument("--n-users", type=int, default=None, help="population size for onepop")
     p.add_argument("--theta", type=float, default=None, help="user angle for the planar variants")
     p.add_argument("--n", type=int, default=0, help="sample count")

@@ -22,17 +22,20 @@ first-order terms ``foc_terms``, the best-response sweep directions
 ``deviation_dirs`` and, for the families ``verify`` prices against, each
 user's exact value CDF ``value_cdf``.  The module functions below dispatch
 to them.
+
+Each family is built by its own class from what fixes it; ``QuarterCircle``
+and ``FinitePCurve`` default to the plane of the two basis vectors, and
+``InfiniteTwoGenre`` derives its genre angle and band constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import CostSpec, TwoUserPlane, UserSet, two_user_plane, weighted_norm
-from .optimize import nsw_direction
 from .threshold import beta_star_two_user
 
 __all__ = [
@@ -41,10 +44,6 @@ __all__ = [
     "FinitePCurve",
     "InfiniteTwoGenre",
     "EquilibriumDist",
-    "make_one_population",
-    "make_p2_quarter_circle",
-    "make_finite_p_curve",
-    "make_infinite_two_genre",
     "eq_cdf_quality",
     "eq_sample",
     "eq_sample_blocks",
@@ -108,7 +107,6 @@ class OnePopulation(_StreamFamily):
     beta: float
     producers: int
 
-    variant = "one_population"
     cdf_axis = "quality"
 
     def __post_init__(self):
@@ -195,9 +193,8 @@ class QuarterCircle(_PlanarFamily):
     """
 
     beta: float
-    plane: TwoUserPlane
+    plane: TwoUserPlane = field(default_factory=_canonical_plane)
 
-    variant = "quarter_circle"
     cdf_axis = "angle"
     cdf_max = math.pi / 2
 
@@ -255,9 +252,8 @@ class FinitePCurve(_PlanarFamily):
     """
 
     producers: int
-    plane: TwoUserPlane
+    plane: TwoUserPlane = field(default_factory=_canonical_plane)
 
-    variant = "finite_p_curve"
     beta = 2.0
     cdf_axis = "x"
     cdf_max = 1.0
@@ -320,28 +316,30 @@ class InfiniteTwoGenre(_PlanarFamily):
     Genres sit at in-plane angles theta_g and theta_star - theta_g.  The
     winning-producer quality CDF alternates between power pieces
     c1^(-2) c2^(-2n beta) q^(2 beta) and flats, on geometric bands with ratio
-    c2; support gaps are where the CDF is flat.
+    c2; support gaps are where the CDF is flat.  theta_g, c1, c2 and c3 are
+    derived from the plane and a beta above its two-user threshold.
     """
 
-    theta_star: float
-    beta: float
-    theta_g: float
-    c1: float
-    c2: float
-    c3: float
     plane: TwoUserPlane
+    beta: float
+    theta_g: float = field(init=False)
+    c1: float = field(init=False)
+    c2: float = field(init=False)
+    c3: float = field(init=False)
 
-    variant = "infinite_two_genre"
     weights = (0.5, 0.5)
     cdf_axis = "quality"
 
     def __post_init__(self):
-        if self.beta <= beta_star_two_user(self.theta_star):
-            raise ValueError("beta must exceed the two-user threshold")
-        if not 0.0 <= self.theta_g < 0.5 * self.theta_star:
-            raise ValueError("theta_g must lie in [0, theta_star/2)")
-        if not 0.0 <= self.c2 < 1.0:
-            raise ValueError("c2 must lie in [0, 1)")
+        theta_star = self.plane.theta_star
+        if self.beta <= beta_star_two_user(theta_star):
+            raise ValueError("beta must exceed 2/(1 - cos theta_star) for two genres")
+        theta_g = _theta_genre(theta_star, self.beta)
+        c1 = math.sin(theta_star) * math.cos(theta_g) / math.sin(theta_star - theta_g)
+        c2 = math.cos(theta_star - theta_g) / math.cos(theta_g)
+        c3 = math.inf if c2 <= _DEGENERATE_C2 else c1 * c2 ** (-self.beta)
+        for name, value in (("theta_g", theta_g), ("c1", c1), ("c2", c2), ("c3", c3)):
+            object.__setattr__(self, name, value)
 
     @property
     def support_max(self) -> float:
@@ -351,7 +349,7 @@ class InfiniteTwoGenre(_PlanarFamily):
 
     @property
     def genre_angles(self) -> tuple[float, float]:
-        return (self.theta_g, self.theta_star - self.theta_g)
+        return (self.theta_g, self.plane.theta_star - self.theta_g)
 
     def genre_directions(self) -> np.ndarray:
         return np.stack([self.plane.direction(a) for a in self.genre_angles])
@@ -403,26 +401,6 @@ class InfiniteTwoGenre(_PlanarFamily):
 EquilibriumDist = OnePopulation | QuarterCircle | FinitePCurve | InfiniteTwoGenre
 
 
-def make_one_population(u, n_users: int, spec: CostSpec, producers: int) -> OnePopulation:
-    """Single-genre equilibrium along the best direction for one user vector."""
-    u = np.asarray(u, dtype=float)
-    if spec.q == 2.0 and spec.alpha is None:
-        direction = u / np.linalg.norm(u)
-    else:
-        direction = nsw_direction(UserSet(u.reshape(1, -1)), spec).point
-    return OnePopulation(
-        direction=direction, n_users=n_users, beta=spec.beta, producers=producers
-    )
-
-
-def make_p2_quarter_circle(beta: float) -> QuarterCircle:
-    return QuarterCircle(beta=beta, plane=_canonical_plane())
-
-
-def make_finite_p_curve(producers: int) -> FinitePCurve:
-    return FinitePCurve(producers=producers, plane=_canonical_plane())
-
-
 def _genre_objective(theta_star, beta, t):
     return math.cos(t) ** beta + math.cos(theta_star - t) ** beta
 
@@ -449,26 +427,6 @@ def _theta_genre(theta_star: float, beta: float) -> float:
     if _genre_objective(theta_star, beta, 0.0) >= _genre_objective(theta_star, beta, cand):
         return 0.0
     return cand
-
-
-def make_infinite_two_genre(plane: TwoUserPlane, beta: float) -> InfiniteTwoGenre:
-    """Two-genre infinite-producer equilibrium; requires beta above threshold."""
-    theta_star = plane.theta_star
-    if beta <= beta_star_two_user(theta_star):
-        raise ValueError("beta must exceed 2/(1 - cos theta_star) for two genres")
-    theta_g = _theta_genre(theta_star, beta)
-    c1 = math.sin(theta_star) * math.cos(theta_g) / math.sin(theta_star - theta_g)
-    c2 = math.cos(theta_star - theta_g) / math.cos(theta_g)
-    c3 = math.inf if c2 <= _DEGENERATE_C2 else c1 * c2 ** (-beta)
-    return InfiniteTwoGenre(
-        theta_star=theta_star,
-        beta=beta,
-        theta_g=theta_g,
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        plane=plane,
-    )
 
 
 def _finite_p_phi(t, p: int):

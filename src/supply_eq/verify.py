@@ -2,16 +2,16 @@
 
 Checks a constructed distribution the way a skeptical producer would: price
 every deviation on a grid against the opponents' exact per-user value CDFs,
-and compare against the analytic profit.  A deviation wins a user when it
-beats all P-1 opponents, ties included, so the gap is the win-all-ties upper
-bracket.  A Monte Carlo simulation of the equilibrium's own profit and its
+and compare against the family's analytic ``profit``.  A deviation wins a
+user when it beats all P-1 opponents, ties included, so the gap is the
+win-all-ties upper bracket.  A Monte Carlo simulation of the equilibrium's own profit and its
 genre count stay as the independent cross-check.  The deviation grid is
 scored and the Monte Carlo rounds are drawn in blocks of about _BLOCK user
 scores, so memory grows with neither the sample count nor the grid's radii.
 The empirical marginals (sorted sampled values) remain as a test oracle for
 the exact CDFs.  What differs between equilibrium families (the value CDFs,
 the analytic profit, the first-order terms, the deviation directions) lives
-on the family classes in ``closedform``.
+on the family classes in ``closedform`` and is read from them directly.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .closedform import eq_sample, eq_sample_blocks
 from .geometry import CostSpec, UserSet, cost, induced_cost_grad
-from .optimize import OptimizerConfig, minmax_alignment
+from .optimize import minmax_alignment
 
 __all__ = [
     "EmpiricalMarginals",
@@ -31,7 +31,6 @@ __all__ = [
     "empirical_marginals",
     "deviation_profit",
     "best_response_gap",
-    "equilibrium_profit",
     "positive_profit_condition",
     "foc_residual",
     "genre_count",
@@ -102,16 +101,7 @@ def deviation_profit(p, marg: EmpiricalMarginals, users: UserSet, spec: CostSpec
     return lo, hi
 
 
-def equilibrium_profit(dist, users, spec, producers) -> float:
-    """Analytic expected profit per producer: users-won share minus cost.
-
-    Exact closed forms per family; the only quadrature is the finite-P curve
-    priced under an exponent other than its native 2.
-    """
-    return dist.profit(users.n_users, spec, producers)
-
-
-def positive_profit_condition(users, spec, producers, cfg=None):
+def positive_profit_condition(users, spec, producers):
     """(flag, Q, threshold): profit is forced positive when Q < N^(-P/beta).
 
     Q is the attained lower end of the alignment solve's certified bracket
@@ -121,7 +111,7 @@ def positive_profit_condition(users, spec, producers, cfg=None):
     as positive: on basis2 at beta = 4, Q and the threshold are both
     2^(-1/2), and the p2 equilibrium there earns 0.5.
     """
-    res = minmax_alignment(users, spec, cfg or OptimizerConfig())
+    res = minmax_alignment(users, spec)
     threshold = users.n_users ** (-producers / spec.beta)
     flag = None
     if res.value + res.kkt_residual <= threshold * (1.0 + _TIE):
@@ -181,7 +171,6 @@ def best_response_gap(
     n_samples=100000,
     grid=(200, 200),
     seed=0,
-    cfg=None,
 ) -> VerifyReport:
     """Grid-search deviations against the exact opponent marginals; full report.
 
@@ -194,7 +183,7 @@ def best_response_gap(
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
-    eq_profit = equilibrium_profit(dist, users, spec, producers)
+    eq_profit = dist.profit(users.n_users, spec, producers)
 
     n_angles, n_radii = grid
     radii = np.linspace(0.0, users.n_users ** (1.0 / spec.beta), n_radii)
@@ -218,7 +207,7 @@ def best_response_gap(
         foc = foc_residual(dist, spec)
     except ValueError:
         foc = None
-    flag, qval, qthr = positive_profit_condition(users, spec, producers, cfg)
+    flag, qval, qthr = positive_profit_condition(users, spec, producers)
     return VerifyReport(
         eq_profit=eq_profit,
         eq_profit_mc=mc,

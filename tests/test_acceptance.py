@@ -13,13 +13,12 @@ import numpy as np
 import scipy.stats as sp_stats
 
 from supply_eq.closedform import (
+    FinitePCurve,
+    InfiniteTwoGenre,
     OnePopulation,
+    QuarterCircle,
     eq_cdf_quality,
     eq_sample,
-    make_finite_p_curve,
-    make_infinite_two_genre,
-    make_one_population,
-    make_p2_quarter_circle,
 )
 from supply_eq.geometry import (
     CostSpec,
@@ -38,11 +37,7 @@ from supply_eq.threshold import (
     max_condition_holds,
     threshold_report,
 )
-from supply_eq.verify import (
-    best_response_gap,
-    equilibrium_profit,
-    positive_profit_condition,
-)
+from supply_eq.verify import best_response_gap, positive_profit_condition
 
 SPEC2 = CostSpec(q=2.0, beta=2.0)
 
@@ -116,7 +111,7 @@ def test_criterion_05_quarter_circle_verification():
     users = basis_pair()
     checks = {}
     for beta in (2.0, 4.0, 8.0):
-        dist = make_p2_quarter_circle(beta)
+        dist = QuarterCircle(beta)
         start = time.perf_counter()
         rep = best_response_gap(
             dist, users, CostSpec(q=2.0, beta=beta), 2,
@@ -132,13 +127,13 @@ def test_criterion_05_quarter_circle_verification():
 def test_criterion_06_finite_p_curve_laws():
     checks = {}
     for producers in (2, 3, 4):
-        pts = eq_sample(make_finite_p_curve(producers), 100_000, seed=producers)
+        pts = eq_sample(FinitePCurve(producers), 100_000, seed=producers)
         expo = 2.0 / (producers - 1)
         stat = sp_stats.kstest(
             pts[:, 0], lambda x, e=expo: np.minimum(1.0, np.clip(x, 0.0, None) ** e)
         ).statistic
         checks[f"ks_p{producers}"] = stat < 0.02
-    segment = eq_sample(make_finite_p_curve(3), 20_000, seed=0)
+    segment = eq_sample(FinitePCurve(3), 20_000, seed=0)
     checks["segment_p3"] = float(np.max(np.abs(segment.sum(axis=1) - 1.0))) < 1e-12
     verdict(6, checks)
 
@@ -149,7 +144,7 @@ def test_criterion_07_infinite_two_genre_cdf():
         plane = two_user_plane(
             np.array([1.0, 0.0]), np.array([math.cos(theta_star), math.sin(theta_star)])
         )
-        dist = make_infinite_two_genre(plane, beta)
+        dist = InfiniteTwoGenre(plane, beta)
         tag = f"t{theta_star:.2f}_b{beta:g}"
 
         jump = 0.0
@@ -181,7 +176,7 @@ def test_criterion_07_infinite_two_genre_cdf():
         )
         checks[f"foc_{tag}"] = abs(slope) < 1e-10
 
-    orth = make_infinite_two_genre(
+    orth = InfiniteTwoGenre(
         two_user_plane(np.array([1.0, 0.0]), np.array([0.0, 1.0])), 7.0
     )
     worst = max(
@@ -196,22 +191,15 @@ def test_criterion_08_profit_dichotomy():
     users = basis_pair()
     e1 = UserSet(np.array([[1.0, 0.0]]))
     users4 = UserSet(np.tile(np.array([[0.6, 0.8]]), (4, 1)))
-    dist4 = make_one_population(np.array([0.6, 0.8]), 4, CostSpec(q=2.0, beta=3.0), 5)
+    dist1 = OnePopulation(np.array([1.0, 0.0]), 1, 2.0, 2)
+    dist4 = OnePopulation(np.array([0.6, 0.8]), 4, 3.0, 5)
     checks = {
-        "onepop_zero": equilibrium_profit(
-            OnePopulation(np.array([1.0, 0.0]), 1, 2.0, 2), e1, SPEC2, 2
-        ) == 0.0,
-        "onepop_n4_zero": equilibrium_profit(
-            dist4, users4, CostSpec(q=2.0, beta=3.0), 5
-        ) == 0.0,
-        "quarter_circle_beta2_zero": equilibrium_profit(
-            make_p2_quarter_circle(2.0), users, SPEC2, 2
-        ) == 0.0,
+        "onepop_zero": dist1.profit(e1.n_users, SPEC2, 2) == 0.0,
+        "onepop_n4_zero": dist4.profit(users4.n_users, CostSpec(q=2.0, beta=3.0), 5) == 0.0,
+        "quarter_circle_beta2_zero": QuarterCircle(2.0).profit(users.n_users, SPEC2, 2) == 0.0,
     }
     for beta in (4.0, 8.0):
-        got = equilibrium_profit(
-            make_p2_quarter_circle(beta), users, CostSpec(q=2.0, beta=beta), 2
-        )
+        got = QuarterCircle(beta).profit(users.n_users, CostSpec(q=2.0, beta=beta), 2)
         checks[f"quarter_circle_beta{beta:g}_positive"] = got > 0.0
         checks[f"quarter_circle_beta{beta:g}_value"] = abs(got - (1.0 - 2.0 / beta)) <= 1e-15
     flag8, _, _ = positive_profit_condition(users, CostSpec(q=2.0, beta=8.0), 2)

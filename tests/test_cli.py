@@ -8,7 +8,7 @@ import pytest
 
 import supply_eq.cli as cli
 from supply_eq.cli import run
-from supply_eq.closedform import eq_sample, make_finite_p_curve, make_p2_quarter_circle
+from supply_eq.closedform import FinitePCurve, OnePopulation, QuarterCircle, eq_sample
 from supply_eq.optimize import OptResult
 from supply_eq.threshold import ConditionProbe, ThresholdReport
 
@@ -53,6 +53,17 @@ def test_eq_onepop_cdf_example(capsys):
     assert lines[0] == "quality,cdf"
     assert len(lines) == 12
     assert "0.5,0.25" in lines
+
+
+def test_eq_onepop_default_user_direction_has_unit_cost(capsys):
+    # With no --users the lone user sits at e1; its direction costs 1 under
+    # --alpha, so the samples are those of the unit-cost ray (1/2, 0).
+    argv = ["eq", "--variant", "onepop", "--alpha", "2,1", "--beta", "2", "--n", "50"]
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    want = eq_sample(OnePopulation(np.array([0.5, 0.0]), 1, 2.0, 2), 50, 0)
+    assert np.array_equal(got, want)
 
 
 def test_output_bytes_deterministic(capsys):
@@ -283,6 +294,8 @@ def test_exit_usage_below_threshold_infinite(capsys):
     (["--variant", "infinite", "--users", "basis2", "--theta", "0.3", "--beta", "8"], "--theta"),
     (["--variant", "onepop", "--beta", "2", "--theta", "0.3"], "--theta"),
     (["--variant", "p2", "--beta", "4", "--n-users", "7"], "--n-users"),
+    (["--variant", "infinite", "--theta", "1", "--beta", "8", "--producers", "5"], "--producers"),
+    (["--variant", "p2", "--beta", "4", "--samples-out", "x.csv"], "--samples-out"),
 ])
 def test_exit_usage_eq_option_the_variant_ignores(capsys, argv, option):
     assert run(["eq", *argv, "--cdf-grid", "2"]) == 2
@@ -296,12 +309,14 @@ def test_exit_usage_nothing_to_emit(capsys):
 
 
 @pytest.mark.parametrize("counts", [["--n", "-5", "--cdf-grid", "3"],
-                                    ["--n", "2", "--cdf-grid", "-4"]])
+                                    ["--n", "2", "--cdf-grid", "-4"],
+                                    ["--n-users", "0", "--cdf-grid", "3"]])
 def test_exit_usage_negative_eq_count(capsys, counts):
     assert run(["eq", "--variant", "onepop", *counts]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert ">= 0" in captured.err
+    # A population counts users, so its floor is 1.
+    assert ("n_users must be >= 1" if "--n-users" in counts else ">= 0") in captured.err
 
 
 def _csv_per_value(head, rows):
@@ -311,8 +326,8 @@ def _csv_per_value(head, rows):
 
 
 @pytest.mark.parametrize("variant_args, make", [
-    (["--variant", "p2", "--beta", "4"], lambda: make_p2_quarter_circle(4.0)),
-    (["--variant", "finitep", "--producers", "4"], lambda: make_finite_p_curve(4)),
+    (["--variant", "p2", "--beta", "4"], lambda: QuarterCircle(4.0)),
+    (["--variant", "finitep", "--producers", "4"], lambda: FinitePCurve(4)),
 ])
 def test_eq_table_bytes_match_per_value_format(capsys, tmp_path, variant_args, make):
     # 10,001 sample rows cross two boundaries of the CLI's 4,096-row blocks.

@@ -22,10 +22,6 @@ from supply_eq.closedform import (
     eq_cdf_quality,
     eq_sample,
     eq_sample_blocks,
-    make_finite_p_curve,
-    make_infinite_two_genre,
-    make_one_population,
-    make_p2_quarter_circle,
 )
 from supply_eq.geometry import (
     CostSpec,
@@ -78,11 +74,6 @@ def test_one_population_sampling_ks():
     assert stat < 0.02
 
 
-def test_make_one_population_normalizes():
-    dist = make_one_population(np.array([3.0, 4.0]), 1, CostSpec(q=2.0, beta=2.0), 2)
-    assert np.allclose(dist.direction, [0.6, 0.8], atol=1e-12)
-
-
 def test_one_population_validation():
     with pytest.raises(ValueError):
         OnePopulation(np.array([0.0, 0.0]), 1, 2.0, 2)
@@ -94,7 +85,7 @@ def test_one_population_validation():
 
 @pytest.mark.parametrize("beta", [2.0, 4.0, 8.0])
 def test_quarter_circle_radius_and_samples(beta):
-    dist = make_p2_quarter_circle(beta)
+    dist = QuarterCircle(beta)
     assert dist.radius == pytest.approx((2.0 / beta) ** (1.0 / beta), rel=1e-15)
     pts = eq_sample(dist, 5000, seed=1)
     norms = np.linalg.norm(pts, axis=1)
@@ -103,7 +94,7 @@ def test_quarter_circle_radius_and_samples(beta):
 
 
 def test_quarter_circle_angle_law_ks():
-    dist = make_p2_quarter_circle(4.0)
+    dist = QuarterCircle(4.0)
     pts = eq_sample(dist, 20000, seed=2)
     angles = np.arctan2(pts[:, 1], pts[:, 0])
     stat = scipy.stats.kstest(angles, lambda t: np.sin(np.clip(t, 0, math.pi / 2)) ** 2).statistic
@@ -114,7 +105,7 @@ def test_quarter_circle_draw_matches_the_arcsin_form():
     # cos and sin of arcsin(sqrt(u)) are drawn as sqrt(1 - u) and sqrt(u).  The
     # two forms agree to a few ulps of the radius, except where the arcsin form
     # loses digits itself: its cosine near u = 1, by up to eps / sqrt(1 - u).
-    dist = make_p2_quarter_circle(4.0)
+    dist = QuarterCircle(4.0)
     u = np.random.default_rng(8).random(100000)
     pts = dist.draw(np.random.default_rng(8), 100000)
     theta = np.arcsin(np.sqrt(u))
@@ -132,7 +123,7 @@ def test_quarter_circle_draw_matches_the_arcsin_form():
 
 
 def test_quarter_circle_angle_cdf_values():
-    dist = make_p2_quarter_circle(2.0)
+    dist = QuarterCircle(2.0)
     assert dist.cdf_point(0.0) == 0.0
     assert dist.cdf_point(math.pi / 4) == pytest.approx(0.5, abs=1e-12)
     assert dist.cdf_point(math.pi / 2) == 1.0
@@ -146,14 +137,14 @@ def test_quarter_circle_requires_orthogonal_plane():
 
 
 def test_quarter_circle_quality_cdf_is_step():
-    dist = make_p2_quarter_circle(4.0)
+    dist = QuarterCircle(4.0)
     assert eq_cdf_quality(dist, dist.radius * 0.999) == 0.0
     assert eq_cdf_quality(dist, dist.radius) == 1.0
 
 
 @pytest.mark.parametrize("producers", [2, 3, 4])
 def test_finite_p_x_law_ks(producers):
-    dist = make_finite_p_curve(producers)
+    dist = FinitePCurve(producers)
     pts = eq_sample(dist, 20000, seed=2)
     stat = scipy.stats.kstest(
         pts[:, 0], lambda x: np.minimum(1.0, np.maximum(x, 0.0) ** (2.0 / (producers - 1)))
@@ -163,25 +154,25 @@ def test_finite_p_x_law_ks(producers):
 
 def test_finite_p_example_value():
     # P = 2: the curve is the unit quarter circle, x-CDF(x) = x^2.
-    dist = make_finite_p_curve(2)
+    dist = FinitePCurve(2)
     assert dist.cdf_point(0.5) == pytest.approx(0.25, abs=1e-15)
     assert dist.cdf_point(0.25) == pytest.approx(0.0625, abs=1e-15)
 
 
 def test_finite_p_three_is_line_segment():
-    dist = make_finite_p_curve(3)
+    dist = FinitePCurve(3)
     pts = eq_sample(dist, 5000, seed=3)
     assert float(np.abs(pts.sum(axis=1) - 1.0).max()) < 1e-12
 
 
 def test_finite_p_two_is_unit_circle():
-    dist = make_finite_p_curve(2)
+    dist = FinitePCurve(2)
     pts = eq_sample(dist, 5000, seed=4)
     assert float(np.abs(np.linalg.norm(pts, axis=1) - 1.0).max()) < 1e-12
 
 
 def test_finite_p_quality_cdf_against_monte_carlo():
-    dist = make_finite_p_curve(3)
+    dist = FinitePCurve(3)
     rng = np.random.default_rng(6)
     t = rng.random(200000)
     phi = t**2 + (1 - t) ** 2
@@ -191,24 +182,24 @@ def test_finite_p_quality_cdf_against_monte_carlo():
 
 
 def test_finite_p_quality_cdf_edges():
-    dist = make_finite_p_curve(4)
+    dist = FinitePCurve(4)
     assert eq_cdf_quality(dist, 1.0) == 1.0
     assert eq_cdf_quality(dist, 2.0 ** ((2 - 4) / 2.0) * 0.999) == 0.0
 
 
 def test_finite_p_beta_fixed():
-    assert make_finite_p_curve(3).beta == 2.0
+    assert FinitePCurve(3).beta == 2.0
 
 
 @pytest.mark.parametrize("theta_star,beta,theta_g", INFINITE_CASES)
 def test_infinite_genre_angle_frozen(theta_star, beta, theta_g):
-    dist = make_infinite_two_genre(_plane(theta_star), beta)
+    dist = InfiniteTwoGenre(_plane(theta_star), beta)
     assert dist.theta_g == pytest.approx(theta_g, abs=1e-8)
 
 
 @pytest.mark.parametrize("theta_star,beta,_", INFINITE_CASES)
 def test_infinite_genre_angle_grid_oracle(theta_star, beta, _):
-    dist = make_infinite_two_genre(_plane(theta_star), beta)
+    dist = InfiniteTwoGenre(_plane(theta_star), beta)
     grid = np.linspace(0.0, theta_star / 2, 1000001)
     vals = np.cos(grid) ** beta + np.cos(theta_star - grid) ** beta
     assert dist.theta_g == pytest.approx(float(grid[np.argmax(vals)]), abs=2e-6)
@@ -216,7 +207,7 @@ def test_infinite_genre_angle_grid_oracle(theta_star, beta, _):
 
 @pytest.mark.parametrize("theta_star,beta,_", INFINITE_CASES)
 def test_infinite_genre_foc_residual(theta_star, beta, _):
-    dist = make_infinite_two_genre(_plane(theta_star), beta)
+    dist = InfiniteTwoGenre(_plane(theta_star), beta)
     t = dist.theta_g
     slope = beta * (
         math.cos(theta_star - t) ** (beta - 1) * math.sin(theta_star - t)
@@ -230,7 +221,7 @@ def test_infinite_genre_angle_brackets_the_slope_root(ratio):
     # The genre angle sits on the slope's sign change, to within 1e-7, or at 0.
     for theta_star in np.linspace(0.01, math.pi / 2 - 1e-3, 60).tolist():
         beta = ratio * beta_star_two_user(theta_star)
-        t = make_infinite_two_genre(_plane(theta_star), beta).theta_g
+        t = InfiniteTwoGenre(_plane(theta_star), beta).theta_g
         if t != 0.0:
             assert _genre_slope(theta_star, beta, t - 1e-7) > 0.0, theta_star
             assert _genre_slope(theta_star, beta, t + 1e-7) < 0.0, theta_star
@@ -238,7 +229,7 @@ def test_infinite_genre_angle_brackets_the_slope_root(ratio):
 
 @pytest.mark.parametrize("theta_star,beta,_", INFINITE_CASES)
 def test_infinite_band_continuity(theta_star, beta, _):
-    dist = make_infinite_two_genre(_plane(theta_star), beta)
+    dist = InfiniteTwoGenre(_plane(theta_star), beta)
     top = dist.support_max
     for k in range(1, 12):
         edge = top * dist.c2**k
@@ -249,7 +240,7 @@ def test_infinite_band_continuity(theta_star, beta, _):
 
 @pytest.mark.parametrize("theta_star,beta,_", INFINITE_CASES)
 def test_infinite_product_identity(theta_star, beta, _):
-    dist = make_infinite_two_genre(_plane(theta_star), beta)
+    dist = InfiniteTwoGenre(_plane(theta_star), beta)
     qs = np.linspace(dist.support_max * dist.c2**6, dist.support_max, 1000)
     for q in qs:
         lhs = math.sqrt(eq_cdf_quality(dist, float(q)) * eq_cdf_quality(dist, float(q) * dist.c2))
@@ -258,7 +249,7 @@ def test_infinite_product_identity(theta_star, beta, _):
 
 
 def test_infinite_orthogonal_limit_exact():
-    dist = make_infinite_two_genre(_plane(math.pi / 2), 7.0)
+    dist = InfiniteTwoGenre(_plane(math.pi / 2), 7.0)
     assert dist.theta_g == 0.0
     assert dist.c1 == 1.0
     assert dist.c3 == math.inf
@@ -270,11 +261,11 @@ def test_infinite_orthogonal_limit_exact():
 def test_infinite_requires_beta_above_threshold():
     theta = math.pi / 3
     with pytest.raises(ValueError):
-        make_infinite_two_genre(_plane(theta), beta_star_two_user(theta))
+        InfiniteTwoGenre(_plane(theta), beta_star_two_user(theta))
 
 
 def test_infinite_genre_directions():
-    dist = make_infinite_two_genre(_plane(math.pi / 3), 7.0)
+    dist = InfiniteTwoGenre(_plane(math.pi / 3), 7.0)
     dirs = dist.genre_directions()
     assert dirs.shape == (2, 2)
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
@@ -285,7 +276,7 @@ def test_infinite_genre_directions():
 
 
 def test_infinite_sampler_two_genres_and_law():
-    dist = make_infinite_two_genre(_plane(1.2), 7.0)
+    dist = InfiniteTwoGenre(_plane(1.2), 7.0)
     pts = eq_sample(dist, 20000, seed=5)
     angles = np.round(np.arctan2(pts[:, 1], pts[:, 0]), 9)
     assert len(np.unique(angles)) == 2
@@ -298,7 +289,7 @@ def test_infinite_sampler_two_genres_and_law():
 
 def test_infinite_sampler_avoids_flat_bands():
     # Flat (odd) bands carry no mass; every draw must land on a power piece.
-    dist = make_infinite_two_genre(_plane(math.pi / 3), 7.0)
+    dist = InfiniteTwoGenre(_plane(math.pi / 3), 7.0)
     quality = np.linalg.norm(eq_sample(dist, 20000, seed=6), axis=1)
     k = np.floor(np.log(quality / dist.support_max) / math.log(dist.c2)).astype(int)
     assert np.all(k % 2 == 0)
@@ -311,7 +302,7 @@ def test_infinite_sampler_avoids_flat_bands():
 )
 def test_infinite_cdf_monotone_property(theta_star, beta_factor):
     beta = beta_factor * beta_star_two_user(theta_star) + 0.1
-    dist = make_infinite_two_genre(_plane(theta_star), beta)
+    dist = InfiniteTwoGenre(_plane(theta_star), beta)
     qs = np.linspace(0.0, dist.support_max * 1.1, 300)
     fs = [eq_cdf_quality(dist, float(q)) for q in qs]
     assert all(b >= a - 1e-15 for a, b in zip(fs, fs[1:]))
@@ -320,7 +311,7 @@ def test_infinite_cdf_monotone_property(theta_star, beta_factor):
 
 
 def test_eq_sample_determinism_and_validation():
-    dist = make_p2_quarter_circle(4.0)
+    dist = QuarterCircle(4.0)
     a = eq_sample(dist, 100, seed=7)
     b = eq_sample(dist, 100, seed=7)
     assert np.all(a == b)
@@ -353,13 +344,13 @@ PLANE_4D_60 = two_user_plane(np.array([_S, _S, 0.0, 0.0]), np.array([_S, 0.0, _S
 BLOCK_DISTS = {
     "onepop-2d": OnePopulation(np.array([0.6, 0.8]), 3, 2.5, 3),
     "onepop-5d": OnePopulation(np.array([0.1, 0.2, 0.3, 0.4, 0.5]) / math.sqrt(0.55), 30, 3.0, 2),
-    "p2-2d": make_p2_quarter_circle(4.0),
+    "p2-2d": QuarterCircle(4.0),
     "p2-4d": QuarterCircle(beta=3.0, plane=PLANE_4D),
-    "finitep-2d": make_finite_p_curve(4),
+    "finitep-2d": FinitePCurve(4),
     "finitep-4d": FinitePCurve(producers=3, plane=PLANE_4D),
-    "infinite-2d": make_infinite_two_genre(_plane(1.0), 8.0),
-    "infinite-orthogonal": make_infinite_two_genre(_plane(math.pi / 2), 5.0),
-    "infinite-4d": make_infinite_two_genre(PLANE_4D_60, 6.0),
+    "infinite-2d": InfiniteTwoGenre(_plane(1.0), 8.0),
+    "infinite-orthogonal": InfiniteTwoGenre(_plane(math.pi / 2), 5.0),
+    "infinite-4d": InfiniteTwoGenre(PLANE_4D_60, 6.0),
 }
 
 
@@ -376,7 +367,7 @@ def test_eq_sample_blocks_match_unblocked_draw_bitwise(dist):
 
 
 def test_eq_sample_blocks_validation():
-    dist = make_p2_quarter_circle(4.0)
+    dist = QuarterCircle(4.0)
     with pytest.raises(ValueError):
         eq_sample_blocks(dist, 0, 1, 10)
     with pytest.raises(ValueError):
@@ -413,8 +404,8 @@ def test_onepop_deviation_dirs_beyond_the_plane(n_angles, expected):
 
 
 @pytest.mark.parametrize("dist, users", [
-    (make_p2_quarter_circle(4.0), UserSet(np.eye(2))),
-    (make_finite_p_curve(3), UserSet(np.eye(2))),
+    (QuarterCircle(4.0), UserSet(np.eye(2))),
+    (FinitePCurve(3), UserSet(np.eye(2))),
     (FinitePCurve(producers=4, plane=PLANE_4D), UserSet(np.array([[_S, _S, 0, 0], [0, 0, _S, _S]]))),
 ], ids=["p2", "finitep", "finitep-4d"])
 def test_planar_value_cdf_is_the_coordinate_law(dist, users):
@@ -429,7 +420,7 @@ def test_planar_value_cdf_is_the_coordinate_law(dist, users):
 
 
 def test_planar_value_cdf_needs_the_plane_users():
-    dist = make_p2_quarter_circle(4.0)
+    dist = QuarterCircle(4.0)
     for users in (UserSet(np.array([[1.0, 0.0], [0.6, 0.8]])), UserSet(np.eye(2)[[1, 0]]),
                   UserSet(np.ones((3, 2)))):
         with pytest.raises(ValueError):

@@ -10,12 +10,9 @@ import supply_eq.verify as verify_mod
 from supply_eq.closedform import (
     FinitePCurve,
     OnePopulation,
+    InfiniteTwoGenre,
     QuarterCircle,
     eq_sample,
-    make_finite_p_curve,
-    make_infinite_two_genre,
-    make_one_population,
-    make_p2_quarter_circle,
 )
 from supply_eq.geometry import CostSpec, UserSet, angle_pair, cost, two_user_plane
 from supply_eq.optimize import OptResult, nsw_direction
@@ -23,7 +20,6 @@ from supply_eq.verify import (
     best_response_gap,
     deviation_profit,
     empirical_marginals,
-    equilibrium_profit,
     foc_residual,
     genre_count,
     positive_profit_condition,
@@ -45,7 +41,7 @@ def test_empirical_marginals_match_analytic_h():
 
 
 def test_win_probability_weak_dominates_strict():
-    dist = make_p2_quarter_circle(4.0)
+    dist = QuarterCircle(4.0)
     marg = empirical_marginals(dist, BASIS2, 2, 5000, seed=1)
     zs = np.abs(np.random.default_rng(2).standard_normal((50, 2)))
     weak = marg.win_probability(zs, weak=True)
@@ -54,7 +50,7 @@ def test_win_probability_weak_dominates_strict():
 
 
 def test_empirical_marginals_sample_floor():
-    dist = make_p2_quarter_circle(4.0)
+    dist = QuarterCircle(4.0)
     with pytest.raises(ValueError):
         empirical_marginals(dist, BASIS2, 2, 999, seed=0)
 
@@ -71,33 +67,33 @@ def test_deviation_profit_brackets_zero_on_support():
 
 def test_equilibrium_profit_zero_for_single_genre():
     dist = OnePopulation(np.array([1.0, 0.0]), 1, 2.0, 2)
-    assert equilibrium_profit(dist, E1_USER, SPEC2, 2) == 0.0
+    assert dist.profit(E1_USER.n_users, SPEC2, 2) == 0.0
     users4 = UserSet(np.tile(np.array([[0.6, 0.8]]), (4, 1)))
-    dist4 = make_one_population(np.array([0.6, 0.8]), 4, CostSpec(q=2.0, beta=3.0), 5)
-    assert equilibrium_profit(dist4, users4, CostSpec(q=2.0, beta=3.0), 5) == 0.0
+    dist4 = OnePopulation(np.array([0.6, 0.8]), 4, 3.0, 5)
+    assert dist4.profit(users4.n_users, CostSpec(q=2.0, beta=3.0), 5) == 0.0
 
 
 def test_equilibrium_profit_quarter_circle():
     spec4 = CostSpec(q=2.0, beta=4.0)
-    dist = make_p2_quarter_circle(4.0)
-    assert equilibrium_profit(dist, BASIS2, spec4, 2) == pytest.approx(0.5, abs=1e-15)
+    dist = QuarterCircle(4.0)
+    assert dist.profit(BASIS2.n_users, spec4, 2) == pytest.approx(0.5, abs=1e-15)
     spec8 = CostSpec(q=2.0, beta=8.0)
-    dist8 = make_p2_quarter_circle(8.0)
-    assert equilibrium_profit(dist8, BASIS2, spec8, 2) == pytest.approx(0.75, abs=1e-15)
+    dist8 = QuarterCircle(8.0)
+    assert dist8.profit(BASIS2.n_users, spec8, 2) == pytest.approx(0.75, abs=1e-15)
     # beta = 2 sits exactly at the threshold: no profit.
-    assert equilibrium_profit(make_p2_quarter_circle(2.0), BASIS2, SPEC2, 2) == 0.0
+    assert QuarterCircle(2.0).profit(BASIS2.n_users, SPEC2, 2) == 0.0
 
 
 def test_equilibrium_profit_finite_p_curve():
-    dist = make_finite_p_curve(3)
+    dist = FinitePCurve(3)
     users = angle_pair(math.pi / 2)
-    assert equilibrium_profit(dist, users, SPEC2, 3) == 0.0
+    assert dist.profit(users.n_users, SPEC2, 3) == 0.0
 
 
 def test_equilibrium_profit_mismatched_exponent():
     # Distribution built for beta 3 but priced at beta 2 loses money.
     dist = OnePopulation(np.array([1.0, 0.0]), 1, 3.0, 2)
-    got = equilibrium_profit(dist, E1_USER, SPEC2, 2)
+    got = dist.profit(E1_USER.n_users, SPEC2, 2)
     assert got == pytest.approx(0.5 - 3.0 / 5.0, abs=1e-15)
     assert got < 0
 
@@ -105,16 +101,16 @@ def test_equilibrium_profit_mismatched_exponent():
 def test_equilibrium_profit_mismatch_two_homogeneous_users():
     users = UserSet(np.array([[1.0, 0.0], [1.0, 0.0]]))
     dist = OnePopulation(np.array([1.0, 0.0]), 2, 3.0, 2)
-    got = equilibrium_profit(dist, users, SPEC2, 2)
+    got = dist.profit(users.n_users, SPEC2, 2)
     assert got == pytest.approx(1.0 - 2.0 ** (2.0 / 3.0) * 3.0 / 5.0, abs=1e-14)
 
 
 def test_equilibrium_profit_consistency_checks():
     dist = OnePopulation(np.array([1.0, 0.0]), 1, 2.0, 2)
     with pytest.raises(ValueError):
-        equilibrium_profit(dist, E1_USER, SPEC2, 3)
+        dist.profit(E1_USER.n_users, SPEC2, 3)
     with pytest.raises(ValueError):
-        equilibrium_profit(dist, BASIS2, SPEC2, 2)
+        dist.profit(BASIS2.n_users, SPEC2, 2)
 
 
 def test_positive_profit_condition_flags():
@@ -151,14 +147,14 @@ def test_positive_profit_condition_bracket_rule(monkeypatch, lower, width, expec
 
 @pytest.mark.parametrize("beta", [2.0, 4.0, 8.0])
 def test_foc_residual_quarter_circle(beta):
-    dist = make_p2_quarter_circle(beta)
+    dist = QuarterCircle(beta)
     spec = CostSpec(q=2.0, beta=beta)
     assert foc_residual(dist, spec) < 1e-10
 
 
 @pytest.mark.parametrize("producers", [2, 3, 4])
 def test_foc_residual_finite_p(producers):
-    dist = make_finite_p_curve(producers)
+    dist = FinitePCurve(producers)
     assert foc_residual(dist, SPEC2) < 1e-10
 
 
@@ -171,15 +167,12 @@ def test_foc_residual_rejects_one_population():
 def test_genre_count_kinds():
     one = eq_sample(OnePopulation(np.array([1.0, 0.0]), 1, 2.0, 2), 2000, seed=0)
     assert genre_count(one) == 1
-    from supply_eq.closedform import make_infinite_two_genre
-    from supply_eq.geometry import two_user_plane
-
     plane = two_user_plane(*angle_pair(1.2).embeddings)
-    two = eq_sample(make_infinite_two_genre(plane, 7.0), 2000, seed=1)
+    two = eq_sample(InfiniteTwoGenre(plane, 7.0), 2000, seed=1)
     assert genre_count(two) == 2
-    cont = eq_sample(make_p2_quarter_circle(4.0), 2000, seed=2)
+    cont = eq_sample(QuarterCircle(4.0), 2000, seed=2)
     assert genre_count(cont) == "continuum"
-    curve = eq_sample(make_finite_p_curve(3), 2000, seed=3)
+    curve = eq_sample(FinitePCurve(3), 2000, seed=3)
     assert genre_count(curve) == "continuum"
 
 
@@ -190,7 +183,7 @@ def test_genre_count_needs_samples():
 
 def test_best_response_gap_report_quarter_circle():
     spec = CostSpec(q=2.0, beta=4.0)
-    dist = make_p2_quarter_circle(4.0)
+    dist = QuarterCircle(4.0)
     rep = best_response_gap(dist, BASIS2, spec, 2, n_samples=20000, grid=(80, 80), seed=0)
     assert rep.eq_profit == pytest.approx(0.5, abs=1e-12)
     assert rep.best_response_gap <= 0.05
@@ -264,7 +257,7 @@ def _reference_genre_count(samples, angle_tol=1e-3):
 
 @pytest.mark.parametrize("dist, users", [
     (ONEPOP_30X5, USERS_30X5),
-    (make_p2_quarter_circle(4.0), BASIS2),
+    (QuarterCircle(4.0), BASIS2),
 ], ids=["onepop-30x5", "p2"])
 def test_empirical_marginals_blocks_bitwise(monkeypatch, dist, users):
     monkeypatch.setattr(verify_mod, "_BLOCK", RAGGED)
@@ -275,7 +268,7 @@ def test_empirical_marginals_blocks_bitwise(monkeypatch, dist, users):
 @pytest.mark.parametrize("producers", [2, 3, 4])
 def test_mc_profit_blocks_bitwise(monkeypatch, producers):
     monkeypatch.setattr(verify_mod, "_BLOCK", RAGGED)
-    dist = make_finite_p_curve(producers)
+    dist = FinitePCurve(producers)
     got = verify_mod._mc_profit(dist, BASIS2, SPEC2, producers, 10000, [2, 1])
     assert got == _reference_mc_profit(dist, BASIS2, SPEC2, producers, 10000, [2, 1])
     spec = CostSpec(q=3.0, beta=3.0)
@@ -297,7 +290,7 @@ def test_first_wins_counts_ties_like_argmax():
 
 
 def test_best_response_gap_report_independent_of_block_bitwise(monkeypatch):
-    dist = make_finite_p_curve(3)
+    dist = FinitePCurve(3)
     args = (dist, BASIS2, SPEC2, 3)
     kw = dict(n_samples=9000, grid=(70, 90), seed=4)
     full = best_response_gap(*args, **kw)
@@ -330,9 +323,9 @@ def _genre_inputs():
     clusters = centers[rng.integers(0, 3, 3000)] * (1.0 + 1e-6 * rng.random((3000, 1)))
     return {
         "single-ray": eq_sample(OnePopulation(np.array([0.6, 0.8]), 3, 2.0, 2), 20000, 0),
-        "two-genre": eq_sample(make_infinite_two_genre(two_user_plane(*angle_pair(1.0).embeddings), 7.0), 20000, 1),
-        "continuum-p2": eq_sample(make_p2_quarter_circle(4.0), 20000, 2),
-        "continuum-finitep": eq_sample(make_finite_p_curve(3), 20000, 3),
+        "two-genre": eq_sample(InfiniteTwoGenre(two_user_plane(*angle_pair(1.0).embeddings), 7.0), 20000, 1),
+        "continuum-p2": eq_sample(QuarterCircle(4.0), 20000, 2),
+        "continuum-finitep": eq_sample(FinitePCurve(3), 20000, 3),
         "5d-clusters": clusters,
         "5d-continuum": rng.random((2000, 5)),
         "ulp-of-cos-tol": _near_tolerance_directions(rng, 2000),
@@ -360,10 +353,10 @@ DKW_1E6 = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * 1e6))
 _USERS_4D = UserSet(np.array([[0.6, 0.0, 0.8, 0.0], [0.0, 1.5, 0.0, 0.0]]))
 _PLANE_4D = two_user_plane(*_USERS_4D.embeddings)
 EXACT_CASES = {
-    "p2-beta4": (make_p2_quarter_circle(4.0), BASIS2),
-    "finitep-P2": (make_finite_p_curve(2), BASIS2),
-    "finitep-P3": (make_finite_p_curve(3), BASIS2),
-    "finitep-P4": (make_finite_p_curve(4), BASIS2),
+    "p2-beta4": (QuarterCircle(4.0), BASIS2),
+    "finitep-P2": (FinitePCurve(2), BASIS2),
+    "finitep-P3": (FinitePCurve(3), BASIS2),
+    "finitep-P4": (FinitePCurve(4), BASIS2),
     "onepop-basis2": (OnePopulation(np.full(2, 2.0**-0.5), 2, 3.0, 3), BASIS2),
     "onepop-30x5": (ONEPOP_30X5, USERS_30X5),
     "p2-4d-plane": (QuarterCircle(beta=4.0, plane=_PLANE_4D), _USERS_4D),
@@ -437,9 +430,9 @@ def test_onepop_gap_beyond_the_plane_crosses():
 @pytest.mark.parametrize("case", ["p2", "finitep", "onepop"])
 def test_planar_gap_independent_of_seed_bitwise(case):
     if case == "p2":
-        args = (make_p2_quarter_circle(4.0), BASIS2, CostSpec(q=2.0, beta=4.0), 2)
+        args = (QuarterCircle(4.0), BASIS2, CostSpec(q=2.0, beta=4.0), 2)
     elif case == "finitep":
-        args = (make_finite_p_curve(3), BASIS2, SPEC2, 3)
+        args = (FinitePCurve(3), BASIS2, SPEC2, 3)
     else:
         dist, spec = _onepop_nsw(angle_pair(1.0), 8.0)
         args = (dist, angle_pair(1.0), spec, 2)
@@ -466,6 +459,6 @@ def test_grid_blocks_keep_the_first_maximum(monkeypatch):
     # x*x - x*x = 0 exactly, so the maximum ties across one-radius blocks;
     # the first one, at radius 0, wins as np.argmax over the whole grid would.
     monkeypatch.setattr(verify_mod, "_BLOCK", 1)
-    rep = best_response_gap(make_finite_p_curve(3), BASIS2, SPEC2, 3, n_samples=1000, grid=(2, 50))
+    rep = best_response_gap(FinitePCurve(3), BASIS2, SPEC2, 3, n_samples=1000, grid=(2, 50))
     assert rep.best_response_gap == 0.0
     assert np.array_equal(rep.gap_argmax, [0.0, 0.0])
