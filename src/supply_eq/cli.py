@@ -347,17 +347,24 @@ def _parse_alpha(raw: str | None) -> np.ndarray | None:
     return np.array([float(tok) for tok in raw.split(",")])
 
 
-def _spec(ns) -> CostSpec:
+def _spec(ns, users: UserSet | None) -> CostSpec:
+    """The cost spec of the flags, its --alpha checked against the users' dimension.
+
+    users is None only for the planar eq variants without --users or --theta,
+    which take no weights at all.
+    """
+    alpha = _parse_alpha(ns.alpha)
+    if alpha is not None and users is not None and len(alpha) != users.dim:
+        raise ValueError(f"--alpha gives {len(alpha)} weights, but the users have "
+                         f"dimension {users.dim}")
     beta = getattr(ns, "beta", None)  # nsw does not depend on beta; threshold searches it
-    return CostSpec(q=ns.q, beta=2.0 if beta is None else beta, alpha=_parse_alpha(ns.alpha))
+    return CostSpec(q=ns.q, beta=2.0 if beta is None else beta, alpha=alpha)
 
 
 def _build_dist(ns, users, spec, n_users=None):
     """Distribution for the chosen variant plus an optimizer-converged flag."""
     producers = 2 if ns.producers is None else ns.producers
     if ns.variant == "onepop":
-        if users is None:
-            users = UserSet(np.array([[1.0, 0.0]]))
         n_users = users.n_users if n_users is None else n_users
         res = nsw_direction(users, spec)
         dist = OnePopulation(
@@ -386,7 +393,7 @@ def _build_dist(ns, users, spec, n_users=None):
 
 def _cmd_nsw(ns) -> int:
     users = _parse_users(ns.users)
-    spec = _spec(ns)
+    spec = _spec(ns, users)
     res = nsw_direction(users, spec)
     report = {
         "direction": res.point,
@@ -402,7 +409,7 @@ def _cmd_nsw(ns) -> int:
 
 def _cmd_threshold(ns) -> int:
     users = _parse_users(ns.users)
-    spec = _spec(ns)
+    spec = _spec(ns, users)
     rep = threshold_report(users, spec, HullTestConfig(tau=ns.tau, gap=ns.gap))
     report = {
         "beta_star_closed": rep.beta_star_closed,
@@ -445,7 +452,9 @@ def _cmd_eq(ns) -> int:
             "overwrite the CDF table"
         )
     users = _parse_users(ns.users) if ns.theta is None else angle_pair(ns.theta)
-    spec = _spec(ns)
+    if users is None and ns.variant == "onepop":
+        users = UserSet(np.array([[1.0, 0.0]]))
+    spec = _spec(ns, users)
     dist, converged = _build_dist(ns, users, spec, ns.n_users)
     if ns.cdf_grid > 0:
         xs = np.linspace(0.0, dist.cdf_max, ns.cdf_grid)
@@ -469,7 +478,7 @@ def _parse_grid(raw: str) -> tuple[int, int]:
 
 def _cmd_verify(ns) -> int:
     users = _parse_users(ns.users)
-    spec = _spec(ns)
+    spec = _spec(ns, users)
     grid = _parse_grid(ns.grid)
     dist, converged = _build_dist(ns, users, spec)
     rep = best_response_gap(
@@ -485,7 +494,7 @@ def _cmd_verify(ns) -> int:
 
 def _cmd_profit(ns) -> int:
     users = _parse_users(ns.users)
-    spec = _spec(ns)
+    spec = _spec(ns, users)
     dist, converged = _build_dist(ns, users, spec)
     eq = dist.profit(users.n_users, spec, ns.producers)
     flag, qval, qthr = positive_profit_condition(users, spec, ns.producers)

@@ -12,7 +12,9 @@ Four families:
 
 Throughout, quality is the weighted production norm of a content vector and
 genre is its direction.  Samplers are inverse-transform and deterministic for
-a fixed seed.
+a fixed seed.  A sampler returns (n, D) rows as the transposed view of a
+contiguous coordinate-major (D, n) array, so consumers that score or cost
+whole coordinates (``verify``) read contiguous rows of length n.
 
 Each family class holds all of its own behaviour: ``draw_blocks`` (the
 inverse-transform sampler, yielding its rows a block at a time),
@@ -92,6 +94,11 @@ class _PlanarFamily(_StreamFamily):
         _check(scales.min() > 0 and off <= 1e-9 * scales.max(), _NOT_PLANE_USERS)
         return scales
 
+    def _embed(self, xy: np.ndarray) -> np.ndarray:
+        """Rows of ambient points for in-plane coordinates given as two rows,
+        (2, n): an (n, D) view of coordinate-major (D, n) memory."""
+        return (self.plane.basis.T @ xy).T
+
 
 @dataclass(frozen=True)
 class OnePopulation(_StreamFamily):
@@ -130,7 +137,7 @@ class OnePopulation(_StreamFamily):
     def draw(self, rng, n: int) -> np.ndarray:
         u = rng.random(n)
         r = (self.n_users * u ** (self.producers - 1)) ** (1.0 / self.beta)
-        return np.outer(r, self.direction)
+        return (self.direction[:, None] * r).T
 
     def cdf_point(self, q: float) -> float:
         f = (q**self.beta / self.n_users) ** (1.0 / (self.producers - 1))
@@ -215,8 +222,11 @@ class QuarterCircle(_PlanarFamily):
     def draw(self, rng, n: int) -> np.ndarray:
         # The angle arcsin(sqrt(u)) has cosine sqrt(1 - u) and sine sqrt(u).
         u = rng.random(n)
-        xy = self.radius * np.stack([np.sqrt(1.0 - u), np.sqrt(u)], axis=1)
-        return self.plane.embed(xy)
+        xy = np.empty((2, n))
+        np.sqrt(1.0 - u, out=xy[0])
+        np.sqrt(u, out=xy[1])
+        xy *= self.radius
+        return self._embed(xy)
 
     def cdf_quality(self, q: float) -> float:
         return 1.0 if q >= self.radius else 0.0
@@ -265,11 +275,12 @@ class FinitePCurve(_PlanarFamily):
             raise ValueError("finite-P curve requires orthogonal users")
 
     def _curve(self, t: np.ndarray) -> np.ndarray:
+        # In-plane coordinates of the curve points at t, as two rows.
         e = 0.5 * (self.producers - 1)
-        return np.stack([t**e, (1.0 - t) ** e], axis=1)
+        return np.stack([t**e, (1.0 - t) ** e])
 
     def draw(self, rng, n: int) -> np.ndarray:
-        return self.plane.embed(self._curve(rng.random(n)))
+        return self._embed(self._curve(rng.random(n)))
 
     def cdf_quality(self, q: float) -> float:
         # Squared quality along the curve is phi(t) = t^(P-1) + (1-t)^(P-1) with
@@ -305,7 +316,7 @@ class FinitePCurve(_PlanarFamily):
     def foc_terms(self, spec: CostSpec, grid: int):
         if spec.beta != 2.0:
             raise ValueError("finite-P curve stationarity is specific to beta = 2")
-        z = self._curve(np.linspace(0.0, 1.0, grid + 2)[1:-1])
+        z = self._curve(np.linspace(0.0, 1.0, grid + 2)[1:-1]).T
         return z, 2.0 * z
 
 
@@ -369,10 +380,10 @@ class InfiniteTwoGenre(_PlanarFamily):
         # integers() may leave part of its last 64-bit word unused, so all n
         # genre labels are drawn before the first uniform, as in one n-row draw.
         g = rng.integers(0, 2, size=n)
-        dirs = self.genre_directions()
+        dirs = self.genre_directions().T
         for start in range(0, n, block):
             u = 1.0 - rng.random(min(block, n - start))
-            yield self._quantile(u)[:, None] * dirs[g[start:start + u.size]]
+            yield (dirs.take(g[start:start + u.size], axis=1) * self._quantile(u)).T
 
     def cdf_point(self, q: float) -> float:
         if q <= 0.0:

@@ -8,6 +8,9 @@ win-all-ties upper bracket.  A Monte Carlo simulation of the equilibrium's own p
 genre count stay as the independent cross-check.  The deviation grid is
 scored and the Monte Carlo rounds are drawn in blocks of about _BLOCK user
 scores, so memory grows with neither the sample count nor the grid's radii.
+Both score user-major: the draws are row-shaped views of coordinate-major
+memory, so a block's scores come out as one row per user and its costs
+reduce one row per coordinate, not a short row per point.
 The empirical marginals (sorted sampled values) remain as a test oracle for
 the exact CDFs.  What differs between equilibrium families (the value CDFs,
 the analytic profit, the first-order terms, the deviation directions) lives
@@ -122,17 +125,17 @@ def positive_profit_condition(users, spec, producers):
 
 
 def _first_wins(z):
-    """Users won by producer 0 in each round of z, shaped (rounds, P, N).
+    """Users won by producer 0 in each round of z, shaped (N, rounds, P).
 
     Producer 0 wins a user when no opponent scores strictly higher, which is
-    argmax == 0 over the round's producers, ties included, at a third to a
-    half of argmax's cost for P = 2 to 4.  The count is a product with ones,
-    exact for 0/1 entries.
+    argmax == 0 over the round's producers, ties included, at a fraction of
+    argmax's cost.  With users outermost, the count per round adds whole
+    rows of the win mask.
     """
-    won = z[:, 0] >= z[:, 1]
-    for j in range(2, z.shape[1]):
-        won &= z[:, 0] >= z[:, j]
-    return won.astype(float) @ np.ones(z.shape[2])
+    won = z[..., 0] >= z[..., 1]
+    for j in range(2, z.shape[2]):
+        won &= z[..., 0] >= z[..., j]
+    return np.count_nonzero(won, axis=0)
 
 
 def _mc_profit(dist, users, spec, producers, n_rounds, seed):
@@ -140,9 +143,12 @@ def _mc_profit(dist, users, spec, producers, n_rounds, seed):
     start = 0
     rounds = max(1, _BLOCK // (producers * users.n_users))
     for pts in eq_sample_blocks(dist, n_rounds * producers, seed, rounds * producers):
-        z = (pts @ users.embeddings.T).reshape(-1, producers, users.n_users)
-        stop = start + len(z)
-        profits[start:stop] = _first_wins(z) - cost(pts[::producers], spec)
+        # The draws are rows of coordinate-major memory, so x is contiguous
+        # (D, rounds * P) and the scores come out user-major.
+        x = pts.T
+        z = (users.embeddings @ x).reshape(users.n_users, -1, producers)
+        stop = start + z.shape[1]
+        profits[start:stop] = _first_wins(z) - cost(x[:, ::producers].T, spec)
         start = stop
     mc = float(profits.mean())
     stderr = float(profits.std(ddof=1) / math.sqrt(n_rounds))
@@ -188,13 +194,19 @@ def best_response_gap(
     n_angles, n_radii = grid
     radii = np.linspace(0.0, users.n_users ** (1.0 / spec.beta), n_radii)
     dirs = dist.deviation_dirs(n_angles, users, spec, [seed, 3])
-    scores = dirs @ users.embeddings.T
+    # Blocks are built user-major, (N, radii, A) and (D, radii, A) (so dirs_t
+    # must be contiguous), and seen through (radii, A, N) and (radii, A, D)
+    # views, so value_cdf and cost keep their APIs while their reductions
+    # add whole rows.
+    dirs_t = np.ascontiguousarray(dirs.T)
+    scores = users.embeddings @ dirs_t
     rows = max(1, _BLOCK // scores.size)
     best, flat = -math.inf, 0
     for start in range(0, n_radii, rows):
-        r = radii[start:start + rows, None, None]
-        win = (dist.value_cdf(r * scores, users) ** (producers - 1)).sum(axis=-1)
-        profits = win - cost(r * dirs, spec)
+        r = radii[start:start + rows, None]
+        z = np.moveaxis(r * scores[:, None, :], 0, -1)
+        win = (dist.value_cdf(z, users) ** (producers - 1)).sum(axis=-1)
+        profits = win - cost(np.moveaxis(r * dirs_t[:, None, :], 0, -1), spec)
         i = int(np.argmax(profits))
         if profits.flat[i] > best:
             best, flat = float(profits.flat[i]), start * len(dirs) + i
@@ -236,7 +248,10 @@ def genre_count(samples, angle_tol=1e-3):
     """Greedy direction clustering; "continuum" past sqrt(len(samples)) clusters.
 
     Directions go in blocks of that many; each block is first checked against
-    the clusters found so far in one product.
+    the clusters found so far in one product, and each direction left is then
+    priced against the clusters in one product too.  Only a direction whose
+    best match lies within 1e-12 of cos_tol, far more than the ulps a product
+    may differ from d @ r by, gets the exact test of the greedy loop.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 100:
@@ -245,17 +260,22 @@ def genre_count(samples, angle_tol=1e-3):
     dirs = pts[nrm > 0] / nrm[nrm > 0, None]
     limit = math.isqrt(dirs.shape[0])
     cos_tol = math.cos(angle_tol)
-    reps = []
+    reps = np.empty((limit + 1, dirs.shape[1]))
+    k = 0
     step = max(1, limit)
     for start in range(0, dirs.shape[0], step):
         block = dirs[start:start + step]
-        if reps:
-            # Drop only what clears cos_tol by far more than the ulps this
-            # product may differ from d @ r by; the rest get the exact test.
-            block = block[(block @ np.array(reps).T).max(axis=1) < cos_tol + 1e-12]
+        if k:
+            block = block[(block @ reps[:k].T).max(axis=1) < cos_tol + 1e-12]
         for d in block:
-            if not any(d @ r >= cos_tol for r in reps):
-                reps.append(d)
-                if len(reps) > limit:
-                    return "continuum"
-    return len(reps)
+            if k:
+                top = (reps[:k] @ d).max()
+                if top >= cos_tol + 1e-12 or (
+                    top >= cos_tol - 1e-12 and any(d @ r >= cos_tol for r in reps[:k])
+                ):
+                    continue
+            reps[k] = d
+            k += 1
+            if k > limit:
+                return "continuum"
+    return k

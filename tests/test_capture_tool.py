@@ -1,0 +1,45 @@
+"""tools/capture_outputs.py: one command's record, and the compare mode."""
+
+import importlib.util
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location(
+    "capture_outputs", ROOT / "tools" / "capture_outputs.py")
+capture = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(capture)
+
+
+def test_record_normalises_the_work_path_and_hashes_written_files(tmp_path):
+    (tmp_path / "input.csv").write_text("a\n")
+
+    def run(argv):
+        print(f"wrote {tmp_path}/{argv[0]}")
+        print("note", file=sys.stderr)
+        (tmp_path / argv[0]).write_text("x\n")
+        return 3
+
+    rec = capture._record(run, ["out.csv"], str(tmp_path))
+    assert rec["exit"] == 3
+    assert rec["stdout"] == capture._sha(b"wrote <work>/out.csv\n")
+    assert rec["stderr"] == capture._sha(b"note\n")
+    assert rec["files"] == {"out.csv": capture._sha(b"x\n")}
+
+
+def test_compare_names_each_difference():
+    same = {"exit": 0, "stdout": "a", "stderr": "b", "files": {}}
+    base = {"kept": same, "changed": same, "gone": same}
+    new = {"kept": same, "changed": {**same, "stdout": "c"}, "added": same}
+    assert capture.compare(base, base) == []
+    assert capture.compare(base, new) == [
+        "only in new: added",
+        "differs in stdout: changed",
+        "only in base: gone",
+    ]
+
+
+def test_readme_commands_are_the_tested_ones():
+    from test_readme import COMMANDS
+
+    assert capture._readme_commands() == COMMANDS

@@ -296,12 +296,30 @@ def test_exit_usage_below_threshold_infinite(capsys):
     (["--variant", "p2", "--beta", "4", "--n-users", "7"], "--n-users"),
     (["--variant", "infinite", "--theta", "1", "--beta", "8", "--producers", "5"], "--producers"),
     (["--variant", "p2", "--beta", "4", "--samples-out", "x.csv"], "--samples-out"),
+    (["--variant", "onepop", "--alpha", "1,1,1"], "--alpha gives 3 weights, but the users "
+     "have dimension 2"),
 ])
 def test_exit_usage_eq_option_the_variant_ignores(capsys, argv, option):
     assert run(["eq", *argv, "--cdf-grid", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert option in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["nsw", "--users", "basis2", "--alpha", "1,1,1"],
+    ["threshold", "--users", "orthonormal:3", "--alpha", "1,2"],
+    ["profit", "--users", "basis2", "--variant", "onepop", "--alpha", "2"],
+    ["verify", "--users", "basis2", "--variant", "onepop", "--alpha", "1,1,1",
+     "--samples", "1000", "--grid", "5x5"],
+])
+def test_exit_usage_alpha_length_differs_from_users_dimension(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    given = len(argv[argv.index("--alpha") + 1].split(","))
+    dim = 3 if "orthonormal:3" in argv else 2
+    assert f"--alpha gives {given} weights, but the users have dimension {dim}" in captured.err
 
 
 def test_exit_usage_nothing_to_emit(capsys):

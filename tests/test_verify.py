@@ -233,7 +233,8 @@ def _reference_marginals(dist, users, n_samples, seed):
 
 
 def _reference_mc_profit(dist, users, spec, producers, n_rounds, seed):
-    pts = eq_sample(dist, n_rounds * producers, seed)
+    # Row-major, in one block: the draws copied to (n, D) memory.
+    pts = np.ascontiguousarray(eq_sample(dist, n_rounds * producers, seed))
     z = (pts @ users.embeddings.T).reshape(n_rounds, producers, users.n_users)
     wins = (z.argmax(axis=1) == 0).sum(axis=1)
     profits = wins - cost(pts[::producers], spec)
@@ -267,14 +268,21 @@ def test_empirical_marginals_blocks_bitwise(monkeypatch, dist, users):
 
 @pytest.mark.parametrize("producers", [2, 3, 4])
 def test_mc_profit_blocks_bitwise(monkeypatch, producers):
+    # The draws are rows of coordinate-major memory; the reference copies
+    # them row-major, so the weighted cost over a strided coordinate-major
+    # view is checked against the row-major one too.
     monkeypatch.setattr(verify_mod, "_BLOCK", RAGGED)
-    dist = FinitePCurve(producers)
-    got = verify_mod._mc_profit(dist, BASIS2, SPEC2, producers, 10000, [2, 1])
-    assert got == _reference_mc_profit(dist, BASIS2, SPEC2, producers, 10000, [2, 1])
-    spec = CostSpec(q=3.0, beta=3.0)
-    dist = OnePopulation(ONEPOP_30X5.direction, 30, 3.0, producers)
-    got = verify_mod._mc_profit(dist, USERS_30X5, spec, producers, 10000, [2, 1])
-    assert got == _reference_mc_profit(dist, USERS_30X5, spec, producers, 10000, [2, 1])
+    onepop = OnePopulation(ONEPOP_30X5.direction, 30, 3.0, producers)
+    cases = [
+        (FinitePCurve(producers), BASIS2, SPEC2),
+        (onepop, USERS_30X5, CostSpec(q=3.0, beta=3.0)),
+        (onepop, USERS_30X5, CostSpec(q=2.0, beta=3.0, alpha=np.array([1.0, 2.0, 0.5, 3.0, 1.5]))),
+    ]
+    if producers == 2:
+        cases.append((QuarterCircle(4.0), BASIS2, CostSpec(q=2.0, beta=4.0)))
+    for dist, users, spec in cases:
+        got = verify_mod._mc_profit(dist, users, spec, producers, 10000, [2, 1])
+        assert got == _reference_mc_profit(dist, users, spec, producers, 10000, [2, 1])
 
 
 def test_first_wins_counts_ties_like_argmax():
@@ -284,9 +292,59 @@ def test_first_wins_counts_ties_like_argmax():
         [[0.0, 0.5], [0.0, 0.5], [0.0, 0.5]],
         [[0.4, 0.7], [0.4, 0.1], [0.41, 0.7]],
     ])
-    wins = verify_mod._first_wins(z)
-    assert np.array_equal(wins, [1.0, 2.0, 1.0])
+    # _first_wins reads the user-major layout, (users, rounds, producers).
+    wins = verify_mod._first_wins(np.ascontiguousarray(z.transpose(2, 0, 1)))
+    assert np.array_equal(wins, [1, 2, 1])
     assert np.array_equal(wins, (z.argmax(axis=1) == 0).sum(axis=1))
+
+
+def _reference_grid(dist, users, spec, producers, grid, seed):
+    """best_response_gap's deviation grid scored row-major, in one block."""
+    n_angles, n_radii = grid
+    radii = np.linspace(0.0, users.n_users ** (1.0 / spec.beta), n_radii)
+    dirs = dist.deviation_dirs(n_angles, users, spec, [seed, 3])
+    scores = dirs @ users.embeddings.T
+    r = radii[:, None, None]
+    win = (dist.value_cdf(r * scores, users) ** (producers - 1)).sum(axis=-1)
+    profits = win - cost(r * dirs, spec)
+    i = int(np.argmax(profits))
+    gap = float(profits.flat[i]) - dist.profit(users.n_users, spec, producers)
+    return gap, radii[i // len(dirs)] * dirs[i % len(dirs)]
+
+
+def _grid_case(name):
+    """(dist, users, spec, producers) of the simulate workload's verify
+    commands, and a D = 5 onepop on six users of the 30x5 set."""
+    if name == "p2-beta4":
+        return QuarterCircle(4.0), BASIS2, CostSpec(q=2.0, beta=4.0), 2
+    if name == "finitep-P3":
+        return FinitePCurve(3), BASIS2, SPEC2, 3
+    users = UserSet(USERS_30X5.embeddings[:6]) if name == "onepop-6x5-beta12" else BASIS2
+    dist, spec = _onepop_nsw(users, float(name.rsplit("beta", 1)[1]))
+    return dist, users, spec, 2
+
+
+@pytest.mark.parametrize("name", ["p2-beta4", "finitep-P3", "onepop-beta1.5", "onepop-beta4",
+                                  "onepop-6x5-beta12"])
+def test_deviation_grid_matches_row_major_reference_bitwise(name):
+    # Below 8 users the user-major sum adds users in the order numpy's
+    # row-wise sum does; from 8 users on, numpy sums a contiguous row
+    # pairwise, so the two agree to rounding only (next test).
+    dist, users, spec, producers = _grid_case(name)
+    rep = best_response_gap(dist, users, spec, producers, n_samples=1000, grid=(60, 70), seed=3)
+    gap, argmax_pt = _reference_grid(dist, users, spec, producers, (60, 70), 3)
+    assert rep.best_response_gap == gap
+    assert np.array_equal(rep.gap_argmax, argmax_pt)
+
+
+def test_deviation_grid_many_users_matches_row_major_reference():
+    dist, spec = _onepop_nsw(USERS_30X5, 12.0)
+    rep = best_response_gap(dist, USERS_30X5, spec, 2, n_samples=1000, grid=(60, 70), seed=3)
+    gap, argmax_pt = _reference_grid(dist, USERS_30X5, spec, 2, (60, 70), 3)
+    # Either order of adding N values in [0, 1] errs by at most N * eps * N.
+    n = USERS_30X5.n_users
+    assert rep.best_response_gap == pytest.approx(gap, rel=0, abs=2 * n * n * np.finfo(float).eps)
+    assert np.array_equal(rep.gap_argmax, argmax_pt)
 
 
 def test_best_response_gap_report_independent_of_block_bitwise(monkeypatch):

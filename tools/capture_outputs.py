@@ -1,0 +1,142 @@
+"""Capture the output bytes of a checkout's command line, or compare two captures.
+
+    python3 tools/capture_outputs.py CHECKOUT OUT.json
+    python3 tools/capture_outputs.py --compare BASE.json NEW.json
+
+The first form imports ``supply_eq`` from CHECKOUT/src and runs, through
+``supply_eq.cli.run`` in this one process, every argv of the three perfbench
+workloads (warm-ups, then commands, at run seeds 1 and 2) and every
+``supply-eq`` line of the README's "Command line" block.  The argv lists come
+from this repository's ``perfbench/workloads.py`` and ``README.md``, so two
+checkouts are run on the same commands.  For each command it records the exit
+code and the sha256 of its stdout, its stderr and every file it wrote, with
+the temporary directory's path replaced by ``<work>``.
+
+The second form prints every command whose record differs between the two
+captures, or is in only one of them, and exits 1 when there is one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _readme_commands() -> list:
+    body = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = body.split("```\n", 2)[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("supply-eq ")]
+
+
+def _write_readme_inputs(workdir: str) -> None:
+    # The ratings table the README's nmf line reads, as tests/test_readme.py writes it.
+    rows = [f"u{u},i{i},{1 + (u * 7 + i * 3) % 5}" for u in range(12) for i in range(10)
+            if (u + i) % 3]
+    with open(os.path.join(workdir, "ratings.csv"), "w", encoding="utf-8") as fh:
+        fh.write("user_id,item_id,rating\n" + "\n".join(rows) + "\n")
+
+
+def _stats(workdir: str) -> dict:
+    return {p.name: (p.stat().st_mtime_ns, p.stat().st_size)
+            for p in Path(workdir).iterdir() if p.is_file()}
+
+
+def _record(run, argv: list, workdir: str) -> dict:
+    """Run one argv in workdir; its exit code and the digests of what it wrote."""
+    before = _stats(workdir)
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
+        # Every warning is printed, whatever ran before in this process.
+        warnings.simplefilter("always")
+        rc = run(argv)
+    after = _stats(workdir)
+    files = {}
+    for name in sorted(after):
+        if before.get(name) != after[name]:
+            files[name] = _sha(Path(workdir, name).read_bytes())
+    return {"exit": rc, "stdout": _sha(out.getvalue().replace(workdir, "<work>").encode()),
+            "stderr": _sha(err.getvalue().replace(workdir, "<work>").encode()), "files": files}
+
+
+def capture(checkout: Path) -> dict:
+    sys.path[:0] = [str(checkout / "src"), str(ROOT / "perfbench")]
+    import supply_eq.cli
+    import workloads
+
+    if Path(supply_eq.cli.__file__).resolve().parents[2] != checkout.resolve():
+        raise SystemExit(f"supply_eq was imported from {supply_eq.cli.__file__}, "
+                         f"not from {checkout}")
+    records = {}
+    cwd = os.getcwd()
+    try:
+        for name in workloads.WORKLOADS:
+            for seed in SEEDS:
+                with tempfile.TemporaryDirectory() as workdir:
+                    os.chdir(workdir)
+                    load = workloads.build(name, workdir, seed)
+                    argvs = [("warmup", a) for a in load.warmup]
+                    argvs += [(c.name, c.argv) for c in load.commands]
+                    for label, argv in argvs:
+                        line = " ".join(argv).replace(workdir, "<work>")
+                        records[f"{name} seed {seed} {label}: {line}"] = _record(
+                            supply_eq.cli.run, argv, workdir)
+        with tempfile.TemporaryDirectory() as workdir:
+            os.chdir(workdir)
+            _write_readme_inputs(workdir)
+            for argv in _readme_commands():
+                records["README: " + " ".join(argv)] = _record(supply_eq.cli.run, argv, workdir)
+    finally:
+        os.chdir(cwd)
+    return records
+
+
+def compare(base: dict, new: dict) -> list:
+    lines = []
+    for key in sorted(set(base) | set(new)):
+        if key not in new:
+            lines.append(f"only in base: {key}")
+        elif key not in base:
+            lines.append(f"only in new: {key}")
+        elif base[key] != new[key]:
+            parts = [k for k in base[key] if base[key][k] != new[key].get(k)]
+            lines.append(f"differs in {', '.join(parts)}: {key}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
+    parser.add_argument("paths", nargs=2, metavar=("CHECKOUT_OR_BASE", "OUT_OR_NEW"))
+    parser.add_argument("--compare", action="store_true",
+                        help="compare two capture files instead of capturing")
+    ns = parser.parse_args(argv)
+    if ns.compare:
+        base, new = (json.loads(Path(p).read_text()) for p in ns.paths)
+        lines = compare(base, new)
+        print("\n".join(lines) if lines else f"identical: {len(base)} commands")
+        return 1 if lines else 0
+    # Set before capture() first imports numpy, as perfbench/run.py does.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    records = capture(Path(ns.paths[0]).resolve())
+    Path(ns.paths[1]).write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    print(f"captured {len(records)} commands into {ns.paths[1]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
