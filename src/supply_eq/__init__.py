@@ -35,7 +35,6 @@ from .ingest import (
     save_embeddings_csv,
 )
 from .optimize import (
-    OptimizerConfig,
     OptResult,
     minmax_alignment,
     nsw_direction,
@@ -43,9 +42,7 @@ from .optimize import (
 )
 from .threshold import (
     ConditionProbe,
-    HullTestConfig,
     ThresholdReport,
-    beta_estimate,
     beta_star_two_user,
     beta_upper,
     max_condition_holds,

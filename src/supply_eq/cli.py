@@ -48,7 +48,7 @@ from .ingest import (
     save_embeddings_csv,
 )
 from .optimize import minmax_alignment, nsw_direction
-from .threshold import HullTestConfig, threshold_report
+from .threshold import threshold_report
 from .verify import best_response_gap, positive_profit_condition
 
 __all__ = ["RunConfig", "run", "main"]
@@ -410,7 +410,7 @@ def _cmd_nsw(ns) -> int:
 def _cmd_threshold(ns) -> int:
     users = _parse_users(ns.users)
     spec = _spec(ns, users)
-    rep = threshold_report(users, spec, HullTestConfig(tau=ns.tau, gap=ns.gap))
+    rep = threshold_report(users, spec)
     report = {
         "beta_star_closed": rep.beta_star_closed,
         "beta_upper": rep.beta_upper,
@@ -481,9 +481,7 @@ def _cmd_verify(ns) -> int:
     spec = _spec(ns, users)
     grid = _parse_grid(ns.grid)
     dist, converged = _build_dist(ns, users, spec)
-    rep = best_response_gap(
-        dist, users, spec, ns.producers, n_samples=ns.samples, grid=grid, seed=ns.seed
-    )
+    rep = best_response_gap(dist, users, spec, n_samples=ns.samples, grid=grid, seed=ns.seed)
     rc = _run_config(ns, users_source=ns.users, grid_angles=grid[0], grid_radii=grid[1])
     _write_text(render_json({**asdict(rep), "run_config": rc}), ns.out)
     if not converged or rep.positive_profit is None:
@@ -496,8 +494,8 @@ def _cmd_profit(ns) -> int:
     users = _parse_users(ns.users)
     spec = _spec(ns, users)
     dist, converged = _build_dist(ns, users, spec)
-    eq = dist.profit(users.n_users, spec, ns.producers)
-    flag, qval, qthr = positive_profit_condition(users, spec, ns.producers)
+    eq = dist.profit(users.n_users, spec)
+    flag, qval, qthr = positive_profit_condition(users, spec, dist.producers)
     report = {
         "eq_profit": eq,
         "positive_profit": flag,
@@ -522,14 +520,7 @@ def _note_alignment(users, spec, q_threshold) -> None:
 
 def _cmd_nmf(ns) -> int:
     table = load_ratings_csv(ns.ratings)
-    cfg = NmfConfig(
-        factors=ns.factors,
-        epochs=ns.epochs,
-        seed=ns.seed,
-        init_scale=ns.init_scale,
-        min_entry=ns.min_entry,
-    )
-    res = nmf_factorize(table, cfg)
+    res = nmf_factorize(table, NmfConfig(factors=ns.factors, epochs=ns.epochs, seed=ns.seed))
     save_embeddings_csv(res.users, ns.out, user_ids=res.user_ids)
     report = {
         "n_users": res.users.n_users,
@@ -568,8 +559,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="specialization threshold report")
     _add_common(p, users_required=True)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--gap", type=float, default=0.05)
     p.set_defaults(fn=_cmd_threshold)
 
     p = sub.add_parser("eq", help="equilibrium CDF table and samples as CSV")
@@ -608,8 +597,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratings", required=True, help="ratings CSV path")
     p.add_argument("--factors", type=int, required=True)
     p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--init-scale", type=float, default=0.1)
-    p.add_argument("--min-entry", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="embeddings CSV path")
     p.set_defaults(fn=_cmd_nmf)

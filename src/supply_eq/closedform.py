@@ -158,13 +158,12 @@ class OnePopulation(_StreamFamily):
         f[..., ~pos] = z[..., ~pos] >= 0.0
         return f
 
-    def profit(self, n_users: int, spec: CostSpec, producers: int) -> float:
-        _check(producers == self.producers, "producers disagrees with dist")
+    def profit(self, n_users: int, spec: CostSpec) -> float:
         _check(n_users == self.n_users, "user count disagrees with dist")
         if spec.beta == self.beta:
             return 0.0
-        bs, bd = spec.beta, self.beta
-        return n_users / producers - n_users ** (bs / bd) * bd / (bd + (producers - 1) * bs)
+        bs, bd, p = spec.beta, self.beta, self.producers
+        return n_users / p - n_users ** (bs / bd) * bd / (bd + (p - 1) * bs)
 
     def foc_terms(self, spec: CostSpec, grid: int):
         raise ValueError(_NO_DENSITY)
@@ -243,8 +242,7 @@ class QuarterCircle(_PlanarFamily):
         x = np.clip(z / (self.radius * self._user_scales(users)), 0.0, 1.0)
         return x * x
 
-    def profit(self, n_users: int, spec: CostSpec, producers: int) -> float:
-        _check(producers == 2, "quarter-circle equilibrium has two producers")
+    def profit(self, n_users: int, spec: CostSpec) -> float:
         return n_users / 2.0 - (2.0 / self.beta) ** (spec.beta / self.beta)
 
     def foc_terms(self, spec: CostSpec, grid: int):
@@ -305,13 +303,13 @@ class FinitePCurve(_PlanarFamily):
         x = np.clip(z / self._user_scales(users), 0.0, 1.0)
         return x ** (2.0 / (self.producers - 1))
 
-    def profit(self, n_users: int, spec: CostSpec, producers: int) -> float:
-        _check(producers == self.producers, "producers disagrees with dist")
+    def profit(self, n_users: int, spec: CostSpec) -> float:
+        p = self.producers
         if spec.beta == 2.0:
-            return n_users / producers - 2.0 / producers
+            return n_users / p - 2.0 / p
         t = np.linspace(0.0, 1.0, 200001)
-        phi = _finite_p_phi(t, producers)
-        return n_users / producers - float(np.trapezoid(phi ** (spec.beta / 2.0), t))
+        phi = _finite_p_phi(t, p)
+        return n_users / p - float(np.trapezoid(phi ** (spec.beta / 2.0), t))
 
     def foc_terms(self, spec: CostSpec, grid: int):
         if spec.beta != 2.0:
@@ -338,7 +336,6 @@ class InfiniteTwoGenre(_PlanarFamily):
     c2: float = field(init=False)
     c3: float = field(init=False)
 
-    weights = (0.5, 0.5)
     cdf_axis = "quality"
 
     def __post_init__(self):
@@ -358,12 +355,10 @@ class InfiniteTwoGenre(_PlanarFamily):
 
     cdf_max = support_max
 
-    @property
-    def genre_angles(self) -> tuple[float, float]:
-        return (self.theta_g, self.plane.theta_star - self.theta_g)
-
     def genre_directions(self) -> np.ndarray:
-        return np.stack([self.plane.direction(a) for a in self.genre_angles])
+        """The two genres, at in-plane angles theta_g and theta_star - theta_g."""
+        angles = (self.theta_g, self.plane.theta_star - self.theta_g)
+        return np.stack([self.plane.direction(a) for a in angles])
 
     def _quantile(self, u: np.ndarray) -> np.ndarray:
         # u in (0, 1]; flats carry no mass, so every draw lands on a power piece.
@@ -402,7 +397,7 @@ class InfiniteTwoGenre(_PlanarFamily):
 
     cdf_quality = cdf_point
 
-    def profit(self, n_users: int, spec: CostSpec, producers: int) -> float:
+    def profit(self, n_users: int, spec: CostSpec) -> float:
         raise ValueError("per-producer profit is not defined in the infinite-producer limit")
 
     def foc_terms(self, spec: CostSpec, grid: int):

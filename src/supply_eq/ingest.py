@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 
+# Initial factors are uniform on [0, _INIT_SCALE); every factor and update
+# denominator is floored at _MIN_ENTRY.
+_INIT_SCALE, _MIN_ENTRY = 0.1, 1e-9
+
+
 class InputDataError(ValueError):
     """Malformed or inconsistent input file contents."""
 
@@ -170,18 +175,12 @@ class NmfConfig:
     factors: int
     epochs: int = 200
     seed: int = 0
-    init_scale: float = 0.1
-    min_entry: float = 1e-9
 
     def __post_init__(self):
         if self.factors < 1:
             raise ValueError("factors must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not (math.isfinite(self.init_scale) and self.init_scale > 0):
-            raise ValueError(f"init_scale must be finite and positive, got {self.init_scale}")
-        if not (math.isfinite(self.min_entry) and self.min_entry > 0):
-            raise ValueError(f"min_entry must be finite and positive, got {self.min_entry}")
 
 
 @dataclass(frozen=True)
@@ -194,12 +193,12 @@ class NmfResult:
     dropped_users: tuple
 
 
-def _update_ratio(coef, gathered, starts, buf, floor):
+def _update_ratio(coef, gathered, starts, buf):
     """Multiplicative-update ratio: segment sums of r * gathered over those
     of pred * gathered, one reduceat for both."""
     np.multiply(coef[:, None], gathered, out=buf)
     num, den = np.add.reduceat(buf, starts, axis=2)
-    return num / np.maximum(den, floor)
+    return num / np.maximum(den, _MIN_ENTRY)
 
 
 def nmf_factorize(ratings: RatingsTable, cfg: NmfConfig) -> NmfResult:
@@ -238,8 +237,8 @@ def nmf_factorize(ratings: RatingsTable, cfg: NmfConfig) -> NmfResult:
 
     rng = np.random.default_rng(cfg.seed)
     n, d, k = len(user_starts), ratings.n_items, cfg.factors
-    w = np.maximum(cfg.init_scale * rng.random((n, k)), cfg.min_entry).T.copy()
-    h = np.maximum(cfg.init_scale * rng.random((k, d)), cfg.min_entry)
+    w = np.maximum(_INIT_SCALE * rng.random((n, k)), _MIN_ENTRY).T.copy()
+    h = np.maximum(_INIT_SCALE * rng.random((k, d)), _MIN_ENTRY)
 
     # w is kept (k, n) like h, so the factors gathered at the entries are
     # factor-major, (k, E), and products and segment sums run along
@@ -255,15 +254,15 @@ def nmf_factorize(ratings: RatingsTable, cfg: NmfConfig) -> NmfResult:
     hg = np.take(h, item, axis=1)
     np.einsum("ke,ke->e", wg, hg, out=coef_u[1])
     for epoch in range(cfg.epochs):
-        w *= _update_ratio(coef_u, hg, user_starts, buf, cfg.min_entry)
-        np.maximum(w, cfg.min_entry, out=w)
+        w *= _update_ratio(coef_u, hg, user_starts, buf)
+        np.maximum(w, _MIN_ENTRY, out=w)
         wg = np.take(w, user, axis=1)
         np.einsum("ke,ke->e", wg, hg, out=coef_u[1])
         np.take(coef_u[1], by_item, out=coef_i[1])
         wg_by_item = np.take(w, user_by_item, axis=1)
-        ratio[:, rated_items] = _update_ratio(coef_i, wg_by_item, item_starts, buf, cfg.min_entry)
+        ratio[:, rated_items] = _update_ratio(coef_i, wg_by_item, item_starts, buf)
         h *= ratio
-        np.maximum(h, cfg.min_entry, out=h)
+        np.maximum(h, _MIN_ENTRY, out=h)
         hg = np.take(h, item, axis=1)
         np.einsum("ke,ke->e", wg, hg, out=coef_u[1])
         resid = r - coef_u[1]

@@ -8,30 +8,22 @@ gap, or the width of a two-sided bracket) plus the reason the solver stopped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import dual_norm, weighted_norm
 
-__all__ = ["OptimizerConfig", "OptResult", "nsw_direction", "minmax_alignment",
-           "simplex_logsum_max"]
+__all__ = ["OptResult", "nsw_direction", "minmax_alignment", "simplex_logsum_max"]
 
 # Frank-Wolfe gap at which nsw_direction stops: well below the 1e-9 * N an
 # independent check of the returned direction asks for.
 _FW_GAP = 1e-11
 
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    max_iters: int = 5000
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+# Iteration cap of every solver, and the certificate width at which the
+# alignment bracket and the simplex program stop unless told otherwise.
+_MAX_ITERS = 5000
+_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -115,12 +107,12 @@ def _face_step(w, g, Y, scale, b, line):
     return (w, "step_underflow") if np.array_equal(wn, w) else (wn / wn.sum(), None)
 
 
-def _nsw_frank_wolfe(U, spec, max_iters):
+def _nsw_frank_wolfe(U, spec):
     """Frank-Wolfe with exact line search, 1 < q < inf.  Each step moves toward
     the dual-norm maximizer of the gradient, then rescales onto the sphere,
     which only raises the objective.  Returns (point, iters, status)."""
     x = np.ones(U.shape[1]) / weighted_norm(np.ones(U.shape[1]), spec)
-    for it in range(1, max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         z = U @ x
         g = U.T @ (1.0 / z)
         if dual_norm(g, spec) - float(g @ x) <= _FW_GAP:
@@ -131,10 +123,10 @@ def _nsw_frank_wolfe(U, spec, max_iters):
         if np.array_equal(xn, x):
             return x, it, "step_underflow"
         x = xn
-    return x, max_iters, "max_iters"
+    return x, _MAX_ITERS, "max_iters"
 
 
-def nsw_direction(users, spec, cfg=None):
+def nsw_direction(users, spec):
     """Nash-welfare direction: maximize sum_i log <p, u_i> on the unit ball.
 
     Solved once: q = inf has the closed form p = 1/alpha, q = 1 is the simplex
@@ -143,7 +135,6 @@ def nsw_direction(users, spec, cfg=None):
     dual_norm(g) - <g, p>, g = sum_i u_i/<p, u_i>, which bounds the
     suboptimality of p (Jaggi 2013); converged means it is <= _FW_GAP.
     """
-    cfg = cfg or OptimizerConfig()
     U = users.embeddings
     alpha = np.ones(users.dim) if spec.alpha is None else spec.alpha
     if math.isinf(spec.q):
@@ -151,10 +142,10 @@ def nsw_direction(users, spec, cfg=None):
     elif spec.q == 1.0:
         # Half the target leaves room for the rounding between the simplex
         # gap and the Frank-Wolfe gap recomputed at p.
-        r = simplex_logsum_max((U / alpha).T, replace(cfg, tol=0.5 * _FW_GAP))
+        r = simplex_logsum_max((U / alpha).T, tol=0.5 * _FW_GAP)
         x, iters, status = r.point / alpha, r.iters, r.status
     else:
-        x, iters, status = _nsw_frank_wolfe(U, spec, cfg.max_iters)
+        x, iters, status = _nsw_frank_wolfe(U, spec)
     z = U @ x
     g = U.T @ (1.0 / z)
     gap = max(dual_norm(g, spec) - float(g @ x), 0.0)
@@ -162,7 +153,7 @@ def nsw_direction(users, spec, cfg=None):
     return OptResult(x, float(np.log(z).sum()), gap, iters, ok, "converged" if ok else status)
 
 
-def _matrix_game(A, max_iters):
+def _matrix_game(A):
     """Optimal strategies of max over x in the simplex of min_i (A x)_i, for A
     nonnegative with no zero row: the simplex method (Bland's rule) on
     max 1^T z s.t. A^T z <= 1, z >= 0, whose optimum is 1/value.  Returns
@@ -171,10 +162,10 @@ def _matrix_game(A, max_iters):
     T = np.zeros((d + 1, n + d + 1))
     T[:d, :n], T[:d, n:-1], T[:d, -1], T[d, :n] = A.T, np.eye(d), 1.0, -1.0
     basis = np.arange(n, n + d)
-    for it in range(max_iters + 1):
+    for it in range(_MAX_ITERS + 1):
         enter = np.flatnonzero(T[d, :-1] < -1e-12)
         rows = np.flatnonzero(T[:d, enter[0]] > 1e-12) if enter.size else enter
-        if rows.size == 0 or it == max_iters:
+        if rows.size == 0 or it == _MAX_ITERS:
             break
         j = enter[0]
         ratio = T[rows, -1] / T[rows, j]
@@ -189,7 +180,7 @@ def _matrix_game(A, max_iters):
     return x / x.sum(), z / z.sum(), it, status
 
 
-def minmax_alignment(users, spec, cfg=None):
+def minmax_alignment(users, spec):
     """Alignment value Q = max { min_i <p, u_i/||u_i||> : ||alpha*p||_q <= 1, p >= 0 }.
 
     Users are normalized by the cost norm, matching the ball constraint.  Any
@@ -199,15 +190,14 @@ def minmax_alignment(users, spec, cfg=None):
     1 < q < inf tries the uniform weights, then takes active-set Newton steps
     (_face_step) on sum_k (U~^T w / alpha)_k^q* from the best vertex, pricing
     users by U~ p, p the dual-norm maximizer of U~^T w (at q = 2 Wolfe's 1976
-    minimum-norm point).  Both ends move out by rel, a rounding bound, the upper
-    never past the uniform weights' value; value is the lower end, at point.
+    minimum-norm point).  Both ends move out by rel, a rounding bound; value is
+    the lower end, at point.
     """
-    cfg = cfg or OptimizerConfig()
     U = users.embeddings
     Un = U / np.asarray(weighted_norm(U, spec)).reshape(-1, 1)
     alpha = np.ones(users.dim) if spec.alpha is None else spec.alpha
     if spec.q == 1.0:
-        x, w, iters, status = _matrix_game(Un / alpha, cfg.max_iters)
+        x, w, iters, status = _matrix_game(Un / alpha)
         p, rel = x / alpha, 0.0
     elif math.isinf(spec.q):
         p, iters, status, rel = 1.0 / alpha, 0, "max_iters", 0.0
@@ -216,15 +206,15 @@ def minmax_alignment(users, spec, cfg=None):
         qs = spec.q / (spec.q - 1.0)
         w = np.full(users.n_users, 1.0 / users.n_users)
         width, status, rel = math.inf, None, 2 * (users.dim + spec.q + qs) * math.ulp(1.0)
-        for iters in range(1, cfg.max_iters + 1):
+        for iters in range(1, _MAX_ITERS + 1):
             z = w @ Un
             p = _dual_point(z, spec)
             g = Un @ p
             # Newton's lower end lags its upper: take one more step past tol.
             last, width = width, dual_norm(z, spec) - float(g.min())
-            if width <= cfg.tol and (last <= cfg.tol or width <= 1e-3 * cfg.tol):
+            if width <= _TOL and (last <= _TOL or width <= 1e-3 * _TOL):
                 break
-            if iters == 1 and width > cfg.tol:  # restart from the best vertex
+            if iters == 1 and width > _TOL:  # restart from the best vertex
                 w = np.eye(1, users.n_users, np.argmin(((Un / alpha) ** qs).sum(axis=1)))[0]
                 continue
             r = z / alpha  # rows scaled by r^(q*/2 - 1), floored where r_k = 0
@@ -234,13 +224,12 @@ def minmax_alignment(users, spec, cfg=None):
             if status:
                 break
     lower = float((Un @ p).min()) * (1.0 - rel)
-    upper = min(dual_norm(w @ Un, spec) * (1.0 + rel), dual_norm(Un.mean(axis=0), spec))
-    width = max(upper - lower, 0.0)
-    ok = width <= cfg.tol
+    width = max(dual_norm(w @ Un, spec) * (1.0 + rel) - lower, 0.0)
+    ok = width <= _TOL
     return OptResult(p, lower, width, iters, ok, "converged" if ok else status or "max_iters")
 
 
-def simplex_logsum_max(Y, cfg=None, early_accept=None, early_reject=None):
+def simplex_logsum_max(Y, tol=_TOL, early_accept=None, early_reject=None):
     """Maximize sum_i log((w^T Y)_i) over the probability simplex.
 
     Active-set Newton steps (_face_step, b = 1, scale = z) from the best vertex
@@ -248,10 +237,10 @@ def simplex_logsum_max(Y, cfg=None, early_accept=None, early_reject=None):
     bounds the suboptimality of the current iterate, so kkt_residual is a
     certified duality gap.
 
+    tol: stop, converged, once the gap is at most this.
     early_accept: stop once the value reaches this threshold.
     early_reject: stop once value + gap certifies the optimum stays below it.
     """
-    cfg = cfg or OptimizerConfig()
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError("Y must be a 2-D array")
@@ -263,20 +252,20 @@ def simplex_logsum_max(Y, cfg=None, early_accept=None, early_reject=None):
     with np.errstate(divide="ignore"):
         start = np.log(Y).sum(axis=1)
     w = np.eye(1, m, np.argmax(start))[0] if np.isfinite(start.max()) else np.full(m, 1.0 / m)
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         z = w @ Y
         val, g = float(np.log(z).sum()), Y @ (1.0 / z)
         gap = float(g.max()) - n
-        if gap <= cfg.tol:
+        if gap <= tol:
             status = "converged"
         elif early_accept is not None and val >= early_accept:
             status = "early_accept"
         elif early_reject is not None and val + max(gap, 0.0) < early_reject:
             status = "early_reject"
-        elif it == cfg.max_iters:
+        elif it == _MAX_ITERS:
             status = "max_iters"
         else:
             w, status = _face_step(w, g, Y, z, np.ones(n), lambda dz, hi: _line_max(z, dz, hi))
         if status:
             break
-    return OptResult(w, val, max(gap, 0.0), it, gap <= cfg.tol, status)
+    return OptResult(w, val, max(gap, 0.0), it, gap <= tol, status)

@@ -17,8 +17,8 @@ import numpy as np
 from .geometry import CostSpec, UserSet, dual_norm, weighted_norm
 from .optimize import nsw_direction, simplex_logsum_max
 
-__all__ = ["HullTestConfig", "ConditionProbe", "ThresholdReport", "beta_star_two_user",
-           "beta_upper", "max_condition_holds", "beta_estimate", "threshold_report"]
+__all__ = ["ConditionProbe", "ThresholdReport", "beta_star_two_user", "beta_upper",
+           "max_condition_holds", "threshold_report"]
 
 # _ROUND_CAP master solves per probe leave it inconclusive.  D = 2 pricing
 # grids _ANGLES angles, then _ZOOMS times _ANGLES_ZOOM around the best one.
@@ -27,23 +27,13 @@ __all__ = ["HullTestConfig", "ConditionProbe", "ThresholdReport", "beta_star_two
 _ROUND_CAP, _ANGLES, _ZOOMS, _ANGLES_ZOOM = 50, 1025, 8, 33
 _USER_STARTS, _ASCENT_STEPS, _STALL = 4, 200, 1e-12
 
+# The bisection stops once its bracket is narrower than _GAP.
+_GAP = 0.05
 
-@dataclass(frozen=True)
-class HullTestConfig:
-    """Knobs for the max-condition test and the threshold search."""
 
-    tau: float | None = None
-    gap: float = 0.05
-
-    def __post_init__(self):
-        if not self.gap > 0:
-            raise ValueError("gap must be positive")
-        if self.tau is not None and not self.tau > 0:
-            raise ValueError("tau must be positive when given")
-
-    def resolve_tau(self, n_users: int) -> float:
-        # Default threshold scales linearly in the user count.
-        return self.tau if self.tau is not None else 1e-6 * n_users / 20.0
+def _tau(n_users: int) -> float:
+    """The summed-log gain a mixture needs to beat the anchor: linear in N."""
+    return 1e-6 * n_users / 20.0
 
 
 @dataclass(frozen=True)
@@ -136,7 +126,7 @@ def _price(U, a, c, beta, spec, pool, bar):
     return P[np.argmax(v)], float(v.max()), d <= 2 or spec.q == 1.0 or math.isinf(spec.q)
 
 
-def max_condition_holds(users, spec, beta, cfg=None, _anchor=None, _pool=None):
+def max_condition_holds(users, spec, beta, _anchor=None, _pool=None):
     """Column-generation test of the product-maximum condition at cost exponent
     beta: (holds, lhs_log, rhs_log, status) as in ConditionProbe.  lhs_log is
     the single-genre optimum of the summed log values (to the beta); rhs_log
@@ -146,8 +136,7 @@ def max_condition_holds(users, spec, beta, cfg=None, _anchor=None, _pool=None):
     go into _pool; they do not depend on beta, so a search shares one pool."""
     if beta < 1.0:
         raise ValueError("beta must be >= 1")
-    cfg = cfg or HullTestConfig()
-    tau = cfg.resolve_tau(users.n_users)
+    tau = _tau(users.n_users)
     if _anchor is None:
         _anchor = nsw_direction(users, spec)
     pool = [_anchor.point] if _pool is None else _pool
@@ -168,17 +157,19 @@ def max_condition_holds(users, spec, beta, cfg=None, _anchor=None, _pool=None):
     return None, lhs_log, rhs_log, "round_cap"
 
 
-def _bisect_threshold(users, spec, cfg):
-    """(estimate, sorted probes, beta_upper) of the bisection on [1, beta_upper]."""
+def _bisect_threshold(users, spec):
+    """(estimate, sorted probes, beta_upper) of the bisection on [1, beta_upper]:
+    the estimate is the midpoint once the bracket is narrower than _GAP (+inf
+    if the bound is)."""
     upper = beta_upper(users, spec)
     if math.isinf(upper):
         return math.inf, (), upper
     anchor, probes = nsw_direction(users, spec), []
     pool = [anchor.point]
     lo, hi = 1.0, upper
-    while hi - lo > cfg.gap:
+    while hi - lo > _GAP:
         mid = 0.5 * (lo + hi)
-        decided = max_condition_holds(users, spec, mid, cfg, anchor, pool)
+        decided = max_condition_holds(users, spec, mid, anchor, pool)
         probes.append(ConditionProbe(mid, *decided))
         # An unresolved probe narrows from above: treating it as a failure
         # keeps the estimate conservative rather than stalling the search.
@@ -187,16 +178,8 @@ def _bisect_threshold(users, spec, cfg):
     return 0.5 * (lo + hi), tuple(probes), upper
 
 
-def beta_estimate(users, spec, cfg=None) -> float:
-    """Bisection estimate of the specialization threshold on [1, beta_upper]:
-    the midpoint once the bracket is narrower than cfg.gap (+inf if the bound is)."""
-    cfg = cfg or HullTestConfig()
-    return _bisect_threshold(users, spec, cfg)[0]
-
-
-def threshold_report(users, spec, cfg=None) -> ThresholdReport:
+def threshold_report(users, spec) -> ThresholdReport:
     """Full threshold summary: closed form where known, bound, and estimate."""
-    cfg = cfg or HullTestConfig()
     closed = None
     uniform = spec.alpha is None or bool(np.all(spec.alpha == spec.alpha[0]))
     if users.n_users == 2 and spec.q == 2.0 and uniform:
@@ -205,5 +188,5 @@ def threshold_report(users, spec, cfg=None) -> ThresholdReport:
         # e.g. orthogonal rows land on 2 rather than 2 + 4e-16.
         cos_t = float(u1 @ u2 / (np.linalg.norm(u1) * np.linalg.norm(u2)))
         closed = math.inf if cos_t >= 1.0 else 2.0 / (1.0 - cos_t)
-    est, trace, upper = _bisect_threshold(users, spec, cfg)
+    est, trace, upper = _bisect_threshold(users, spec)
     return ThresholdReport(closed, upper, est, trace)

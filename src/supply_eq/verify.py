@@ -44,10 +44,14 @@ __all__ = [
 # bracket's upper end.
 _TIE = 1e-12
 
-# User scores (one per user per point) handled per block: each block's
-# score array is 2 MB whatever the number of users, and at N = 2 a block is
-# still large enough for numpy's per-call cost to stay small.
+# User scores (one per user per point) handled per block, 2 MB, but never
+# fewer than one grid radius (A*N scores for A directions) or one Monte Carlo
+# round (P*N).  At N = 2 a block is still large enough for numpy's per-call
+# cost to stay small.
 _BLOCK = 1 << 18
+
+# Genre-count angle tolerance (radians) and foc_residual's support points.
+_GENRE_ANGLE, _FOC_GRID = 1e-3, 512
 
 
 @dataclass(frozen=True)
@@ -169,15 +173,8 @@ class VerifyReport:
     q_threshold: float
 
 
-def best_response_gap(
-    dist,
-    users,
-    spec,
-    producers,
-    n_samples=100000,
-    grid=(200, 200),
-    seed=0,
-) -> VerifyReport:
+def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
+                      seed=0) -> VerifyReport:
     """Grid-search deviations against the exact opponent marginals; full report.
 
     Deviations sweep the family's directions (``deviation_dirs``) times
@@ -185,11 +182,13 @@ def best_response_gap(
     deviation to p earns sum_i F_i(<u_i, p>)^(P-1) - cost(p), with F_i the
     family's ``value_cdf``.  The grid is scored a block of radii at a time;
     the first maximum in radius-major order wins, as one argmax would pick.
-    n_samples sizes only the Monte Carlo profit and the genre count.
+    n_samples sizes only the Monte Carlo profit and the genre count.  The
+    producer count is the family's own, ``dist.producers``.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
-    eq_profit = dist.profit(users.n_users, spec, producers)
+    eq_profit = dist.profit(users.n_users, spec)
+    producers = dist.producers
 
     n_angles, n_radii = grid
     radii = np.linspace(0.0, users.n_users ** (1.0 / spec.beta), n_radii)
@@ -234,17 +233,17 @@ def best_response_gap(
     )
 
 
-def foc_residual(dist, spec, grid=512) -> float:
+def foc_residual(dist, spec) -> float:
     """Max gap between the win-density stationarity terms and the induced-cost
     gradient over interior support points; defined for the variants with
     analytic marginal densities."""
-    z, h = dist.foc_terms(spec, grid)
+    z, h = dist.foc_terms(spec, _FOC_GRID)
     spec_b = CostSpec(q=2.0, beta=dist.beta, alpha=spec.alpha)
     grad = induced_cost_grad(z, dist.plane.theta_star, spec_b)
     return float(np.abs(h - grad).max())
 
 
-def genre_count(samples, angle_tol=1e-3):
+def genre_count(samples):
     """Greedy direction clustering; "continuum" past sqrt(len(samples)) clusters.
 
     Directions go in blocks of that many; each block is first checked against
@@ -259,7 +258,7 @@ def genre_count(samples, angle_tol=1e-3):
     nrm = np.linalg.norm(pts, axis=1)
     dirs = pts[nrm > 0] / nrm[nrm > 0, None]
     limit = math.isqrt(dirs.shape[0])
-    cos_tol = math.cos(angle_tol)
+    cos_tol = math.cos(_GENRE_ANGLE)
     reps = np.empty((limit + 1, dirs.shape[1]))
     k = 0
     step = max(1, limit)

@@ -31,7 +31,6 @@ from supply_eq.geometry import (
 from supply_eq.ingest import NmfConfig, RatingsTable, nmf_factorize
 from supply_eq.optimize import nsw_direction
 from supply_eq.threshold import (
-    HullTestConfig,
     beta_star_two_user,
     beta_upper,
     max_condition_holds,
@@ -59,7 +58,7 @@ def test_criterion_01_two_user_threshold_and_estimate():
         ("pi_third", math.pi / 3, 4.0),
     ):
         start = time.perf_counter()
-        rep = threshold_report(angle_pair(theta), SPEC2, HullTestConfig())
+        rep = threshold_report(angle_pair(theta), SPEC2)
         elapsed = time.perf_counter() - start
         checks[f"estimate_{name}"] = abs(rep.beta_estimate - target) <= 0.15
         checks[f"runtime_{name}"] = elapsed < 30.0
@@ -114,7 +113,7 @@ def test_criterion_05_quarter_circle_verification():
         dist = QuarterCircle(beta)
         start = time.perf_counter()
         rep = best_response_gap(
-            dist, users, CostSpec(q=2.0, beta=beta), 2,
+            dist, users, CostSpec(q=2.0, beta=beta),
             n_samples=100_000, grid=(200, 200), seed=0,
         )
         elapsed = time.perf_counter() - start
@@ -194,12 +193,12 @@ def test_criterion_08_profit_dichotomy():
     dist1 = OnePopulation(np.array([1.0, 0.0]), 1, 2.0, 2)
     dist4 = OnePopulation(np.array([0.6, 0.8]), 4, 3.0, 5)
     checks = {
-        "onepop_zero": dist1.profit(e1.n_users, SPEC2, 2) == 0.0,
-        "onepop_n4_zero": dist4.profit(users4.n_users, CostSpec(q=2.0, beta=3.0), 5) == 0.0,
-        "quarter_circle_beta2_zero": QuarterCircle(2.0).profit(users.n_users, SPEC2, 2) == 0.0,
+        "onepop_zero": dist1.profit(e1.n_users, SPEC2) == 0.0,
+        "onepop_n4_zero": dist4.profit(users4.n_users, CostSpec(q=2.0, beta=3.0)) == 0.0,
+        "quarter_circle_beta2_zero": QuarterCircle(2.0).profit(users.n_users, SPEC2) == 0.0,
     }
     for beta in (4.0, 8.0):
-        got = QuarterCircle(beta).profit(users.n_users, CostSpec(q=2.0, beta=beta), 2)
+        got = QuarterCircle(beta).profit(users.n_users, CostSpec(q=2.0, beta=beta))
         checks[f"quarter_circle_beta{beta:g}_positive"] = got > 0.0
         checks[f"quarter_circle_beta{beta:g}_value"] = abs(got - (1.0 - 2.0 / beta)) <= 1e-15
     flag8, _, _ = positive_profit_condition(users, CostSpec(q=2.0, beta=8.0), 2)
@@ -217,9 +216,8 @@ def _nonincreasing_flags(flags) -> bool:
 
 def test_criterion_09_condition_monotone_in_beta():
     checks = {}
-    cfg = HullTestConfig()
     flags = [
-        max_condition_holds(basis_pair(), SPEC2, float(b), cfg)[0]
+        max_condition_holds(basis_pair(), SPEC2, float(b))[0]
         for b in np.linspace(1.0, 3.0, 20)
     ]
     checks["basis_pair_monotone"] = _nonincreasing_flags(flags)
@@ -228,7 +226,7 @@ def test_criterion_09_condition_monotone_in_beta():
     rand3 = UserSet(np.abs(np.random.default_rng(7).standard_normal((3, 3))) + 0.05)
     top = beta_upper(rand3, SPEC2)
     flags3 = [
-        max_condition_holds(rand3, SPEC2, float(b), cfg)[0]
+        max_condition_holds(rand3, SPEC2, float(b))[0]
         for b in np.linspace(1.0, top + 1.0, 20)
     ]
     checks["random3_monotone"] = _nonincreasing_flags(flags3)

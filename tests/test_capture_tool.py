@@ -43,3 +43,14 @@ def test_readme_commands_are_the_tested_ones():
     from test_readme import COMMANDS
 
     assert capture._readme_commands() == COMMANDS
+
+
+def test_surface_list_passes_every_option_of_every_subcommand():
+    from supply_eq.cli import _build_parser
+
+    subs = next(a for a in _build_parser()._actions if a.dest == "cmd").choices
+    missing = [f"{cmd} {opt}" for cmd, sub in subs.items() for action in sub._actions
+               for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"
+               and not any(argv[0] == cmd and opt in argv for argv in capture.SURFACE)]
+    assert missing == []

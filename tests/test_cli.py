@@ -74,10 +74,13 @@ def test_output_bytes_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-@pytest.mark.parametrize("flag", [["--beta", "3"], ["--trials", "5"], ["--hull-points", "9"]])
+@pytest.mark.parametrize("flag", [["--beta", "3"], ["--trials", "5"], ["--hull-points", "9"],
+                                  ["--tau", "10"], ["--gap", "0.5"]])
 def test_threshold_rejects_removed_flags(capsys, flag):
-    # threshold searches beta itself and decides probes without sampling.
+    # threshold searches beta itself, decides probes without sampling, and
+    # fixes its bisection width and tau, which run_config never recorded.
     assert run(["threshold", "--users", "basis2", *flag]) == 2
+    assert flag[0] in capsys.readouterr().err
 
 
 def test_nsw_rejects_beta(capsys):
@@ -495,15 +498,69 @@ def test_exit_input_on_negative_rating(capsys, tmp_path):
     assert "nonnegative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, setting", [("--init-scale", "init_scale"), ("--min-entry", "min_entry")])
-def test_exit_usage_on_non_finite_nmf_setting(capsys, tmp_path, flag, setting):
+@pytest.mark.parametrize("flag, value", [("--init-scale", "0.2"), ("--min-entry", "1e-3")],
+                         ids=["--init-scale", "--min-entry"])
+def test_nmf_rejects_removed_flags(capsys, tmp_path, flag, value):
+    # The init scale and floor are fixed; run_config never recorded them.
     ratings = tmp_path / "r.csv"
     ratings.write_text("user_id,item_id,rating\nu,m,1.0\n")
     out = tmp_path / "e.csv"
-    argv = ["nmf", "--ratings", str(ratings), "--factors", "1", flag, "inf", "--out", str(out)]
+    argv = ["nmf", "--ratings", str(ratings), "--factors", "1", flag, value, "--out", str(out)]
     assert run(argv) == 2
-    assert setting in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+# For each option of a JSON-writing subcommand: a value other than its
+# default, the run_config keys it must appear under, and the values there.
+_OPTION_CASES = {
+    "--users": ("angle:1.2", {"users_source": "angle:1.2"}),
+    "--q": ("3", {"q": 3.0}),
+    "--alpha": ("1,2", {"alpha": [1.0, 2.0]}),
+    "--seed": ("5", {"seed": 5}),
+    "--variant": ("p2", {"variant": "p2"}),
+    "--beta": ("3", {"beta": 3.0}),
+    "--producers": ("3", {"producers": 3}),
+    "--samples": ("1500", {"samples": 1500}),
+    "--grid": ("6x7", {"grid_angles": 6, "grid_radii": 7}),
+    "--factors": ("3", {"factors": 3}),
+    "--epochs": ("7", {"epochs": 7}),
+}
+_JSON_BASE = {
+    "nsw": {"--users": "basis2"},
+    "threshold": {"--users": "basis2"},
+    "verify": {"--users": "basis2", "--variant": "onepop", "--samples": "1000", "--grid": "5x5"},
+    "profit": {"--users": "basis2", "--variant": "onepop"},
+    "nmf": {"--factors": "2", "--epochs": "5"},
+}
+
+
+def _json_options():
+    subs = next(a for a in cli._build_parser()._actions if a.dest == "cmd").choices
+    return [(cmd, opt) for cmd in _JSON_BASE for action in subs[cmd]._actions
+            for opt in action.option_strings if opt.startswith("--") and opt != "--help"]
+
+
+@pytest.mark.parametrize("cmd, option", _json_options(), ids=lambda v: v)
+def test_every_json_option_is_recorded_in_run_config(capsys, tmp_path, cmd, option):
+    # The argv alone fixes the output, so every option a report depends on
+    # must show in its run_config.
+    ratings = tmp_path / "r.csv"
+    ratings.write_text("user_id,item_id,rating\n" + "\n".join(
+        f"u{u},i{i},{1 + (u + 2 * i) % 5}" for u in range(6) for i in range(4)) + "\n")
+    out = tmp_path / "out"
+    cases = {**_OPTION_CASES, "--ratings": (str(ratings), {"users_source": str(ratings)}),
+             "--out": (str(out), {"out": str(out)})}
+    args = dict(_JSON_BASE[cmd])
+    if cmd == "nmf":  # --out names the embeddings CSV; the report goes to stdout
+        args.update({"--ratings": str(ratings), "--out": str(out)})
+    assert option in cases, f"{cmd} {option} has no run_config key"
+    value, expected = cases[option]
+    args[option] = value
+    assert run([cmd, *[tok for kv in args.items() for tok in kv]]) == 0
+    text = capsys.readouterr().out
+    rc = json.loads(out.read_text() if option == "--out" and cmd != "nmf" else text)["run_config"]
+    assert {key: rc[key] for key in expected} == expected
 
 
 def test_exit_input_on_missing_users_file(capsys, tmp_path):

@@ -272,7 +272,6 @@ def test_infinite_genre_directions():
     assert angle_between(dirs[0], dirs[1]) == pytest.approx(
         math.pi / 3 - 2 * dist.theta_g, abs=1e-10
     )
-    assert dist.weights == (0.5, 0.5)
 
 
 def test_infinite_sampler_two_genres_and_law():

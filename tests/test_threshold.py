@@ -11,8 +11,6 @@ from supply_eq.geometry import CostSpec, UserSet, angle_pair, orthonormal_users,
 from supply_eq.ingest import save_embeddings_csv
 from supply_eq.optimize import nsw_direction, simplex_logsum_max
 from supply_eq.threshold import (
-    HullTestConfig,
-    beta_estimate,
     beta_star_two_user,
     beta_upper,
     max_condition_holds,
@@ -90,7 +88,7 @@ def test_max_condition_trace_ordering():
         holds, lhs, rhs, _ = max_condition_holds(users, SPEC2, beta)
         assert rhs >= lhs - 1e-12
         if holds is False:
-            tau = HullTestConfig().resolve_tau(users.n_users)
+            tau = threshold_mod._tau(users.n_users)
             assert rhs - lhs >= tau - 1e-15
 
 
@@ -134,7 +132,7 @@ def test_threshold_report_identical_users():
 
 def test_threshold_report_no_closed_form_for_three_users():
     users = UserSet(np.abs(np.random.default_rng(1).standard_normal((3, 2))) + 0.2)
-    rep = threshold_report(users, SPEC2, HullTestConfig())
+    rep = threshold_report(users, SPEC2)
     assert rep.beta_star_closed is None
     assert rep.beta_estimate is not None
 
@@ -155,18 +153,8 @@ def test_flags_nonincreasing_small_grid():
 
 def test_beta_estimate_within_bound():
     users = angle_pair(1.0)
-    est = beta_estimate(users, SPEC2)
+    est = threshold_report(users, SPEC2).beta_estimate
     assert 1.0 <= est <= beta_upper(users, SPEC2)
-
-
-def test_hull_config_validation():
-    with pytest.raises(ValueError):
-        HullTestConfig(gap=0.0)
-    with pytest.raises(ValueError):
-        HullTestConfig(tau=-1.0)
-    cfg = HullTestConfig()
-    assert cfg.resolve_tau(20) == pytest.approx(1e-6)
-    assert HullTestConfig(tau=0.5).resolve_tau(20) == 0.5
 
 
 def test_hull_search_deterministic():
@@ -182,7 +170,7 @@ def test_hull_search_deterministic():
 @pytest.mark.parametrize("theta", [0.3, 0.6, 1.0, math.pi / 4, math.pi / 3, 1.2, math.pi / 2])
 def test_angle_pair_estimate_within_gap_of_closed_form(theta):
     rep = threshold_report(angle_pair(theta), SPEC2)
-    assert abs(rep.beta_estimate - 2.0 / (1.0 - math.cos(theta))) <= HullTestConfig().gap
+    assert abs(rep.beta_estimate - 2.0 / (1.0 - math.cos(theta))) <= threshold_mod._GAP
     # D = 2 pricing searches every angle, so each probe is decided globally.
     assert {p.status for p in rep.condition_trace} <= {"beaten", "priced_out"}
 
@@ -222,7 +210,7 @@ def test_largest_holding_beta_survives_random_points():
     U = users.embeddings
     anchor = nsw_direction(users, SPEC2)
     a = U @ anchor.point
-    tau = HullTestConfig().resolve_tau(users.n_users)
+    tau = threshold_mod._tau(users.n_users)
     draws = [np.abs(np.random.default_rng(123).standard_normal((20000, 5)))]
     draws += [np.abs(np.random.default_rng([0, t]).standard_normal((75, 5))) for t in range(50)]
     for pts in draws:
@@ -250,8 +238,8 @@ def _vertex_mixture_value(users, spec, beta):
 ], ids=["pair", "pair_weighted", "6x4", "6x4_weighted"])
 def test_q1_flips_where_vertex_pricing_says(U, alpha):
     users, spec = UserSet(U), CostSpec(q=1.0, alpha=alpha)
-    tau = HullTestConfig().resolve_tau(users.n_users)
-    est = beta_estimate(users, spec)
+    tau = threshold_mod._tau(users.n_users)
+    est = threshold_report(users, spec).beta_estimate
     flags = []
     for beta in np.unique(np.r_[np.linspace(1.0, 1.1, 11), np.linspace(est - 0.5, est + 0.5, 11)]):
         if beta < 1.0:
@@ -273,7 +261,7 @@ def test_qinf_never_flips():
         spec = CostSpec(q=math.inf, alpha=alpha)
         for beta in (1.0, 2.0, 5.0, 40.0):
             assert max_condition_holds(users, spec, beta)[::3] == (True, "priced_out")
-        assert beta_estimate(users, spec) == math.inf
+        assert threshold_report(users, spec).beta_estimate == math.inf
 
 
 def test_weighted_pair_flips_at_rescaled_closed_form():
@@ -283,7 +271,7 @@ def test_weighted_pair_flips_at_rescaled_closed_form():
     users, spec = UserSet(U), CostSpec(q=2.0, alpha=alpha)
     v1, v2 = U / alpha
     closed = 2.0 / (1.0 - v1 @ v2 / (np.linalg.norm(v1) * np.linalg.norm(v2)))
-    assert abs(beta_estimate(users, spec) - closed) <= HullTestConfig().gap
+    assert abs(threshold_report(users, spec).beta_estimate - closed) <= threshold_mod._GAP
     assert max_condition_holds(users, spec, closed - 0.1)[::3] == (True, "priced_out")
     assert max_condition_holds(users, spec, closed + 0.1)[::3] == (False, "beaten")
 
@@ -299,11 +287,11 @@ def test_probes_share_one_pool():
     users = USERS_30X5
     anchor = nsw_direction(users, SPEC2)
     pool = [anchor.point]
-    first = max_condition_holds(users, SPEC2, 12.0, None, anchor, pool)
+    first = max_condition_holds(users, SPEC2, 12.0, anchor, pool)
     assert first[::3] == (False, "beaten") and len(pool) > 1
     grown = len(pool)
     # The points found at beta = 12 already beat the anchor at 13.
-    assert max_condition_holds(users, SPEC2, 13.0, None, anchor, pool)[::3] == (False, "beaten")
+    assert max_condition_holds(users, SPEC2, 13.0, anchor, pool)[::3] == (False, "beaten")
     assert len(pool) == grown
 
 

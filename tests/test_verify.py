@@ -67,33 +67,33 @@ def test_deviation_profit_brackets_zero_on_support():
 
 def test_equilibrium_profit_zero_for_single_genre():
     dist = OnePopulation(np.array([1.0, 0.0]), 1, 2.0, 2)
-    assert dist.profit(E1_USER.n_users, SPEC2, 2) == 0.0
+    assert dist.profit(E1_USER.n_users, SPEC2) == 0.0
     users4 = UserSet(np.tile(np.array([[0.6, 0.8]]), (4, 1)))
     dist4 = OnePopulation(np.array([0.6, 0.8]), 4, 3.0, 5)
-    assert dist4.profit(users4.n_users, CostSpec(q=2.0, beta=3.0), 5) == 0.0
+    assert dist4.profit(users4.n_users, CostSpec(q=2.0, beta=3.0)) == 0.0
 
 
 def test_equilibrium_profit_quarter_circle():
     spec4 = CostSpec(q=2.0, beta=4.0)
     dist = QuarterCircle(4.0)
-    assert dist.profit(BASIS2.n_users, spec4, 2) == pytest.approx(0.5, abs=1e-15)
+    assert dist.profit(BASIS2.n_users, spec4) == pytest.approx(0.5, abs=1e-15)
     spec8 = CostSpec(q=2.0, beta=8.0)
     dist8 = QuarterCircle(8.0)
-    assert dist8.profit(BASIS2.n_users, spec8, 2) == pytest.approx(0.75, abs=1e-15)
+    assert dist8.profit(BASIS2.n_users, spec8) == pytest.approx(0.75, abs=1e-15)
     # beta = 2 sits exactly at the threshold: no profit.
-    assert QuarterCircle(2.0).profit(BASIS2.n_users, SPEC2, 2) == 0.0
+    assert QuarterCircle(2.0).profit(BASIS2.n_users, SPEC2) == 0.0
 
 
 def test_equilibrium_profit_finite_p_curve():
     dist = FinitePCurve(3)
     users = angle_pair(math.pi / 2)
-    assert dist.profit(users.n_users, SPEC2, 3) == 0.0
+    assert dist.profit(users.n_users, SPEC2) == 0.0
 
 
 def test_equilibrium_profit_mismatched_exponent():
     # Distribution built for beta 3 but priced at beta 2 loses money.
     dist = OnePopulation(np.array([1.0, 0.0]), 1, 3.0, 2)
-    got = dist.profit(E1_USER.n_users, SPEC2, 2)
+    got = dist.profit(E1_USER.n_users, SPEC2)
     assert got == pytest.approx(0.5 - 3.0 / 5.0, abs=1e-15)
     assert got < 0
 
@@ -101,16 +101,14 @@ def test_equilibrium_profit_mismatched_exponent():
 def test_equilibrium_profit_mismatch_two_homogeneous_users():
     users = UserSet(np.array([[1.0, 0.0], [1.0, 0.0]]))
     dist = OnePopulation(np.array([1.0, 0.0]), 2, 3.0, 2)
-    got = dist.profit(users.n_users, SPEC2, 2)
+    got = dist.profit(users.n_users, SPEC2)
     assert got == pytest.approx(1.0 - 2.0 ** (2.0 / 3.0) * 3.0 / 5.0, abs=1e-14)
 
 
 def test_equilibrium_profit_consistency_checks():
     dist = OnePopulation(np.array([1.0, 0.0]), 1, 2.0, 2)
     with pytest.raises(ValueError):
-        dist.profit(E1_USER.n_users, SPEC2, 3)
-    with pytest.raises(ValueError):
-        dist.profit(BASIS2.n_users, SPEC2, 2)
+        dist.profit(BASIS2.n_users, SPEC2)
 
 
 def test_positive_profit_condition_flags():
@@ -184,7 +182,7 @@ def test_genre_count_needs_samples():
 def test_best_response_gap_report_quarter_circle():
     spec = CostSpec(q=2.0, beta=4.0)
     dist = QuarterCircle(4.0)
-    rep = best_response_gap(dist, BASIS2, spec, 2, n_samples=20000, grid=(80, 80), seed=0)
+    rep = best_response_gap(dist, BASIS2, spec, n_samples=20000, grid=(80, 80), seed=0)
     assert rep.eq_profit == pytest.approx(0.5, abs=1e-12)
     assert rep.best_response_gap <= 0.05
     assert abs(rep.eq_profit_mc - rep.eq_profit) <= 3 * rep.eq_profit_mc_stderr + 1e-12
@@ -196,7 +194,7 @@ def test_best_response_gap_report_quarter_circle():
 
 def test_best_response_gap_one_population():
     dist = OnePopulation(np.array([1.0, 0.0]), 1, 2.0, 2)
-    rep = best_response_gap(dist, E1_USER, SPEC2, 2, n_samples=20000, grid=(1, 200), seed=0)
+    rep = best_response_gap(dist, E1_USER, SPEC2, n_samples=20000, grid=(1, 200), seed=0)
     assert rep.eq_profit == 0.0
     assert rep.best_response_gap <= 0.05
     assert rep.genre_count_estimate == 1
@@ -208,7 +206,7 @@ def test_best_response_gap_detects_wrong_equilibrium():
     # undercutting at high quality wins both users cheaply.
     users = UserSet(np.array([[1.0, 0.0], [1.0, 0.0]]))
     dist = OnePopulation(np.array([1.0, 0.0]), 2, 3.0, 2)
-    rep = best_response_gap(dist, users, SPEC2, 2, n_samples=20000, grid=(1, 200), seed=3)
+    rep = best_response_gap(dist, users, SPEC2, n_samples=20000, grid=(1, 200), seed=3)
     assert rep.eq_profit == pytest.approx(1.0 - 2.0 ** (2.0 / 3.0) * 3.0 / 5.0, abs=1e-14)
     assert rep.best_response_gap > 0.1
 
@@ -217,7 +215,7 @@ def test_mc_profit_close_across_seeds():
     spec = CostSpec(q=2.0, beta=3.0)
     dist = OnePopulation(np.array([1.0, 0.0]), 1, 3.0, 2)
     for seed in (0, 5, 9):
-        rep = best_response_gap(dist, E1_USER, spec, 2, n_samples=20000, grid=(1, 50), seed=seed)
+        rep = best_response_gap(dist, E1_USER, spec, n_samples=20000, grid=(1, 50), seed=seed)
         assert abs(rep.eq_profit_mc - rep.eq_profit) <= 4 * rep.eq_profit_mc_stderr + 1e-12
 
 
@@ -308,7 +306,7 @@ def _reference_grid(dist, users, spec, producers, grid, seed):
     win = (dist.value_cdf(r * scores, users) ** (producers - 1)).sum(axis=-1)
     profits = win - cost(r * dirs, spec)
     i = int(np.argmax(profits))
-    gap = float(profits.flat[i]) - dist.profit(users.n_users, spec, producers)
+    gap = float(profits.flat[i]) - dist.profit(users.n_users, spec)
     return gap, radii[i // len(dirs)] * dirs[i % len(dirs)]
 
 
@@ -331,7 +329,7 @@ def test_deviation_grid_matches_row_major_reference_bitwise(name):
     # row-wise sum does; from 8 users on, numpy sums a contiguous row
     # pairwise, so the two agree to rounding only (next test).
     dist, users, spec, producers = _grid_case(name)
-    rep = best_response_gap(dist, users, spec, producers, n_samples=1000, grid=(60, 70), seed=3)
+    rep = best_response_gap(dist, users, spec, n_samples=1000, grid=(60, 70), seed=3)
     gap, argmax_pt = _reference_grid(dist, users, spec, producers, (60, 70), 3)
     assert rep.best_response_gap == gap
     assert np.array_equal(rep.gap_argmax, argmax_pt)
@@ -339,7 +337,7 @@ def test_deviation_grid_matches_row_major_reference_bitwise(name):
 
 def test_deviation_grid_many_users_matches_row_major_reference():
     dist, spec = _onepop_nsw(USERS_30X5, 12.0)
-    rep = best_response_gap(dist, USERS_30X5, spec, 2, n_samples=1000, grid=(60, 70), seed=3)
+    rep = best_response_gap(dist, USERS_30X5, spec, n_samples=1000, grid=(60, 70), seed=3)
     gap, argmax_pt = _reference_grid(dist, USERS_30X5, spec, 2, (60, 70), 3)
     # Either order of adding N values in [0, 1] errs by at most N * eps * N.
     n = USERS_30X5.n_users
@@ -349,7 +347,7 @@ def test_deviation_grid_many_users_matches_row_major_reference():
 
 def test_best_response_gap_report_independent_of_block_bitwise(monkeypatch):
     dist = FinitePCurve(3)
-    args = (dist, BASIS2, SPEC2, 3)
+    args = (dist, BASIS2, SPEC2)
     kw = dict(n_samples=9000, grid=(70, 90), seed=4)
     full = best_response_gap(*args, **kw)
     monkeypatch.setattr(verify_mod, "_BLOCK", RAGGED)
@@ -447,7 +445,7 @@ def test_value_cdf_orthogonal_user_wins_every_tie_at_zero(producers):
         warnings.simplefilter("error")
         exact = dist.value_cdf(z, BASIS2) ** (producers - 1)
         emp = empirical_marginals(dist, BASIS2, producers, 20000, 4).win_probability(z, weak=True)
-        rep = best_response_gap(dist, BASIS2, SPEC2, producers, n_samples=2000, grid=(30, 30))
+        rep = best_response_gap(dist, BASIS2, SPEC2, n_samples=2000, grid=(30, 30))
     assert np.array_equal(exact[:, 1], [1.0, 1.0, 1.0])
     assert np.array_equal(emp[:, 1], exact[:, 1])
     assert np.array_equal(emp[0], exact[0])
@@ -468,7 +466,7 @@ def test_onepop_gap_crosses_at_two_user_threshold(theta):
     gaps = []
     for beta in (0.9 * beta_star, 1.1 * beta_star):
         dist, spec = _onepop_nsw(users, beta)
-        rep = best_response_gap(dist, users, spec, 2, n_samples=1000, grid=(400, 400))
+        rep = best_response_gap(dist, users, spec, n_samples=1000, grid=(400, 400))
         gaps.append(rep.best_response_gap)
     assert gaps[0] <= 1e-12
     assert gaps[1] >= 5e-3
@@ -479,7 +477,7 @@ def test_onepop_gap_beyond_the_plane_crosses():
     gaps = []
     for beta in (3.0, 20.0):
         dist, spec = _onepop_nsw(USERS_30X5, beta)
-        rep = best_response_gap(dist, USERS_30X5, spec, 2, n_samples=1000, grid=(60, 60))
+        rep = best_response_gap(dist, USERS_30X5, spec, n_samples=1000, grid=(60, 60))
         gaps.append(rep.best_response_gap)
     assert gaps[0] <= 1e-12
     assert gaps[1] >= 0.1
@@ -488,12 +486,12 @@ def test_onepop_gap_beyond_the_plane_crosses():
 @pytest.mark.parametrize("case", ["p2", "finitep", "onepop"])
 def test_planar_gap_independent_of_seed_bitwise(case):
     if case == "p2":
-        args = (QuarterCircle(4.0), BASIS2, CostSpec(q=2.0, beta=4.0), 2)
+        args = (QuarterCircle(4.0), BASIS2, CostSpec(q=2.0, beta=4.0))
     elif case == "finitep":
-        args = (FinitePCurve(3), BASIS2, SPEC2, 3)
+        args = (FinitePCurve(3), BASIS2, SPEC2)
     else:
         dist, spec = _onepop_nsw(angle_pair(1.0), 8.0)
-        args = (dist, angle_pair(1.0), spec, 2)
+        args = (dist, angle_pair(1.0), spec)
     a = best_response_gap(*args, n_samples=2000, grid=(60, 70), seed=0)
     b = best_response_gap(*args, n_samples=2000, grid=(60, 70), seed=5)
     assert a.best_response_gap == b.best_response_gap
@@ -504,9 +502,9 @@ def test_planar_gap_independent_of_seed_bitwise(case):
 def test_onepop_gap_independent_of_grid_block_bitwise(monkeypatch, users, beta):
     dist, spec = _onepop_nsw(users, beta)
     kw = dict(n_samples=2000, grid=(70, 90), seed=4)
-    full = best_response_gap(dist, users, spec, 2, **kw)
+    full = best_response_gap(dist, users, spec, **kw)
     monkeypatch.setattr(verify_mod, "_BLOCK", RAGGED)
-    blocked = best_response_gap(dist, users, spec, 2, **kw)
+    blocked = best_response_gap(dist, users, spec, **kw)
     assert blocked.best_response_gap == full.best_response_gap
     assert np.array_equal(blocked.gap_argmax, full.gap_argmax)
     assert full.best_response_gap > 0.1
@@ -517,6 +515,6 @@ def test_grid_blocks_keep_the_first_maximum(monkeypatch):
     # x*x - x*x = 0 exactly, so the maximum ties across one-radius blocks;
     # the first one, at radius 0, wins as np.argmax over the whole grid would.
     monkeypatch.setattr(verify_mod, "_BLOCK", 1)
-    rep = best_response_gap(FinitePCurve(3), BASIS2, SPEC2, 3, n_samples=1000, grid=(2, 50))
+    rep = best_response_gap(FinitePCurve(3), BASIS2, SPEC2, n_samples=1000, grid=(2, 50))
     assert rep.best_response_gap == 0.0
     assert np.array_equal(rep.gap_argmax, [0.0, 0.0])

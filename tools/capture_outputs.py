@@ -5,10 +5,11 @@
 
 The first form imports ``supply_eq`` from CHECKOUT/src and runs, through
 ``supply_eq.cli.run`` in this one process, every argv of the three perfbench
-workloads (warm-ups, then commands, at run seeds 1 and 2) and every
-``supply-eq`` line of the README's "Command line" block.  The argv lists come
-from this repository's ``perfbench/workloads.py`` and ``README.md``, so two
-checkouts are run on the same commands.  For each command it records the exit
+workloads (warm-ups, then commands, at run seeds 1 and 2), every
+``supply-eq`` line of the README's "Command line" block, and the small argv
+of SURFACE below, which use every option of every subcommand at least once.
+The argv lists come from this repository's ``perfbench/workloads.py``,
+``README.md`` and this file, so two checkouts are run on the same commands.  For each command it records the exit
 code and the sha256 of its stdout, its stderr and every file it wrote, with
 the temporary directory's path replaced by ``<work>``.
 
@@ -32,6 +33,59 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2)
 
+# Small argv that, between them, pass every option of every subcommand, run
+# in a directory holding ratings.csv and a 6x4 users file emb.csv.  They
+# cover q = 1, 3 and inf, --alpha, each user source, every eq variant, a
+# D > 2 verify, the exit-2 paths, and four flags the command line no longer
+# has (--tau, --gap, --init-scale, --min-entry).
+SURFACE = [
+    ["nsw", "--users", "basis2", "--q", "1"],
+    ["nsw", "--users", "orthonormal:3", "--q", "3", "--alpha", "1,2,0.5"],
+    ["nsw", "--users", "emb.csv", "--q", "inf", "--seed", "3", "--out", "nsw.json"],
+    ["nsw", "--users", "basis2", "--alpha", "1,1,1"],
+    ["threshold", "--users", "angle:1.0"],
+    ["threshold", "--users", "emb.csv", "--q", "3", "--alpha", "1,2,1,1.5", "--out", "thr.json"],
+    ["threshold", "--users", "orthonormal:3", "--q", "1", "--seed", "4"],
+    ["threshold", "--users", "basis2", "--q", "inf"],
+    ["threshold", "--users", "angle:1.0", "--tau", "10"],
+    ["threshold", "--users", "angle:1.0", "--gap", "0.5"],
+    ["eq", "--variant", "onepop", "--users", "emb.csv", "--beta", "3", "--producers", "3",
+     "--n", "50", "--cdf-grid", "5", "--seed", "2"],
+    ["eq", "--variant", "onepop", "--n-users", "7", "--alpha", "2,1", "--q", "3", "--n", "20"],
+    ["eq", "--variant", "p2", "--users", "basis2", "--beta", "4", "--cdf-grid", "9",
+     "--out", "p2.csv", "--n", "30", "--samples-out", "p2s.csv"],
+    ["eq", "--variant", "finitep", "--producers", "4", "--cdf-grid", "7", "--n", "10"],
+    ["eq", "--variant", "infinite", "--theta", "1.0", "--beta", "12", "--n", "40",
+     "--cdf-grid", "6", "--seed", "5"],
+    ["eq", "--variant", "infinite", "--theta", "1.0", "--beta", "12", "--producers", "5",
+     "--n", "4"],
+    ["eq", "--variant", "p2", "--n", "0", "--cdf-grid", "0"],
+    ["eq", "--variant", "onepop", "--theta", "1.0", "--n", "3"],
+    ["eq", "--variant", "p2", "--q", "3", "--cdf-grid", "5"],
+    ["verify", "--users", "basis2", "--variant", "p2", "--beta", "4", "--samples", "2000",
+     "--grid", "20x20", "--seed", "1"],
+    ["verify", "--users", "basis2", "--variant", "finitep", "--producers", "3",
+     "--samples", "2000", "--grid", "20x20", "--out", "ver.json"],
+    ["verify", "--users", "emb.csv", "--variant", "onepop", "--beta", "3", "--q", "3",
+     "--alpha", "1,2,1,1.5", "--samples", "2000", "--grid", "20x20"],
+    ["verify", "--users", "angle:1.0", "--variant", "onepop", "--beta", "1.5", "--q", "1",
+     "--samples", "2000", "--grid", "20x20"],
+    ["verify", "--users", "basis2", "--variant", "p2", "--grid", "0x10"],
+    ["profit", "--users", "basis2", "--variant", "finitep", "--producers", "3"],
+    ["profit", "--users", "emb.csv", "--variant", "onepop", "--beta", "3", "--q", "inf",
+     "--alpha", "1,2,1,1.5", "--seed", "9", "--out", "prof.json"],
+    ["profit", "--users", "orthonormal:3", "--variant", "onepop", "--q", "1"],
+    ["profit", "--users", "basis2", "--variant", "p2", "--producers", "3"],
+    ["nmf", "--ratings", "ratings.csv", "--factors", "3", "--epochs", "20", "--seed", "4",
+     "--out", "nmf_users.csv"],
+    ["nmf", "--ratings", "ratings.csv", "--factors", "2", "--init-scale", "0.2",
+     "--out", "scaled.csv"],
+    ["nmf", "--ratings", "ratings.csv", "--factors", "2", "--min-entry", "1e-3",
+     "--out", "floored.csv"],
+    ["nmf", "--ratings", "ratings.csv", "--factors", "0", "--out", "none.csv"],
+    ["bogus"],
+]
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -49,6 +103,13 @@ def _write_readme_inputs(workdir: str) -> None:
             if (u + i) % 3]
     with open(os.path.join(workdir, "ratings.csv"), "w", encoding="utf-8") as fh:
         fh.write("user_id,item_id,rating\n" + "\n".join(rows) + "\n")
+
+
+def _write_surface_inputs(workdir: str) -> None:
+    _write_readme_inputs(workdir)
+    rows = [f"u{u}," + ",".join(str(1 + (u * 7 + k * 3) % 5) for k in range(4)) for u in range(6)]
+    with open(os.path.join(workdir, "emb.csv"), "w", encoding="utf-8") as fh:
+        fh.write("user_id,f0,f1,f2,f3\n" + "\n".join(rows) + "\n")
 
 
 def _stats(workdir: str) -> dict:
@@ -101,6 +162,11 @@ def capture(checkout: Path) -> dict:
             _write_readme_inputs(workdir)
             for argv in _readme_commands():
                 records["README: " + " ".join(argv)] = _record(supply_eq.cli.run, argv, workdir)
+        with tempfile.TemporaryDirectory() as workdir:
+            os.chdir(workdir)
+            _write_surface_inputs(workdir)
+            for argv in SURFACE:
+                records["surface: " + " ".join(argv)] = _record(supply_eq.cli.run, argv, workdir)
     finally:
         os.chdir(cwd)
     return records
