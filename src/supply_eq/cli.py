@@ -446,6 +446,8 @@ def _cmd_eq(ns) -> int:
                          "infinite-producer limit")
     if ns.samples_out is not None and ns.n == 0:
         raise ValueError("--samples-out names a samples file, but --n is 0")
+    if ns.out is not None and ns.cdf_grid == 0:
+        raise ValueError("--out names a CDF table file, but --cdf-grid is 0")
     if ns.out is not None and ns.samples_out is not None and _same_file(ns.out, ns.samples_out):
         raise ValueError(
             f"--out and --samples-out both name {ns.samples_out!r}; the samples would "
@@ -458,8 +460,7 @@ def _cmd_eq(ns) -> int:
     dist, converged = _build_dist(ns, users, spec, ns.n_users)
     if ns.cdf_grid > 0:
         xs = np.linspace(0.0, dist.cdf_max, ns.cdf_grid)
-        cdf = [dist.cdf_point(x) for x in xs.tolist()]
-        _write_rows(f"{dist.cdf_axis},cdf", np.column_stack([xs, cdf]), ns.out)
+        _write_rows(f"{dist.cdf_axis},cdf", np.column_stack([xs, dist.cdf(xs)]), ns.out)
     if ns.n > 0:
         pts = eq_sample(dist, ns.n, ns.seed)
         _write_rows(",".join(f"f{k}" for k in range(pts.shape[1])), pts, ns.samples_out)

@@ -18,12 +18,12 @@ whole coordinates (``verify``) read contiguous rows of length n.
 
 Each family class holds all of its own behaviour: ``draw_blocks`` (the
 inverse-transform sampler, yielding its rows a block at a time),
-``cdf_quality``, the tabulated CDF (``cdf_axis``, ``cdf_max``,
-``cdf_point``), the analytic per-producer ``profit``, the
-first-order terms ``foc_terms``, the best-response sweep directions
-``deviation_dirs`` and, for the families ``verify`` prices against, each
-user's exact value CDF ``value_cdf``.  The module functions below dispatch
-to them.
+``cdf_quality``, the tabulated CDF (``cdf_axis``, ``cdf_max`` and ``cdf``,
+which maps an array of points elementwise), the analytic per-producer
+``profit``, the first-order terms ``foc_terms``, the best-response sweep
+directions ``deviation_dirs`` and, for the families ``verify`` prices
+against, each user's exact value CDF ``value_cdf``.  The module functions
+below dispatch to them.
 
 Each family is built by its own class from what fixes it; ``QuarterCircle``
 and ``FinitePCurve`` default to the plane of the two basis vectors, and
@@ -139,22 +139,20 @@ class OnePopulation(_StreamFamily):
         r = (self.n_users * u ** (self.producers - 1)) ** (1.0 / self.beta)
         return (self.direction[:, None] * r).T
 
-    def cdf_point(self, q: float) -> float:
-        f = (q**self.beta / self.n_users) ** (1.0 / (self.producers - 1))
-        return min(1.0, f)
+    def cdf(self, q):
+        return np.clip(q / self.support_max, 0.0, 1.0) ** (self.beta / (self.producers - 1))
 
-    cdf_quality = cdf_point
+    cdf_quality = cdf
 
     def value_cdf(self, z: np.ndarray, users: UserSet) -> np.ndarray:
         """P(value <= z) per user for scores z shaped (..., N).
 
         User i values the ray at a_i = <d, u_i> times the quality, so its CDF
-        is cdf_point(z / a_i) = min(1, z / (a_i N^(1/beta)))^(beta/(P-1)); a
-        user with a_i = 0 values every draw at 0.
+        is cdf(z / a_i); a user with a_i = 0 values every draw at 0.
         """
-        top = (users.embeddings @ self.direction) * self.support_max
-        pos = top > 0.0
-        f = np.clip(z / np.where(pos, top, 1.0), 0.0, 1.0) ** (self.beta / (self.producers - 1))
+        scale = users.embeddings @ self.direction
+        pos = scale > 0.0
+        f = self.cdf(z / np.where(pos, scale, 1.0))
         f[..., ~pos] = z[..., ~pos] >= 0.0
         return f
 
@@ -230,12 +228,8 @@ class QuarterCircle(_PlanarFamily):
     def cdf_quality(self, q: float) -> float:
         return 1.0 if q >= self.radius else 0.0
 
-    def cdf_point(self, theta: float) -> float:
-        if theta <= 0.0:
-            return 0.0
-        if theta >= math.pi / 2:
-            return 1.0
-        return math.sin(theta) ** 2
+    def cdf(self, theta):
+        return np.sin(np.clip(theta, 0.0, math.pi / 2)) ** 2
 
     def value_cdf(self, z: np.ndarray, users: UserSet) -> np.ndarray:
         """P(value <= z) per user: (z / (r |u_i|))^2, as the angle has CDF sin^2."""
@@ -275,7 +269,11 @@ class FinitePCurve(_PlanarFamily):
     def _curve(self, t: np.ndarray) -> np.ndarray:
         # In-plane coordinates of the curve points at t, as two rows.
         e = 0.5 * (self.producers - 1)
-        return np.stack([t**e, (1.0 - t) ** e])
+        xy = np.empty((2, t.size))
+        np.power(t, e, out=xy[0])
+        np.subtract(1.0, t, out=xy[1])
+        np.power(xy[1], e, out=xy[1])
+        return xy
 
     def draw(self, rng, n: int) -> np.ndarray:
         return self._embed(self._curve(rng.random(n)))
@@ -293,15 +291,12 @@ class FinitePCurve(_PlanarFamily):
         t_hi = _bisect_to_float_limit(lambda t: _finite_p_phi(t, p) < target, 0.5, 1.0)
         return t_hi - t_lo
 
-    def cdf_point(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return min(1.0, x ** (2.0 / (self.producers - 1)))
+    def cdf(self, x):
+        return np.clip(x, 0.0, 1.0) ** (2.0 / (self.producers - 1))
 
     def value_cdf(self, z: np.ndarray, users: UserSet) -> np.ndarray:
-        """P(value <= z) per user: (z / |u_i|)^(2/(P-1)), the coordinate CDF."""
-        x = np.clip(z / self._user_scales(users), 0.0, 1.0)
-        return x ** (2.0 / (self.producers - 1))
+        """P(value <= z) per user: cdf(z / |u_i|), the coordinate CDF."""
+        return self.cdf(z / self._user_scales(users))
 
     def profit(self, n_users: int, spec: CostSpec) -> float:
         p = self.producers
@@ -325,7 +320,7 @@ class InfiniteTwoGenre(_PlanarFamily):
     Genres sit at in-plane angles theta_g and theta_star - theta_g.  The
     winning-producer quality CDF alternates between power pieces
     c1^(-2) c2^(-2n beta) q^(2 beta) and flats, on geometric bands with ratio
-    c2; support gaps are where the CDF is flat.  theta_g, c1, c2 and c3 are
+    c2; support gaps are where the CDF is flat.  theta_g, c1 and c2 are
     derived from the plane and a beta above its two-user threshold.
     """
 
@@ -334,7 +329,6 @@ class InfiniteTwoGenre(_PlanarFamily):
     theta_g: float = field(init=False)
     c1: float = field(init=False)
     c2: float = field(init=False)
-    c3: float = field(init=False)
 
     cdf_axis = "quality"
 
@@ -345,8 +339,7 @@ class InfiniteTwoGenre(_PlanarFamily):
         theta_g = _theta_genre(theta_star, self.beta)
         c1 = math.sin(theta_star) * math.cos(theta_g) / math.sin(theta_star - theta_g)
         c2 = math.cos(theta_star - theta_g) / math.cos(theta_g)
-        c3 = math.inf if c2 <= _DEGENERATE_C2 else c1 * c2 ** (-self.beta)
-        for name, value in (("theta_g", theta_g), ("c1", c1), ("c2", c2), ("c3", c3)):
+        for name, value in (("theta_g", theta_g), ("c1", c1), ("c2", c2)):
             object.__setattr__(self, name, value)
 
     @property
@@ -380,22 +373,24 @@ class InfiniteTwoGenre(_PlanarFamily):
             u = 1.0 - rng.random(min(block, n - start))
             yield (dirs.take(g[start:start + u.size], axis=1) * self._quantile(u)).T
 
-    def cdf_point(self, q: float) -> float:
-        if q <= 0.0:
-            return 0.0
-        top = self.support_max
-        if q >= top:
-            return 1.0
-        beta = self.beta
+    def cdf(self, q):
+        # Band k = floor(log(q / top) / log c2) is flat when odd; 0 at and
+        # below q = 0 and exactly 1 from the top on, where log is not taken.
+        q = np.asarray(q, dtype=float)
+        top, beta = self.support_max, self.beta
+        inside = (q > 0.0) & (q < top)
+        q_in = np.where(inside, q, top)
         if self.c2 <= _DEGENERATE_C2:
-            return min(1.0, q ** (2.0 * beta) / self.c1**2)
-        lc2 = math.log(self.c2)
-        k = math.floor(math.log(q / top) / lc2)
-        if k % 2 == 1:
-            return math.exp((k + 1) * beta * lc2)
-        return math.exp(2.0 * beta * math.log(q) - 2.0 * math.log(self.c1) - k * beta * lc2)
+            f = np.minimum(1.0, q_in ** (2.0 * beta) / self.c1**2)
+        else:
+            lc2 = math.log(self.c2)
+            k = np.floor(np.log(q_in / top) / lc2)
+            f = np.exp(np.where(
+                k % 2 == 1, (k + 1) * beta * lc2,
+                2.0 * beta * np.log(q_in) - 2.0 * math.log(self.c1) - k * beta * lc2))
+        return np.where(inside, f, q >= top)
 
-    cdf_quality = cdf_point
+    cdf_quality = cdf
 
     def profit(self, n_users: int, spec: CostSpec) -> float:
         raise ValueError("per-producer profit is not defined in the infinite-producer limit")
@@ -456,7 +451,7 @@ def eq_cdf_quality(dist: EquilibriumDist, qvalue: float) -> float:
     which both genres share."""
     if qvalue < 0.0:
         raise ValueError("qvalue must be >= 0")
-    return dist.cdf_quality(qvalue)
+    return float(dist.cdf_quality(qvalue))
 
 
 def eq_sample_blocks(dist: EquilibriumDist, n: int, seed: int, block: int):

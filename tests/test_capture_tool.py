@@ -27,6 +27,18 @@ def test_record_normalises_the_work_path_and_hashes_written_files(tmp_path):
     assert rec["files"] == {"out.csv": capture._sha(b"x\n")}
 
 
+def test_record_keeps_an_uncaught_exception_as_the_outcome(tmp_path):
+    def run(argv):
+        print("partial")
+        (tmp_path / "half.csv").write_text("y\n")
+        raise OverflowError("too big")
+
+    rec = capture._record(run, ["half.csv"], str(tmp_path))
+    assert rec["exit"] == "exception OverflowError"
+    assert rec["stdout"] == capture._sha(b"partial\n")
+    assert rec["files"] == {"half.csv": capture._sha(b"y\n")}
+
+
 def test_compare_names_each_difference():
     same = {"exit": 0, "stdout": "a", "stderr": "b", "files": {}}
     base = {"kept": same, "changed": same, "gone": same}

@@ -154,6 +154,28 @@ def test_eq_infinite_cdf_and_samples(capsys, tmp_path):
     assert len(pts) == 21
 
 
+def test_eq_infinite_at_large_beta(capsys):
+    # c1 * c2^(-beta) overflows a double here; no band constant may need it.
+    argv = ["eq", "--variant", "infinite", "--theta", "1.0", "--beta", "5000",
+            "--cdf-grid", "3", "--n", "2"]
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "quality,cdf" and lines[4] == "f0,f1" and len(lines) == 7
+    cdf = np.array([line.split(",") for line in lines[1:4]], dtype=float)
+    pts = np.array([line.split(",") for line in lines[5:]], dtype=float)
+    assert cdf[0, 1] == 0.0 and cdf[-1, 1] == 1.0 and np.all(np.diff(cdf[:, 1]) >= 0.0)
+    assert np.all(np.isfinite(pts)) and np.all(pts > 0.0)
+
+
+def test_exit_usage_out_without_cdf_table(capsys, tmp_path):
+    out = tmp_path / "f.csv"
+    assert run(["eq", "--variant", "p2", "--n", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--out" in captured.err
+    assert not out.exists()
+
+
 
 def test_eq_p2_angle_cdf(capsys):
     assert run(["eq", "--variant", "p2", "--beta", "4", "--cdf-grid", "5"]) == 0
@@ -354,8 +376,7 @@ def test_eq_table_bytes_match_per_value_format(capsys, tmp_path, variant_args, m
     # 10,001 sample rows cross two boundaries of the CLI's 4,096-row blocks.
     dist = make()
     xs = np.linspace(0.0, dist.cdf_max, 9)
-    cdf = _csv_per_value(f"{dist.cdf_axis},cdf",
-                         [(x, dist.cdf_point(float(x))) for x in xs])
+    cdf = _csv_per_value(f"{dist.cdf_axis},cdf", zip(xs, dist.cdf(xs)))
     samples = _csv_per_value("f0,f1", eq_sample(dist, 10001, 5))
     argv = ["eq", *variant_args, "--n", "10001", "--cdf-grid", "9", "--seed", "5"]
     assert run(argv) == 0

@@ -124,9 +124,9 @@ def test_quarter_circle_draw_matches_the_arcsin_form():
 
 def test_quarter_circle_angle_cdf_values():
     dist = QuarterCircle(2.0)
-    assert dist.cdf_point(0.0) == 0.0
-    assert dist.cdf_point(math.pi / 4) == pytest.approx(0.5, abs=1e-12)
-    assert dist.cdf_point(math.pi / 2) == 1.0
+    assert dist.cdf(0.0) == 0.0
+    assert dist.cdf(math.pi / 4) == pytest.approx(0.5, abs=1e-12)
+    assert dist.cdf(math.pi / 2) == 1.0
 
 
 def test_quarter_circle_requires_orthogonal_plane():
@@ -155,8 +155,8 @@ def test_finite_p_x_law_ks(producers):
 def test_finite_p_example_value():
     # P = 2: the curve is the unit quarter circle, x-CDF(x) = x^2.
     dist = FinitePCurve(2)
-    assert dist.cdf_point(0.5) == pytest.approx(0.25, abs=1e-15)
-    assert dist.cdf_point(0.25) == pytest.approx(0.0625, abs=1e-15)
+    assert dist.cdf(0.5) == pytest.approx(0.25, abs=1e-15)
+    assert dist.cdf(0.25) == pytest.approx(0.0625, abs=1e-15)
 
 
 def test_finite_p_three_is_line_segment():
@@ -252,7 +252,6 @@ def test_infinite_orthogonal_limit_exact():
     dist = InfiniteTwoGenre(_plane(math.pi / 2), 7.0)
     assert dist.theta_g == 0.0
     assert dist.c1 == 1.0
-    assert dist.c3 == math.inf
     qs = np.linspace(0.0, 1.0, 1000)
     for q in qs:
         assert eq_cdf_quality(dist, float(q)) == pytest.approx(float(q) ** 14.0, abs=1e-12)
@@ -424,3 +423,57 @@ def test_planar_value_cdf_needs_the_plane_users():
                   UserSet(np.ones((3, 2)))):
         with pytest.raises(ValueError):
             dist.value_cdf(np.zeros((4, users.n_users)), users)
+
+
+CDF_DISTS = {
+    "onepop": OnePopulation(np.array([1.0, 0.0]), n_users=5, beta=2.5, producers=4),
+    "p2": QuarterCircle(4.0),
+    "finitep": FinitePCurve(4),
+    "infinite": InfiniteTwoGenre(_plane(math.pi / 3), 7.0),
+    "infinite-orthogonal": InfiniteTwoGenre(_plane(math.pi / 2), 7.0),
+}
+
+
+def _scalar_cdf(dist, x):
+    """Each family's tabulated CDF at one point 0 <= x < cdf_max, in Python
+    math, as the families stated it point by point before ``cdf``."""
+    if isinstance(dist, OnePopulation):
+        return min(1.0, (x**dist.beta / dist.n_users) ** (1.0 / (dist.producers - 1)))
+    if isinstance(dist, QuarterCircle):
+        return math.sin(x) ** 2
+    if isinstance(dist, FinitePCurve):
+        return min(1.0, x ** (2.0 / (dist.producers - 1)))
+    beta = dist.beta
+    if x == 0.0:
+        return 0.0
+    if dist.c2 <= 1e-12:
+        return min(1.0, x ** (2.0 * beta) / dist.c1**2)
+    lc2 = math.log(dist.c2)
+    k = math.floor(math.log(x / dist.support_max) / lc2)
+    if k % 2 == 1:
+        return math.exp((k + 1) * beta * lc2)
+    return math.exp(2.0 * beta * math.log(x) - 2.0 * math.log(dist.c1) - k * beta * lc2)
+
+
+@pytest.mark.parametrize("dist", CDF_DISTS.values(), ids=CDF_DISTS.keys())
+def test_cdf_is_elementwise_bounded_monotone_and_the_scalar_law(dist):
+    top = dist.cdf_max
+    x = np.linspace(0.0, top, 2001)
+    f = dist.cdf(x)
+    assert f.shape == x.shape
+    assert np.array_equal(dist.cdf(x.reshape(3, 667)), f.reshape(3, 667))
+    assert np.shape(dist.cdf(np.array(0.5 * top))) == ()
+    below = np.array([0.0, -0.0, -1e-300, -0.5 * top, -np.inf])
+    above = np.array([top, np.nextafter(top, np.inf), 2.0 * top, np.inf])
+    assert np.all(dist.cdf(below) == 0.0)
+    assert np.all(dist.cdf(above) == 1.0)
+    assert np.all(np.diff(f) >= 0.0)
+    ref = np.array([_scalar_cdf(dist, v) for v in x[:-1].tolist()])
+    assert np.allclose(f[:-1], ref, rtol=1e-14, atol=0.0)
+
+
+def test_finite_p_value_cdf_is_cdf_at_user_scale_bitwise():
+    dist = FinitePCurve(4)
+    z = np.random.default_rng(3).random((500, 2)) * 4.0 - 0.5
+    f = dist.value_cdf(z, UserSet(np.diag([1.0, 3.0])))
+    assert np.array_equal(f, dist.cdf(z / np.array([1.0, 3.0])))

@@ -9,9 +9,10 @@ workloads (warm-ups, then commands, at run seeds 1 and 2), every
 ``supply-eq`` line of the README's "Command line" block, and the small argv
 of SURFACE below, which use every option of every subcommand at least once.
 The argv lists come from this repository's ``perfbench/workloads.py``,
-``README.md`` and this file, so two checkouts are run on the same commands.  For each command it records the exit
-code and the sha256 of its stdout, its stderr and every file it wrote, with
-the temporary directory's path replaced by ``<work>``.
+``README.md`` and this file, so two checkouts are run on the same commands.
+For each command it records the exit code (or the type of the exception it
+raised) and the sha256 of its stdout, its stderr and every file it wrote,
+with the temporary directory's path replaced by ``<work>``.
 
 The second form prints every command whose record differs between the two
 captures, or is in only one of them, and exits 1 when there is one.
@@ -36,8 +37,9 @@ SEEDS = (1, 2)
 # Small argv that, between them, pass every option of every subcommand, run
 # in a directory holding ratings.csv and a 6x4 users file emb.csv.  They
 # cover q = 1, 3 and inf, --alpha, each user source, every eq variant, a
-# D > 2 verify, the exit-2 paths, and four flags the command line no longer
-# has (--tau, --gap, --init-scale, --min-entry).
+# D > 2 verify, the exit-2 paths, four flags the command line no longer
+# has (--tau, --gap, --init-scale, --min-entry), an infinite variant at
+# beta = 5000 and an --out with no CDF table to write.
 SURFACE = [
     ["nsw", "--users", "basis2", "--q", "1"],
     ["nsw", "--users", "orthonormal:3", "--q", "3", "--alpha", "1,2,0.5"],
@@ -62,6 +64,9 @@ SURFACE = [
     ["eq", "--variant", "p2", "--n", "0", "--cdf-grid", "0"],
     ["eq", "--variant", "onepop", "--theta", "1.0", "--n", "3"],
     ["eq", "--variant", "p2", "--q", "3", "--cdf-grid", "5"],
+    ["eq", "--variant", "infinite", "--theta", "1.0", "--beta", "5000", "--cdf-grid", "3",
+     "--n", "2"],
+    ["eq", "--variant", "p2", "--n", "3", "--out", "f.csv"],
     ["verify", "--users", "basis2", "--variant", "p2", "--beta", "4", "--samples", "2000",
      "--grid", "20x20", "--seed", "1"],
     ["verify", "--users", "basis2", "--variant", "finitep", "--producers", "3",
@@ -118,14 +123,18 @@ def _stats(workdir: str) -> dict:
 
 
 def _record(run, argv: list, workdir: str) -> dict:
-    """Run one argv in workdir; its exit code and the digests of what it wrote."""
+    """Run one argv in workdir; its exit code, or the type of the exception it
+    raised, and the digests of what it wrote."""
     before = _stats(workdir)
     out, err = io.StringIO(), io.StringIO()
     with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
           warnings.catch_warnings()):
         # Every warning is printed, whatever ran before in this process.
         warnings.simplefilter("always")
-        rc = run(argv)
+        try:
+            rc = run(argv)
+        except Exception as exc:
+            rc = f"exception {type(exc).__name__}"
     after = _stats(workdir)
     files = {}
     for name in sorted(after):
