@@ -6,7 +6,6 @@ from .closedform import (
     InfiniteTwoGenre,
     OnePopulation,
     QuarterCircle,
-    eq_cdf_quality,
     eq_sample,
 )
 from .geometry import (
@@ -54,7 +53,6 @@ from .verify import (
     best_response_gap,
     empirical_marginals,
     foc_residual,
-    genre_count,
     positive_profit_condition,
 )
 

@@ -581,8 +581,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--producers", type=int, default=2)
     p.add_argument(
         "--samples", type=int, default=100000,
-        help="Monte Carlo rounds for eq_profit_mc, and the genre-count sample (at most "
-        "20000); deviations are priced against exact CDFs, not samples",
+        help="Monte Carlo rounds for eq_profit_mc; deviations are priced against exact "
+        "CDFs, not samples",
     )
     p.add_argument("--grid", default="200x200")
     p.set_defaults(fn=_cmd_verify)

@@ -16,14 +16,15 @@ a fixed seed.  A sampler returns (n, D) rows as the transposed view of a
 contiguous coordinate-major (D, n) array, so consumers that score or cost
 whole coordinates (``verify``) read contiguous rows of length n.
 
-Each family class holds all of its own behaviour: ``draw_blocks`` (the
-inverse-transform sampler, yielding its rows a block at a time),
-``cdf_quality``, the tabulated CDF (``cdf_axis``, ``cdf_max`` and ``cdf``,
-which maps an array of points elementwise), the analytic per-producer
-``profit``, the first-order terms ``foc_terms``, the best-response sweep
-directions ``deviation_dirs`` and, for the families ``verify`` prices
-against, each user's exact value CDF ``value_cdf``.  The module functions
-below dispatch to them.
+Each family class holds all of its own behaviour: its genre count
+``genres`` (1, 2 or ``"continuum"``), ``draw_blocks`` (the inverse-transform
+sampler, yielding its rows a block at a time), the tabulated CDF
+(``cdf_axis``, ``cdf_max`` and ``cdf``, which maps an array of points
+elementwise; where ``cdf_axis`` is ``"quality"`` it is the quality law), the
+analytic per-producer ``profit``, the first-order terms ``foc_terms``, the
+best-response sweep directions ``deviation_dirs`` and, for the families
+``verify`` prices against, each user's exact value CDF ``value_cdf``.  The
+module functions below dispatch to them.
 
 Each family is built by its own class from what fixes it; ``QuarterCircle``
 and ``FinitePCurve`` default to the plane of the two basis vectors, and
@@ -46,7 +47,6 @@ __all__ = [
     "FinitePCurve",
     "InfiniteTwoGenre",
     "EquilibriumDist",
-    "eq_cdf_quality",
     "eq_sample",
     "eq_sample_blocks",
 ]
@@ -114,6 +114,7 @@ class OnePopulation(_StreamFamily):
     beta: float
     producers: int
 
+    genres = 1
     cdf_axis = "quality"
 
     def __post_init__(self):
@@ -141,8 +142,6 @@ class OnePopulation(_StreamFamily):
 
     def cdf(self, q):
         return np.clip(q / self.support_max, 0.0, 1.0) ** (self.beta / (self.producers - 1))
-
-    cdf_quality = cdf
 
     def value_cdf(self, z: np.ndarray, users: UserSet) -> np.ndarray:
         """P(value <= z) per user for scores z shaped (..., N).
@@ -199,6 +198,7 @@ class QuarterCircle(_PlanarFamily):
     beta: float
     plane: TwoUserPlane = field(default_factory=_canonical_plane)
 
+    genres = "continuum"
     cdf_axis = "angle"
     cdf_max = math.pi / 2
 
@@ -224,9 +224,6 @@ class QuarterCircle(_PlanarFamily):
         np.sqrt(u, out=xy[1])
         xy *= self.radius
         return self._embed(xy)
-
-    def cdf_quality(self, q: float) -> float:
-        return 1.0 if q >= self.radius else 0.0
 
     def cdf(self, theta):
         return np.sin(np.clip(theta, 0.0, math.pi / 2)) ** 2
@@ -257,6 +254,7 @@ class FinitePCurve(_PlanarFamily):
     plane: TwoUserPlane = field(default_factory=_canonical_plane)
 
     beta = 2.0
+    genres = "continuum"
     cdf_axis = "x"
     cdf_max = 1.0
 
@@ -277,19 +275,6 @@ class FinitePCurve(_PlanarFamily):
 
     def draw(self, rng, n: int) -> np.ndarray:
         return self._embed(self._curve(rng.random(n)))
-
-    def cdf_quality(self, q: float) -> float:
-        # Squared quality along the curve is phi(t) = t^(P-1) + (1-t)^(P-1) with
-        # t uniform; phi falls then rises, so the CDF is the root gap.
-        p = self.producers
-        target = q * q
-        if target >= 1.0:
-            return 1.0
-        if target <= 2.0 ** (2 - p):
-            return 0.0
-        t_lo = _bisect_to_float_limit(lambda t: _finite_p_phi(t, p) > target, 0.0, 0.5)
-        t_hi = _bisect_to_float_limit(lambda t: _finite_p_phi(t, p) < target, 0.5, 1.0)
-        return t_hi - t_lo
 
     def cdf(self, x):
         return np.clip(x, 0.0, 1.0) ** (2.0 / (self.producers - 1))
@@ -330,6 +315,7 @@ class InfiniteTwoGenre(_PlanarFamily):
     c1: float = field(init=False)
     c2: float = field(init=False)
 
+    genres = 2
     cdf_axis = "quality"
 
     def __post_init__(self):
@@ -390,8 +376,6 @@ class InfiniteTwoGenre(_PlanarFamily):
                 2.0 * beta * np.log(q_in) - 2.0 * math.log(self.c1) - k * beta * lc2))
         return np.where(inside, f, q >= top)
 
-    cdf_quality = cdf
-
     def profit(self, n_users: int, spec: CostSpec) -> float:
         raise ValueError("per-producer profit is not defined in the infinite-producer limit")
 
@@ -444,14 +428,6 @@ def _bisect_to_float_limit(keep_low, lo, hi):
             lo = mid
         else:
             hi = mid
-
-
-def eq_cdf_quality(dist: EquilibriumDist, qvalue: float) -> float:
-    """Quality CDF at qvalue; for InfiniteTwoGenre the winning-producer law,
-    which both genres share."""
-    if qvalue < 0.0:
-        raise ValueError("qvalue must be >= 0")
-    return float(dist.cdf_quality(qvalue))
 
 
 def eq_sample_blocks(dist: EquilibriumDist, n: int, seed: int, block: int):

@@ -4,8 +4,8 @@ Checks a constructed distribution the way a skeptical producer would: price
 every deviation on a grid against the opponents' exact per-user value CDFs,
 and compare against the family's analytic ``profit``.  A deviation wins a
 user when it beats all P-1 opponents, ties included, so the gap is the
-win-all-ties upper bracket.  A Monte Carlo simulation of the equilibrium's own profit and its
-genre count stay as the independent cross-check.  The deviation grid is
+win-all-ties upper bracket.  A Monte Carlo simulation of the equilibrium's
+own profit stays as the independent cross-check.  The deviation grid is
 scored and the Monte Carlo rounds are drawn in blocks of about _BLOCK user
 scores, so memory grows with neither the sample count nor the grid's radii.
 Both score user-major: the draws are row-shaped views of coordinate-major
@@ -13,8 +13,9 @@ memory, so a block's scores come out as one row per user and its costs
 reduce one row per coordinate, not a short row per point.
 The empirical marginals (sorted sampled values) remain as a test oracle for
 the exact CDFs.  What differs between equilibrium families (the value CDFs,
-the analytic profit, the first-order terms, the deviation directions) lives
-on the family classes in ``closedform`` and is read from them directly.
+the analytic profit, the first-order terms, the deviation directions, the
+genre count) lives on the family classes in ``closedform`` and is read from
+them directly.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import eq_sample, eq_sample_blocks
+from .closedform import eq_sample_blocks
 from .geometry import CostSpec, UserSet, cost, induced_cost_grad
 from .optimize import minmax_alignment
 
@@ -36,7 +37,6 @@ __all__ = [
     "best_response_gap",
     "positive_profit_condition",
     "foc_residual",
-    "genre_count",
 ]
 
 # Relative distance at which a bracket end ties with the profit threshold:
@@ -50,8 +50,8 @@ _TIE = 1e-12
 # cost to stay small.
 _BLOCK = 1 << 18
 
-# Genre-count angle tolerance (radians) and foc_residual's support points.
-_GENRE_ANGLE, _FOC_GRID = 1e-3, 512
+# foc_residual's support points.
+_FOC_GRID = 512
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,8 @@ def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
     deviation to p earns sum_i F_i(<u_i, p>)^(P-1) - cost(p), with F_i the
     family's ``value_cdf``.  The grid is scored a block of radii at a time;
     the first maximum in radius-major order wins, as one argmax would pick.
-    n_samples sizes only the Monte Carlo profit and the genre count.  The
-    producer count is the family's own, ``dist.producers``.
+    n_samples sizes only the Monte Carlo profit.  The producer count and the
+    genre count are the family's own, ``dist.producers`` and ``dist.genres``.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
@@ -212,8 +212,6 @@ def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
     argmax_pt = radii[flat // len(dirs)] * dirs[flat % len(dirs)]
 
     mc, stderr = _mc_profit(dist, users, spec, producers, n_samples, [seed, 1])
-    samples = eq_sample(dist, max(1000, min(n_samples, 20000)), [seed, 2])
-    count = genre_count(samples)
     try:
         foc = foc_residual(dist, spec)
     except ValueError:
@@ -225,7 +223,7 @@ def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
         eq_profit_mc_stderr=stderr,
         best_response_gap=best - eq_profit,
         gap_argmax=argmax_pt,
-        genre_count_estimate=count,
+        genre_count_estimate=dist.genres,
         foc_residual_max=foc,
         positive_profit=flag,
         q_alignment=qval,
@@ -241,40 +239,3 @@ def foc_residual(dist, spec) -> float:
     spec_b = CostSpec(q=2.0, beta=dist.beta, alpha=spec.alpha)
     grad = induced_cost_grad(z, dist.plane.theta_star, spec_b)
     return float(np.abs(h - grad).max())
-
-
-def genre_count(samples):
-    """Greedy direction clustering; "continuum" past sqrt(len(samples)) clusters.
-
-    Directions go in blocks of that many; each block is first checked against
-    the clusters found so far in one product, and each direction left is then
-    priced against the clusters in one product too.  Only a direction whose
-    best match lies within 1e-12 of cos_tol, far more than the ulps a product
-    may differ from d @ r by, gets the exact test of the greedy loop.
-    """
-    pts = np.asarray(samples, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 100:
-        raise ValueError("need at least 100 samples")
-    nrm = np.linalg.norm(pts, axis=1)
-    dirs = pts[nrm > 0] / nrm[nrm > 0, None]
-    limit = math.isqrt(dirs.shape[0])
-    cos_tol = math.cos(_GENRE_ANGLE)
-    reps = np.empty((limit + 1, dirs.shape[1]))
-    k = 0
-    step = max(1, limit)
-    for start in range(0, dirs.shape[0], step):
-        block = dirs[start:start + step]
-        if k:
-            block = block[(block @ reps[:k].T).max(axis=1) < cos_tol + 1e-12]
-        for d in block:
-            if k:
-                top = (reps[:k] @ d).max()
-                if top >= cos_tol + 1e-12 or (
-                    top >= cos_tol - 1e-12 and any(d @ r >= cos_tol for r in reps[:k])
-                ):
-                    continue
-            reps[k] = d
-            k += 1
-            if k > limit:
-                return "continuum"
-    return k

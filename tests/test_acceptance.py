@@ -17,7 +17,6 @@ from supply_eq.closedform import (
     InfiniteTwoGenre,
     OnePopulation,
     QuarterCircle,
-    eq_cdf_quality,
     eq_sample,
 )
 from supply_eq.geometry import (
@@ -98,10 +97,7 @@ def test_criterion_04_zero_profit_identity():
     for n, beta, producers in ((1, 2.0, 2), (4, 3.0, 5), (2, 7.0, 2)):
         dist = OnePopulation(np.array([1.0, 0.0]), n, beta, producers)
         rs = np.linspace(0.0, dist.support_max, 1000)
-        resid = max(
-            abs(n * eq_cdf_quality(dist, float(r)) ** (producers - 1) - float(r) ** beta)
-            for r in rs
-        )
+        resid = np.abs(n * dist.cdf(rs) ** (producers - 1) - rs**beta).max()
         checks[f"n{n}_beta{beta:g}_p{producers}"] = resid <= 1e-12
     verdict(4, checks)
 
@@ -146,26 +142,14 @@ def test_criterion_07_infinite_two_genre_cdf():
         dist = InfiniteTwoGenre(plane, beta)
         tag = f"t{theta_star:.2f}_b{beta:g}"
 
-        jump = 0.0
-        for k in range(1, 12):
-            edge = dist.support_max * dist.c2**k
-            jump = max(jump, abs(
-                eq_cdf_quality(dist, edge)
-                - eq_cdf_quality(dist, float(np.nextafter(edge, 0.0)))
-            ))
+        edges = dist.support_max * dist.c2 ** np.arange(1, 12)
+        jump = np.abs(dist.cdf(edges) - dist.cdf(np.nextafter(edges, 0.0))).max()
         checks[f"continuity_{tag}"] = jump <= 1e-12
 
         qs = np.linspace(dist.support_max * dist.c2**6, dist.support_max, 1000)
-        resid = max(
-            abs(
-                math.sqrt(
-                    eq_cdf_quality(dist, float(q))
-                    * eq_cdf_quality(dist, float(q) * dist.c2)
-                )
-                - dist.c2**beta * float(q) ** beta / dist.c1
-            )
-            for q in qs
-        )
+        resid = np.abs(
+            np.sqrt(dist.cdf(qs) * dist.cdf(qs * dist.c2)) - dist.c2**beta * qs**beta / dist.c1
+        ).max()
         checks[f"product_{tag}"] = resid < 1e-9
 
         t = dist.theta_g
@@ -178,10 +162,8 @@ def test_criterion_07_infinite_two_genre_cdf():
     orth = InfiniteTwoGenre(
         two_user_plane(np.array([1.0, 0.0]), np.array([0.0, 1.0])), 7.0
     )
-    worst = max(
-        abs(eq_cdf_quality(orth, float(q)) - float(q) ** 14.0)
-        for q in np.linspace(0.0, orth.support_max, 1000)
-    )
+    qs = np.linspace(0.0, orth.support_max, 1000)
+    worst = np.abs(orth.cdf(qs) - qs**14.0).max()
     checks["orthogonal_limit"] = worst <= 1e-12
     verdict(7, checks)
 

@@ -211,6 +211,17 @@ def test_verify_onepop_and_finitep(capsys, variant_args):
         assert rep["foc_residual_max"] is None
 
 
+def test_verify_finitep_many_producers_reports_a_continuum(capsys):
+    # The P = 300 curve bunches its draws near the two axes; counting genres
+    # by clustering 1,000 sampled directions found 18.
+    argv = ["verify", "--users", "basis2", "--variant", "finitep", "--producers", "300",
+            "--samples", "1000", "--grid", "5x5"]
+    code = run(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert '"genre_count_estimate": "continuum"' in out
+
+
 @pytest.mark.parametrize("grid", ["0x10", "10x0"])
 def test_exit_usage_empty_verify_grid(capsys, grid):
     argv = ["verify", "--users", "basis2", "--variant", "p2", "--beta", "4",

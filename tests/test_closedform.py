@@ -19,7 +19,6 @@ from supply_eq.closedform import (
     OnePopulation,
     QuarterCircle,
     _genre_slope,
-    eq_cdf_quality,
     eq_sample,
     eq_sample_blocks,
 )
@@ -50,18 +49,15 @@ def test_one_population_zero_profit_identity(n, beta, producers):
         direction=np.array([1.0, 0.0]), n_users=n, beta=beta, producers=producers
     )
     rs = np.linspace(0.0, dist.support_max, 1000)
-    fs = np.array([eq_cdf_quality(dist, float(r)) for r in rs])
-    resid = np.abs(n * fs ** (producers - 1) - rs**beta)
+    resid = np.abs(n * dist.cdf(rs) ** (producers - 1) - rs**beta)
     assert float(resid.max()) <= 1e-12
 
 
 def test_one_population_support_max():
     dist = OnePopulation(np.array([1.0, 0.0]), 4, 3.0, 5)
     assert dist.support_max == pytest.approx(4.0 ** (1.0 / 3.0), rel=1e-15)
-    assert eq_cdf_quality(dist, dist.support_max) == pytest.approx(1.0, abs=1e-12)
-    assert eq_cdf_quality(dist, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        eq_cdf_quality(dist, -0.1)
+    assert dist.cdf(dist.support_max) == pytest.approx(1.0, abs=1e-12)
+    assert dist.cdf(0.0) == 0.0
 
 
 def test_one_population_sampling_ks():
@@ -136,12 +132,6 @@ def test_quarter_circle_requires_orthogonal_plane():
         QuarterCircle(beta=1.5, plane=_plane(math.pi / 2))
 
 
-def test_quarter_circle_quality_cdf_is_step():
-    dist = QuarterCircle(4.0)
-    assert eq_cdf_quality(dist, dist.radius * 0.999) == 0.0
-    assert eq_cdf_quality(dist, dist.radius) == 1.0
-
-
 @pytest.mark.parametrize("producers", [2, 3, 4])
 def test_finite_p_x_law_ks(producers):
     dist = FinitePCurve(producers)
@@ -169,22 +159,6 @@ def test_finite_p_two_is_unit_circle():
     dist = FinitePCurve(2)
     pts = eq_sample(dist, 5000, seed=4)
     assert float(np.abs(np.linalg.norm(pts, axis=1) - 1.0).max()) < 1e-12
-
-
-def test_finite_p_quality_cdf_against_monte_carlo():
-    dist = FinitePCurve(3)
-    rng = np.random.default_rng(6)
-    t = rng.random(200000)
-    phi = t**2 + (1 - t) ** 2
-    for q in (0.72, 0.8, 0.9, 0.99):
-        want = float(np.mean(phi <= q * q))
-        assert eq_cdf_quality(dist, q) == pytest.approx(want, abs=0.01)
-
-
-def test_finite_p_quality_cdf_edges():
-    dist = FinitePCurve(4)
-    assert eq_cdf_quality(dist, 1.0) == 1.0
-    assert eq_cdf_quality(dist, 2.0 ** ((2 - 4) / 2.0) * 0.999) == 0.0
 
 
 def test_finite_p_beta_fixed():
@@ -230,22 +204,17 @@ def test_infinite_genre_angle_brackets_the_slope_root(ratio):
 @pytest.mark.parametrize("theta_star,beta,_", INFINITE_CASES)
 def test_infinite_band_continuity(theta_star, beta, _):
     dist = InfiniteTwoGenre(_plane(theta_star), beta)
-    top = dist.support_max
-    for k in range(1, 12):
-        edge = top * dist.c2**k
-        below = eq_cdf_quality(dist, float(np.nextafter(edge, 0.0)))
-        at = eq_cdf_quality(dist, edge)
-        assert abs(at - below) <= 1e-12
+    edges = dist.support_max * dist.c2 ** np.arange(1, 12)
+    jump = np.abs(dist.cdf(edges) - dist.cdf(np.nextafter(edges, 0.0)))
+    assert jump.max() <= 1e-12
 
 
 @pytest.mark.parametrize("theta_star,beta,_", INFINITE_CASES)
 def test_infinite_product_identity(theta_star, beta, _):
     dist = InfiniteTwoGenre(_plane(theta_star), beta)
     qs = np.linspace(dist.support_max * dist.c2**6, dist.support_max, 1000)
-    for q in qs:
-        lhs = math.sqrt(eq_cdf_quality(dist, float(q)) * eq_cdf_quality(dist, float(q) * dist.c2))
-        rhs = dist.c2**beta * float(q) ** beta / dist.c1
-        assert lhs == pytest.approx(rhs, abs=1e-9)
+    lhs = np.sqrt(dist.cdf(qs) * dist.cdf(qs * dist.c2))
+    assert lhs == pytest.approx(dist.c2**beta * qs**beta / dist.c1, abs=1e-9)
 
 
 def test_infinite_orthogonal_limit_exact():
@@ -253,8 +222,7 @@ def test_infinite_orthogonal_limit_exact():
     assert dist.theta_g == 0.0
     assert dist.c1 == 1.0
     qs = np.linspace(0.0, 1.0, 1000)
-    for q in qs:
-        assert eq_cdf_quality(dist, float(q)) == pytest.approx(float(q) ** 14.0, abs=1e-12)
+    assert dist.cdf(qs) == pytest.approx(qs**14.0, abs=1e-12)
 
 
 def test_infinite_requires_beta_above_threshold():
@@ -279,9 +247,7 @@ def test_infinite_sampler_two_genres_and_law():
     angles = np.round(np.arctan2(pts[:, 1], pts[:, 0]), 9)
     assert len(np.unique(angles)) == 2
     quality = np.linalg.norm(pts, axis=1)
-    stat = scipy.stats.kstest(
-        quality, lambda q: np.array([eq_cdf_quality(dist, float(v)) for v in np.atleast_1d(q)])
-    ).statistic
+    stat = scipy.stats.kstest(quality, dist.cdf).statistic
     assert stat < 0.02
 
 
@@ -302,8 +268,8 @@ def test_infinite_cdf_monotone_property(theta_star, beta_factor):
     beta = beta_factor * beta_star_two_user(theta_star) + 0.1
     dist = InfiniteTwoGenre(_plane(theta_star), beta)
     qs = np.linspace(0.0, dist.support_max * 1.1, 300)
-    fs = [eq_cdf_quality(dist, float(q)) for q in qs]
-    assert all(b >= a - 1e-15 for a, b in zip(fs, fs[1:]))
+    fs = dist.cdf(qs)
+    assert np.all(np.diff(fs) >= -1e-15)
     assert fs[0] == 0.0
     assert fs[-1] == 1.0
 

@@ -21,7 +21,6 @@ from supply_eq.verify import (
     deviation_profit,
     empirical_marginals,
     foc_residual,
-    genre_count,
     positive_profit_condition,
 )
 
@@ -162,23 +161,6 @@ def test_foc_residual_rejects_one_population():
         foc_residual(dist, SPEC2)
 
 
-def test_genre_count_kinds():
-    one = eq_sample(OnePopulation(np.array([1.0, 0.0]), 1, 2.0, 2), 2000, seed=0)
-    assert genre_count(one) == 1
-    plane = two_user_plane(*angle_pair(1.2).embeddings)
-    two = eq_sample(InfiniteTwoGenre(plane, 7.0), 2000, seed=1)
-    assert genre_count(two) == 2
-    cont = eq_sample(QuarterCircle(4.0), 2000, seed=2)
-    assert genre_count(cont) == "continuum"
-    curve = eq_sample(FinitePCurve(3), 2000, seed=3)
-    assert genre_count(curve) == "continuum"
-
-
-def test_genre_count_needs_samples():
-    with pytest.raises(ValueError):
-        genre_count(np.ones((99, 2)))
-
-
 def test_best_response_gap_report_quarter_circle():
     spec = CostSpec(q=2.0, beta=4.0)
     dist = QuarterCircle(4.0)
@@ -252,6 +234,23 @@ def _reference_genre_count(samples, angle_tol=1e-3):
             if len(reps) > limit:
                 return "continuum"
     return len(reps)
+
+
+GENRE_CASES = {
+    "onepop-basis2": OnePopulation(np.full(2, 2.0**-0.5), 2, 3.0, 3),
+    "onepop-30x5": ONEPOP_30X5,
+    "p2": QuarterCircle(4.0),
+    "finitep-P3": FinitePCurve(3),
+    "infinite-theta1-beta8": InfiniteTwoGenre(two_user_plane(*angle_pair(1.0).embeddings), 8.0),
+}
+
+
+@pytest.mark.parametrize("name", list(GENRE_CASES))
+def test_family_genres_match_sampled_clustering(name):
+    # Each family states its genre count; greedy clustering of 20,000 draws'
+    # directions at 1e-3 rad finds the same one.
+    dist = GENRE_CASES[name]
+    assert dist.genres == _reference_genre_count(eq_sample(dist, 20000, seed=0))
 
 
 @pytest.mark.parametrize("dist, users", [
@@ -352,55 +351,9 @@ def test_best_response_gap_report_independent_of_block_bitwise(monkeypatch):
     full = best_response_gap(*args, **kw)
     monkeypatch.setattr(verify_mod, "_BLOCK", RAGGED)
     blocked = best_response_gap(*args, **kw)
-    for field in ("eq_profit_mc", "eq_profit_mc_stderr", "best_response_gap",
-                  "genre_count_estimate"):
+    for field in ("eq_profit_mc", "eq_profit_mc_stderr", "best_response_gap"):
         assert getattr(blocked, field) == getattr(full, field)
     assert np.array_equal(blocked.gap_argmax, full.gap_argmax)
-
-
-def _near_tolerance_directions(rng, n, angle_tol=1e-3):
-    """Unit rays whose cosine with the first one sits within 2 ulps of cos_tol."""
-    cos_tol = math.cos(angle_tol)
-    r = rng.random(3)
-    r /= np.linalg.norm(r)
-    rows = [r]
-    for k in range(n - 1):
-        c = cos_tol + (k % 5 - 2) * np.spacing(cos_tol)
-        w = rng.standard_normal(3)
-        w -= (w @ r) * r
-        w /= np.linalg.norm(w)
-        rows.append(c * r + math.sqrt(1.0 - c * c) * w)
-    return np.array(rows)
-
-
-def _genre_inputs():
-    rng = np.random.default_rng(8)
-    centers = rng.random((3, 5))
-    clusters = centers[rng.integers(0, 3, 3000)] * (1.0 + 1e-6 * rng.random((3000, 1)))
-    return {
-        "single-ray": eq_sample(OnePopulation(np.array([0.6, 0.8]), 3, 2.0, 2), 20000, 0),
-        "two-genre": eq_sample(InfiniteTwoGenre(two_user_plane(*angle_pair(1.0).embeddings), 7.0), 20000, 1),
-        "continuum-p2": eq_sample(QuarterCircle(4.0), 20000, 2),
-        "continuum-finitep": eq_sample(FinitePCurve(3), 20000, 3),
-        "5d-clusters": clusters,
-        "5d-continuum": rng.random((2000, 5)),
-        "ulp-of-cos-tol": _near_tolerance_directions(rng, 2000),
-    }
-
-
-@pytest.mark.parametrize("name", list(_genre_inputs()))
-def test_genre_count_matches_reference_loop_bitwise(name):
-    samples = _genre_inputs()[name]
-    assert genre_count(samples) == _reference_genre_count(samples)
-
-
-def test_genre_count_input_straddles_cos_tol():
-    dirs = _near_tolerance_directions(np.random.default_rng(8), 200)
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    dots = np.array([d @ dirs[0] for d in dirs[1:]])
-    cos_tol = math.cos(1e-3)
-    assert (dots >= cos_tol).any() and (dots < cos_tol).any()
-    assert np.abs(dots - cos_tol).max() <= 4 * np.spacing(cos_tol)
 
 
 # Dvoretzky-Kiefer-Wolfowitz: an empirical CDF of 1e6 draws is within this of

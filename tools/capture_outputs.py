@@ -39,7 +39,8 @@ SEEDS = (1, 2)
 # cover q = 1, 3 and inf, --alpha, each user source, every eq variant, a
 # D > 2 verify, the exit-2 paths, four flags the command line no longer
 # has (--tau, --gap, --init-scale, --min-entry), an infinite variant at
-# beta = 5000 and an --out with no CDF table to write.
+# beta = 5000, an --out with no CDF table to write and a finitep verify at
+# P = 300.
 SURFACE = [
     ["nsw", "--users", "basis2", "--q", "1"],
     ["nsw", "--users", "orthonormal:3", "--q", "3", "--alpha", "1,2,0.5"],
@@ -76,6 +77,8 @@ SURFACE = [
     ["verify", "--users", "angle:1.0", "--variant", "onepop", "--beta", "1.5", "--q", "1",
      "--samples", "2000", "--grid", "20x20"],
     ["verify", "--users", "basis2", "--variant", "p2", "--grid", "0x10"],
+    ["verify", "--users", "basis2", "--variant", "finitep", "--producers", "300",
+     "--samples", "1000", "--grid", "5x5"],
     ["profit", "--users", "basis2", "--variant", "finitep", "--producers", "3"],
     ["profit", "--users", "emb.csv", "--variant", "onepop", "--beta", "3", "--q", "inf",
      "--alpha", "1,2,1,1.5", "--seed", "9", "--out", "prof.json"],
