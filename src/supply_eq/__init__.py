@@ -17,8 +17,6 @@ from .geometry import (
     basis_pair,
     cost,
     dual_norm,
-    induced_cost,
-    induced_cost_grad,
     orthonormal_users,
     two_user_plane,
     weighted_norm,
@@ -52,7 +50,6 @@ from .verify import (
     VerifyReport,
     best_response_gap,
     empirical_marginals,
-    foc_residual,
     positive_profit_condition,
 )
 

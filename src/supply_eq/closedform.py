@@ -20,11 +20,12 @@ Each family class holds all of its own behaviour: its genre count
 ``genres`` (1, 2 or ``"continuum"``), ``draw_blocks`` (the inverse-transform
 sampler, yielding its rows a block at a time), the tabulated CDF
 (``cdf_axis``, ``cdf_max`` and ``cdf``, which maps an array of points
-elementwise; where ``cdf_axis`` is ``"quality"`` it is the quality law), the
-analytic per-producer ``profit``, the first-order terms ``foc_terms``, the
-best-response sweep directions ``deviation_dirs`` and, for the families
-``verify`` prices against, each user's exact value CDF ``value_cdf``.  The
-module functions below dispatch to them.
+elementwise; where ``cdf_axis`` is ``"quality"`` it is the quality law) and
+the analytic per-producer ``profit``.  The families ``verify`` prices
+against also state the content at given uniform quantiles ``points`` (the
+inverse-transform map their sampler applies to its uniforms), the
+best-response sweep directions ``deviation_dirs`` and each user's exact
+value CDF ``value_cdf``.  The module functions below dispatch to them.
 
 Each family is built by its own class from what fixes it; ``QuarterCircle``
 and ``FinitePCurve`` default to the plane of the two basis vectors, and
@@ -55,7 +56,6 @@ __all__ = [
 # structure collapses to the smooth power law.
 _DEGENERATE_C2 = 1e-12
 
-_NO_DENSITY = "analytic densities are only available for QuarterCircle and FinitePCurve"
 _NOT_PLANE_USERS = "users must be the two users of the family's plane"
 
 
@@ -69,7 +69,10 @@ def _check(ok, msg):
 
 
 class _StreamFamily:
-    """A family whose ``draw(rng, n)`` consumes exactly one ``rng.random(n)``."""
+    """A family whose draws are its ``points`` at one ``rng.random(n)``."""
+
+    def draw(self, rng, n: int) -> np.ndarray:
+        return self.points(rng.random(n))
 
     def draw_blocks(self, rng, n: int, block: int):
         # Successive rng.random calls continue one stream, so these blocks
@@ -135,8 +138,7 @@ class OnePopulation(_StreamFamily):
 
     cdf_max = support_max
 
-    def draw(self, rng, n: int) -> np.ndarray:
-        u = rng.random(n)
+    def points(self, u: np.ndarray) -> np.ndarray:
         r = (self.n_users * u ** (self.producers - 1)) ** (1.0 / self.beta)
         return (self.direction[:, None] * r).T
 
@@ -161,9 +163,6 @@ class OnePopulation(_StreamFamily):
             return 0.0
         bs, bd, p = spec.beta, self.beta, self.producers
         return n_users / p - n_users ** (bs / bd) * bd / (bd + (p - 1) * bs)
-
-    def foc_terms(self, spec: CostSpec, grid: int):
-        raise ValueError(_NO_DENSITY)
 
     def deviation_dirs(self, n_angles: int, users: UserSet, spec: CostSpec, seed) -> np.ndarray:
         """The equilibrium's own ray, then directions off it, all of unit cost.
@@ -216,10 +215,9 @@ class QuarterCircle(_PlanarFamily):
     def producers(self) -> int:
         return 2
 
-    def draw(self, rng, n: int) -> np.ndarray:
+    def points(self, u: np.ndarray) -> np.ndarray:
         # The angle arcsin(sqrt(u)) has cosine sqrt(1 - u) and sine sqrt(u).
-        u = rng.random(n)
-        xy = np.empty((2, n))
+        xy = np.empty((2, u.size))
         np.sqrt(1.0 - u, out=xy[0])
         np.sqrt(u, out=xy[1])
         xy *= self.radius
@@ -235,12 +233,6 @@ class QuarterCircle(_PlanarFamily):
 
     def profit(self, n_users: int, spec: CostSpec) -> float:
         return n_users / 2.0 - (2.0 / self.beta) ** (spec.beta / self.beta)
-
-    def foc_terms(self, spec: CostSpec, grid: int):
-        r = self.radius
-        thetas = np.linspace(0.0, self.plane.theta_star, grid + 2)[1:-1]
-        z = r * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        return z, 2.0 * z / (r * r)
 
 
 @dataclass(frozen=True)
@@ -264,17 +256,14 @@ class FinitePCurve(_PlanarFamily):
         if abs(self.plane.theta_star - math.pi / 2) > 1e-12:
             raise ValueError("finite-P curve requires orthogonal users")
 
-    def _curve(self, t: np.ndarray) -> np.ndarray:
-        # In-plane coordinates of the curve points at t, as two rows.
+    def points(self, u: np.ndarray) -> np.ndarray:
+        # The curve point whose x coordinate has CDF value u: x = u^e, y = (1 - u)^e.
         e = 0.5 * (self.producers - 1)
-        xy = np.empty((2, t.size))
-        np.power(t, e, out=xy[0])
-        np.subtract(1.0, t, out=xy[1])
+        xy = np.empty((2, u.size))
+        np.power(u, e, out=xy[0])
+        np.subtract(1.0, u, out=xy[1])
         np.power(xy[1], e, out=xy[1])
-        return xy
-
-    def draw(self, rng, n: int) -> np.ndarray:
-        return self._embed(self._curve(rng.random(n)))
+        return self._embed(xy)
 
     def cdf(self, x):
         return np.clip(x, 0.0, 1.0) ** (2.0 / (self.producers - 1))
@@ -290,12 +279,6 @@ class FinitePCurve(_PlanarFamily):
         t = np.linspace(0.0, 1.0, 200001)
         phi = _finite_p_phi(t, p)
         return n_users / p - float(np.trapezoid(phi ** (spec.beta / 2.0), t))
-
-    def foc_terms(self, spec: CostSpec, grid: int):
-        if spec.beta != 2.0:
-            raise ValueError("finite-P curve stationarity is specific to beta = 2")
-        z = self._curve(np.linspace(0.0, 1.0, grid + 2)[1:-1]).T
-        return z, 2.0 * z
 
 
 @dataclass(frozen=True)
@@ -378,9 +361,6 @@ class InfiniteTwoGenre(_PlanarFamily):
 
     def profit(self, n_users: int, spec: CostSpec) -> float:
         raise ValueError("per-producer profit is not defined in the infinite-producer limit")
-
-    def foc_terms(self, spec: CostSpec, grid: int):
-        raise ValueError(_NO_DENSITY)
 
 
 EquilibriumDist = OnePopulation | QuarterCircle | FinitePCurve | InfiniteTwoGenre

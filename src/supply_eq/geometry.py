@@ -5,7 +5,7 @@ Users and content vectors live in the nonnegative orthant of R^D.  A
 
     cost(p) = ||alpha * p||_q ** beta,   q in [1, inf],  beta >= 1,  alpha > 0,
 
-whose unit ball, dual norm, and two-user reduction drive everything else in
+whose unit ball, dual norm, and two-user plane drive everything else in
 this package.  Content vectors are plain 1-D float arrays.
 """
 
@@ -23,8 +23,6 @@ __all__ = [
     "weighted_norm",
     "cost",
     "dual_norm",
-    "induced_cost",
-    "induced_cost_grad",
     "angle_between",
     "two_user_plane",
     "basis_pair",
@@ -64,15 +62,6 @@ class CostSpec:
             if np.any(a <= 0):
                 raise ValueError("alpha must be strictly positive")
             object.__setattr__(self, "alpha", a)
-
-    def uniform_alpha(self):
-        """Scalar weight when alpha is uniform; raises otherwise."""
-        if self.alpha is None:
-            return 1.0
-        a = float(self.alpha[0])
-        if np.any(self.alpha != a):
-            raise ValueError("operation requires uniform alpha weights")
-        return a
 
 
 @dataclass(frozen=True)
@@ -186,57 +175,6 @@ def angle_between(u1, u2):
         raise ValueError("angle_between requires nonzero vectors")
     c = float(u1 @ u2) / (n1 * n2)
     return math.acos(min(1.0, max(-1.0, c)))
-
-
-# Cone membership tolerance for the two-user value space.
-_CONE_TOL = 1e-9
-
-
-def induced_cost(z, theta_star, spec):
-    """Cost of the cheapest content generating values z = (z1, z2).
-
-    Two unit users at angle theta_star; q = 2 with uniform alpha only.  The
-    minimizer lies in the user plane, giving
-
-        cost(z) = a^beta * sin(theta_star)^-beta
-                  * (z1^2 + z2^2 - 2 z1 z2 cos(theta_star))^(beta/2).
-    """
-    if spec.q != 2.0:
-        raise ValueError("induced cost requires q = 2")
-    a = spec.uniform_alpha()
-    if not 0.0 < theta_star <= math.pi / 2:
-        raise ValueError("theta_star must lie in (0, pi/2]")
-    z = _as_vector(z, "z")
-    if z.shape != (2,):
-        raise ValueError("z must have exactly two coordinates")
-    z1, z2 = float(z[0]), float(z[1])
-    c = math.cos(theta_star)
-    # Restricted to values producible from the cone spanned by the users
-    # themselves; there the minimizer is nonnegative for every embedding.
-    if z1 < z2 * c - _CONE_TOL or z2 < z1 * c - _CONE_TOL:
-        raise ValueError(f"z={z.tolist()} lies outside the users' cone")
-    s = math.sin(theta_star)
-    g = max(z1 * z1 + z2 * z2 - 2.0 * z1 * z2 * c, 0.0)
-    return (a ** spec.beta) * s ** (-spec.beta) * g ** (spec.beta / 2.0)
-
-
-def induced_cost_grad(z, theta_star, spec):
-    """Gradient of ``induced_cost`` in the value coordinates.
-
-    Rows of z may be stacked; returns an array of matching shape.
-    """
-    if spec.q != 2.0:
-        raise ValueError("induced cost requires q = 2")
-    a = spec.uniform_alpha()
-    zz = np.asarray(z, dtype=float)
-    z1 = zz[..., 0]
-    z2 = zz[..., 1]
-    c = math.cos(theta_star)
-    s = math.sin(theta_star)
-    g = np.maximum(z1 * z1 + z2 * z2 - 2.0 * z1 * z2 * c, 0.0)
-    pref = spec.beta * (a ** spec.beta) * s ** (-spec.beta)
-    core = pref * g ** (spec.beta / 2.0 - 1.0)
-    return np.stack([core * (z1 - z2 * c), core * (z2 - z1 * c)], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -4,18 +4,23 @@ Checks a constructed distribution the way a skeptical producer would: price
 every deviation on a grid against the opponents' exact per-user value CDFs,
 and compare against the family's analytic ``profit``.  A deviation wins a
 user when it beats all P-1 opponents, ties included, so the gap is the
-win-all-ties upper bracket.  A Monte Carlo simulation of the equilibrium's
-own profit stays as the independent cross-check.  The deviation grid is
-scored and the Monte Carlo rounds are drawn in blocks of about _BLOCK user
-scores, so memory grows with neither the sample count nor the grid's radii.
+win-all-ties upper bracket.  The same pricing runs over the distribution's
+own support, at fixed quantiles mapped through the family's ``points``: an
+equilibrium earns its profit at every point it plays, so the range of
+profit - eq_profit there is zero up to rounding, and leaves zero where the
+support is not indifferent.  A Monte Carlo simulation of the
+equilibrium's own profit stays as the independent cross-check.  The
+deviation grid and the support are scored and the Monte Carlo rounds are
+drawn in blocks of about _BLOCK user scores, so memory grows with neither
+the sample count nor the grid's radii nor, past one block, the user count.
 Both score user-major: the draws are row-shaped views of coordinate-major
 memory, so a block's scores come out as one row per user and its costs
 reduce one row per coordinate, not a short row per point.
 The empirical marginals (sorted sampled values) remain as a test oracle for
 the exact CDFs.  What differs between equilibrium families (the value CDFs,
-the analytic profit, the first-order terms, the deviation directions, the
-genre count) lives on the family classes in ``closedform`` and is read from
-them directly.
+the analytic profit, the support's inverse-transform map, the deviation
+directions, the genre count) lives on the family classes in ``closedform``
+and is read from them directly.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import eq_sample_blocks
-from .geometry import CostSpec, UserSet, cost, induced_cost_grad
+from .geometry import CostSpec, UserSet, cost
 from .optimize import minmax_alignment
 
 __all__ = [
@@ -36,12 +41,12 @@ __all__ = [
     "deviation_profit",
     "best_response_gap",
     "positive_profit_condition",
-    "foc_residual",
 ]
 
 # Relative distance at which a bracket end ties with the profit threshold:
 # far above the few ulps that value + kkt_residual may round away from the
-# bracket's upper end.
+# bracket's upper end.  Times N, the distance at which a deviation's profit
+# (a sum of N win probabilities) ties with the grid's maximum.
 _TIE = 1e-12
 
 # User scores (one per user per point) handled per block, 2 MB, but never
@@ -50,8 +55,9 @@ _TIE = 1e-12
 # cost to stay small.
 _BLOCK = 1 << 18
 
-# foc_residual's support points.
-_FOC_GRID = 512
+# The support is priced at the midpoints of a quantile grid of this many
+# cells on [0, 1], which keep off the support's ends.
+_SUPPORT_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -167,10 +173,16 @@ class VerifyReport:
     best_response_gap: float
     gap_argmax: np.ndarray
     genre_count_estimate: int | str
-    foc_residual_max: float | None
+    support_profit_range: tuple[float, float]
     positive_profit: bool | None
     q_alignment: float
     q_threshold: float
+
+
+def _profits(dist, users, spec, z, p):
+    """Profits of deviating to points p (..., D) that users value at z (..., N)."""
+    win = (dist.value_cdf(z, users) ** (dist.producers - 1)).sum(axis=-1)
+    return win - cost(p, spec)
 
 
 def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
@@ -180,15 +192,18 @@ def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
     Deviations sweep the family's directions (``deviation_dirs``) times
     qualities up to N^(1/beta), beyond which revenue cannot cover cost.  A
     deviation to p earns sum_i F_i(<u_i, p>)^(P-1) - cost(p), with F_i the
-    family's ``value_cdf``.  The grid is scored a block of radii at a time;
-    the first maximum in radius-major order wins, as one argmax would pick.
-    n_samples sizes only the Monte Carlo profit.  The producer count and the
-    genre count are the family's own, ``dist.producers`` and ``dist.genres``.
+    family's ``value_cdf``.  The grid is scored a block of radii at a time.
+    Along an equilibrium's support profits tie up to rounding, so
+    ``gap_argmax`` is the first cell in radius-major order within _TIE * N
+    of the maximum.  The same formula prices ``dist.points`` at the
+    midpoints of a _SUPPORT_CELLS quantile grid, and ``support_profit_range``
+    is the (min, max) of profit - eq_profit there.  n_samples sizes only the
+    Monte Carlo profit.  The producer count and the genre count are the
+    family's own, ``dist.producers`` and ``dist.genres``.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
     eq_profit = dist.profit(users.n_users, spec)
-    producers = dist.producers
 
     n_angles, n_radii = grid
     radii = np.linspace(0.0, users.n_users ** (1.0 / spec.beta), n_radii)
@@ -196,46 +211,45 @@ def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
     # Blocks are built user-major, (N, radii, A) and (D, radii, A) (so dirs_t
     # must be contiguous), and seen through (radii, A, N) and (radii, A, D)
     # views, so value_cdf and cost keep their APIs while their reductions
-    # add whole rows.
+    # add whole rows.  A radius row is priced the same in any block.
     dirs_t = np.ascontiguousarray(dirs.T)
     scores = users.embeddings @ dirs_t
-    rows = max(1, _BLOCK // scores.size)
-    best, flat = -math.inf, 0
-    for start in range(0, n_radii, rows):
-        r = radii[start:start + rows, None]
-        z = np.moveaxis(r * scores[:, None, :], 0, -1)
-        win = (dist.value_cdf(z, users) ** (producers - 1)).sum(axis=-1)
-        profits = win - cost(np.moveaxis(r * dirs_t[:, None, :], 0, -1), spec)
-        i = int(np.argmax(profits))
-        if profits.flat[i] > best:
-            best, flat = float(profits.flat[i]), start * len(dirs) + i
-    argmax_pt = radii[flat // len(dirs)] * dirs[flat % len(dirs)]
 
-    mc, stderr = _mc_profit(dist, users, spec, producers, n_samples, [seed, 1])
-    try:
-        foc = foc_residual(dist, spec)
-    except ValueError:
-        foc = None
-    flag, qval, qthr = positive_profit_condition(users, spec, producers)
+    def grid_profits(r):
+        z = np.moveaxis(r * scores[:, None, :], 0, -1)
+        return _profits(dist, users, spec, z, np.moveaxis(r * dirs_t[:, None, :], 0, -1))
+
+    rows = max(1, _BLOCK // scores.size)
+    row_max = np.empty(n_radii)
+    for start in range(0, n_radii, rows):
+        row_max[start:start + rows] = grid_profits(radii[start:start + rows, None]).max(axis=1)
+    best = float(row_max.max())
+    near = best - _TIE * users.n_users
+    k = int(np.argmax(row_max >= near))
+    j = int(np.argmax(grid_profits(radii[k:k + 1, None])[0] >= near))
+
+    # About _BLOCK scores a block, each cell priced on its own, in the draws'
+    # layout: (N, cells) scores seen as (cells, N).
+    quantiles = (np.arange(_SUPPORT_CELLS) + 0.5) / _SUPPORT_CELLS
+    cells = max(1, _BLOCK // users.n_users)
+    ranges = []
+    for start in range(0, _SUPPORT_CELLS, cells):
+        pts = dist.points(quantiles[start:start + cells])
+        gap = _profits(dist, users, spec, (users.embeddings @ pts.T).T, pts) - eq_profit
+        ranges.append((gap.min(), gap.max()))
+    low, high = np.array(ranges).T
+
+    mc, stderr = _mc_profit(dist, users, spec, dist.producers, n_samples, [seed, 1])
+    flag, qval, qthr = positive_profit_condition(users, spec, dist.producers)
     return VerifyReport(
         eq_profit=eq_profit,
         eq_profit_mc=mc,
         eq_profit_mc_stderr=stderr,
         best_response_gap=best - eq_profit,
-        gap_argmax=argmax_pt,
+        gap_argmax=radii[k] * dirs[j],
         genre_count_estimate=dist.genres,
-        foc_residual_max=foc,
+        support_profit_range=(float(low.min()), float(high.max())),
         positive_profit=flag,
         q_alignment=qval,
         q_threshold=qthr,
     )
-
-
-def foc_residual(dist, spec) -> float:
-    """Max gap between the win-density stationarity terms and the induced-cost
-    gradient over interior support points; defined for the variants with
-    analytic marginal densities."""
-    z, h = dist.foc_terms(spec, _FOC_GRID)
-    spec_b = CostSpec(q=2.0, beta=dist.beta, alpha=spec.alpha)
-    grad = induced_cost_grad(z, dist.plane.theta_star, spec_b)
-    return float(np.abs(h - grad).max())

@@ -51,6 +51,31 @@ def test_compare_names_each_difference():
     ]
 
 
+def _printer(text):
+    def run(argv):
+        print(text)
+        return 0
+    return run
+
+
+def test_compare_names_the_keys_of_a_json_report_that_differ(tmp_path):
+    base = capture._record(_printer('{"eq": 1, "gap": [1, 2], "foc": null}'), [], str(tmp_path))
+    new = capture._record(_printer('{"eq": 1, "gap": [1, 3], "range": [0, 0]}'), [],
+                          str(tmp_path))
+    assert base["stdout_keys"]["eq"] == new["stdout_keys"]["eq"]
+    assert capture.compare({"verify": base}, {"verify": new}) == [
+        "differs in stdout [added range; removed foc; changed gap]: verify"]
+    # A capture made before stdout was digested by key has no key digests;
+    # where the bytes match, the commands do not differ.
+    old_tool = {k: v for k, v in base.items() if k != "stdout_keys"}
+    assert capture.compare({"verify": old_tool}, {"verify": base}) == []
+    assert capture.compare({"verify": old_tool}, {"verify": new}) == [
+        "differs in stdout: verify"]
+    # Only a JSON object is digested by key.
+    for text in ("[1, 2]", "wrote out.csv"):
+        assert "stdout_keys" not in capture._record(_printer(text), [], str(tmp_path))
+
+
 def test_readme_commands_are_the_tested_ones():
     from test_readme import COMMANDS
 

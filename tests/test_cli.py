@@ -207,8 +207,7 @@ def test_verify_onepop_and_finitep(capsys, variant_args):
     code, rep = run_json(capsys, argv)
     assert code == 0
     assert rep["eq_profit"] == 0
-    if variant_args[1] == "onepop":
-        assert rep["foc_residual_max"] is None
+    assert max(map(abs, rep["support_profit_range"])) <= 2e-13
 
 
 def test_verify_finitep_many_producers_reports_a_continuum(capsys):

@@ -1,4 +1,4 @@
-"""Geometry layer: norms, duals, planes, and the induced two-user cost."""
+"""Geometry layer: norms, duals, cost specs and two-user planes."""
 
 import math
 
@@ -15,8 +15,6 @@ from supply_eq.geometry import (
     basis_pair,
     cost,
     dual_norm,
-    induced_cost,
-    induced_cost_grad,
     orthonormal_users,
     two_user_plane,
     weighted_norm,
@@ -147,13 +145,6 @@ def test_cost_spec_validation():
         CostSpec(alpha=np.array([1.0, -2.0]))
 
 
-def test_uniform_alpha_scalar():
-    assert CostSpec().uniform_alpha() == 1.0
-    assert CostSpec(alpha=np.array([3.0, 3.0])).uniform_alpha() == 3.0
-    with pytest.raises(ValueError):
-        CostSpec(alpha=np.array([1.0, 2.0])).uniform_alpha()
-
-
 def test_builders():
     assert np.all(basis_pair().embeddings == np.eye(2))
     pair = angle_pair(math.pi / 3).embeddings
@@ -189,77 +180,3 @@ def test_two_user_plane_roundtrip():
 def test_two_user_plane_rejects_dependence():
     with pytest.raises(ValueError):
         two_user_plane(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
-
-
-def _solve_plane_point(z, theta):
-    # z = (x, x cos + y sin) inverts linearly; independent of the closed form.
-    x = z[0]
-    y = (z[1] - x * math.cos(theta)) / math.sin(theta)
-    return np.array([x, y])
-
-
-@pytest.mark.parametrize("theta", [math.pi / 3, math.pi / 4, 1.2])
-def test_induced_cost_matches_linear_solve(theta):
-    # Sample p = mu1*u1 + mu2*u2 with mu >= 0 so z stays in the users' cone.
-    spec = CostSpec(q=2.0, beta=3.0)
-    rng = np.random.default_rng(2)
-    u1 = np.array([1.0, 0.0])
-    u2 = np.array([math.cos(theta), math.sin(theta)])
-    for _ in range(20):
-        mu = np.abs(rng.standard_normal(2)) + 0.05
-        p = mu[0] * u1 + mu[1] * u2
-        z = np.array([u1 @ p, u2 @ p])
-        want = float(np.linalg.norm(_solve_plane_point(z, theta))) ** 3.0
-        assert induced_cost(z, theta, spec) == pytest.approx(want, rel=1e-10)
-
-
-def test_induced_cost_uniform_alpha_prefactor():
-    theta = math.pi / 3
-    z = np.array([0.7, 0.9])
-    base = induced_cost(z, theta, CostSpec(q=2.0, beta=2.0))
-    scaled = induced_cost(z, theta, CostSpec(q=2.0, beta=2.0, alpha=np.array([2.0, 2.0])))
-    assert scaled == pytest.approx(4.0 * base, rel=1e-12)
-
-
-def test_induced_cost_requires_euclidean():
-    with pytest.raises(ValueError):
-        induced_cost(np.array([1.0, 1.0]), math.pi / 3, CostSpec(q=3.0, beta=2.0))
-    with pytest.raises(ValueError):
-        induced_cost(
-            np.array([1.0, 1.0]), math.pi / 3, CostSpec(q=2.0, beta=2.0, alpha=np.array([1.0, 2.0]))
-        )
-
-
-def test_induced_cost_rejects_points_outside_cone():
-    # z2 far below z1*cos(theta) needs a negative second coordinate.
-    with pytest.raises(ValueError):
-        induced_cost(np.array([1.0, 0.0]), math.pi / 3, CostSpec(q=2.0, beta=2.0))
-
-
-def test_induced_cost_grad_finite_differences():
-    theta = 1.1
-    spec = CostSpec(q=2.0, beta=3.5)
-    rng = np.random.default_rng(3)
-    u1 = np.array([1.0, 0.0])
-    u2 = np.array([math.cos(theta), math.sin(theta)])
-    for _ in range(10):
-        mu = np.abs(rng.standard_normal(2)) + 0.2
-        p = mu[0] * u1 + mu[1] * u2
-        z = np.array([u1 @ p, u2 @ p])
-        g = induced_cost_grad(z, theta, spec)
-        h = 1e-6
-        for k in range(2):
-            dz = np.zeros(2)
-            dz[k] = h
-            num = (induced_cost(z + dz, theta, spec) - induced_cost(z - dz, theta, spec)) / (2 * h)
-            assert g[k] == pytest.approx(num, rel=1e-5, abs=1e-7)
-
-
-def test_induced_cost_grad_batched_shape():
-    theta = 0.9
-    spec = CostSpec(q=2.0, beta=2.0)
-    zs = np.abs(np.random.default_rng(4).standard_normal((6, 2))) + 0.5
-    out = induced_cost_grad(zs, theta, spec)
-    assert out.shape == (6, 2)
-    single = induced_cost_grad(zs[0], theta, spec)
-    assert np.allclose(out[0], single)

@@ -20,7 +20,6 @@ from supply_eq.verify import (
     best_response_gap,
     deviation_profit,
     empirical_marginals,
-    foc_residual,
     positive_profit_condition,
 )
 
@@ -142,25 +141,6 @@ def test_positive_profit_condition_bracket_rule(monkeypatch, lower, width, expec
     assert (flag, qval, qthr) == (expected, lower, 0.5)
 
 
-@pytest.mark.parametrize("beta", [2.0, 4.0, 8.0])
-def test_foc_residual_quarter_circle(beta):
-    dist = QuarterCircle(beta)
-    spec = CostSpec(q=2.0, beta=beta)
-    assert foc_residual(dist, spec) < 1e-10
-
-
-@pytest.mark.parametrize("producers", [2, 3, 4])
-def test_foc_residual_finite_p(producers):
-    dist = FinitePCurve(producers)
-    assert foc_residual(dist, SPEC2) < 1e-10
-
-
-def test_foc_residual_rejects_one_population():
-    dist = OnePopulation(np.array([1.0, 0.0]), 1, 2.0, 2)
-    with pytest.raises(ValueError):
-        foc_residual(dist, SPEC2)
-
-
 def test_best_response_gap_report_quarter_circle():
     spec = CostSpec(q=2.0, beta=4.0)
     dist = QuarterCircle(4.0)
@@ -169,7 +149,7 @@ def test_best_response_gap_report_quarter_circle():
     assert rep.best_response_gap <= 0.05
     assert abs(rep.eq_profit_mc - rep.eq_profit) <= 3 * rep.eq_profit_mc_stderr + 1e-12
     assert rep.genre_count_estimate == "continuum"
-    assert rep.foc_residual_max < 1e-10
+    assert np.abs(rep.support_profit_range).max() <= 2e-13
     assert rep.positive_profit is True
     assert rep.gap_argmax.shape == (2,)
 
@@ -180,7 +160,9 @@ def test_best_response_gap_one_population():
     assert rep.eq_profit == 0.0
     assert rep.best_response_gap <= 0.05
     assert rep.genre_count_estimate == 1
-    assert rep.foc_residual_max is None
+    assert np.abs(rep.support_profit_range).max() <= 1e-13
+    # Every radius ties at zero profit; the first one, the origin, is reported.
+    assert np.array_equal(rep.gap_argmax, [0.0, 0.0])
 
 
 def test_best_response_gap_detects_wrong_equilibrium():
@@ -191,6 +173,49 @@ def test_best_response_gap_detects_wrong_equilibrium():
     rep = best_response_gap(dist, users, SPEC2, n_samples=20000, grid=(1, 200), seed=3)
     assert rep.eq_profit == pytest.approx(1.0 - 2.0 ** (2.0 / 3.0) * 3.0 / 5.0, abs=1e-14)
     assert rep.best_response_gap > 0.1
+
+
+SUPPORT_ALPHA = np.array([1.0, 2.0, 0.5, 3.0, 1.5])
+EQUILIBRIA = {
+    "p2-beta4": lambda: (QuarterCircle(4.0), BASIS2, CostSpec(q=2.0, beta=4.0)),
+    "finitep-P3": lambda: (FinitePCurve(3), BASIS2, SPEC2),
+    "finitep-P7": lambda: (FinitePCurve(7), BASIS2, SPEC2),
+    "onepop-basis2-beta1.5": lambda: _onepop_on(BASIS2, CostSpec(q=2.0, beta=1.5)),
+    "onepop-basis2-beta4": lambda: _onepop_on(BASIS2, CostSpec(q=2.0, beta=4.0)),
+    "onepop-30x5-q2": lambda: _onepop_on(USERS_30X5, CostSpec(q=2.0, beta=3.0)),
+    "onepop-30x5-q3-alpha": lambda: _onepop_on(
+        USERS_30X5, CostSpec(q=3.0, beta=3.0, alpha=SUPPORT_ALPHA)),
+}
+
+
+def _onepop_on(users, spec):
+    # The command line's onepop: the NSW direction, which has unit cost.
+    direction = nsw_direction(users, spec).point
+    return OnePopulation(direction, users.n_users, spec.beta, 2), users, spec
+
+
+@pytest.mark.parametrize("name", list(EQUILIBRIA))
+def test_support_profit_range_is_rounding_on_an_indifferent_support(name):
+    # Every point these families play earns eq_profit exactly in real
+    # arithmetic, beta = 4 on basis2 included, where the onepop support is
+    # indifferent but a deviation off its ray gains.
+    dist, users, spec = EQUILIBRIA[name]()
+    rep = best_response_gap(dist, users, spec, n_samples=1000, grid=(2, 2))
+    assert np.abs(rep.support_profit_range).max() <= 1e-13 * users.n_users
+
+
+@pytest.mark.parametrize("dist, users, spec", [
+    (OnePopulation(np.array([1.0, 0.0]), 2, 3.0, 2), UserSet(np.array([[1.0, 0.0], [1.0, 0.0]])),
+     SPEC2),
+    (FinitePCurve(3), BASIS2, CostSpec(q=2.0, beta=3.0)),
+], ids=["onepop-beta3-priced-at-2", "finitep-P3-priced-at-beta3"])
+def test_support_profit_range_leaves_zero_off_equilibrium(dist, users, spec):
+    # Priced at a cost exponent they were not built for, the supports are no
+    # longer indifferent: eq_profit is their mean profit, and the points
+    # spread on both sides of it.
+    rep = best_response_gap(dist, users, spec, n_samples=1000, grid=(2, 2))
+    lo, hi = rep.support_profit_range
+    assert lo < -0.01 and hi > 0.01
 
 
 def test_mc_profit_close_across_seeds():
@@ -304,8 +329,10 @@ def _reference_grid(dist, users, spec, producers, grid, seed):
     r = radii[:, None, None]
     win = (dist.value_cdf(r * scores, users) ** (producers - 1)).sum(axis=-1)
     profits = win - cost(r * dirs, spec)
-    i = int(np.argmax(profits))
-    gap = float(profits.flat[i]) - dist.profit(users.n_users, spec)
+    best = float(profits.max())
+    # The first cell, radius-major, within _TIE * N of the maximum.
+    i = int(np.argmax(profits >= best - verify_mod._TIE * users.n_users))
+    gap = best - dist.profit(users.n_users, spec)
     return gap, radii[i // len(dirs)] * dirs[i % len(dirs)]
 
 
@@ -351,7 +378,8 @@ def test_best_response_gap_report_independent_of_block_bitwise(monkeypatch):
     full = best_response_gap(*args, **kw)
     monkeypatch.setattr(verify_mod, "_BLOCK", RAGGED)
     blocked = best_response_gap(*args, **kw)
-    for field in ("eq_profit_mc", "eq_profit_mc_stderr", "best_response_gap"):
+    for field in ("eq_profit_mc", "eq_profit_mc_stderr", "best_response_gap",
+                  "support_profit_range"):
         assert getattr(blocked, field) == getattr(full, field)
     assert np.array_equal(blocked.gap_argmax, full.gap_argmax)
 
@@ -460,6 +488,7 @@ def test_onepop_gap_independent_of_grid_block_bitwise(monkeypatch, users, beta):
     blocked = best_response_gap(dist, users, spec, **kw)
     assert blocked.best_response_gap == full.best_response_gap
     assert np.array_equal(blocked.gap_argmax, full.gap_argmax)
+    assert blocked.support_profit_range == full.support_profit_range
     assert full.best_response_gap > 0.1
 
 

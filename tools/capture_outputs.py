@@ -12,10 +12,14 @@ The argv lists come from this repository's ``perfbench/workloads.py``,
 ``README.md`` and this file, so two checkouts are run on the same commands.
 For each command it records the exit code (or the type of the exception it
 raised) and the sha256 of its stdout, its stderr and every file it wrote,
-with the temporary directory's path replaced by ``<work>``.
+with the temporary directory's path replaced by ``<work>``.  When stdout
+parses as a JSON object, it also records one sha256 per top-level key, of
+that key's value.
 
 The second form prints every command whose record differs between the two
-captures, or is in only one of them, and exits 1 when there is one.
+captures, or is in only one of them, and exits 1 when there is one.  Where
+both records of a command digest their stdout by key, it names the keys
+that were added, removed or changed.
 """
 
 from __future__ import annotations
@@ -143,8 +147,29 @@ def _record(run, argv: list, workdir: str) -> dict:
     for name in sorted(after):
         if before.get(name) != after[name]:
             files[name] = _sha(Path(workdir, name).read_bytes())
-    return {"exit": rc, "stdout": _sha(out.getvalue().replace(workdir, "<work>").encode()),
-            "stderr": _sha(err.getvalue().replace(workdir, "<work>").encode()), "files": files}
+    stdout = out.getvalue().replace(workdir, "<work>")
+    rec = {"exit": rc, "stdout": _sha(stdout.encode()),
+           "stderr": _sha(err.getvalue().replace(workdir, "<work>").encode()), "files": files}
+    try:
+        report = json.loads(stdout)
+    except ValueError:
+        report = None
+    if isinstance(report, dict):
+        rec["stdout_keys"] = {k: _sha(json.dumps(v, sort_keys=True).encode())
+                              for k, v in report.items()}
+    return rec
+
+
+def _key_changes(base: dict, new: dict) -> str:
+    """The stdout keys added, removed and changed between two records, or ''."""
+    if "stdout_keys" not in base or "stdout_keys" not in new:
+        return ""
+    old, cur = base["stdout_keys"], new["stdout_keys"]
+    groups = [("added", [k for k in cur if k not in old]),
+              ("removed", [k for k in old if k not in cur]),
+              ("changed", [k for k in old if k in cur and old[k] != cur[k]])]
+    named = "; ".join(f"{verb} {', '.join(keys)}" for verb, keys in groups if keys)
+    return f" [{named}]" if named else ""
 
 
 def capture(checkout: Path) -> dict:
@@ -191,9 +216,14 @@ def compare(base: dict, new: dict) -> list:
             lines.append(f"only in base: {key}")
         elif key not in base:
             lines.append(f"only in new: {key}")
-        elif base[key] != new[key]:
-            parts = [k for k in base[key] if base[key][k] != new[key].get(k)]
-            lines.append(f"differs in {', '.join(parts)}: {key}")
+        else:
+            # A record's key digests restate its stdout digest, and a capture
+            # made before they were recorded has none.
+            parts = [k for k in ("exit", "stdout", "stderr", "files")
+                     if base[key][k] != new[key][k]]
+            if parts:
+                keys = _key_changes(base[key], new[key]) if "stdout" in parts else ""
+                lines.append(f"differs in {', '.join(parts)}{keys}: {key}")
     return lines
 
 
