@@ -3,10 +3,11 @@
 Six subcommands map onto the library surface: ``nsw`` (best single direction),
 ``threshold`` (specialization thresholds with the probe trace), ``eq``
 (closed-form equilibrium CDF tables and samples as CSV), ``verify`` (full
-numerical equilibrium check), ``profit`` (equilibrium profit and the
-positive-profit flag), and ``nmf`` (ratings CSV to embeddings CSV).  The CLI
-only parses arguments, builds library objects and renders their results:
-validation and per-family behaviour stay in the library.
+numerical equilibrium check), ``profit`` (equilibrium profit), and ``nmf``
+(ratings CSV to embeddings CSV).  ``verify`` and ``profit`` share one report
+path, which ends both reports with the positive-profit flag of one alignment
+solve.  The CLI only parses arguments, builds library objects and renders
+their results: validation and per-family behaviour stay in the library.
 
 Reports are flat JSON objects with snake_case keys and embed the resolved run
 configuration.  Floats are serialized at 17 significant digits, infinities as
@@ -47,7 +48,7 @@ from .ingest import (
     nmf_factorize,
     save_embeddings_csv,
 )
-from .optimize import minmax_alignment, nsw_direction
+from .optimize import nsw_direction
 from .threshold import threshold_report
 from .verify import best_response_gap, positive_profit_condition
 
@@ -477,46 +478,34 @@ def _parse_grid(raw: str) -> tuple[int, int]:
     return angles, radii
 
 
-def _cmd_verify(ns) -> int:
+def _cmd_report(ns) -> int:
+    """verify and profit: the equilibrium's report (verify's full check, or
+    profit's eq_profit alone), then the positive-profit condition.  On exit 4,
+    one stderr line gives the alignment solve's stop reason and its bracket
+    on Q, next to the threshold."""
     users = _parse_users(ns.users)
     spec = _spec(ns, users)
-    grid = _parse_grid(ns.grid)
+    grid = _parse_grid(ns.grid) if ns.cmd == "verify" else (None, None)
     dist, converged = _build_dist(ns, users, spec)
-    rep = best_response_gap(dist, users, spec, n_samples=ns.samples, grid=grid, seed=ns.seed)
-    rc = _run_config(ns, users_source=ns.users, grid_angles=grid[0], grid_radii=grid[1])
-    _write_text(render_json({**asdict(rep), "run_config": rc}), ns.out)
-    if not converged or rep.positive_profit is None:
-        _note_alignment(users, spec, rep.q_threshold)
-        return _EXIT_NOCONV
-    return _EXIT_OK
-
-
-def _cmd_profit(ns) -> int:
-    users = _parse_users(ns.users)
-    spec = _spec(ns, users)
-    dist, converged = _build_dist(ns, users, spec)
-    eq = dist.profit(users.n_users, spec)
-    flag, qval, qthr = positive_profit_condition(users, spec, dist.producers)
-    report = {
-        "eq_profit": eq,
-        "positive_profit": flag,
-        "q_alignment": qval,
-        "q_threshold": qthr,
-        "run_config": _run_config(ns, users_source=ns.users),
-    }
+    if ns.cmd == "verify":
+        report = asdict(best_response_gap(dist, users, spec, n_samples=ns.samples, grid=grid,
+                                          seed=ns.seed))
+    else:
+        report = {"eq_profit": dist.profit(users.n_users, spec)}
+    flag, res, threshold = positive_profit_condition(users, spec, dist.producers)
+    report.update(
+        positive_profit=flag,
+        q_alignment=res.value,
+        q_threshold=threshold,
+        run_config=_run_config(ns, users_source=ns.users, grid_angles=grid[0],
+                               grid_radii=grid[1]),
+    )
     _write_text(render_json(report), ns.out)
-    if not converged or flag is None:
-        _note_alignment(users, spec, qthr)
-        return _EXIT_NOCONV
-    return _EXIT_OK
-
-
-def _note_alignment(users, spec, q_threshold) -> None:
-    """Say on stderr why a profit or verify run exits 4: the alignment
-    solve's stop reason and its bracket on Q, next to the threshold."""
-    res = minmax_alignment(users, spec)
+    if converged and flag is not None:
+        return _EXIT_OK
     print(f"note: alignment solve {res.status}, Q in [{res.value!r}, "
-          f"{res.value + res.kkt_residual!r}], q_threshold {q_threshold!r}", file=sys.stderr)
+          f"{res.value + res.kkt_residual!r}], q_threshold {threshold!r}", file=sys.stderr)
+    return _EXIT_NOCONV
 
 
 def _cmd_nmf(ns) -> int:
@@ -585,14 +574,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "CDFs, not samples",
     )
     p.add_argument("--grid", default="200x200")
-    p.set_defaults(fn=_cmd_verify)
+    p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("profit", help="equilibrium profit and positive-profit condition")
     _add_common(p, users_required=True)
     p.add_argument("--variant", required=True, choices=["onepop", "p2", "finitep"])
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--producers", type=int, default=2)
-    p.set_defaults(fn=_cmd_profit)
+    p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("nmf", help="factorize a ratings CSV into embeddings")
     p.add_argument("--ratings", required=True, help="ratings CSV path")

@@ -11,21 +11,22 @@ Four families:
   the winning quality law is piecewise with countably many flat gaps.
 
 Throughout, quality is the weighted production norm of a content vector and
-genre is its direction.  Samplers are inverse-transform and deterministic for
-a fixed seed.  A sampler returns (n, D) rows as the transposed view of a
-contiguous coordinate-major (D, n) array, so consumers that score or cost
-whole coordinates (``verify``) read contiguous rows of length n.
+genre is its direction.  Every family states its law as one
+inverse-transform map, ``points``, from uniform quantiles to content; the
+sampler ``eq_sample_blocks`` feeds it ``rng.random`` a block at a time, so
+draws are deterministic for a fixed seed.  ``points`` returns (n, D) rows as
+the transposed view of a contiguous coordinate-major (D, n) array, so
+consumers that score or cost whole coordinates (``verify``) read contiguous
+rows of length n.
 
 Each family class holds all of its own behaviour: its genre count
-``genres`` (1, 2 or ``"continuum"``), ``draw_blocks`` (the inverse-transform
-sampler, yielding its rows a block at a time), the tabulated CDF
+``genres`` (1, 2 or ``"continuum"``), ``points``, the tabulated CDF
 (``cdf_axis``, ``cdf_max`` and ``cdf``, which maps an array of points
 elementwise; where ``cdf_axis`` is ``"quality"`` it is the quality law) and
 the analytic per-producer ``profit``.  The families ``verify`` prices
-against also state the content at given uniform quantiles ``points`` (the
-inverse-transform map their sampler applies to its uniforms), the
-best-response sweep directions ``deviation_dirs`` and each user's exact
-value CDF ``value_cdf``.  The module functions below dispatch to them.
+against also state the best-response sweep directions ``deviation_dirs``
+and each user's exact value CDF ``value_cdf``.  The module functions below
+dispatch to them.
 
 Each family is built by its own class from what fixes it; ``QuarterCircle``
 and ``FinitePCurve`` default to the plane of the two basis vectors, and
@@ -68,20 +69,7 @@ def _check(ok, msg):
         raise ValueError(msg)
 
 
-class _StreamFamily:
-    """A family whose draws are its ``points`` at one ``rng.random(n)``."""
-
-    def draw(self, rng, n: int) -> np.ndarray:
-        return self.points(rng.random(n))
-
-    def draw_blocks(self, rng, n: int, block: int):
-        # Successive rng.random calls continue one stream, so these blocks
-        # concatenate bit for bit to self.draw(rng, n).
-        for start in range(0, n, block):
-            yield self.draw(rng, min(block, n - start))
-
-
-class _PlanarFamily(_StreamFamily):
+class _PlanarFamily:
     """A family laid out in a two-user plane; deviations sweep its angles."""
 
     def deviation_dirs(self, n_angles: int, users: UserSet, spec: CostSpec, seed) -> np.ndarray:
@@ -104,7 +92,7 @@ class _PlanarFamily(_StreamFamily):
 
 
 @dataclass(frozen=True)
-class OnePopulation(_StreamFamily):
+class OnePopulation:
     """Single-genre equilibrium for N users sharing one direction.
 
     ``direction`` must have unit production norm; every sampled content
@@ -333,14 +321,13 @@ class InfiniteTwoGenre(_PlanarFamily):
             (np.log(u) + 2.0 * math.log(self.c1) + 2.0 * n * beta * lc2) / (2.0 * beta)
         )
 
-    def draw_blocks(self, rng, n: int, block: int):
-        # integers() may leave part of its last 64-bit word unused, so all n
-        # genre labels are drawn before the first uniform, as in one n-row draw.
-        g = rng.integers(0, 2, size=n)
-        dirs = self.genre_directions().T
-        for start in range(0, n, block):
-            u = 1.0 - rng.random(min(block, n - start))
-            yield (dirs.take(g[start:start + u.size], axis=1) * self._quantile(u)).T
+    def points(self, u: np.ndarray) -> np.ndarray:
+        # The top half of u picks the genre, g = (u >= 1/2), and the rest,
+        # 1 - (2u - g) in (0, 1], is the quality's quantile.  Both steps are
+        # exact in doubles for u on rng.random's grid of multiples of 2^-53.
+        g = u >= 0.5
+        q = self._quantile(1.0 - (2.0 * u - g))
+        return (self.genre_directions().T.take(g.view(np.int8), axis=1) * q).T
 
     def cdf(self, q):
         # Band k = floor(log(q / top) / log c2) is flat when odd; 0 at and
@@ -413,15 +400,17 @@ def _bisect_to_float_limit(keep_low, lo, hi):
 def eq_sample_blocks(dist: EquilibriumDist, n: int, seed: int, block: int):
     """The rows of ``eq_sample(dist, n, seed)``, yielded ``block`` rows at a time.
 
-    Every family consumes its generator the same way at any block size, so
-    the blocks concatenate bit for bit to the n-row draw; only the last one
-    may be shorter.
+    Each block is ``dist.points`` at the block's next uniforms.  Successive
+    ``rng.random`` calls continue one stream, so the blocks concatenate bit
+    for bit to the n-row draw at any block size; only the last one may be
+    shorter.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if block < 1:
         raise ValueError("block must be >= 1")
-    return dist.draw_blocks(np.random.default_rng(seed), n, block)
+    rng = np.random.default_rng(seed)
+    return (dist.points(rng.random(min(block, n - start))) for start in range(0, n, block))
 
 
 def eq_sample(dist: EquilibriumDist, n: int, seed: int) -> np.ndarray:

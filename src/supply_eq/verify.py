@@ -9,7 +9,8 @@ own support, at fixed quantiles mapped through the family's ``points``: an
 equilibrium earns its profit at every point it plays, so the range of
 profit - eq_profit there is zero up to rounding, and leaves zero where the
 support is not indifferent.  A Monte Carlo simulation of the
-equilibrium's own profit stays as the independent cross-check.  The
+equilibrium's own profit, drawn through the same ``points``, stays as the
+independent cross-check of the analytic profit.  The
 deviation grid and the support are scored and the Monte Carlo rounds are
 drawn in blocks of about _BLOCK user scores, so memory grows with neither
 the sample count nor the grid's radii nor, past one block, the user count.
@@ -17,10 +18,12 @@ Both score user-major: the draws are row-shaped views of coordinate-major
 memory, so a block's scores come out as one row per user and its costs
 reduce one row per coordinate, not a short row per point.
 The empirical marginals (sorted sampled values) remain as a test oracle for
-the exact CDFs.  What differs between equilibrium families (the value CDFs,
-the analytic profit, the support's inverse-transform map, the deviation
-directions, the genre count) lives on the family classes in ``closedform``
-and is read from them directly.
+the exact CDFs.  ``positive_profit_condition`` is a separate check, of the
+users, cost and producer count only, through one alignment solve; it is
+not part of the report.  What differs between equilibrium families (the
+value CDFs, the analytic profit, the support's inverse-transform map, the
+deviation directions, the genre count) lives on the family classes in
+``closedform`` and is read from them directly.
 """
 
 from __future__ import annotations
@@ -115,11 +118,12 @@ def deviation_profit(p, marg: EmpiricalMarginals, users: UserSet, spec: CostSpec
 
 
 def positive_profit_condition(users, spec, producers):
-    """(flag, Q, threshold): profit is forced positive when Q < N^(-P/beta).
+    """(flag, res, threshold): profit is forced positive when Q < N^(-P/beta).
 
-    Q is the attained lower end of the alignment solve's certified bracket
-    [Q, Q + kkt_residual].  flag is True when the bracket lies below the
-    threshold, False when it lies above, and None only when it straddles it.
+    res is the alignment solve, whose certified bracket [Q, Q + kkt_residual]
+    has Q = res.value as its attained lower end.  flag is True when the
+    bracket lies below the threshold, False when it lies above, and None only
+    when it straddles it.
     A bracket end within a relative _TIE of the threshold is a tie, decided
     as positive: on basis2 at beta = 4, Q and the threshold are both
     2^(-1/2), and the p2 equilibrium there earns 0.5.
@@ -131,7 +135,7 @@ def positive_profit_condition(users, spec, producers):
         flag = True
     elif res.value > threshold * (1.0 + _TIE):
         flag = False
-    return flag, res.value, threshold
+    return flag, res, threshold
 
 
 def _first_wins(z):
@@ -174,9 +178,6 @@ class VerifyReport:
     gap_argmax: np.ndarray
     genre_count_estimate: int | str
     support_profit_range: tuple[float, float]
-    positive_profit: bool | None
-    q_alignment: float
-    q_threshold: float
 
 
 def _profits(dist, users, spec, z, p):
@@ -187,7 +188,7 @@ def _profits(dist, users, spec, z, p):
 
 def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
                       seed=0) -> VerifyReport:
-    """Grid-search deviations against the exact opponent marginals; full report.
+    """Grid-search deviations against the exact opponent marginals; the report.
 
     Deviations sweep the family's directions (``deviation_dirs``) times
     qualities up to N^(1/beta), beyond which revenue cannot cover cost.  A
@@ -240,7 +241,6 @@ def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
     low, high = np.array(ranges).T
 
     mc, stderr = _mc_profit(dist, users, spec, dist.producers, n_samples, [seed, 1])
-    flag, qval, qthr = positive_profit_condition(users, spec, dist.producers)
     return VerifyReport(
         eq_profit=eq_profit,
         eq_profit_mc=mc,
@@ -249,7 +249,4 @@ def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
         gap_argmax=radii[k] * dirs[j],
         genre_count_estimate=dist.genres,
         support_profit_range=(float(low.min()), float(high.max())),
-        positive_profit=flag,
-        q_alignment=qval,
-        q_threshold=qthr,
     )

@@ -76,6 +76,30 @@ def test_compare_names_the_keys_of_a_json_report_that_differ(tmp_path):
         assert "stdout_keys" not in capture._record(_printer(text), [], str(tmp_path))
 
 
+def _writer(name, text):
+    def run(argv):
+        pathlib.Path(argv[0], name).write_text(text)
+        return 0
+    return run
+
+
+def test_compare_names_the_keys_of_a_json_report_written_to_a_file(tmp_path):
+    base = capture._record(_writer("ver.json", '{"eq": 1, "q": 0.5, "foc": 0}'),
+                           [str(tmp_path)], str(tmp_path))
+    new = capture._record(_writer("ver.json", '{"eq": 1, "q": 0.6, "gap": 0}'),
+                          [str(tmp_path)], str(tmp_path))
+    assert base["file_keys"]["ver.json"]["eq"] == new["file_keys"]["ver.json"]["eq"]
+    assert capture.compare({"verify": base}, {"verify": new}) == [
+        "differs in files [ver.json: added gap; removed foc; changed q]: verify"]
+    # A file that is not a JSON object is digested whole only.
+    csv = capture._record(_writer("t.csv", "f0,f1\n1,2\n"), [str(tmp_path)], str(tmp_path))
+    assert "file_keys" not in csv and set(csv["files"]) == {"t.csv"}
+    # Nor does a capture made before files were digested by key have any.
+    old_tool = {k: v for k, v in base.items() if k != "file_keys"}
+    assert capture.compare({"verify": old_tool}, {"verify": new}) == [
+        "differs in files: verify"]
+
+
 def test_readme_commands_are_the_tested_ones():
     from test_readme import COMMANDS
 

@@ -8,7 +8,14 @@ import pytest
 
 import supply_eq.cli as cli
 from supply_eq.cli import run
-from supply_eq.closedform import FinitePCurve, OnePopulation, QuarterCircle, eq_sample
+from supply_eq.closedform import (
+    FinitePCurve,
+    InfiniteTwoGenre,
+    OnePopulation,
+    QuarterCircle,
+    eq_sample,
+)
+from supply_eq.geometry import angle_pair, two_user_plane
 from supply_eq.optimize import OptResult
 from supply_eq.threshold import ConditionProbe, ThresholdReport
 
@@ -164,7 +171,16 @@ def test_eq_infinite_at_large_beta(capsys):
     cdf = np.array([line.split(",") for line in lines[1:4]], dtype=float)
     pts = np.array([line.split(",") for line in lines[5:]], dtype=float)
     assert cdf[0, 1] == 0.0 and cdf[-1, 1] == 1.0 and np.all(np.diff(cdf[:, 1]) >= 0.0)
-    assert np.all(np.isfinite(pts)) and np.all(pts > 0.0)
+    # theta_g = 0 here, so one genre lies on the f0 axis: each row is a
+    # positive multiple, up to support_max, of one of the two genres.
+    dist = InfiniteTwoGenre(two_user_plane(*angle_pair(1.0).embeddings), 5000.0)
+    dirs = dist.genre_directions()
+    assert np.all(np.isfinite(pts))
+    for pt in pts:
+        t = dirs @ pt
+        off = np.linalg.norm(pt - t[:, None] * dirs, axis=1)
+        k = int(np.argmin(off))
+        assert off[k] <= 1e-12 * t[k] and 0.0 < t[k] <= dist.support_max * (1 + 1e-12)
 
 
 def test_exit_usage_out_without_cdf_table(capsys, tmp_path):
@@ -630,7 +646,6 @@ def test_exit4_names_the_alignment_bracket(capsys, monkeypatch, command):
     # undecided, and one stderr line says which solve left it so and why.
     stuck = OptResult(np.ones(2), 0.6, 0.3, 5000, False, "max_iters")
     monkeypatch.setattr("supply_eq.verify.minmax_alignment", lambda *a: stuck)
-    monkeypatch.setattr(cli, "minmax_alignment", lambda *a: stuck)
     assert run([command[0], "--users", "basis2", *command[1:]]) == 4
     cap = capsys.readouterr()
     rep = json.loads(cap.out)
@@ -639,6 +654,23 @@ def test_exit4_names_the_alignment_bracket(capsys, monkeypatch, command):
         f"note: alignment solve max_iters, Q in [0.6, {0.6 + 0.3!r}], "
         f"q_threshold {2.0 ** -0.5!r}\n"
     )
+
+
+@pytest.mark.parametrize("stuck", [False, True], ids=["decided", "exit4"])
+@pytest.mark.parametrize("command", [
+    ["profit", "--variant", "p2", "--beta", "4"],
+    ["verify", "--variant", "p2", "--beta", "4", "--samples", "2000", "--grid", "10x10"],
+])
+def test_report_solves_the_alignment_program_once(capsys, monkeypatch, command, stuck):
+    # One solve gives the flag, the printed Q and, on exit 4, the stderr note.
+    calls = []
+    res = OptResult(np.ones(2), 0.6 if stuck else 0.5, 0.3 if stuck else 0.0, 7, not stuck,
+                    "max_iters" if stuck else "converged")
+    monkeypatch.setattr("supply_eq.verify.minmax_alignment",
+                        lambda *a: calls.append(a) or res)
+    assert run([command[0], "--users", "basis2", *command[1:]]) == (4 if stuck else 0)
+    assert json.loads(capsys.readouterr().out)["q_alignment"] == res.value
+    assert len(calls) == 1
 
 
 def test_decided_profit_writes_no_note(capsys):

@@ -103,7 +103,7 @@ def test_quarter_circle_draw_matches_the_arcsin_form():
     # loses digits itself: its cosine near u = 1, by up to eps / sqrt(1 - u).
     dist = QuarterCircle(4.0)
     u = np.random.default_rng(8).random(100000)
-    pts = dist.draw(np.random.default_rng(8), 100000)
+    pts = dist.points(u)
     theta = np.arcsin(np.sqrt(u))
     old = dist.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     ulp = np.spacing(dist.radius)
@@ -251,6 +251,17 @@ def test_infinite_sampler_two_genres_and_law():
     assert stat < 0.02
 
 
+@pytest.mark.parametrize("theta_star, beta", [(math.pi / 3, 7.0), (1.0, 5000.0)])
+def test_infinite_points_split_the_genres_at_one_half_bitwise(theta_star, beta):
+    dist = InfiniteTwoGenre(_plane(theta_star), beta)
+    top, mid, low = dist._quantile(np.array([1.0, 0.5, 2.0**-52]))
+    lo, hi = dist.genre_directions()
+    assert np.array_equal(dist.points(np.array([0.25, 0.75])), [mid * lo, mid * hi])
+    # On rng.random's grid, each genre's half of [0, 1) maps onto (0, 1] exactly.
+    ends = dist.points(np.array([0.0, 0.5, 0.5 - 2.0**-53, 1.0 - 2.0**-53]))
+    assert np.array_equal(ends, [top * lo, top * hi, low * lo, low * hi])
+
+
 def test_infinite_sampler_avoids_flat_bands():
     # Flat (odd) bands carry no mass; every draw must land on a power piece.
     dist = InfiniteTwoGenre(_plane(math.pi / 3), 7.0)
@@ -297,9 +308,10 @@ def _reference_sample(dist, n, seed):
         u = rng.random(n)
         e = 0.5 * (dist.producers - 1)
         return dist.plane.embed(np.stack([u**e, (1.0 - u) ** e], axis=1))
-    g = rng.integers(0, 2, size=n)
-    u = 1.0 - rng.random(n)
-    return dist._quantile(u)[:, None] * dist.genre_directions()[g]
+    # The top half of u picks the genre; the quality's quantile is 1 - (2u - g).
+    u = rng.random(n)
+    g = np.where(u < 0.5, 0, 1)
+    return dist._quantile(1.0 - (2.0 * u - g))[:, None] * dist.genre_directions()[g]
 
 
 _S = 2.0**-0.5

@@ -111,14 +111,14 @@ def test_equilibrium_profit_consistency_checks():
 
 def test_positive_profit_condition_flags():
     spec8 = CostSpec(q=2.0, beta=8.0)
-    flag, qval, qthr = positive_profit_condition(BASIS2, spec8, 2)
+    flag, res, qthr = positive_profit_condition(BASIS2, spec8, 2)
     assert flag is True
-    assert qval == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
+    assert res.value == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
     assert qthr == pytest.approx(2.0 ** (-2.0 / 8.0), rel=1e-12)
-    flag2, qval2, qthr2 = positive_profit_condition(BASIS2, SPEC2, 2)
+    flag2, res2, qthr2 = positive_profit_condition(BASIS2, SPEC2, 2)
     assert flag2 is False
     assert qthr2 == pytest.approx(0.5, rel=1e-12)
-    assert qval2 >= qthr2
+    assert res2.value >= qthr2
 
 
 @pytest.mark.parametrize(
@@ -137,8 +137,8 @@ def test_positive_profit_condition_bracket_rule(monkeypatch, lower, width, expec
     # 4 users and 1 producer at beta = 2 put the threshold at 4^(-1/2) = 0.5.
     res = OptResult(np.ones(2), lower, width, 1, True, "converged")
     monkeypatch.setattr("supply_eq.verify.minmax_alignment", lambda *a: res)
-    flag, qval, qthr = positive_profit_condition(UserSet(np.ones((4, 2))), SPEC2, 1)
-    assert (flag, qval, qthr) == (expected, lower, 0.5)
+    flag, got, qthr = positive_profit_condition(UserSet(np.ones((4, 2))), SPEC2, 1)
+    assert (flag, got.value, qthr) == (expected, lower, 0.5)
 
 
 def test_best_response_gap_report_quarter_circle():
@@ -150,7 +150,7 @@ def test_best_response_gap_report_quarter_circle():
     assert abs(rep.eq_profit_mc - rep.eq_profit) <= 3 * rep.eq_profit_mc_stderr + 1e-12
     assert rep.genre_count_estimate == "continuum"
     assert np.abs(rep.support_profit_range).max() <= 2e-13
-    assert rep.positive_profit is True
+    assert positive_profit_condition(BASIS2, spec, 2)[0] is True
     assert rep.gap_argmax.shape == (2,)
 
 

@@ -12,14 +12,14 @@ The argv lists come from this repository's ``perfbench/workloads.py``,
 ``README.md`` and this file, so two checkouts are run on the same commands.
 For each command it records the exit code (or the type of the exception it
 raised) and the sha256 of its stdout, its stderr and every file it wrote,
-with the temporary directory's path replaced by ``<work>``.  When stdout
-parses as a JSON object, it also records one sha256 per top-level key, of
-that key's value.
+with the temporary directory's path replaced by ``<work>``.  When stdout,
+or a file the command wrote, parses as a JSON object, it also records one
+sha256 per top-level key, of that key's value.
 
 The second form prints every command whose record differs between the two
 captures, or is in only one of them, and exits 1 when there is one.  Where
-both records of a command digest their stdout by key, it names the keys
-that were added, removed or changed.
+both records of a command digest its stdout, or one of its files, by key,
+it names the keys that were added, removed or changed.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ SEEDS = (1, 2)
 # cover q = 1, 3 and inf, --alpha, each user source, every eq variant, a
 # D > 2 verify, the exit-2 paths, four flags the command line no longer
 # has (--tau, --gap, --init-scale, --min-entry), an infinite variant at
-# beta = 5000, an --out with no CDF table to write and a finitep verify at
-# P = 300.
+# beta = 5000, an infinite-variant samples file, an --out with no CDF table
+# to write and a finitep verify at P = 300.
 SURFACE = [
     ["nsw", "--users", "basis2", "--q", "1"],
     ["nsw", "--users", "orthonormal:3", "--q", "3", "--alpha", "1,2,0.5"],
@@ -64,6 +64,8 @@ SURFACE = [
     ["eq", "--variant", "finitep", "--producers", "4", "--cdf-grid", "7", "--n", "10"],
     ["eq", "--variant", "infinite", "--theta", "1.0", "--beta", "12", "--n", "40",
      "--cdf-grid", "6", "--seed", "5"],
+    ["eq", "--variant", "infinite", "--theta", "1.0", "--beta", "12", "--n", "40",
+     "--samples-out", "inf.csv"],
     ["eq", "--variant", "infinite", "--theta", "1.0", "--beta", "12", "--producers", "5",
      "--n", "4"],
     ["eq", "--variant", "p2", "--n", "0", "--cdf-grid", "0"],
@@ -101,6 +103,18 @@ SURFACE = [
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _key_digests(text) -> dict | None:
+    """One sha256 per top-level key of a JSON object, of that key's value, or
+    None when text is not a JSON object."""
+    try:
+        report = json.loads(text)
+    except ValueError:
+        return None
+    if not isinstance(report, dict):
+        return None
+    return {k: _sha(json.dumps(v, sort_keys=True).encode()) for k, v in report.items()}
 
 
 def _readme_commands() -> list:
@@ -143,33 +157,33 @@ def _record(run, argv: list, workdir: str) -> dict:
         except Exception as exc:
             rc = f"exception {type(exc).__name__}"
     after = _stats(workdir)
-    files = {}
+    files, file_keys = {}, {}
     for name in sorted(after):
         if before.get(name) != after[name]:
-            files[name] = _sha(Path(workdir, name).read_bytes())
+            data = Path(workdir, name).read_bytes()
+            files[name] = _sha(data)
+            keys = _key_digests(data)
+            if keys is not None:
+                file_keys[name] = keys
     stdout = out.getvalue().replace(workdir, "<work>")
     rec = {"exit": rc, "stdout": _sha(stdout.encode()),
            "stderr": _sha(err.getvalue().replace(workdir, "<work>").encode()), "files": files}
-    try:
-        report = json.loads(stdout)
-    except ValueError:
-        report = None
-    if isinstance(report, dict):
-        rec["stdout_keys"] = {k: _sha(json.dumps(v, sort_keys=True).encode())
-                              for k, v in report.items()}
+    keys = _key_digests(stdout)
+    if keys is not None:
+        rec["stdout_keys"] = keys
+    if file_keys:
+        rec["file_keys"] = file_keys
     return rec
 
 
-def _key_changes(base: dict, new: dict) -> str:
-    """The stdout keys added, removed and changed between two records, or ''."""
-    if "stdout_keys" not in base or "stdout_keys" not in new:
+def _key_changes(old: dict | None, cur: dict | None) -> str:
+    """The keys added, removed and changed between two key digests, or ''."""
+    if old is None or cur is None:
         return ""
-    old, cur = base["stdout_keys"], new["stdout_keys"]
     groups = [("added", [k for k in cur if k not in old]),
               ("removed", [k for k in old if k not in cur]),
               ("changed", [k for k in old if k in cur and old[k] != cur[k]])]
-    named = "; ".join(f"{verb} {', '.join(keys)}" for verb, keys in groups if keys)
-    return f" [{named}]" if named else ""
+    return "; ".join(f"{verb} {', '.join(keys)}" for verb, keys in groups if keys)
 
 
 def capture(checkout: Path) -> dict:
@@ -217,13 +231,23 @@ def compare(base: dict, new: dict) -> list:
         elif key not in base:
             lines.append(f"only in new: {key}")
         else:
-            # A record's key digests restate its stdout digest, and a capture
-            # made before they were recorded has none.
-            parts = [k for k in ("exit", "stdout", "stderr", "files")
-                     if base[key][k] != new[key][k]]
-            if parts:
-                keys = _key_changes(base[key], new[key]) if "stdout" in parts else ""
-                lines.append(f"differs in {', '.join(parts)}{keys}: {key}")
+            # A record's key digests restate its stdout and file digests, and
+            # a capture made before they were recorded has none.
+            old, cur = base[key], new[key]
+            parts = [k for k in ("exit", "stdout", "stderr", "files") if old[k] != cur[k]]
+            if not parts:
+                continue
+            named = []
+            if "stdout" in parts:
+                named.append(_key_changes(old.get("stdout_keys"), cur.get("stdout_keys")))
+            old_files, cur_files = old.get("file_keys", {}), cur.get("file_keys", {})
+            for name in sorted(set(old_files) & set(cur_files)):
+                changes = _key_changes(old_files[name], cur_files[name])
+                if changes:
+                    named.append(f"{name}: {changes}")
+            named = "; ".join(n for n in named if n)
+            keys = f" [{named}]" if named else ""
+            lines.append(f"differs in {', '.join(parts)}{keys}: {key}")
     return lines
 
 
