@@ -9,12 +9,13 @@ CSV schemas (UTF-8, LF, 17 significant digits):
 
 The factorizer is deliberately plain: multiplicative updates over the
 observed (user, item, rating) entries only, entries floored away from zero so
-updates cannot absorb.  The entries are sorted by user once, with an
-item-sorted permutation beside them, so each update's numerator and
-denominator are segment sums over the entries; its time and memory grow with
-the number of ratings, not with users x items.  It exists to produce
-nonnegative user embeddings at desk scale, not to chase benchmark
-reconstruction error.
+updates cannot absorb.  Each user's entries, and through an item-sorted
+permutation each item's, are laid into rows of a fixed width (``_Rows``),
+so an update's predictions, numerator and denominator come from batched
+products over short rows and a segment sum over each user's or item's few
+rows; its time and memory grow with the number of ratings, users and items,
+not with users x items.  It exists to produce nonnegative user embeddings at
+desk scale, not to chase benchmark reconstruction error.
 """
 
 from __future__ import annotations
@@ -193,12 +194,48 @@ class NmfResult:
     dropped_users: tuple
 
 
-def _update_ratio(coef, gathered, starts, buf):
-    """Multiplicative-update ratio: segment sums of r * gathered over those
-    of pred * gathered, one reduceat for both."""
-    np.multiply(coef[:, None], gathered, out=buf)
-    num, den = np.add.reduceat(buf, starts, axis=2)
-    return num / np.maximum(den, _MIN_ENTRY)
+class _Rows:
+    """One side's observed entries laid into rows of ``width`` slots.
+
+    seg (sorted) names the factor row each entry updates, other the row of
+    the other factor it is scored against.  Each of the m segments starts a
+    fresh row and fills as many rows as it needs, at least one; an empty
+    slot points at the other factor's all-zero pad row and carries rating 0,
+    so it adds exactly zero to every sum.  A segment with no entries gets a
+    zero update, which floors it.  ``coef`` stacks [r; pred] per row,
+    (rows, 2, width).
+    """
+
+    def __init__(self, seg, other, r, m, pad):
+        lengths = np.bincount(seg, minlength=m)
+        # The largest power of two not above the mean length of the nonempty
+        # segments, capped at 16: each of them pads fewer than width slots,
+        # so padding adds fewer slots than there are entries.
+        width = 1 << min(4, int(np.log2(len(seg) / np.count_nonzero(lengths))))
+        rows = np.maximum(1, -(-lengths // width))
+        self.first = np.cumsum(rows) - rows
+        self.owner = np.repeat(np.arange(m), rows)
+        slot = np.repeat(self.first * width - (np.cumsum(lengths) - lengths), lengths)
+        slot += np.arange(len(seg))
+        self.other = np.full((rows.sum(), width), pad)
+        self.other.flat[slot] = other
+        self.coef = np.zeros((rows.sum(), 2, width))
+        self.coef[:, 0].flat[slot] = r
+
+    def predict(self, own, other):
+        """other gathered at the slots, (rows, width, k); writes own @ other.T
+        at the slots into coef[:, 1]."""
+        g = np.take(other, self.other, axis=0)
+        np.matmul(g, np.take(own, self.owner, axis=0)[:, :, None], out=self.coef[:, 1, :, None])
+        return g
+
+    def scale(self, own, g):
+        """The multiplicative update of own's rows but the pad: segment sums of
+        r * g over those of pred * g, both from one batched product."""
+        m, k = len(own) - 1, own.shape[1]
+        sums = np.add.reduceat(np.matmul(self.coef, g).reshape(-1, 2 * k), self.first, axis=0)
+        own[:m] *= sums[:, :k] / np.maximum(sums[:, k:], _MIN_ENTRY)
+        np.maximum(own[:m], _MIN_ENTRY, out=own[:m])
 
 
 def nmf_factorize(ratings: RatingsTable, cfg: NmfConfig) -> NmfResult:
@@ -226,51 +263,32 @@ def nmf_factorize(ratings: RatingsTable, cfg: NmfConfig) -> NmfResult:
     kept = keep[user]
     user = (np.cumsum(keep) - 1)[user[kept]]
     item, r = item[kept], r[kept]
-    # Every kept user has an entry, so user segments are never empty; items
-    # without an entry get no segment and a zero update, which floors them.
-    user_starts = np.flatnonzero(np.diff(user, prepend=-1))
-    by_item = np.argsort(item, kind="stable")
-    item_sorted = item[by_item]
-    item_starts = np.flatnonzero(np.diff(item_sorted, prepend=-1))
-    rated_items = item_sorted[item_starts]
-    user_by_item = user[by_item]
+    order = np.argsort(item, kind="stable")
 
     rng = np.random.default_rng(cfg.seed)
-    n, d, k = len(user_starts), ratings.n_items, cfg.factors
-    w = np.maximum(_INIT_SCALE * rng.random((n, k)), _MIN_ENTRY).T.copy()
-    h = np.maximum(_INIT_SCALE * rng.random((k, d)), _MIN_ENTRY)
+    n, d, k = int(keep.sum()), ratings.n_items, cfg.factors
+    # Row-major factors, each with an all-zero pad row at the end for the
+    # empty slots.
+    w = np.zeros((n + 1, k))
+    h = np.zeros((d + 1, k))
+    w[:n] = np.maximum(_INIT_SCALE * rng.random((n, k)), _MIN_ENTRY)
+    h[:d] = np.maximum(_INIT_SCALE * rng.random((k, d)), _MIN_ENTRY).T
+    user_rows = _Rows(user, item, r, n, d)
+    item_rows = _Rows(item[order], user[order], r[order], d, n)
 
-    # w is kept (k, n) like h, so the factors gathered at the entries are
-    # factor-major, (k, E), and products and segment sums run along
-    # contiguous rows.  coef stacks [r; pred] per entry, in user order and in
-    # item order.
-    e = len(r)
-    coef_u, coef_i = np.empty((2, e)), np.empty((2, e))
-    coef_u[0], coef_i[0] = r, r[by_item]
-    buf = np.empty((2, k, e))
-    ratio = np.zeros((k, d))
+    # Each epoch's objective reuses the predictions the next W step needs.
     trace = np.empty(cfg.epochs)
-    wg = np.take(w, user, axis=1)
-    hg = np.take(h, item, axis=1)
-    np.einsum("ke,ke->e", wg, hg, out=coef_u[1])
+    g = user_rows.predict(w, h)
     for epoch in range(cfg.epochs):
-        w *= _update_ratio(coef_u, hg, user_starts, buf)
-        np.maximum(w, _MIN_ENTRY, out=w)
-        wg = np.take(w, user, axis=1)
-        np.einsum("ke,ke->e", wg, hg, out=coef_u[1])
-        np.take(coef_u[1], by_item, out=coef_i[1])
-        wg_by_item = np.take(w, user_by_item, axis=1)
-        ratio[:, rated_items] = _update_ratio(coef_i, wg_by_item, item_starts, buf)
-        h *= ratio
-        np.maximum(h, _MIN_ENTRY, out=h)
-        hg = np.take(h, item, axis=1)
-        np.einsum("ke,ke->e", wg, hg, out=coef_u[1])
-        resid = r - coef_u[1]
-        trace[epoch] = np.einsum("e,e->", resid, resid)
+        user_rows.scale(w, g)
+        item_rows.scale(h, item_rows.predict(h, w))
+        g = user_rows.predict(w, h)
+        resid = user_rows.coef[:, 0] - user_rows.coef[:, 1]
+        trace[epoch] = np.einsum("rs,rs->", resid, resid)
     return NmfResult(
-        users=UserSet(np.ascontiguousarray(w.T)),
+        users=UserSet(w[:n]),
         user_ids=tuple(uid for uid, kp in zip(ratings.user_ids, keep) if kp),
-        item_factors=h,
+        item_factors=h[:d].T.copy(),
         item_ids=ratings.item_ids,
         objective_trace=trace,
         dropped_users=dropped,

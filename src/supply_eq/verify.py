@@ -53,9 +53,9 @@ __all__ = [
 _TIE = 1e-12
 
 # User scores (one per user per point) handled per block, 2 MB, but never
-# fewer than one grid radius (A*N scores for A directions) or one Monte Carlo
-# round (P*N).  At N = 2 a block is still large enough for numpy's per-call
-# cost to stay small.
+# fewer than one grid direction or one Monte Carlo round (P*N) at one
+# radius.  At N = 2 a block is still large enough for numpy's per-call cost
+# to stay small.
 _BLOCK = 1 << 18
 
 # The support is priced at the midpoints of a quantile grid of this many
@@ -193,14 +193,15 @@ def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
     Deviations sweep the family's directions (``deviation_dirs``) times
     qualities up to N^(1/beta), beyond which revenue cannot cover cost.  A
     deviation to p earns sum_i F_i(<u_i, p>)^(P-1) - cost(p), with F_i the
-    family's ``value_cdf``.  The grid is scored a block of radii at a time.
-    Along an equilibrium's support profits tie up to rounding, so
-    ``gap_argmax`` is the first cell in radius-major order within _TIE * N
-    of the maximum.  The same formula prices ``dist.points`` at the
-    midpoints of a _SUPPORT_CELLS quantile grid, and ``support_profit_range``
-    is the (min, max) of profit - eq_profit there.  n_samples sizes only the
-    Monte Carlo profit.  The producer count and the genre count are the
-    family's own, ``dist.producers`` and ``dist.genres``.
+    family's ``value_cdf``.  The grid is scored a block of radii and
+    directions at a time.  Along an equilibrium's support profits tie up to
+    rounding, so ``gap_argmax`` is the first cell in radius-major order
+    within _TIE * N of the maximum.  The same formula prices ``dist.points``
+    at the midpoints of a _SUPPORT_CELLS quantile grid, and
+    ``support_profit_range`` is the (min, max) of profit - eq_profit there.
+    n_samples sizes only the Monte Carlo profit.  The producer count and the
+    genre count are the family's own, ``dist.producers`` and
+    ``dist.genres``.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
@@ -209,25 +210,37 @@ def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
     n_angles, n_radii = grid
     radii = np.linspace(0.0, users.n_users ** (1.0 / spec.beta), n_radii)
     dirs = dist.deviation_dirs(n_angles, users, spec, [seed, 3])
-    # Blocks are built user-major, (N, radii, A) and (D, radii, A) (so dirs_t
-    # must be contiguous), and seen through (radii, A, N) and (radii, A, D)
-    # views, so value_cdf and cost keep their APIs while their reductions
-    # add whole rows.  A radius row is priced the same in any block.
-    dirs_t = np.ascontiguousarray(dirs.T)
-    scores = users.embeddings @ dirs_t
+    # Blocks are built user-major, (N, radii, directions) and (D, radii,
+    # directions) (so a block's directions are made contiguous), and seen
+    # through (radii, directions, N) and (radii, directions, D) views, so
+    # value_cdf and cost keep their APIs while their reductions add whole
+    # rows.  A radius row whose A*N scores exceed a block is split into
+    # blocks of max(1, _BLOCK // N) directions.  A cell is priced the same in
+    # any block.
+    n_users, n_dirs = users.n_users, len(dirs)
+    step = min(n_dirs, max(1, _BLOCK // n_users))
+    rows = max(1, _BLOCK // (step * n_users))
+    blocks = [np.ascontiguousarray(dirs[lo:lo + step].T) for lo in range(0, n_dirs, step)]
 
-    def grid_profits(r):
+    def grid_profits(r, d, scores):
         z = np.moveaxis(r * scores[:, None, :], 0, -1)
-        return _profits(dist, users, spec, z, np.moveaxis(r * dirs_t[:, None, :], 0, -1))
+        return _profits(dist, users, spec, z, np.moveaxis(r * d[:, None, :], 0, -1))
 
-    rows = max(1, _BLOCK // scores.size)
-    row_max = np.empty(n_radii)
-    for start in range(0, n_radii, rows):
-        row_max[start:start + rows] = grid_profits(radii[start:start + rows, None]).max(axis=1)
+    row_max = np.full(n_radii, -np.inf)
+    for d in blocks:
+        scores = users.embeddings @ d
+        for start in range(0, n_radii, rows):
+            block = row_max[start:start + rows]
+            np.maximum(block, grid_profits(radii[start:start + rows, None], d, scores).max(axis=1),
+                       out=block)
     best = float(row_max.max())
-    near = best - _TIE * users.n_users
+    near = best - _TIE * n_users
     k = int(np.argmax(row_max >= near))
-    j = int(np.argmax(grid_profits(radii[k:k + 1, None])[0] >= near))
+    # Only the chosen row is priced again; a row of one block reuses its scores.
+    row = np.concatenate([grid_profits(radii[k:k + 1, None], d,
+                                       scores if len(blocks) == 1 else users.embeddings @ d)[0]
+                          for d in blocks])
+    j = int(np.argmax(row >= near))
 
     # About _BLOCK scores a block, each cell priced on its own, in the draws'
     # layout: (N, cells) scores seen as (cells, N).

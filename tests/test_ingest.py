@@ -1,10 +1,15 @@
 """CSV ingestion and the masked multiplicative-update factorizer."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import supply_eq
 from supply_eq.geometry import UserSet
 from supply_eq.ingest import (
     InputDataError,
@@ -232,6 +237,91 @@ def test_nmf_overwrites_zeros_and_dropped_users_match_dense_reference():
     assert res.objective_trace[-1] >= sum(pred[i, j] ** 2 for i, j in zeros) > 0
 
 
+def _uneven_table(seed):
+    """80 users with one rating each (of item "all"), 5 with about 13 each,
+    "all" rated by all 85, and item "orphan" rated 0 only by user "z".  A
+    kept user has under 2 ratings on average and a rated item about 6, while
+    "all" has 85: the user rows are one slot wide, and "all" spans many item
+    rows."""
+    rng = np.random.default_rng(seed)
+    rows = [(f"u{i}", "all", int(rng.integers(1, 6))) for i in range(80)]
+    for i in range(80, 85):
+        rows.append((f"u{i}", "all", int(rng.integers(0, 6))))
+        rows += [(f"u{i}", f"m{j}", int(rng.integers(0, 6)))
+                 for j in np.flatnonzero(rng.random(20) < 0.6)]
+    rows.insert(25, ("z", "orphan", 0))
+    rng.shuffle(rows)
+    users = {u: i for i, u in enumerate(dict.fromkeys(u for u, _, _ in rows))}
+    items = {m: j for j, m in enumerate(dict.fromkeys(m for _, m, _ in rows))}
+    return RatingsTable(
+        user_ids=tuple(users),
+        item_ids=tuple(items),
+        user_index=np.array([users[u] for u, _, _ in rows]),
+        item_index=np.array([items[m] for _, m, _ in rows]),
+        rating=np.array([float(v) for _, _, v in rows]),
+    )
+
+
+def test_nmf_uneven_table_matches_dense_reference():
+    table = _uneven_table(6)
+    r, mask = table.dense()
+    assert mask.sum() < 2 * (table.n_users - 1) and mask.sum(axis=0).max() == 85
+    cfg = NmfConfig(factors=3, epochs=30, seed=2)
+    with pytest.warns(UserWarning, match="'z'"):
+        res = nmf_factorize(table, cfg)
+    assert res.dropped_users == ("z",)
+    keep = [table.user_ids.index(u) for u in res.user_ids]
+    w, h, trace = _nmf_reference(r[keep], mask[keep], cfg)
+    np.testing.assert_allclose(res.users.embeddings, w, rtol=_NMF_RTOL, atol=0)
+    np.testing.assert_allclose(res.item_factors, h, rtol=_NMF_RTOL, atol=0)
+    np.testing.assert_allclose(res.objective_trace, trace, rtol=_NMF_RTOL, atol=0)
+    assert np.all(res.item_factors[:, table.item_ids.index("orphan")] == _MIN_ENTRY)
+
+
+def test_nmf_one_row_per_user_matches_dense_reference():
+    # Every user rates four items: each user fills one four-slot row with no
+    # empty slot.
+    rng = np.random.default_rng(7)
+    items = np.array([rng.choice(9, 4, replace=False) for _ in range(50)])
+    table = RatingsTable(
+        user_ids=tuple(f"u{i}" for i in range(50)),
+        item_ids=tuple(f"m{j}" for j in range(9)),
+        user_index=np.repeat(np.arange(50), 4),
+        item_index=items.ravel(),
+        rating=rng.integers(1, 6, 200).astype(float),
+    )
+    cfg = NmfConfig(factors=2, epochs=30, seed=5)
+    res = nmf_factorize(table, cfg)
+    w, h, trace = _nmf_reference(*table.dense(), cfg)
+    np.testing.assert_allclose(res.users.embeddings, w, rtol=_NMF_RTOL, atol=0)
+    np.testing.assert_allclose(res.item_factors, h, rtol=_NMF_RTOL, atol=0)
+    np.testing.assert_allclose(res.objective_trace, trace, rtol=_NMF_RTOL, atol=0)
+
+
+def test_nmf_bitwise_across_blas_threads():
+    # The batched products call BLAS; one and two threads give the same bits.
+    code = (
+        "import hashlib, numpy as np\n"
+        "from supply_eq.ingest import NmfConfig, RatingsTable, nmf_factorize\n"
+        "rng = np.random.default_rng(3)\n"
+        "obs = np.argwhere(rng.random((400, 300)) < 0.06)\n"
+        "t = RatingsTable(tuple(range(400)), tuple(range(300)), obs[:, 0], obs[:, 1],\n"
+        "                 rng.integers(1, 6, len(obs)).astype(float))\n"
+        "res = nmf_factorize(t, NmfConfig(factors=8, epochs=20, seed=1))\n"
+        "for a in (res.users.embeddings, res.item_factors, res.objective_trace):\n"
+        "    print(hashlib.sha256(a.tobytes()).hexdigest())\n"
+    )
+    src = str(pathlib.Path(supply_eq.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        digests.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                      text=True, check=True).stdout.split())
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]
+
+
 def test_nmf_memory_scales_with_observed_entries(monkeypatch):
     # One dense 2,000 x 1,000 float array is 16 MB; the loop must not build one.
     rng = np.random.default_rng(8)
@@ -255,6 +345,32 @@ def test_nmf_memory_scales_with_observed_entries(monkeypatch):
         tracemalloc.stop()
     assert res.users.n_users == 2000
     assert peak < 16e6
+
+
+def test_nmf_memory_one_rating_per_user(monkeypatch):
+    # Every user segment is one row one slot wide.  The peak was 38.6 MB when
+    # the loop kept factor-major (k, E) buffers, and is 26.3 MB in rows.
+    rng = np.random.default_rng(9)
+    table = RatingsTable(
+        user_ids=tuple(f"u{i}" for i in range(50_000)),
+        item_ids=tuple(f"m{j}" for j in range(500)),
+        user_index=np.arange(50_000),
+        item_index=rng.integers(0, 500, 50_000),
+        rating=rng.integers(1, 6, 50_000).astype(float),
+    )
+
+    def no_dense(self):
+        raise AssertionError("nmf_factorize must not densify the ratings")
+
+    monkeypatch.setattr(RatingsTable, "dense", no_dense)
+    tracemalloc.start()
+    try:
+        res = nmf_factorize(table, NmfConfig(factors=8, epochs=2, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.users.n_users == 50_000
+    assert peak < 32e6
 
 
 def test_nmf_config_validation():

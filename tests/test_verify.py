@@ -1,6 +1,8 @@
 """Numerical verification layer: marginals, profits, gaps, genre counts."""
 
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -490,6 +492,37 @@ def test_onepop_gap_independent_of_grid_block_bitwise(monkeypatch, users, beta):
     assert np.array_equal(blocked.gap_argmax, full.gap_argmax)
     assert blocked.support_profit_range == full.support_profit_range
     assert full.best_response_gap > 0.1
+
+
+@pytest.mark.parametrize("beta", [3.0, 20.0])
+def test_onepop_gap_splits_a_radius_row_into_direction_blocks_bitwise(monkeypatch, beta):
+    # In D > 2, onepop on the 30x5 set prices N + 1 = 31 directions a radius;
+    # a block of 480 or 150 user scores holds 16 or 5 of them, so each row is
+    # priced in 2 or 7 direction blocks.  At beta = 20 the best deviation is
+    # along the tenth user's direction, in the third of the 7 blocks.
+    dist, spec = _onepop_nsw(USERS_30X5, beta)
+    kw = dict(n_samples=2000, grid=(20, 20), seed=4)
+    full = best_response_gap(dist, USERS_30X5, spec, **kw)
+    for block in (480, 150):
+        monkeypatch.setattr(verify_mod, "_BLOCK", block)
+        split = best_response_gap(dist, USERS_30X5, spec, **kw)
+        for field in dataclasses.fields(full):
+            assert np.array_equal(getattr(split, field.name), getattr(full, field.name)), field.name
+
+
+def test_onepop_gap_memory_does_not_grow_with_a_radius_row():
+    # 1,500 users in D = 8 give 1,501 directions a radius, so one row is
+    # 2.25M user scores, 18 MB an array; pricing the row whole peaked at 90 MB.
+    users = UserSet(np.random.default_rng(1).random((1500, 8)) + 0.01)
+    dist, spec = _onepop_nsw(users, 3.0)
+    tracemalloc.start()
+    try:
+        rep = best_response_gap(dist, users, spec, n_samples=1000, grid=(20, 4), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert rep.best_response_gap <= verify_mod._TIE * users.n_users
 
 
 def test_grid_blocks_keep_the_first_maximum(monkeypatch):

@@ -39,12 +39,14 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2)
 
 # Small argv that, between them, pass every option of every subcommand, run
-# in a directory holding ratings.csv and a 6x4 users file emb.csv.  They
-# cover q = 1, 3 and inf, --alpha, each user source, every eq variant, a
-# D > 2 verify, the exit-2 paths, four flags the command line no longer
-# has (--tau, --gap, --init-scale, --min-entry), an infinite variant at
-# beta = 5000, an infinite-variant samples file, an --out with no CDF table
-# to write and a finitep verify at P = 300.
+# in a directory holding ratings.csv, ratings_uneven.csv and a 6x4 users
+# file emb.csv.  They cover q = 1, 3 and inf, --alpha, each user source,
+# every eq variant, a D > 2 verify, the exit-2 paths, four flags the command
+# line no longer has (--tau, --gap, --init-scale, --min-entry), an infinite
+# variant at beta = 5000, an infinite-variant samples file, an --out with no
+# CDF table to write, a finitep verify at P = 300, and an nmf on a table
+# where most users have one rating and one item has 85, so the user rows
+# are one slot wide and that item's ratings span many rows.
 SURFACE = [
     ["nsw", "--users", "basis2", "--q", "1"],
     ["nsw", "--users", "orthonormal:3", "--q", "3", "--alpha", "1,2,0.5"],
@@ -97,6 +99,8 @@ SURFACE = [
     ["nmf", "--ratings", "ratings.csv", "--factors", "2", "--min-entry", "1e-3",
      "--out", "floored.csv"],
     ["nmf", "--ratings", "ratings.csv", "--factors", "0", "--out", "none.csv"],
+    ["nmf", "--ratings", "ratings_uneven.csv", "--factors", "3", "--epochs", "30", "--seed", "2",
+     "--out", "nmf_uneven.csv"],
     ["bogus"],
 ]
 
@@ -136,6 +140,16 @@ def _write_surface_inputs(workdir: str) -> None:
     rows = [f"u{u}," + ",".join(str(1 + (u * 7 + k * 3) % 5) for k in range(4)) for u in range(6)]
     with open(os.path.join(workdir, "emb.csv"), "w", encoding="utf-8") as fh:
         fh.write("user_id,f0,f1,f2,f3\n" + "\n".join(rows) + "\n")
+    # 80 users rate only item "all", 5 rate it and 12 of 20 others each, and
+    # "z" rates "orphan" 0 and is dropped: a kept user has 1.7 ratings on
+    # average, each other item 3, and "all" has 85.
+    rows = [f"u{u},all,{1 + u % 5}" for u in range(80)]
+    for u in range(80, 85):
+        rows.append(f"u{u},all,{u * 3 % 6}")
+        rows += [f"u{u},m{j},{(u + 2 * j) % 6}" for j in range(20) if (u * 7 + j * 11) % 5 < 3]
+    rows.insert(25, "z,orphan,0")
+    with open(os.path.join(workdir, "ratings_uneven.csv"), "w", encoding="utf-8") as fh:
+        fh.write("user_id,item_id,rating\n" + "\n".join(rows) + "\n")
 
 
 def _stats(workdir: str) -> dict:
