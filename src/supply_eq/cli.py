@@ -8,6 +8,8 @@ numerical equilibrium check), ``profit`` (equilibrium profit), and ``nmf``
 path, which ends both reports with the positive-profit flag of one alignment
 solve.  The CLI only parses arguments, builds library objects and renders
 their results: validation and per-family behaviour stay in the library.
+The argument parser is built once per process and holds no per-call state, so
+repeated ``run`` calls in one process behave as separate invocations.
 
 Reports are flat JSON objects with snake_case keys and embed the resolved run
 configuration.  Floats are serialized at 17 significant digits, infinities as
@@ -27,6 +29,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -510,7 +513,16 @@ def _cmd_report(ns) -> int:
 
 def _cmd_nmf(ns) -> int:
     table = load_ratings_csv(ns.ratings)
-    res = nmf_factorize(table, NmfConfig(factors=ns.factors, epochs=ns.epochs, seed=ns.seed))
+    # The library's warnings (users dropped) become plain stderr lines, one per
+    # warning on every call, whatever this process has shown before.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            res = nmf_factorize(table, NmfConfig(factors=ns.factors, epochs=ns.epochs,
+                                                 seed=ns.seed))
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
     save_embeddings_csv(res.users, ns.out, user_ids=res.user_ids)
     report = {
         "n_users": res.users.n_users,
@@ -535,6 +547,7 @@ def _add_common(p, users_required: bool) -> None:
     p.add_argument("--out", help="output path (default stdout)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="supply-eq",

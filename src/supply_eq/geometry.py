@@ -147,12 +147,18 @@ def cost(p, spec):
 
 
 def dual_norm(u, spec):
-    """Dual of the weighted q-norm at a nonnegative vector.
+    """Dual of the weighted q-norm at a nonnegative vector, reduced over the
+    last axis like weighted_norm.
 
     For nonnegative u this equals max { <u, p> : ||alpha * p||_q <= 1, p >= 0 }
-    and evaluates to ||u / alpha||_q' with 1/q + 1/q' = 1.
+    and evaluates to ||u / alpha||_q' with 1/q + 1/q' = 1.  A stack of vectors
+    gives one dual norm per row.
     """
-    u = _as_vector(u, "u")
+    u = np.asarray(u, dtype=float)
+    if u.ndim < 1:
+        raise ValueError("u must have at least one axis")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("u has non-finite entries")
     if np.any(u < 0):
         raise ValueError("dual_norm requires a nonnegative vector")
     v = u if spec.alpha is None else u / spec.alpha
@@ -162,7 +168,13 @@ def dual_norm(u, spec):
         qq = math.inf
     else:
         qq = spec.q / (spec.q - 1.0)
-    return weighted_norm(v, CostSpec(q=qq, beta=1.0))
+    if v.ndim == 1 or qq in (1.0, 2.0, math.inf):
+        return weighted_norm(v, CostSpec(q=qq, beta=1.0))
+    # numpy's array pow can differ from its scalar pow in the last bit, so a
+    # stack takes each row's q'-th root in scalar pow, as a single vector does:
+    # every row then equals its own dual norm bit for bit.
+    sums = (np.abs(v) ** qq).sum(axis=-1)
+    return np.array([s ** (1.0 / qq) for s in sums.ravel().tolist()]).reshape(sums.shape)
 
 
 def angle_between(u1, u2):

@@ -21,6 +21,7 @@ desk scale, not to chase benchmark reconstruction error.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -123,6 +124,22 @@ def load_ratings_csv(path) -> RatingsTable:
     )
 
 
+def _row_fault(row, dim) -> str | None:
+    """The first fault of one embeddings data row, in reading order, or None."""
+    if len(row) != dim + 1:
+        return f"expected {dim + 1} fields"
+    for col, raw in enumerate(row[1:]):
+        try:
+            v = float(raw)
+        except ValueError:
+            return f"bad value {raw!r} in column f{col}"
+        if not math.isfinite(v) or v < 0:
+            return f"column f{col} must be a finite nonnegative number, got {raw!r}"
+    if not any(float(raw) > 0 for raw in row[1:]):
+        return "user row is all zeros"
+    return None
+
+
 def load_embeddings_csv(path) -> UserSet:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -131,33 +148,28 @@ def load_embeddings_csv(path) -> UserSet:
             h != f"f{k}" for k, h in enumerate(header[1:])
         ):
             raise InputDataError(f"{path}: expected header user_id,f0,...,f{{D-1}}")
-        dim = len(header) - 1
-        rows = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 1:
-                raise InputDataError(f"{path}:{row_no}: expected {dim + 1} fields")
-            vals = []
-            for col, raw in enumerate(row[1:]):
-                try:
-                    v = float(raw)
-                except ValueError:
-                    raise InputDataError(
-                        f"{path}:{row_no}: bad value {raw!r} in column f{col}"
-                    ) from None
-                if not math.isfinite(v) or v < 0:
-                    raise InputDataError(
-                        f"{path}:{row_no}: column f{col} must be a finite nonnegative "
-                        f"number, got {raw!r}"
-                    )
-                vals.append(v)
-            if not any(v > 0 for v in vals):
-                raise InputDataError(f"{path}:{row_no}: user row is all zeros")
-            rows.append(vals)
-    if not rows:
+        body = [(row_no, row) for row_no, row in enumerate(reader, start=2) if row]
+    if not body:
         raise InputDataError(f"{path}: no users")
-    return UserSet(np.array(rows, dtype=float))
+    dim = len(header) - 1
+    emb = None
+    if all(len(row) == dim + 1 for _, row in body):
+        values = itertools.chain.from_iterable(row[1:] for _, row in body)
+        try:
+            emb = np.fromiter(map(float, values), float, len(body) * dim).reshape(-1, dim)
+        except ValueError:  # a value float() cannot read
+            pass
+    good = None if emb is None else (
+        (np.isfinite(emb) & (emb >= 0)).all(axis=1) & (emb > 0).any(axis=1))
+    if good is None or not good.all():
+        # Only a failing file is walked value by value, from its first bad row
+        # (from the top when a row is ragged or a value did not parse), to name
+        # its first fault.
+        for row_no, row in body[0 if good is None else int(np.argmin(good)):]:
+            fault = _row_fault(row, dim)
+            if fault is not None:
+                raise InputDataError(f"{path}:{row_no}: {fault}")
+    return UserSet(emb)
 
 
 def save_embeddings_csv(users: UserSet, path, user_ids=None) -> None:

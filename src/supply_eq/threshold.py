@@ -74,8 +74,7 @@ def beta_upper(users: UserSet, spec: CostSpec) -> float:
     if n < 2:
         raise ValueError("beta_upper requires at least 2 users")
     U = users.embeddings
-    duals = np.array([dual_norm(row, spec) for row in U])
-    z = dual_norm(U.T @ (1.0 / duals), spec)
+    z = dual_norm(U.T @ (1.0 / dual_norm(U, spec)), spec)
     if z >= n - 1e-12:
         return math.inf
     return math.log(n) / (math.log(n) - math.log(z))
@@ -86,13 +85,19 @@ def _price(U, a, c, beta, spec, pool, bar):
     the cone-ball.  f is convex, so at q = 1 it peaks at a vertex e_k/alpha_k,
     at q = inf at 1/alpha, and D = 2 is a search over one angle.  D > 2 runs
     conditional-gradient ascents p <- argmax <grad f(p), p'>, which never lower
-    f, from several starts; once one prices above bar, only those go on."""
+    f, from several starts; once one prices above bar, only those go on.  Each
+    point is scored once, and its scores give its next gradient.  global is
+    False only for these ascents."""
     f = lambda P: ((P @ U.T / a) ** beta) @ c  # noqa: E731
     d = U.shape[1]
     alpha = np.ones(d) if spec.alpha is None else spec.alpha
     def ball_argmax(G):  # optimize._dual_point row by row, 1 < q < inf
-        x = (G / alpha / (G / alpha).max(axis=1, keepdims=True)) ** (1.0 / (spec.q - 1.0))
-        return x / alpha / weighted_norm(x / alpha, spec)[:, None]
+        if spec.alpha is not None:
+            G = G / alpha
+        x = (G / G.max(axis=1, keepdims=True)) ** (1.0 / (spec.q - 1.0))
+        if spec.alpha is not None:
+            x = x / alpha
+        return x / weighted_norm(x, spec)[:, None]
     if spec.q == 1.0 or d == 1:
         P = np.eye(d) / alpha
     elif math.isinf(spec.q):
@@ -110,20 +115,23 @@ def _price(U, a, c, beta, spec, pool, bar):
         S = ball_argmax(U)  # each user's own best point, ranked by the user's own term
         own = c * ((S * U).sum(axis=1) / a) ** beta
         P = np.vstack([pool, np.eye(d) / alpha, S[np.argsort(-own)[:_USER_STARTS]]])
-        v = f(P)
+        Z = P @ U.T / a  # each point's scaled scores, kept for its next gradient
+        v = (Z ** beta) @ c
         live = np.flatnonzero(v > 0)
         for _ in range(_ASCENT_STEPS):
             if v.max() >= bar:  # ascend only those: a column at its local max gains more
                 live = live[v[live] >= bar]
             if not live.size:
                 break
-            Pn = ball_argmax(((P[live] @ U.T / a) ** (beta - 1.0) * (c / a)) @ U)
-            vn = f(Pn)
+            Pn = ball_argmax((Z[live] ** (beta - 1.0) * (c / a)) @ U)
+            Zn = Pn @ U.T / a
+            vn = (Zn ** beta) @ c
             up = vn > v[live] * (1.0 + _STALL)
             live = live[up]
-            P[live], v[live] = Pn[up], vn[up]
+            P[live], Z[live], v[live] = Pn[up], Zn[up], vn[up]
+        return P[np.argmax(v)], float(v.max()), False
     v = f(P)
-    return P[np.argmax(v)], float(v.max()), d <= 2 or spec.q == 1.0 or math.isinf(spec.q)
+    return P[np.argmax(v)], float(v.max()), True
 
 
 def max_condition_holds(users, spec, beta, _anchor=None, _pool=None):

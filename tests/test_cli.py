@@ -683,3 +683,40 @@ def test_render_json_shapes():
     )
     rep = json.loads(text)
     assert rep == {"a": [1.0, "inf"], "b": None, "c": True, "d": "s", "e": 3}
+
+
+def test_repeated_runs_in_one_process_repeat_every_byte(capsys, tmp_path, monkeypatch):
+    # The parser is built once per process, and no run leaves state behind
+    # that changes the next: a second round repeats exit codes, stdout,
+    # stderr and written files exactly.
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.csv").write_text("user_id,item_id,rating\nu0,m0,1.0\nuz,m0,0.0\nu1,m1,2.0\n")
+    argvs = [
+        ["eq", "--variant", "p2", "--beta", "4", "--cdf-grid", "5", "--n", "4",
+         "--samples-out", "s.csv"],
+        ["eq", "--variant", "p2", "--beta", "4", "--n", "4"],
+        ["verify", "--users", "basis2", "--variant", "p2", "--beta", "4", "--samples", "2000",
+         "--grid", "8x8"],
+        ["eq", "--variant", "p2", "--bogus"],
+        ["nmf", "--ratings", "r.csv", "--factors", "1", "--epochs", "5", "--out", "e.csv"],
+        ["threshold", "--users", "angle:1.0", "--out", "t.json"],
+    ]
+    written = ("s.csv", "e.csv", "t.json")
+
+    def one_round():
+        outcomes = []
+        for argv in argvs:
+            code = run(argv)
+            cap = capsys.readouterr()
+            outcomes.append((code, cap.out, cap.err))
+        files = {name: (tmp_path / name).read_bytes() for name in written}
+        for name in written:
+            (tmp_path / name).unlink()
+        return outcomes, files
+
+    first = one_round()
+    assert [code for code, _, _ in first[0]] == [0, 0, 0, 2, 0, 0]
+    assert "unrecognized arguments: --bogus" in first[0][3][2]
+    assert first[0][4][2] == "warning: dropping users with no positive ratings: ['uz']\n"
+    assert one_round() == first

@@ -123,6 +123,31 @@ def test_dual_norm_scaling(c, q):
     assert dual_norm(c * u, spec) == pytest.approx(c * dual_norm(u, spec), rel=1e-10)
 
 
+@pytest.mark.parametrize("alpha", [None, (0.5, 2.0, 1.0, 3.0, 0.25)])
+@pytest.mark.parametrize("q", [1.0, 1.3, 2.0, 3.0, math.inf])
+def test_dual_norm_stacked_bitwise_matches_row_loop(q, alpha):
+    # One call over a stack gives, bit for bit, what one call per row gives.
+    U = np.random.default_rng(11).random((37, 5))
+    U[3] = 0.0  # a zero row, and a row with zeros, stay exact too
+    U[4, 1:] = 0.0
+    spec = CostSpec(q=q, beta=1.0, alpha=None if alpha is None else np.array(alpha))
+    stacked = dual_norm(U, spec)
+    loop = np.array([dual_norm(row, spec) for row in U])
+    assert stacked.shape == (37,)
+    assert stacked.tobytes() == loop.tobytes()
+    assert dual_norm(U[:1], spec).tobytes() == loop[:1].tobytes()
+
+
+def test_dual_norm_stack_validation():
+    spec = CostSpec(q=2.0, beta=1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        dual_norm(np.array([[1.0, 0.0], [0.5, -0.1]]), spec)
+    with pytest.raises(ValueError, match="non-finite"):
+        dual_norm(np.array([[1.0, np.nan]]), spec)
+    with pytest.raises(ValueError, match="at least one axis"):
+        dual_norm(1.0, spec)
+
+
 def test_user_set_validation():
     with pytest.raises(ValueError):
         UserSet(np.array([[1.0, -0.1]]))

@@ -441,6 +441,79 @@ def test_load_embeddings_errors(tmp_path):
         load_embeddings_csv(write(tmp_path / "f.csv", "user_id,f0,f1\nu,1.0\n"))
 
 
+_HEAD = "user_id,f0,f1\n"
+_GOOD = "u0,1.0,2.0\n"
+_FINITE = "must be a finite nonnegative number, got"
+
+
+# (file body, row, message): each is the loader's message before the one-pass
+# parse, byte for byte.  The row is the file's line number, blank lines counted.
+@pytest.mark.parametrize("body,row,message", [
+    (_GOOD + "u1,1.0\n", 3, "expected 3 fields"),
+    (_GOOD + "u1,1.0,2.0,3.0\n", 3, "expected 3 fields"),
+    (_GOOD + "u1\n", 3, "expected 3 fields"),
+    (_GOOD + "u1,1.0,x\n", 3, "bad value 'x' in column f1"),
+    (_GOOD + "u1,,1.0\n", 3, "bad value '' in column f0"),
+    (_GOOD + "u1,nan,1.0\n", 3, f"column f0 {_FINITE} 'nan'"),
+    (_GOOD + "u1,1.0,inf\n", 3, f"column f1 {_FINITE} 'inf'"),
+    (_GOOD + "u1,1.0,1e400\n", 3, f"column f1 {_FINITE} '1e400'"),
+    (_GOOD + "u1,1.0,-0.5\n", 3, f"column f1 {_FINITE} '-0.5'"),
+    (_GOOD + "u1,0,0.0\n", 3, "user row is all zeros"),
+    (_GOOD + "u1,-0.0,0\n", 3, "user row is all zeros"),
+    (_GOOD + "\n\n" + _GOOD + "u1,-1,2.0\n", 6, f"column f0 {_FINITE} '-1'"),
+    (_GOOD + "\n\nu1,1.0\n", 5, "expected 3 fields"),
+    # Two faulty rows: the first in reading order is reported, whichever of
+    # them the array check or the parse would find.
+    (_GOOD + "u1,-1,2.0\nu2,x,1.0\n", 3, f"column f0 {_FINITE} '-1'"),
+    (_GOOD + "u1,x,1.0\nu2,-1,2.0\n", 3, "bad value 'x' in column f0"),
+    (_GOOD + "u1,1.0,-2\nu2,0,0\n", 3, f"column f1 {_FINITE} '-2'"),
+    (_GOOD + "u1,0,0\n" + _GOOD + "u2,nan,1.0\n", 3, "user row is all zeros"),
+    (_GOOD + "u1,0,0\nu2,1.0\n", 3, "user row is all zeros"),
+    (_GOOD + "u1,1.0\nu2,0,0\n", 3, "expected 3 fields"),
+    # Two faults in one row: the first column in reading order.
+    (_GOOD + "u1,-1,x\n", 3, f"column f0 {_FINITE} '-1'"),
+    (_GOOD + "u1,x,-1\n", 3, "bad value 'x' in column f0"),
+])
+def test_load_embeddings_error_messages(tmp_path, body, row, message):
+    path = write(tmp_path / "bad.csv", _HEAD + body)
+    with pytest.raises(InputDataError) as err:
+        load_embeddings_csv(path)
+    assert str(err.value) == f"{path}:{row}: {message}"
+
+
+def test_load_embeddings_header_only_and_empty(tmp_path):
+    path = write(tmp_path / "h.csv", _HEAD)
+    with pytest.raises(InputDataError) as err:
+        load_embeddings_csv(path)
+    assert str(err.value) == f"{path}: no users"
+    path = write(tmp_path / "blank.csv", _HEAD + "\n\n")
+    with pytest.raises(InputDataError) as err:
+        load_embeddings_csv(path)
+    assert str(err.value) == f"{path}: no users"
+    path = write(tmp_path / "e.csv", "")
+    with pytest.raises(InputDataError) as err:
+        load_embeddings_csv(path)
+    assert str(err.value) == f"{path}: expected header user_id,f0,...,f{{D-1}}"
+
+
+def test_load_embeddings_bitwise_matches_per_value_parse(tmp_path):
+    # 17 significant digits, a few exact zeros and tiny values, and blank lines.
+    rng = np.random.default_rng(20)
+    table = rng.random((500, 8)) * 10.0 ** rng.integers(-300, 300, size=(500, 8))
+    table[rng.random((500, 8)) < 0.1] = 0.0
+    table[:, 0] += 1.0  # no all-zero row
+    lines = ["user_id," + ",".join(f"f{k}" for k in range(8))]
+    lines += [f"u{i}," + ",".join("%.17g" % v for v in row) for i, row in enumerate(table)]
+    lines[100:100] = ["", ""]
+    path = write(tmp_path / "big.csv", "\n".join(lines) + "\n")
+    reference = np.array([[float(raw) for raw in line.split(",")[1:]]
+                          for line in lines[1:] if line])
+    loaded = load_embeddings_csv(path).embeddings
+    assert loaded.shape == (500, 8)
+    assert loaded.tobytes() == reference.tobytes()
+    assert loaded.tobytes() == table.tobytes()
+
+
 def test_load_embeddings_wrong_factor_names(tmp_path):
     with pytest.raises(InputDataError, match="header"):
         load_embeddings_csv(write(tmp_path / "g.csv", "user_id,f0,f2\nu,1.0,1.0\n"))

@@ -7,7 +7,14 @@ import pytest
 
 import supply_eq.threshold as threshold_mod
 from supply_eq.cli import run
-from supply_eq.geometry import CostSpec, UserSet, angle_pair, orthonormal_users, weighted_norm
+from supply_eq.geometry import (
+    CostSpec,
+    UserSet,
+    angle_pair,
+    dual_norm,
+    orthonormal_users,
+    weighted_norm,
+)
 from supply_eq.ingest import save_embeddings_csv
 from supply_eq.optimize import nsw_direction, simplex_logsum_max
 from supply_eq.threshold import (
@@ -66,6 +73,17 @@ def test_beta_upper_explicit_formula():
     z = float(np.linalg.norm(acc))
     n = 3
     assert got == pytest.approx(math.log(n) / (math.log(n) - math.log(z)), rel=1e-12)
+
+
+@pytest.mark.parametrize("users", [USERS_30X5, USERS_200X10], ids=["30x5", "200x10"])
+@pytest.mark.parametrize("spec", [SPEC2, CostSpec(q=3.0, beta=2.0)], ids=["q2", "q3"])
+def test_beta_upper_bitwise_matches_row_loop(users, spec):
+    # The definition, one dual norm per user row, on the benchmark's solve sets.
+    U = users.embeddings
+    duals = np.array([dual_norm(row, spec) for row in U])
+    z = dual_norm(U.T @ (1.0 / duals), spec)
+    n = users.n_users
+    assert beta_upper(users, spec) == math.log(n) / (math.log(n) - math.log(z))
 
 
 def test_beta_upper_never_below_two_user_closed_form():
