@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CostSpec, TwoUserPlane, UserSet, two_user_plane, weighted_norm
+from .geometry import CostSpec, TwoUserPlane, UserSet, dual_point, two_user_plane, weighted_norm
 from .threshold import beta_star_two_user
 
 __all__ = [
@@ -155,8 +155,9 @@ class OnePopulation:
     def deviation_dirs(self, n_angles: int, users: UserSet, spec: CostSpec, seed) -> np.ndarray:
         """The equilibrium's own ray, then directions off it, all of unit cost.
 
-        In D = 2 the off-ray directions sweep n_angles angles between the
-        users' extreme directions.  In D > 2 they are each user's direction,
+        Off the ray, a value vector v gives its dual point (v scaled to unit
+        cost at q = 1 or inf).  In D = 2 the values sweep n_angles angles
+        between the users' extreme directions.  In D > 2 they are each user,
         then nonnegative random combinations of random user subsets, drawn
         from seed, up to n_angles directions in all.
         """
@@ -170,8 +171,9 @@ class OnePopulation:
             r = rng.random((max(0, n_angles - 1 - users.n_users), users.n_users))
             keep = r <= np.maximum(rng.random((len(r), 1)), r.min(axis=1, keepdims=True))
             off = np.vstack([u, (rng.random(r.shape) * keep) @ u])
-        off = off / weighted_norm(off, spec)[:, None]
-        return np.vstack([self.direction, off])
+        if 1.0 < spec.q < math.inf:
+            return np.vstack([self.direction, dual_point(off, spec)])
+        return np.vstack([self.direction, off / weighted_norm(off, spec)[:, None]])
 
 
 @dataclass(frozen=True)

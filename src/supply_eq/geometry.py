@@ -6,7 +6,9 @@ Users and content vectors live in the nonnegative orthant of R^D.  A
     cost(p) = ||alpha * p||_q ** beta,   q in [1, inf],  beta >= 1,  alpha > 0,
 
 whose unit ball, dual norm, and two-user plane drive everything else in
-this package.  Content vectors are plain 1-D float arrays.
+this package.  The ball's kernels are here, once each: the norm, its dual
+norm and the dual point (the best unit-cost content for a value vector).
+Content vectors are plain 1-D float arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "weighted_norm",
     "cost",
     "dual_norm",
+    "dual_point",
     "angle_between",
     "two_user_plane",
     "basis_pair",
@@ -122,22 +125,43 @@ def orthonormal_users(n):
     return UserSet(np.eye(int(n)))
 
 
+def _norms(w, q):
+    """||w||_q over the last axis, 1 < q < inf: one array pow for every root."""
+    if q == 2.0:  # squaring drops the sign exactly, so no abs pass
+        return np.sqrt(np.square(w).sum(axis=-1))
+    return np.power((np.abs(w) ** q).sum(axis=-1), 1.0 / q)
+
+
+# _norms that raises FloatingPointError where a power or a sum leaves the
+# normal doubles (an exact zero or subnormal raises nothing).
+_checked_norms = np.errstate(over="raise", under="raise")(_norms)
+
+
 def weighted_norm(p, spec):
     """Weighted q-norm ||alpha * p||_q, reduced over the last axis.
 
-    Accepts a single vector or a stack of vectors; negative entries
-    contribute through their absolute value.
+    Accepts a single vector or a stack of vectors, each row bit for bit its
+    own norm; negative entries contribute through their absolute value.  At
+    1 < q < inf, a finite nonzero row whose sum of |alpha * p|^q leaves the
+    normal doubles is recomputed as m * ||alpha * p / m||_q, m its largest
+    |entry|.
     """
     arr = np.asarray(p, dtype=float)
     w = arr if spec.alpha is None else arr * spec.alpha
-    if spec.q == 2.0:  # squaring drops the sign exactly, so no abs pass
-        out = np.sqrt(np.square(w).sum(axis=-1))
-    elif math.isinf(spec.q):
+    if math.isinf(spec.q):
         out = np.abs(w).max(axis=-1)
     elif spec.q == 1.0:
         out = np.abs(w).sum(axis=-1)
     else:
-        out = (np.abs(w) ** spec.q).sum(axis=-1) ** (1.0 / spec.q)
+        try:
+            out = _checked_norms(w, spec.q)
+        except FloatingPointError:  # rescale the rows whose sums left the normal doubles
+            with np.errstate(over="ignore", under="ignore"):
+                out = np.array(_norms(w, spec.q))
+            bad = (out < np.finfo(float).tiny ** (1.0 / spec.q)) | (out == math.inf)
+            m = np.abs(w[bad]).max(axis=-1)  # a row of zeros or with an inf norms to m
+            scale = np.where((m > 0) & (m < math.inf), m, 1.0)
+            out[bad] = np.where(scale == m, m * _norms(w[bad] / scale[:, None], spec.q), m)
     return float(out) if out.ndim == 0 else out
 
 
@@ -152,14 +176,14 @@ def dual_norm(u, spec):
 
     For nonnegative u this equals max { <u, p> : ||alpha * p||_q <= 1, p >= 0 }
     and evaluates to ||u / alpha||_q' with 1/q + 1/q' = 1.  A stack of vectors
-    gives one dual norm per row.
+    gives one dual norm per row, each bit for bit its own.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim < 1:
         raise ValueError("u must have at least one axis")
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("u has non-finite entries")
-    if np.any(u < 0):
+    if (u < 0).any():
         raise ValueError("dual_norm requires a nonnegative vector")
     v = u if spec.alpha is None else u / spec.alpha
     if math.isinf(spec.q):
@@ -168,13 +192,21 @@ def dual_norm(u, spec):
         qq = math.inf
     else:
         qq = spec.q / (spec.q - 1.0)
-    if v.ndim == 1 or qq in (1.0, 2.0, math.inf):
-        return weighted_norm(v, CostSpec(q=qq, beta=1.0))
-    # numpy's array pow can differ from its scalar pow in the last bit, so a
-    # stack takes each row's q'-th root in scalar pow, as a single vector does:
-    # every row then equals its own dual norm bit for bit.
-    sums = (np.abs(v) ** qq).sum(axis=-1)
-    return np.array([s ** (1.0 / qq) for s in sums.ravel().tolist()]).reshape(sums.shape)
+    return weighted_norm(v, CostSpec(q=qq, beta=1.0))
+
+
+def dual_point(v, spec):
+    """The dual point at a nonnegative v, 1 < q < inf: the unit-cost p >= 0
+    that maximizes <v, p>, where <v, p> = dual_norm(v).  Reduced over the
+    last axis like weighted_norm; each row needs a positive entry.  p_k is
+    proportional to (v_k/alpha_k)^(1/(q-1)) / alpha_k, with v/alpha first
+    divided by its row maximum, which keeps every sum of powers in range."""
+    v = np.asarray(v, dtype=float) if spec.alpha is None else v / spec.alpha
+    x = (v / v.max(axis=-1, keepdims=True)) ** (1.0 / (spec.q - 1.0))
+    if spec.alpha is None:
+        return x / _norms(x, spec.q)[..., None]
+    x = x / spec.alpha
+    return x / _norms(x * spec.alpha, spec.q)[..., None]
 
 
 def angle_between(u1, u2):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import dual_norm, weighted_norm
+from .geometry import dual_norm, dual_point, weighted_norm
 
 __all__ = ["OptResult", "nsw_direction", "minmax_alignment", "simplex_logsum_max"]
 
@@ -38,13 +38,6 @@ class OptResult:
     iters: int
     converged: bool
     status: str
-
-
-def _dual_point(v, spec):
-    """The maximizer of <v, p> over the cone-ball for a nonnegative v, 1 < q < inf."""
-    alpha = 1.0 if spec.alpha is None else spec.alpha
-    x = (v / alpha / (v / alpha).max()) ** (1.0 / (spec.q - 1.0))
-    return x / np.linalg.norm(x, ord=spec.q) / alpha
 
 
 def _line_max(z, dz, hi):
@@ -109,7 +102,7 @@ def _face_step(w, g, Y, scale, b, line):
 
 def _nsw_frank_wolfe(U, spec):
     """Frank-Wolfe with exact line search, 1 < q < inf.  Each step moves toward
-    the dual-norm maximizer of the gradient, then rescales onto the sphere,
+    the dual point of the gradient, then rescales onto the sphere,
     which only raises the objective.  Returns (point, iters, status)."""
     x = np.ones(U.shape[1]) / weighted_norm(np.ones(U.shape[1]), spec)
     for it in range(1, _MAX_ITERS + 1):
@@ -117,7 +110,7 @@ def _nsw_frank_wolfe(U, spec):
         g = U.T @ (1.0 / z)
         if dual_norm(g, spec) - float(g @ x) <= _FW_GAP:
             return x, it, "converged"
-        d = _dual_point(g, spec) - x
+        d = dual_point(g, spec) - x
         xn = np.clip(x + _line_max(z, U @ d, 1.0) * d, 0.0, None)
         xn /= weighted_norm(xn, spec)
         if np.array_equal(xn, x):
@@ -189,7 +182,7 @@ def minmax_alignment(users, spec):
     linear program; q = inf has p = 1/alpha and w on the least aligned user.
     1 < q < inf tries the uniform weights, then takes active-set Newton steps
     (_face_step) on sum_k (U~^T w / alpha)_k^q* from the best vertex, pricing
-    users by U~ p, p the dual-norm maximizer of U~^T w (at q = 2 Wolfe's 1976
+    users by U~ p, p the dual point of U~^T w (at q = 2 Wolfe's 1976
     minimum-norm point).  Both ends move out by rel, a rounding bound; value is
     the lower end, at point.
     """
@@ -208,7 +201,7 @@ def minmax_alignment(users, spec):
         width, status, rel = math.inf, None, 2 * (users.dim + spec.q + qs) * math.ulp(1.0)
         for iters in range(1, _MAX_ITERS + 1):
             z = w @ Un
-            p = _dual_point(z, spec)
+            p = dual_point(z, spec)
             g = Un @ p
             # Newton's lower end lags its upper: take one more step past tol.
             last, width = width, dual_norm(z, spec) - float(g.min())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CostSpec, UserSet, dual_norm, weighted_norm
+from .geometry import CostSpec, UserSet, dual_norm, dual_point, weighted_norm
 from .optimize import nsw_direction, simplex_logsum_max
 
 __all__ = ["ConditionProbe", "ThresholdReport", "beta_star_two_user", "beta_upper",
@@ -84,20 +84,13 @@ def _price(U, a, c, beta, spec, pool, bar):
     """(point, price, global) for max f(p) = sum_i c_i (<p, u_i>/a_i)^beta over
     the cone-ball.  f is convex, so at q = 1 it peaks at a vertex e_k/alpha_k,
     at q = inf at 1/alpha, and D = 2 is a search over one angle.  D > 2 runs
-    conditional-gradient ascents p <- argmax <grad f(p), p'>, which never lower
-    f, from several starts; once one prices above bar, only those go on.  Each
-    point is scored once, and its scores give its next gradient.  global is
-    False only for these ascents."""
+    conditional-gradient ascents p <- dual_point(grad f(p)), which never lower
+    f, from the pool, the vertices and the best users' dual points; once one
+    prices above bar, only those go on.  Each point is scored once, and its
+    scores give its next gradient.  global is False only for these ascents."""
     f = lambda P: ((P @ U.T / a) ** beta) @ c  # noqa: E731
     d = U.shape[1]
     alpha = np.ones(d) if spec.alpha is None else spec.alpha
-    def ball_argmax(G):  # optimize._dual_point row by row, 1 < q < inf
-        if spec.alpha is not None:
-            G = G / alpha
-        x = (G / G.max(axis=1, keepdims=True)) ** (1.0 / (spec.q - 1.0))
-        if spec.alpha is not None:
-            x = x / alpha
-        return x / weighted_norm(x, spec)[:, None]
     if spec.q == 1.0 or d == 1:
         P = np.eye(d) / alpha
     elif math.isinf(spec.q):
@@ -112,7 +105,7 @@ def _price(U, a, c, beta, spec, pool, bar):
             t = np.linspace(t[max(k - 1, 0)], t[min(k + 1, len(t) - 1)], _ANGLES_ZOOM)
         P = np.array(P)
     else:
-        S = ball_argmax(U)  # each user's own best point, ranked by the user's own term
+        S = dual_point(U, spec)  # ranked by each user's own term
         own = c * ((S * U).sum(axis=1) / a) ** beta
         P = np.vstack([pool, np.eye(d) / alpha, S[np.argsort(-own)[:_USER_STARTS]]])
         Z = P @ U.T / a  # each point's scaled scores, kept for its next gradient
@@ -123,7 +116,7 @@ def _price(U, a, c, beta, spec, pool, bar):
                 live = live[v[live] >= bar]
             if not live.size:
                 break
-            Pn = ball_argmax((Z[live] ** (beta - 1.0) * (c / a)) @ U)
+            Pn = dual_point((Z[live] ** (beta - 1.0) * (c / a)) @ U, spec)
             Zn = Pn @ U.T / a
             vn = (Zn ** beta) @ c
             up = vn > v[live] * (1.0 + _STALL)

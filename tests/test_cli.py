@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,57 @@ def _seeded_embeddings(path, n, d):
     lines += [f"u{i}," + ",".join(repr(float(v)) for v in row) for i, row in enumerate(users)]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def _report_leaves(report, path=""):
+    """(path, value) for every leaf of a JSON report but its run_config."""
+    if isinstance(report, dict):
+        for key, val in report.items():
+            if key != "run_config":
+                yield from _report_leaves(val, f"{path}.{key}")
+    elif isinstance(report, list):
+        for i, val in enumerate(report):
+            yield from _report_leaves(val, f"{path}[{i}]")
+    else:
+        yield path, report
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold"],
+    ["profit", "--variant", "onepop", "--beta", "3"],
+    ["verify", "--variant", "onepop", "--beta", "3", "--grid", "20x20"],
+], ids=["threshold", "profit", "verify"])
+@pytest.mark.parametrize("q", ["1.5", "2", "3"])
+def test_extreme_common_scale_gives_the_same_answers(capsys, tmp_path, argv, q):
+    # Scaling every user by one c > 0 leaves the game unchanged: each report
+    # agrees with scale 1 to 1e-10 relative (1e-12 absolute where the value
+    # is rounding, such as a gap at an equilibrium), except that a threshold
+    # probe's summed logs shift by beta * N * log(c).  No sum of powers may
+    # under- or overflow on the way, and no RuntimeWarning is raised.
+    users = np.random.default_rng(3).random((10, 3))
+    reports = {}
+    for scale in (1.0, 1e100, 1e-100, 1e150, 1e-150, 1e-300):
+        rows = [f"u{i}," + ",".join(repr(float(v)) for v in row)
+                for i, row in enumerate(users * scale)]
+        path = tmp_path / "users.csv"
+        path.write_text("user_id,f0,f1,f2\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, rep = run_json(capsys, [*argv, "--users", str(path), "--q", q])
+        assert code == 0, scale
+        reports[scale] = dict(_report_leaves(rep))
+    want = reports.pop(1.0)
+    for scale, got in reports.items():
+        assert got.keys() == want.keys()
+        for key, val in got.items():
+            if isinstance(val, float) and key.endswith("_log"):
+                probe = key.rsplit(".", 1)[0]
+                shift = got[probe + ".beta"] * len(users) * math.log(scale)
+                assert val - shift == pytest.approx(want[key], abs=1e-10 * abs(val)), (scale, key)
+            elif isinstance(val, float):
+                assert val == pytest.approx(want[key], rel=1e-10, abs=1e-12), (scale, key)
+            else:
+                assert val == want[key], (scale, key)
 
 
 def test_profit_onepop_alignment_certified(capsys, tmp_path):

@@ -27,6 +27,8 @@ from supply_eq.geometry import (
     UserSet,
     angle_between,
     angle_pair,
+    dual_norm,
+    dual_point,
     two_user_plane,
     weighted_norm,
 )
@@ -358,10 +360,15 @@ def test_onepop_deviation_dirs_sweep_off_the_ray_at_unit_cost():
     assert dirs.shape == (51, 2)
     assert np.array_equal(dirs[0], direction)
     assert np.allclose(weighted_norm(dirs, spec), 1.0, rtol=1e-14)
-    # The sweep spans the users' extreme angles, those of [1, 0.2] and [0.3, 0.9].
+    # The sweep spans the dual points of the extreme users, [1, 0.2] and
+    # [0.3, 0.9]: their best unit-cost content, which under alpha is not the
+    # user's own direction.
+    assert np.allclose(dirs[1], dual_point(users.embeddings[0], spec), rtol=0, atol=1e-14)
+    assert np.allclose(dirs[-1], dual_point(users.embeddings[2], spec), rtol=0, atol=1e-14)
+    assert dirs[1] @ users.embeddings[0] == pytest.approx(
+        dual_norm(users.embeddings[0], spec), rel=1e-14)
     angles = np.arctan2(dirs[1:, 1], dirs[1:, 0])
-    assert angles[0] == pytest.approx(math.atan2(0.2, 1.0), abs=1e-14)
-    assert angles[-1] == pytest.approx(math.atan2(0.9, 0.3), abs=1e-14)
+    assert angles[0] < math.atan2(0.2, 1.0) and angles[-1] < math.atan2(0.9, 0.3)
     assert np.all(np.diff(angles) > 0)
 
 

@@ -15,6 +15,7 @@ from supply_eq.geometry import (
     basis_pair,
     cost,
     dual_norm,
+    dual_point,
     orthonormal_users,
     two_user_plane,
     weighted_norm,
@@ -126,16 +127,36 @@ def test_dual_norm_scaling(c, q):
 @pytest.mark.parametrize("alpha", [None, (0.5, 2.0, 1.0, 3.0, 0.25)])
 @pytest.mark.parametrize("q", [1.0, 1.3, 2.0, 3.0, math.inf])
 def test_dual_norm_stacked_bitwise_matches_row_loop(q, alpha):
-    # One call over a stack gives, bit for bit, what one call per row gives.
+    # One call over a stack gives, bit for bit, what one call per row gives:
+    # for the dual norm, the norm and (1 < q < inf) the dual point.
     U = np.random.default_rng(11).random((37, 5))
     U[3] = 0.0  # a zero row, and a row with zeros, stay exact too
     U[4, 1:] = 0.0
     spec = CostSpec(q=q, beta=1.0, alpha=None if alpha is None else np.array(alpha))
-    stacked = dual_norm(U, spec)
-    loop = np.array([dual_norm(row, spec) for row in U])
-    assert stacked.shape == (37,)
-    assert stacked.tobytes() == loop.tobytes()
-    assert dual_norm(U[:1], spec).tobytes() == loop[:1].tobytes()
+    kernels = [dual_norm, weighted_norm] + ([dual_point] if 1.0 < q < math.inf else [])
+    for kernel in kernels:
+        rows = U if kernel is not dual_point else np.delete(U, 3, axis=0)
+        stacked = kernel(rows, spec)
+        loop = np.array([kernel(row, spec) for row in rows])
+        assert stacked.shape == loop.shape
+        assert stacked.tobytes() == loop.tobytes(), kernel.__name__
+        assert kernel(rows[:1], spec).tobytes() == loop[:1].tobytes()
+
+
+@pytest.mark.parametrize("alpha", [None, (0.5, 2.0, 1.0, 3.0, 0.25)])
+@pytest.mark.parametrize("q", [1.3, 2.0, 3.0])
+def test_dual_point_has_unit_cost_and_attains_the_dual_norm(q, alpha):
+    V = np.random.default_rng(5).random((20, 5))
+    V[0, 2:] = 0.0  # zero values get zero content
+    spec = CostSpec(q=q, beta=1.0, alpha=None if alpha is None else np.array(alpha))
+    P = dual_point(V, spec)
+    assert np.all(P >= 0) and np.all(P[0, 2:] == 0)
+    assert np.allclose(weighted_norm(P, spec), 1.0, rtol=1e-14)
+    assert np.allclose((P * V).sum(axis=1), dual_norm(V, spec), rtol=1e-14)
+    # No unit-cost point of a random sample scores higher.
+    Q = np.random.default_rng(6).random((2000, 5))
+    Q /= weighted_norm(Q, spec)[:, None]
+    assert np.all(Q @ V.T <= (P * V).sum(axis=1) * (1 + 1e-14))
 
 
 def test_dual_norm_stack_validation():

@@ -436,10 +436,39 @@ def test_value_cdf_orthogonal_user_wins_every_tie_at_zero(producers):
     assert math.isfinite(rep.best_response_gap)
 
 
-def _onepop_nsw(users, beta, producers=2):
-    spec = CostSpec(q=2.0, beta=beta)
+def _onepop_nsw(users, beta, producers=2, alpha=None):
+    spec = CostSpec(q=2.0, beta=beta, alpha=alpha)
     direction = nsw_direction(users, spec).point
     return OnePopulation(direction, users.n_users, beta, producers), spec
+
+
+def _gauge_gaps(users, beta, gauges, grid):
+    """best_response_gap of onepop on users, then in each gauge d: users
+    scaled by d feature by feature and alpha = d, the same game."""
+    gaps = []
+    for d in [None, *gauges]:
+        scaled = users if d is None else UserSet(users.embeddings * np.array(d))
+        dist, spec = _onepop_nsw(scaled, beta, alpha=None if d is None else np.array(d))
+        gaps.append(best_response_gap(dist, scaled, spec, n_samples=1000, grid=grid)
+                    .best_response_gap)
+    return gaps
+
+
+def test_onepop_gap_is_the_same_in_a_feature_gauge():
+    # Above the threshold (about 9.36 in both gauges) the gap is about 0.56 in
+    # both.  In the gauge the deviations must sweep each value vector's best
+    # unit-cost content, its dual point, and not the vector scaled to unit
+    # cost, or the gap reads rounding there.
+    above = _gauge_gaps(USERS_30X5, 12.0, [(0.5, 1, 2, 1, 3)], (40, 40))
+    assert above[0] > 0.5
+    assert above[1] == pytest.approx(above[0], rel=1e-4)
+    assert max(_gauge_gaps(USERS_30X5, 3.0, [(0.5, 1, 2, 1, 3)], (40, 40))) <= 1e-12
+
+
+def test_onepop_gap_is_the_same_in_planar_gauges():
+    gaps = _gauge_gaps(angle_pair(1.0), 6.0, [(1, 3), (1, 0.2), (1, 10)], (200, 200))
+    assert min(gaps) > 0.1
+    assert max(gaps) - min(gaps) <= 1e-4
 
 
 @pytest.mark.parametrize("theta", [0.6, 1.0, math.pi / 2])

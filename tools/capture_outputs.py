@@ -46,7 +46,10 @@ SEEDS = (1, 2)
 # variant at beta = 5000, an infinite-variant samples file, an --out with no
 # CDF table to write, a finitep verify at P = 300, and an nmf on a table
 # where most users have one rating and one item has 85, so the user rows
-# are one slot wide and that item's ratings span many rows.
+# are one slot wide and that item's ratings span many rows.  A 10x5 users
+# file and its feature gauge (features scaled by 0.5, 1, 2, 1, 3 under the
+# same --alpha, which is the same game) run one verify above the threshold,
+# and a threshold at q = 1.5 runs on emb.csv scaled by 1e150.
 SURFACE = [
     ["nsw", "--users", "basis2", "--q", "1"],
     ["nsw", "--users", "orthonormal:3", "--q", "3", "--alpha", "1,2,0.5"],
@@ -87,6 +90,10 @@ SURFACE = [
     ["verify", "--users", "basis2", "--variant", "p2", "--grid", "0x10"],
     ["verify", "--users", "basis2", "--variant", "finitep", "--producers", "300",
      "--samples", "1000", "--grid", "5x5"],
+    ["verify", "--users", "emb5.csv", "--variant", "onepop", "--beta", "12", "--grid", "20x20"],
+    ["verify", "--users", "emb5_gauge.csv", "--alpha", "0.5,1,2,1,3", "--variant", "onepop",
+     "--beta", "12", "--grid", "20x20"],
+    ["threshold", "--users", "emb_1e150.csv", "--q", "1.5"],
     ["profit", "--users", "basis2", "--variant", "finitep", "--producers", "3"],
     ["profit", "--users", "emb.csv", "--variant", "onepop", "--beta", "3", "--q", "inf",
      "--alpha", "1,2,1,1.5", "--seed", "9", "--out", "prof.json"],
@@ -135,11 +142,22 @@ def _write_readme_inputs(workdir: str) -> None:
         fh.write("user_id,item_id,rating\n" + "\n".join(rows) + "\n")
 
 
+def _write_users(workdir: str, name: str, rows: list) -> None:
+    lines = [f"u{u}," + ",".join(str(v) for v in row) for u, row in enumerate(rows)]
+    head = "user_id," + ",".join(f"f{k}" for k in range(len(rows[0])))
+    with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
+        fh.write(head + "\n" + "\n".join(lines) + "\n")
+
+
 def _write_surface_inputs(workdir: str) -> None:
     _write_readme_inputs(workdir)
-    rows = [f"u{u}," + ",".join(str(1 + (u * 7 + k * 3) % 5) for k in range(4)) for u in range(6)]
-    with open(os.path.join(workdir, "emb.csv"), "w", encoding="utf-8") as fh:
-        fh.write("user_id,f0,f1,f2,f3\n" + "\n".join(rows) + "\n")
+    emb = [[1 + (u * 7 + k * 3) % 5 for k in range(4)] for u in range(6)]
+    _write_users(workdir, "emb.csv", emb)
+    _write_users(workdir, "emb_1e150.csv", [[v * 1e150 for v in row] for row in emb])
+    emb5 = [[1 + (u * 5 + k * 3) % 7 for k in range(5)] for u in range(10)]
+    _write_users(workdir, "emb5.csv", emb5)
+    _write_users(workdir, "emb5_gauge.csv",
+                 [[v * d for v, d in zip(row, (0.5, 1, 2, 1, 3))] for row in emb5])
     # 80 users rate only item "all", 5 rate it and 12 of 20 others each, and
     # "z" rates "orphan" 0 and is dropped: a kept user has 1.7 ratings on
     # average, each other item 3, and "all" has 85.
