@@ -16,8 +16,8 @@ configuration.  Floats are serialized at 17 significant digits, infinities as
 the strings "inf"/"-inf", so identical argv reproduces every output byte for
 byte.  ``--seed`` (default 0) is read by ``eq``, ``verify`` and ``nmf``;
 ``nsw``, ``threshold`` and ``profit`` accept it and ignore it.  Exit codes:
-0 success, 2 usage error, 3 input-data error, 4 non-convergence (the report
-is still written).
+0 success, 2 usage error, 3 input-data error or failed linear algebra, 4
+non-convergence (the report is still written).
 """
 
 from __future__ import annotations
@@ -351,18 +351,25 @@ def _parse_alpha(raw: str | None) -> np.ndarray | None:
     return np.array([float(tok) for tok in raw.split(",")])
 
 
-def _spec(ns, users: UserSet | None) -> CostSpec:
-    """The cost spec of the flags, its --alpha checked against the users' dimension.
-
-    users is None only for the planar eq variants without --users or --theta,
-    which take no weights at all.
-    """
+def _spec(ns, users: UserSet | None):
+    """(spec, users / alpha, alpha): --alpha applied once, as the change of
+    coordinates in the geometry module docstring.  Content the library returns
+    is printed divided by alpha, which is 1.0 (dividing exactly) without
+    --alpha.  users is None only for the planar eq variants without --users or
+    --theta, which take no weights at all."""
     alpha = _parse_alpha(ns.alpha)
     if alpha is not None and users is not None and len(alpha) != users.dim:
         raise ValueError(f"--alpha gives {len(alpha)} weights, but the users have "
                          f"dimension {users.dim}")
     beta = getattr(ns, "beta", None)  # nsw does not depend on beta; threshold searches it
-    return CostSpec(q=ns.q, beta=2.0 if beta is None else beta, alpha=alpha)
+    spec = CostSpec(q=ns.q, beta=2.0 if beta is None else beta)
+    if alpha is None:
+        return spec, users, 1.0
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("alpha has non-finite entries")
+    if np.any(alpha <= 0):
+        raise ValueError("alpha must be strictly positive")
+    return spec, None if users is None else UserSet(users.embeddings / alpha), alpha
 
 
 def _build_dist(ns, users, spec, n_users=None):
@@ -375,7 +382,7 @@ def _build_dist(ns, users, spec, n_users=None):
             direction=res.point, n_users=n_users, beta=spec.beta, producers=producers
         )
         return dist, res.converged
-    if spec.q != 2.0 or spec.alpha is not None:
+    if spec.q != 2.0 or ns.alpha is not None:  # their CDF axes are plane coordinates
         raise ValueError("planar variants are defined for q = 2 with unit weights")
     if users is None:
         if ns.variant == "infinite":
@@ -396,11 +403,10 @@ def _build_dist(ns, users, spec, n_users=None):
 
 
 def _cmd_nsw(ns) -> int:
-    users = _parse_users(ns.users)
-    spec = _spec(ns, users)
+    spec, users, alpha = _spec(ns, _parse_users(ns.users))
     res = nsw_direction(users, spec)
     report = {
-        "direction": res.point,
+        "direction": res.point / alpha,
         "nsw_value": res.value,
         "kkt_residual": res.kkt_residual,
         "iters": res.iters,
@@ -412,8 +418,7 @@ def _cmd_nsw(ns) -> int:
 
 
 def _cmd_threshold(ns) -> int:
-    users = _parse_users(ns.users)
-    spec = _spec(ns, users)
+    spec, users, _ = _spec(ns, _parse_users(ns.users))
     rep = threshold_report(users, spec)
     report = {
         "beta_star_closed": rep.beta_star_closed,
@@ -460,13 +465,14 @@ def _cmd_eq(ns) -> int:
     users = _parse_users(ns.users) if ns.theta is None else angle_pair(ns.theta)
     if users is None and ns.variant == "onepop":
         users = UserSet(np.array([[1.0, 0.0]]))
-    spec = _spec(ns, users)
+    spec, users, alpha = _spec(ns, users)
     dist, converged = _build_dist(ns, users, spec, ns.n_users)
     if ns.cdf_grid > 0:
         xs = np.linspace(0.0, dist.cdf_max, ns.cdf_grid)
         _write_rows(f"{dist.cdf_axis},cdf", np.column_stack([xs, dist.cdf(xs)]), ns.out)
     if ns.n > 0:
         pts = eq_sample(dist, ns.n, ns.seed)
+        pts /= alpha
         _write_rows(",".join(f"f{k}" for k in range(pts.shape[1])), pts, ns.samples_out)
     return _EXIT_OK if converged else _EXIT_NOCONV
 
@@ -486,13 +492,13 @@ def _cmd_report(ns) -> int:
     profit's eq_profit alone), then the positive-profit condition.  On exit 4,
     one stderr line gives the alignment solve's stop reason and its bracket
     on Q, next to the threshold."""
-    users = _parse_users(ns.users)
-    spec = _spec(ns, users)
+    spec, users, alpha = _spec(ns, _parse_users(ns.users))
     grid = _parse_grid(ns.grid) if ns.cmd == "verify" else (None, None)
     dist, converged = _build_dist(ns, users, spec)
     if ns.cmd == "verify":
         report = asdict(best_response_gap(dist, users, spec, n_samples=ns.samples, grid=grid,
                                           seed=ns.seed))
+        report["gap_argmax"] /= alpha
     else:
         report = {"eq_profit": dist.profit(users.n_users, spec)}
     flag, res, threshold = positive_profit_condition(users, spec, dist.producers)
@@ -615,11 +621,11 @@ def run(argv=None) -> int:
         return _EXIT_OK if exc.code in (0, None) else _EXIT_USAGE
     try:
         return ns.fn(ns)
-    except InputDataError as exc:
+    except (InputDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not the flags' fault
+        print(f"error: LinAlgError: {exc}", file=sys.stderr)
         return _EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ Four families:
 * ``InfiniteTwoGenre`` - the infinite-producer limit with exactly two genres;
   the winning quality law is piecewise with countably many flat gaps.
 
-Throughout, quality is the weighted production norm of a content vector and
+Throughout, quality is the production norm ||p||_q of a content vector and
 genre is its direction.  Every family states its law as one
 inverse-transform map, ``points``, from uniform quantiles to content; the
 sampler ``eq_sample_blocks`` feeds it ``rng.random`` a block at a time, so

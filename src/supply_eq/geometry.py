@@ -1,14 +1,20 @@
 """Geometry of users, content, and production costs.
 
 Users and content vectors live in the nonnegative orthant of R^D.  A
-``CostSpec`` fixes the weighted q-norm cost family
+``CostSpec`` fixes the q-norm cost family
 
-    cost(p) = ||alpha * p||_q ** beta,   q in [1, inf],  beta >= 1,  alpha > 0,
+    cost(p) = ||p||_q ** beta,   q in [1, inf],  beta >= 1,
 
 whose unit ball, dual norm, and two-user plane drive everything else in
 this package.  The ball's kernels are here, once each: the norm, its dual
 norm and the dual point (the best unit-cost content for a value vector).
 Content vectors are plain 1-D float arrays.
+
+Feature weights alpha > 0 are a change of coordinates, not a cost family of
+their own: the cost ||alpha * p||_q ** beta with users u is the same game as
+the cost ||p'||_q ** beta with users u / alpha and content p' = alpha * p,
+since <p, u> = <p', u / alpha>.  The library solves the unweighted game; the
+command line maps users in and content out.
 """
 
 from __future__ import annotations
@@ -45,26 +51,17 @@ def _as_vector(x, name="vector"):
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Parameters of the cost family cost(p) = ||alpha * p||_q ** beta.
-
-    alpha is None for uniform unit weights; otherwise a strictly positive
-    length-D vector.  q = math.inf selects the sup norm.
-    """
+    """Parameters of the cost family cost(p) = ||p||_q ** beta; q = math.inf
+    selects the sup norm."""
 
     q: float = 2.0
     beta: float = 2.0
-    alpha: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.q >= 1.0:
             raise ValueError(f"q must be >= 1, got {self.q}")
         if not (math.isfinite(self.beta) and self.beta >= 1.0):
             raise ValueError(f"beta must be finite and >= 1, got {self.beta}")
-        if self.alpha is not None:
-            a = _as_vector(self.alpha, "alpha")
-            if np.any(a <= 0):
-                raise ValueError("alpha must be strictly positive")
-            object.__setattr__(self, "alpha", a)
 
 
 @dataclass(frozen=True)
@@ -138,16 +135,14 @@ _checked_norms = np.errstate(over="raise", under="raise")(_norms)
 
 
 def weighted_norm(p, spec):
-    """Weighted q-norm ||alpha * p||_q, reduced over the last axis.
+    """The q-norm ||p||_q, reduced over the last axis.
 
     Accepts a single vector or a stack of vectors, each row bit for bit its
     own norm; negative entries contribute through their absolute value.  At
-    1 < q < inf, a finite nonzero row whose sum of |alpha * p|^q leaves the
-    normal doubles is recomputed as m * ||alpha * p / m||_q, m its largest
-    |entry|.
+    1 < q < inf, a finite nonzero row whose sum of |p|^q leaves the normal
+    doubles is recomputed as m * ||p / m||_q, m its largest |entry|.
     """
-    arr = np.asarray(p, dtype=float)
-    w = arr if spec.alpha is None else arr * spec.alpha
+    w = np.asarray(p, dtype=float)
     if math.isinf(spec.q):
         out = np.abs(w).max(axis=-1)
     elif spec.q == 1.0:
@@ -166,17 +161,17 @@ def weighted_norm(p, spec):
 
 
 def cost(p, spec):
-    """Production cost ||alpha * p||_q ** beta (vectorized like weighted_norm)."""
+    """Production cost ||p||_q ** beta (vectorized like weighted_norm)."""
     return weighted_norm(p, spec) ** spec.beta
 
 
 def dual_norm(u, spec):
-    """Dual of the weighted q-norm at a nonnegative vector, reduced over the
-    last axis like weighted_norm.
+    """Dual of the q-norm at a nonnegative vector, reduced over the last axis
+    like weighted_norm.
 
-    For nonnegative u this equals max { <u, p> : ||alpha * p||_q <= 1, p >= 0 }
-    and evaluates to ||u / alpha||_q' with 1/q + 1/q' = 1.  A stack of vectors
-    gives one dual norm per row, each bit for bit its own.
+    For nonnegative u this equals max { <u, p> : ||p||_q <= 1, p >= 0 } and
+    evaluates to ||u||_q' with 1/q + 1/q' = 1.  A stack of vectors gives one
+    dual norm per row, each bit for bit its own.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim < 1:
@@ -185,28 +180,24 @@ def dual_norm(u, spec):
         raise ValueError("u has non-finite entries")
     if (u < 0).any():
         raise ValueError("dual_norm requires a nonnegative vector")
-    v = u if spec.alpha is None else u / spec.alpha
     if math.isinf(spec.q):
         qq = 1.0
     elif spec.q == 1.0:
         qq = math.inf
     else:
         qq = spec.q / (spec.q - 1.0)
-    return weighted_norm(v, CostSpec(q=qq, beta=1.0))
+    return weighted_norm(u, CostSpec(q=qq, beta=1.0))
 
 
 def dual_point(v, spec):
     """The dual point at a nonnegative v, 1 < q < inf: the unit-cost p >= 0
     that maximizes <v, p>, where <v, p> = dual_norm(v).  Reduced over the
     last axis like weighted_norm; each row needs a positive entry.  p_k is
-    proportional to (v_k/alpha_k)^(1/(q-1)) / alpha_k, with v/alpha first
-    divided by its row maximum, which keeps every sum of powers in range."""
-    v = np.asarray(v, dtype=float) if spec.alpha is None else v / spec.alpha
+    proportional to v_k^(1/(q-1)), with v first divided by its row maximum,
+    which keeps every sum of powers in range."""
+    v = np.asarray(v, dtype=float)
     x = (v / v.max(axis=-1, keepdims=True)) ** (1.0 / (spec.q - 1.0))
-    if spec.alpha is None:
-        return x / _norms(x, spec.q)[..., None]
-    x = x / spec.alpha
-    return x / _norms(x * spec.alpha, spec.q)[..., None]
+    return x / _norms(x, spec.q)[..., None]
 
 
 def angle_between(u1, u2):

@@ -122,21 +122,20 @@ def _nsw_frank_wolfe(U, spec):
 def nsw_direction(users, spec):
     """Nash-welfare direction: maximize sum_i log <p, u_i> on the unit ball.
 
-    Solved once: q = inf has the closed form p = 1/alpha, q = 1 is the simplex
-    program on (U/alpha)^T with p = w/alpha, and 1 < q < inf runs Frank-Wolfe
-    from the uniform start.  kkt_residual is the Frank-Wolfe gap
-    dual_norm(g) - <g, p>, g = sum_i u_i/<p, u_i>, which bounds the
-    suboptimality of p (Jaggi 2013); converged means it is <= _FW_GAP.
+    Solved once: q = inf has the closed form p = 1, q = 1 is the simplex
+    program on U^T, and 1 < q < inf runs Frank-Wolfe from the uniform start.
+    kkt_residual is the Frank-Wolfe gap dual_norm(g) - <g, p>, g = sum_i
+    u_i/<p, u_i>, which bounds the suboptimality of p (Jaggi 2013); converged
+    means it is <= _FW_GAP.
     """
     U = users.embeddings
-    alpha = np.ones(users.dim) if spec.alpha is None else spec.alpha
     if math.isinf(spec.q):
-        x, iters, status = 1.0 / alpha, 0, "converged"
+        x, iters, status = np.ones(users.dim), 0, "converged"
     elif spec.q == 1.0:
         # Half the target leaves room for the rounding between the simplex
         # gap and the Frank-Wolfe gap recomputed at p.
-        r = simplex_logsum_max((U / alpha).T, tol=0.5 * _FW_GAP)
-        x, iters, status = r.point / alpha, r.iters, r.status
+        r = simplex_logsum_max(U.T, tol=0.5 * _FW_GAP)
+        x, iters, status = r.point, r.iters, r.status
     else:
         x, iters, status = _nsw_frank_wolfe(U, spec)
     z = U @ x
@@ -174,26 +173,24 @@ def _matrix_game(A):
 
 
 def minmax_alignment(users, spec):
-    """Alignment value Q = max { min_i <p, u_i/||u_i||> : ||alpha*p||_q <= 1, p >= 0 }.
+    """Alignment value Q = max { min_i <p, u_i/||u_i||> : ||p||_q <= 1, p >= 0 }.
 
     Users are normalized by the cost norm, matching the ball constraint.  Any
     p on the ball and w on the simplex bracket Q between min_i <p, u~_i> and
     ||U~^T w||_*, the minimax dual.  q = 1 is a matrix game, solved as a
-    linear program; q = inf has p = 1/alpha and w on the least aligned user.
+    linear program; q = inf has p = 1 and w on the least aligned user.
     1 < q < inf tries the uniform weights, then takes active-set Newton steps
-    (_face_step) on sum_k (U~^T w / alpha)_k^q* from the best vertex, pricing
+    (_face_step) on sum_k (U~^T w)_k^q* from the best vertex, pricing
     users by U~ p, p the dual point of U~^T w (at q = 2 Wolfe's 1976
     minimum-norm point).  Both ends move out by rel, a rounding bound; value is
     the lower end, at point.
     """
     U = users.embeddings
     Un = U / np.asarray(weighted_norm(U, spec)).reshape(-1, 1)
-    alpha = np.ones(users.dim) if spec.alpha is None else spec.alpha
     if spec.q == 1.0:
-        x, w, iters, status = _matrix_game(Un / alpha)
-        p, rel = x / alpha, 0.0
+        (p, w, iters, status), rel = _matrix_game(Un), 0.0
     elif math.isinf(spec.q):
-        p, iters, status, rel = 1.0 / alpha, 0, "max_iters", 0.0
+        p, iters, status, rel = np.ones(users.dim), 0, "max_iters", 0.0
         w = np.eye(1, users.n_users, np.argmin(Un @ p))[0]
     else:
         qs = spec.q / (spec.q - 1.0)
@@ -208,12 +205,12 @@ def minmax_alignment(users, spec):
             if width <= _TOL and (last <= _TOL or width <= 1e-3 * _TOL):
                 break
             if iters == 1 and width > _TOL:  # restart from the best vertex
-                w = np.eye(1, users.n_users, np.argmin(((Un / alpha) ** qs).sum(axis=1)))[0]
+                w = np.eye(1, users.n_users, np.argmin((Un ** qs).sum(axis=1)))[0]
                 continue
-            r = z / alpha  # rows scaled by r^(q*/2 - 1), floored where r_k = 0
-            scale = alpha * np.maximum(r, 1e-12 * r.max()) ** (1.0 - 0.5 * qs)
-            w, status = _face_step(w, -g, Un, scale, r ** (0.5 * qs) / (1.0 - qs),
-                                   lambda dz, hi: _line_min(r, dz / alpha, qs - 1.0, hi))
+            # Rows scaled by z^(q*/2 - 1), floored where z_k = 0.
+            scale = np.maximum(z, 1e-12 * z.max()) ** (1.0 - 0.5 * qs)
+            w, status = _face_step(w, -g, Un, scale, z ** (0.5 * qs) / (1.0 - qs),
+                                   lambda dz, hi: _line_min(z, dz, qs - 1.0, hi))
             if status:
                 break
     lower = float((Un @ p).min()) * (1.0 - rel)

@@ -82,19 +82,18 @@ def beta_upper(users: UserSet, spec: CostSpec) -> float:
 
 def _price(U, a, c, beta, spec, pool, bar):
     """(point, price, global) for max f(p) = sum_i c_i (<p, u_i>/a_i)^beta over
-    the cone-ball.  f is convex, so at q = 1 it peaks at a vertex e_k/alpha_k,
-    at q = inf at 1/alpha, and D = 2 is a search over one angle.  D > 2 runs
-    conditional-gradient ascents p <- dual_point(grad f(p)), which never lower
-    f, from the pool, the vertices and the best users' dual points; once one
-    prices above bar, only those go on.  Each point is scored once, and its
+    the cone-ball.  f is convex, so at q = 1 it peaks at a vertex e_k, at
+    q = inf at the all-ones point, and D = 2 is a search over one angle.
+    D > 2 runs conditional-gradient ascents p <- dual_point(grad f(p)), which
+    never lower f, from the pool, the vertices and the best users' dual
+    points; once one prices above bar, only those go on.  Each point is scored once, and its
     scores give its next gradient.  global is False only for these ascents."""
     f = lambda P: ((P @ U.T / a) ** beta) @ c  # noqa: E731
     d = U.shape[1]
-    alpha = np.ones(d) if spec.alpha is None else spec.alpha
     if spec.q == 1.0 or d == 1:
-        P = np.eye(d) / alpha
+        P = np.eye(d)
     elif math.isinf(spec.q):
-        P = (1.0 / alpha)[None]
+        P = np.ones((1, d))
     elif d == 2:
         P, t = [], np.linspace(0.0, 0.5 * math.pi, _ANGLES)
         for _ in range(_ZOOMS + 1):
@@ -107,7 +106,7 @@ def _price(U, a, c, beta, spec, pool, bar):
     else:
         S = dual_point(U, spec)  # ranked by each user's own term
         own = c * ((S * U).sum(axis=1) / a) ** beta
-        P = np.vstack([pool, np.eye(d) / alpha, S[np.argsort(-own)[:_USER_STARTS]]])
+        P = np.vstack([pool, np.eye(d), S[np.argsort(-own)[:_USER_STARTS]]])
         Z = P @ U.T / a  # each point's scaled scores, kept for its next gradient
         v = (Z ** beta) @ c
         live = np.flatnonzero(v > 0)
@@ -182,8 +181,7 @@ def _bisect_threshold(users, spec):
 def threshold_report(users, spec) -> ThresholdReport:
     """Full threshold summary: closed form where known, bound, and estimate."""
     closed = None
-    uniform = spec.alpha is None or bool(np.all(spec.alpha == spec.alpha[0]))
-    if users.n_users == 2 and spec.q == 2.0 and uniform:
+    if users.n_users == 2 and spec.q == 2.0:
         u1, u2 = users.embeddings
         # The normalized dot product is exact where cos(arccos(.)) is not,
         # e.g. orthogonal rows land on 2 rather than 2 + 4e-16.

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import supply_eq
 import supply_eq.cli as cli
 from supply_eq.cli import run
 from supply_eq.closedform import (
@@ -286,12 +291,15 @@ def test_nmf_end_to_end(capsys, tmp_path):
     assert run(["nsw", "--users", str(emb), "--out", str(tmp_path / "n.json")]) == 0
 
 
-def _seeded_embeddings(path, n, d):
-    users = np.random.default_rng(0).random((n, d))
-    lines = ["user_id," + ",".join(f"f{k}" for k in range(d))]
+def _users_csv(path, users):
+    lines = ["user_id," + ",".join(f"f{k}" for k in range(users.shape[1]))]
     lines += [f"u{i}," + ",".join(repr(float(v)) for v in row) for i, row in enumerate(users)]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def _seeded_embeddings(path, n, d):
+    return _users_csv(path, np.random.default_rng(0).random((n, d)))
 
 
 def _report_leaves(report, path=""):
@@ -343,6 +351,75 @@ def test_extreme_common_scale_gives_the_same_answers(capsys, tmp_path, argv, q):
                 assert val == pytest.approx(want[key], rel=1e-10, abs=1e-12), (scale, key)
             else:
                 assert val == want[key], (scale, key)
+
+
+def _assert_same_numbers(got, want, n_users):
+    """Every leaf of got equals want's, a float within 1e-9 relative, or
+    within 1e-13 where both are at rounding level (below 1e-12 * N)."""
+    assert got.keys() == want.keys()
+    for key, val in got.items():
+        if isinstance(val, float) and max(abs(val), abs(want[key])) < 1e-12 * n_users:
+            assert abs(val - want[key]) <= 1e-13, key
+        elif isinstance(val, float):
+            assert val == pytest.approx(want[key], rel=1e-9, abs=0), key
+        else:
+            assert val == want[key], key
+
+
+_GAUGE = (0.5, 1.0, 2.0, 1.0, 3.0)
+
+
+@pytest.mark.parametrize("q", ["1", "1.5", "2", "3", "inf"])
+def test_every_number_is_the_same_in_a_feature_gauge(capsys, tmp_path, q):
+    # Users scaled by d feature by feature under --alpha d are the same game,
+    # so every printed number agrees with the unweighted run on the original
+    # users; content (direction, gap_argmax) is printed divided by d.
+    users = np.random.default_rng(0).random((30, 5))
+    plain = _users_csv(tmp_path / "plain.csv", users)
+    gauge = _users_csv(tmp_path / "gauge.csv", users * np.array(_GAUGE))
+    alpha = ",".join(map(str, _GAUGE))
+    for argv in (["nsw"], ["threshold"], ["profit", "--variant", "onepop", "--beta", "12"],
+                 *(["verify", "--variant", "onepop", "--beta", beta, "--samples", "1000",
+                    "--grid", "40x40"] for beta in ("3", "12"))):
+        code, want = run_json(capsys, [*argv, "--users", plain, "--q", q])
+        assert code == 0
+        code, got = run_json(capsys, [*argv, "--users", gauge, "--q", q, "--alpha", alpha])
+        assert code == 0
+        for key in ("direction", "gap_argmax"):
+            if key in got:
+                got[key] = (np.array(got[key]) * _GAUGE).tolist()
+        _assert_same_numbers(dict(_report_leaves(got)), dict(_report_leaves(want)), 30)
+
+
+def test_per_user_scale_changes_only_the_summed_logs(capsys, tmp_path):
+    # Scaling user i by c_i > 0 leaves the game unchanged: only the summed
+    # logs move, nsw_value by sum log c_i and a probe's by beta times that.
+    users = np.random.default_rng(0).random((30, 5))
+    c = np.random.default_rng(1).random(30) * 10.0 + 0.1
+    shift = float(np.log(c).sum())
+    plain = _users_csv(tmp_path / "plain.csv", users)
+    scaled = _users_csv(tmp_path / "scaled.csv", users * c[:, None])
+    reports = {}
+    for name, argv in {"threshold": ["threshold"], "nsw": ["nsw"],
+                       "verify": ["verify", "--variant", "onepop", "--beta", "12",
+                                  "--samples", "1000", "--grid", "40x40"]}.items():
+        for src in (plain, scaled):
+            code, rep = run_json(capsys, [*argv, "--users", src])
+            assert code == 0
+            reports[name, src] = rep
+    want, got = reports["threshold", plain], reports["threshold", scaled]
+    assert got["beta_estimate"] == want["beta_estimate"]
+    assert len(got["condition_trace"]) == len(want["condition_trace"])
+    for pg, pw in zip(got["condition_trace"], want["condition_trace"]):
+        assert (pg["beta"], pg["holds"], pg["status"]) == (pw["beta"], pw["holds"], pw["status"])
+        for key in ("lhs_log", "rhs_log"):
+            assert pg[key] - pg["beta"] * shift == pytest.approx(pw[key], rel=1e-12)
+    want, got = reports["nsw", plain], reports["nsw", scaled]
+    assert got["nsw_value"] - shift == pytest.approx(want["nsw_value"], rel=1e-12)
+    want, got = reports["verify", plain], reports["verify", scaled]
+    assert want["best_response_gap"] > 0.5
+    for key in ("q_alignment", "best_response_gap"):
+        assert got[key] == pytest.approx(want[key], rel=1e-12)
 
 
 def test_profit_onepop_alignment_certified(capsys, tmp_path):
@@ -423,6 +500,84 @@ def test_exit_usage_alpha_length_differs_from_users_dimension(capsys, argv):
     given = len(argv[argv.index("--alpha") + 1].split(","))
     dim = 3 if "orthonormal:3" in argv else 2
     assert f"--alpha gives {given} weights, but the users have dimension {dim}" in captured.err
+
+
+@pytest.mark.parametrize("alpha, message", [
+    ("1,0", "alpha must be strictly positive"),
+    ("1,-2", "alpha must be strictly positive"),
+    ("1,nan", "alpha has non-finite entries"),
+    ("inf,1", "alpha has non-finite entries"),
+])
+def test_exit_usage_alpha_not_finite_and_positive(capsys, alpha, message):
+    assert run(["nsw", "--users", "basis2", "--alpha", alpha]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_exit_input_on_linalg_error(capsys, tmp_path, monkeypatch):
+    # numpy's LinAlgError is a ValueError, but it reports a failed routine on
+    # the data, not a bad flag.
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr("supply_eq.optimize.np.linalg.lstsq", fail)
+    users = _seeded_embeddings(tmp_path / "u.csv", 30, 5)
+    assert run(["profit", "--users", users, "--variant", "onepop"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: LinAlgError: SVD did not converge in Linear Least "
+                            "Squares\n")
+
+
+def _edge_sweep(tmp_path, q):
+    """The argv of every edge user set at q, without and with --alpha, through
+    nsw, threshold, profit onepop and verify onepop."""
+    seeded = np.random.default_rng(0).random((10, 3))
+    sets = {
+        "near_parallel_2": [[math.cos(0.4), math.sin(0.4)],
+                            [math.cos(0.4 + 1e-9), math.sin(0.4 + 1e-9)]],
+        "near_parallel_3": [[1.0, 0.5, 0.25], [1.0, 0.5 + 1e-9, 0.25 - 1e-9]],
+        "axis": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5]],
+        "duplicated_axis": [[1.0, 0.0], [1.0, 0.0]],
+        "sparse": [[1.0, 0.0, 0.0, 2.0], [0.0, 3.0, 0.0, 0.0], [0.0, 0.5, 1.0, 0.0],
+                   [0.0, 0.0, 4.0, 0.0]],
+        "scaled_1e150": seeded * 1e150,
+        "scaled_1e-150": seeded * 1e-150,
+        "scaled_1e-300": seeded * 1e-300,
+    }
+    commands = [["nsw"], ["threshold"], ["profit", "--variant", "onepop", "--beta", "3"],
+                ["verify", "--variant", "onepop", "--beta", "3", "--samples", "1000",
+                 "--grid", "20x20"]]
+    out = []
+    for name, rows in sets.items():
+        rows = np.array(rows)
+        src = _users_csv(tmp_path / f"{name}.csv", rows)
+        alpha = ",".join(map(str, (0.5, 2.0, 1.5, 3.0)[:rows.shape[1]]))
+        for cmd in commands:
+            out += [[*cmd, "--users", src, "--q", q], [*cmd, "--users", src, "--q", q,
+                                                      "--alpha", alpha]]
+    return out
+
+
+@pytest.mark.parametrize("q", ["1", "1.5", "2", "3", "inf"])
+def test_edge_inputs_exit_zero_quietly(tmp_path, q):
+    # Every run exits 0 with no RuntimeWarning (an error here) and nothing on
+    # stderr.  A LAPACK routine that rejects its input prints to file
+    # descriptor 2, past Python's sys.stderr, so the sweep runs in a child
+    # process.
+    code = ("import contextlib, io, json, sys\n"
+            "from supply_eq.cli import run\n"
+            "for argv in json.load(sys.stdin):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert run(argv) == 0, argv\n")
+    src = str(pathlib.Path(supply_eq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                          input=json.dumps(_edge_sweep(tmp_path, q)), env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_exit_usage_nothing_to_emit(capsys):

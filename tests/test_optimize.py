@@ -29,11 +29,12 @@ def test_nsw_direction_basis_pair():
 
 
 def test_nsw_direction_weighted_lagrange():
-    # Stationarity on the ellipse 4 p1^2 + p2^2 = 1 forces p2 = 2 p1.
-    spec = CostSpec(q=2.0, beta=2.0, alpha=np.array([2.0, 1.0]))
-    res = nsw_direction(UserSet(np.eye(2)), spec)
+    # Stationarity on the ellipse 4 p1^2 + p2^2 = 1 forces p2 = 2 p1.  The
+    # weighted cost is the unit cost on users u / alpha, content alpha * p.
+    alpha = np.array([2.0, 1.0])
+    res = nsw_direction(UserSet(np.eye(2) / alpha), CostSpec(q=2.0, beta=2.0))
     assert res.converged
-    assert np.allclose(res.point, [1 / (2 * SQ2), 1 / SQ2], atol=1e-6)
+    assert np.allclose(res.point / alpha, [1 / (2 * SQ2), 1 / SQ2], atol=1e-6)
 
 
 def test_nsw_direction_single_user():
@@ -133,9 +134,9 @@ def test_nsw_frank_wolfe_gap_certifies(q, weighted, seed):
     # residual, and it meets the 1e-9 * N an independent check asks for.
     rng = np.random.default_rng([seed, 17])
     n, d = [(4, 3), (30, 5), (200, 10)][seed]
-    users = UserSet(np.abs(rng.standard_normal((n, d))) + 0.01)
-    alpha = rng.random(d) + 0.5 if weighted else None
-    spec = CostSpec(q=q, beta=2.0, alpha=alpha)
+    emb = np.abs(rng.standard_normal((n, d))) + 0.01
+    users = UserSet(emb / (rng.random(d) + 0.5) if weighted else emb)
+    spec = CostSpec(q=q, beta=2.0)
     res = nsw_direction(users, spec)
     p = res.point
     assert np.all(p >= 0)
@@ -146,10 +147,11 @@ def test_nsw_frank_wolfe_gap_certifies(q, weighted, seed):
 
 
 def test_nsw_q_inf_is_inverse_weights():
+    # The all-ones point, which is 1 / alpha in the weighted coordinates.
     alpha = np.array([2.0, 0.5, 1.0])
-    users = UserSet(np.array([[1.0, 0.0, 2.0], [0.3, 1.0, 0.0]]))
-    res = nsw_direction(users, CostSpec(q=math.inf, beta=2.0, alpha=alpha))
-    assert np.array_equal(res.point, 1.0 / alpha)
+    users = UserSet(np.array([[1.0, 0.0, 2.0], [0.3, 1.0, 0.0]]) / alpha)
+    res = nsw_direction(users, CostSpec(q=math.inf, beta=2.0))
+    assert np.array_equal(res.point / alpha, 1.0 / alpha)
     assert res.kkt_residual == 0.0 and res.converged
 
 
@@ -204,11 +206,11 @@ def test_minmax_alignment_q1_matches_linear_program(seed):
     n, d = int(rng.integers(1, 40)), int(rng.integers(1, 8))
     emb = np.abs(rng.standard_normal((n, d))) * (rng.random((n, d)) < 0.6)
     emb[np.all(emb == 0, axis=1), 0] = 1.0
-    alpha = rng.random(d) + 0.3 if seed % 2 else None
-    spec = CostSpec(q=1.0, beta=2.0, alpha=alpha)
+    if seed % 2:  # weighted: the users divided by alpha
+        emb = emb / (rng.random(d) + 0.3)
+    spec = CostSpec(q=1.0, beta=2.0)
     res = minmax_alignment(UserSet(emb), spec)
-    a = np.ones(d) if alpha is None else alpha
-    A = emb / (emb @ a)[:, None] / a  # <p, u~_i> = (A x)_i with x = alpha * p
+    A = emb / emb.sum(axis=1)[:, None]  # <p, u~_i> = (A p)_i
     lp = linprog(
         np.r_[np.zeros(d), -1.0], A_ub=np.c_[-A, np.ones(n)], b_ub=np.zeros(n),
         A_eq=np.r_[np.ones(d), 0.0][None], b_eq=[1.0], bounds=[(0, None)] * d + [(None, None)],
@@ -230,13 +232,14 @@ def test_minmax_alignment_orthonormal_edge_norms(q, n):
 
 
 def test_minmax_alignment_q_inf_is_inverse_weights():
+    # The all-ones point, which is 1 / alpha in the weighted coordinates.
     alpha = np.array([2.0, 0.5, 1.0])
-    emb = np.array([[1.0, 0.0, 2.0], [0.3, 1.0, 0.0], [1.0, 1.0, 1.0]])
-    spec = CostSpec(q=math.inf, beta=2.0, alpha=alpha)
+    emb = np.array([[1.0, 0.0, 2.0], [0.3, 1.0, 0.0], [1.0, 1.0, 1.0]]) / alpha
+    spec = CostSpec(q=math.inf, beta=2.0)
     res = minmax_alignment(UserSet(emb), spec)
-    assert np.array_equal(res.point, 1.0 / alpha)
+    assert np.array_equal(res.point / alpha, 1.0 / alpha)
     rows = emb / np.asarray(weighted_norm(emb, spec))[:, None]
-    assert res.value == float((rows @ (1.0 / alpha)).min())
+    assert res.value == float(rows.sum(axis=1).min())
     assert res.converged and res.kkt_residual <= 1e-15
 
 
@@ -297,25 +300,24 @@ def test_minmax_alignment_certifies_nmf_tables(nmf_users, seed, q):
         assert res.value >= 0.68961378037
 
 
-def _dual_oracle(u1, u2, q, alpha):
+def _dual_oracle(u1, u2, q):
     """Q for at most two users in the current decimal context: the minimax
-    dual min_t ||(t u~1 + (1 - t) u~2) / alpha||_q* by golden-section search,
-    with u~ the users normalized exactly."""
+    dual min_t ||t u~1 + (1 - t) u~2||_q* by golden-section search, with u~
+    the users normalized exactly."""
     qd, qs = Dec(repr(q)), Dec(repr(q)) / (Dec(repr(q)) - 1)
-    a = [Dec(1)] * len(u1) if alpha is None else [Dec(float(x)) for x in alpha]
 
     def norm(v, e):
         return sum(abs(x) ** e for x in v) ** (1 / e)
 
     def unit(u):
         ud = [Dec(float(x)) for x in u]
-        n = norm([x * y for x, y in zip(ud, a)], qd)
+        n = norm(ud, qd)
         return [x / n for x in ud]
 
     r1, r2 = unit(u1), unit(u2)
 
     def dual(t):
-        return norm([(t * x + (1 - t) * y) / z for x, y, z in zip(r1, r2, a)], qs)
+        return norm([t * x + (1 - t) * y for x, y in zip(r1, r2)], qs)
 
     lo, hi, g = Dec(0), Dec(1), (Dec(5).sqrt() - 1) / 2
     for _ in range(240):
@@ -339,19 +341,19 @@ _EDGE_USERS = {
 @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 7.0])
 def test_minmax_alignment_edge_inputs_true_bracket(case, weighted, q):
     emb = _EDGE_USERS[case]
-    alpha = np.array([0.5, 2.0, 1.3])[: emb.shape[1]] if weighted else None
-    spec = CostSpec(q=q, beta=2.0, alpha=alpha)
+    if weighted:  # the users divided by alpha
+        emb = emb / np.array([0.5, 2.0, 1.3])[: emb.shape[1]]
+    spec = CostSpec(q=q, beta=2.0)
     res = minmax_alignment(UserSet(emb), spec)
     assert res.converged and res.kkt_residual <= 1e-8
     assert np.all(res.point >= 0)
     top = res.value + res.kkt_residual
     with decimal.localcontext(decimal.Context(prec=50)):
         if case == "orthogonal":
-            # Q = max min_j p_j / alpha_j on the ball, at p = alpha^2 / ||alpha^2||_q.
-            a = [Dec(1)] * 3 if alpha is None else [Dec(float(x)) for x in alpha]
-            oracle = 1 / sum((x * x) ** Dec(repr(q)) for x in a) ** (1 / Dec(repr(q)))
+            # Q = max min_j p_j on the ball, at the uniform p = 3^(-1/q).
+            oracle = 1 / Dec(3) ** (1 / Dec(repr(q)))
         else:
-            oracle = _dual_oracle(emb[0], emb[-1], q, alpha)
+            oracle = _dual_oracle(emb[0], emb[-1], q)
         if case == "one_user" and q == 2.0 and not weighted:
             assert abs(oracle - 1) < Dec("1e-35")
         assert Dec(res.value) <= oracle <= Dec(top)

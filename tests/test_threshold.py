@@ -239,12 +239,11 @@ def test_largest_holding_beta_survives_random_points():
 
 def _vertex_mixture_value(users, spec, beta):
     # At q = 1 every point of the ball is a mixture of 0 and the vertices
-    # e_k/alpha_k, and the values (<p, u_i>/a_i)^beta are convex in p, so the
-    # best mixture of the vertices and the anchor is the best of all mixtures.
+    # e_k, and the values (<p, u_i>/a_i)^beta are convex in p, so the best
+    # mixture of the vertices and the anchor is the best of all mixtures.
     U = users.embeddings
-    alpha = np.ones(users.dim) if spec.alpha is None else spec.alpha
     a = U @ nsw_direction(users, spec).point
-    Y = np.vstack([np.ones(users.n_users), ((np.eye(users.dim) / alpha) @ U.T / a) ** beta])
+    Y = np.vstack([np.ones(users.n_users), (U.T / a) ** beta])
     return simplex_logsum_max(Y).value
 
 
@@ -255,7 +254,8 @@ def _vertex_mixture_value(users, spec, beta):
     (np.random.default_rng(3).random((6, 4)), np.array([1.0, 1.5, 1.0, 4.0])),
 ], ids=["pair", "pair_weighted", "6x4", "6x4_weighted"])
 def test_q1_flips_where_vertex_pricing_says(U, alpha):
-    users, spec = UserSet(U), CostSpec(q=1.0, alpha=alpha)
+    # The weighted cases run on the users divided by alpha.
+    users, spec = UserSet(U if alpha is None else U / alpha), CostSpec(q=1.0)
     tau = threshold_mod._tau(users.n_users)
     est = threshold_report(users, spec).beta_estimate
     flags = []
@@ -272,11 +272,12 @@ def test_q1_flips_where_vertex_pricing_says(U, alpha):
 
 
 def test_qinf_never_flips():
-    # At q = inf the point 1/alpha dominates every other point of the ball in
-    # every user's value, so nothing beats the anchor at any beta.
-    users = UserSet(np.random.default_rng(3).random((6, 4)))
-    for alpha in (None, np.array([1.0, 1.5, 1.0, 4.0])):
-        spec = CostSpec(q=math.inf, alpha=alpha)
+    # At q = inf the all-ones point dominates every other point of the ball
+    # in every user's value, so nothing beats the anchor at any beta; the
+    # weighted case runs on the users divided by alpha.
+    U = np.random.default_rng(3).random((6, 4))
+    spec = CostSpec(q=math.inf)
+    for users in (UserSet(U), UserSet(U / np.array([1.0, 1.5, 1.0, 4.0]))):
         for beta in (1.0, 2.0, 5.0, 40.0):
             assert max_condition_holds(users, spec, beta)[::3] == (True, "priced_out")
         assert threshold_report(users, spec).beta_estimate == math.inf
@@ -286,10 +287,12 @@ def test_weighted_pair_flips_at_rescaled_closed_form():
     # ||alpha p||_2 <= 1 with users u_i is the unit ball with users u_i/alpha,
     # so the two-user closed form applies to the rescaled pair.
     U, alpha = np.array([[1.0, 0.2], [0.3, 1.0]]), np.array([1.0, 2.0])
-    users, spec = UserSet(U), CostSpec(q=2.0, alpha=alpha)
+    users, spec = UserSet(U / alpha), CostSpec(q=2.0)
     v1, v2 = U / alpha
     closed = 2.0 / (1.0 - v1 @ v2 / (np.linalg.norm(v1) * np.linalg.norm(v2)))
-    assert abs(threshold_report(users, spec).beta_estimate - closed) <= threshold_mod._GAP
+    rep = threshold_report(users, spec)
+    assert rep.beta_star_closed == pytest.approx(closed, rel=1e-14)
+    assert abs(rep.beta_estimate - closed) <= threshold_mod._GAP
     assert max_condition_holds(users, spec, closed - 0.1)[::3] == (True, "priced_out")
     assert max_condition_holds(users, spec, closed + 0.1)[::3] == (False, "beaten")
 

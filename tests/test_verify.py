@@ -1,6 +1,7 @@
 """Numerical verification layer: marginals, profits, gaps, genre counts."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import supply_eq.verify as verify_mod
+from supply_eq import cli
 from supply_eq.closedform import (
     FinitePCurve,
     OnePopulation,
@@ -17,6 +19,7 @@ from supply_eq.closedform import (
     eq_sample,
 )
 from supply_eq.geometry import CostSpec, UserSet, angle_pair, cost, two_user_plane
+from supply_eq.ingest import save_embeddings_csv
 from supply_eq.optimize import OptResult, nsw_direction
 from supply_eq.verify import (
     best_response_gap,
@@ -186,7 +189,7 @@ EQUILIBRIA = {
     "onepop-basis2-beta4": lambda: _onepop_on(BASIS2, CostSpec(q=2.0, beta=4.0)),
     "onepop-30x5-q2": lambda: _onepop_on(USERS_30X5, CostSpec(q=2.0, beta=3.0)),
     "onepop-30x5-q3-alpha": lambda: _onepop_on(
-        USERS_30X5, CostSpec(q=3.0, beta=3.0, alpha=SUPPORT_ALPHA)),
+        UserSet(USERS_30X5.embeddings / SUPPORT_ALPHA), CostSpec(q=3.0, beta=3.0)),
 }
 
 
@@ -300,7 +303,7 @@ def test_mc_profit_blocks_bitwise(monkeypatch, producers):
     cases = [
         (FinitePCurve(producers), BASIS2, SPEC2),
         (onepop, USERS_30X5, CostSpec(q=3.0, beta=3.0)),
-        (onepop, USERS_30X5, CostSpec(q=2.0, beta=3.0, alpha=np.array([1.0, 2.0, 0.5, 3.0, 1.5]))),
+        (onepop, UserSet(USERS_30X5.embeddings / SUPPORT_ALPHA), CostSpec(q=2.0, beta=3.0)),
     ]
     if producers == 2:
         cases.append((QuarterCircle(4.0), BASIS2, CostSpec(q=2.0, beta=4.0)))
@@ -436,39 +439,39 @@ def test_value_cdf_orthogonal_user_wins_every_tie_at_zero(producers):
     assert math.isfinite(rep.best_response_gap)
 
 
-def _onepop_nsw(users, beta, producers=2, alpha=None):
-    spec = CostSpec(q=2.0, beta=beta, alpha=alpha)
+def _onepop_nsw(users, beta, producers=2):
+    spec = CostSpec(q=2.0, beta=beta)
     direction = nsw_direction(users, spec).point
     return OnePopulation(direction, users.n_users, beta, producers), spec
 
 
-def _gauge_gaps(users, beta, gauges, grid):
-    """best_response_gap of onepop on users, then in each gauge d: users
-    scaled by d feature by feature and alpha = d, the same game."""
+def _gauge_gaps(tmp_path, users, beta, gauges, grid):
+    """The command line's verify onepop gap on users, then in each gauge d:
+    users scaled by d feature by feature under --alpha d, the same game."""
     gaps = []
-    for d in [None, *gauges]:
-        scaled = users if d is None else UserSet(users.embeddings * np.array(d))
-        dist, spec = _onepop_nsw(scaled, beta, alpha=None if d is None else np.array(d))
-        gaps.append(best_response_gap(dist, scaled, spec, n_samples=1000, grid=grid)
-                    .best_response_gap)
+    for k, d in enumerate([None, *gauges]):
+        src, out = tmp_path / f"users{k}.csv", tmp_path / f"report{k}.json"
+        save_embeddings_csv(users if d is None else UserSet(users.embeddings * np.array(d)), src)
+        argv = ["verify", "--users", str(src), "--variant", "onepop", "--beta", str(beta),
+                "--samples", "1000", "--grid", grid, "--out", str(out)]
+        assert cli.run(argv if d is None else argv + ["--alpha", ",".join(map(str, d))]) == 0
+        gaps.append(json.loads(out.read_text())["best_response_gap"])
     return gaps
 
 
-def test_onepop_gap_is_the_same_in_a_feature_gauge():
+def test_onepop_gap_is_the_same_in_a_feature_gauge(tmp_path):
     # Above the threshold (about 9.36 in both gauges) the gap is about 0.56 in
-    # both.  In the gauge the deviations must sweep each value vector's best
-    # unit-cost content, its dual point, and not the vector scaled to unit
-    # cost, or the gap reads rounding there.
-    above = _gauge_gaps(USERS_30X5, 12.0, [(0.5, 1, 2, 1, 3)], (40, 40))
+    # both; below it, rounding in both.
+    above = _gauge_gaps(tmp_path, USERS_30X5, 12.0, [(0.5, 1, 2, 1, 3)], "40x40")
     assert above[0] > 0.5
-    assert above[1] == pytest.approx(above[0], rel=1e-4)
-    assert max(_gauge_gaps(USERS_30X5, 3.0, [(0.5, 1, 2, 1, 3)], (40, 40))) <= 1e-12
+    assert above[1] == pytest.approx(above[0], rel=1e-9)
+    assert max(_gauge_gaps(tmp_path, USERS_30X5, 3.0, [(0.5, 1, 2, 1, 3)], "40x40")) <= 1e-12
 
 
-def test_onepop_gap_is_the_same_in_planar_gauges():
-    gaps = _gauge_gaps(angle_pair(1.0), 6.0, [(1, 3), (1, 0.2), (1, 10)], (200, 200))
+def test_onepop_gap_is_the_same_in_planar_gauges(tmp_path):
+    gaps = _gauge_gaps(tmp_path, angle_pair(1.0), 6.0, [(1, 3), (1, 0.2), (1, 10)], "200x200")
     assert min(gaps) > 0.1
-    assert max(gaps) - min(gaps) <= 1e-4
+    assert max(gaps) - min(gaps) <= 1e-9 * max(gaps)
 
 
 @pytest.mark.parametrize("theta", [0.6, 1.0, math.pi / 2])

@@ -49,7 +49,8 @@ SEEDS = (1, 2)
 # are one slot wide and that item's ratings span many rows.  A 10x5 users
 # file and its feature gauge (features scaled by 0.5, 1, 2, 1, 3 under the
 # same --alpha, which is the same game) run one verify above the threshold,
-# and a threshold at q = 1.5 runs on emb.csv scaled by 1e150.
+# and a profit and a verify at q = 1 and at q = inf each, and a threshold at
+# q = 1.5 runs on emb.csv scaled by 1e150.
 SURFACE = [
     ["nsw", "--users", "basis2", "--q", "1"],
     ["nsw", "--users", "orthonormal:3", "--q", "3", "--alpha", "1,2,0.5"],
@@ -93,6 +94,13 @@ SURFACE = [
     ["verify", "--users", "emb5.csv", "--variant", "onepop", "--beta", "12", "--grid", "20x20"],
     ["verify", "--users", "emb5_gauge.csv", "--alpha", "0.5,1,2,1,3", "--variant", "onepop",
      "--beta", "12", "--grid", "20x20"],
+    *([*argv, "--q", q, *users]
+      for q in ("1", "inf")
+      for argv in (["profit", "--variant", "onepop", "--beta", "12"],
+                   ["verify", "--variant", "onepop", "--beta", "12", "--samples", "2000",
+                    "--grid", "20x20"])
+      for users in (["--users", "emb5.csv"],
+                    ["--users", "emb5_gauge.csv", "--alpha", "0.5,1,2,1,3"])),
     ["threshold", "--users", "emb_1e150.csv", "--q", "1.5"],
     ["profit", "--users", "basis2", "--variant", "finitep", "--producers", "3"],
     ["profit", "--users", "emb.csv", "--variant", "onepop", "--beta", "3", "--q", "inf",
