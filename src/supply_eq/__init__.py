@@ -10,15 +10,12 @@ from .closedform import (
 )
 from .geometry import (
     CostSpec,
-    TwoUserPlane,
     UserSet,
-    angle_between,
     angle_pair,
     basis_pair,
     cost,
     dual_norm,
     orthonormal_users,
-    two_user_plane,
     weighted_norm,
 )
 from .ingest import (

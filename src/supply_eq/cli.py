@@ -41,7 +41,6 @@ from .geometry import (
     angle_pair,
     basis_pair,
     orthonormal_users,
-    two_user_plane,
 )
 from .ingest import (
     InputDataError,
@@ -388,18 +387,15 @@ def _build_dist(ns, users, spec, n_users=None):
         if ns.variant == "infinite":
             raise ValueError("the infinite variant needs --users or --theta")
         users = basis_pair()
-    if users.n_users != 2:
-        raise ValueError("this variant takes exactly two users")
-    plane = two_user_plane(*users.embeddings)
     if ns.variant == "p2":
         if producers != 2:
             raise ValueError("the p2 variant fixes producers = 2")
-        return QuarterCircle(spec.beta, plane), True
+        return QuarterCircle(spec.beta, users), True
     if ns.variant == "finitep":
         if spec.beta != 2.0:
             raise ValueError("the finitep variant fixes beta = 2")
-        return FinitePCurve(producers, plane), True
-    return InfiniteTwoGenre(plane, spec.beta), True
+        return FinitePCurve(producers, users), True
+    return InfiniteTwoGenre(users, spec.beta), True
 
 
 def _cmd_nsw(ns) -> int:
@@ -450,6 +446,8 @@ def _cmd_eq(ns) -> int:
         raise ValueError("--theta sets a two-user angle; onepop takes --users or --n-users")
     if ns.n_users is not None and ns.variant != "onepop":
         raise ValueError("--n-users applies to --variant onepop only")
+    if ns.n_users is not None and ns.users is not None:
+        raise ValueError("--n-users and --users both give the users; pass one of them")
     if ns.producers is not None and ns.variant == "infinite":
         raise ValueError("--producers does not apply to --variant infinite, the "
                          "infinite-producer limit")

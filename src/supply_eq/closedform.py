@@ -28,9 +28,11 @@ against also state the best-response sweep directions ``deviation_dirs``
 and each user's exact value CDF ``value_cdf``.  The module functions below
 dispatch to them.
 
-Each family is built by its own class from what fixes it; ``QuarterCircle``
-and ``FinitePCurve`` default to the plane of the two basis vectors, and
-``InfiniteTwoGenre`` derives its genre angle and band constants.
+Each family is built by its own class from what fixes it.  The three
+planar families take their two users (``QuarterCircle`` and ``FinitePCurve``
+default to the two basis vectors) and build the plane those users span with
+the one builder ``_two_user_plane``; ``InfiniteTwoGenre`` derives its genre
+angle and band constants from that plane.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CostSpec, TwoUserPlane, UserSet, dual_point, two_user_plane, weighted_norm
+from .geometry import CostSpec, UserSet, basis_pair, dual_point, weighted_norm
 from .threshold import beta_star_two_user
 
 __all__ = [
@@ -60,17 +62,43 @@ _DEGENERATE_C2 = 1e-12
 _NOT_PLANE_USERS = "users must be the two users of the family's plane"
 
 
-def _canonical_plane() -> TwoUserPlane:
-    return two_user_plane(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
-
 def _check(ok, msg):
     if not ok:
         raise ValueError(msg)
 
 
+@dataclass(frozen=True)
+class _Plane:
+    """Orthonormal frame of the span of two users: basis[0] points along u1,
+    and u2's direction sits at in-plane angle theta_star from it."""
+
+    theta_star: float
+    basis: np.ndarray
+
+    def direction(self, theta):
+        """Ambient unit vector(s) at in-plane angle(s) ``theta`` from the u1 axis."""
+        t = np.asarray(theta, dtype=float)
+        return np.stack([np.cos(t), np.sin(t)], axis=-1) @ self.basis
+
+
+def _two_user_plane(users: UserSet) -> _Plane:
+    """The plane of two linearly independent users, whose rows UserSet has
+    already checked.  Gram-Schmidt runs twice, so the basis is orthonormal to
+    rounding however near parallel the users are, and theta_star is read off
+    that frame as atan2(|r|, <u2, b1>), r the part of u2 orthogonal to b1."""
+    _check(users.n_users == 2, "the planar families take exactly two users")
+    u1, u2 = users.embeddings
+    b1 = u1 / np.linalg.norm(u1)
+    along = float(u2 @ b1)
+    r = u2 - along * b1
+    r -= (r @ b1) * b1
+    rn = float(np.linalg.norm(r))
+    _check(rn > 1e-12 * np.linalg.norm(u2), "the two users are linearly dependent")
+    return _Plane(math.atan2(rn, along), np.stack([b1, r / rn]))
+
+
 class _PlanarFamily:
-    """A family laid out in a two-user plane; deviations sweep its angles."""
+    """A family laid out in the plane of its two users; deviations sweep its angles."""
 
     def deviation_dirs(self, n_angles: int, users: UserSet, spec: CostSpec, seed) -> np.ndarray:
         angles = np.linspace(0.0, self.plane.theta_star, n_angles)
@@ -185,13 +213,15 @@ class QuarterCircle(_PlanarFamily):
     """
 
     beta: float
-    plane: TwoUserPlane = field(default_factory=_canonical_plane)
+    users: UserSet = field(default_factory=basis_pair)
+    plane: _Plane = field(init=False)
 
     genres = "continuum"
     cdf_axis = "angle"
     cdf_max = math.pi / 2
 
     def __post_init__(self):
+        object.__setattr__(self, "plane", _two_user_plane(self.users))
         if not self.beta >= 2.0:
             raise ValueError("beta must be >= 2 for the quarter-circle equilibrium")
         if abs(self.plane.theta_star - math.pi / 2) > 1e-12:
@@ -233,7 +263,8 @@ class FinitePCurve(_PlanarFamily):
     """
 
     producers: int
-    plane: TwoUserPlane = field(default_factory=_canonical_plane)
+    users: UserSet = field(default_factory=basis_pair)
+    plane: _Plane = field(init=False)
 
     beta = 2.0
     genres = "continuum"
@@ -241,6 +272,7 @@ class FinitePCurve(_PlanarFamily):
     cdf_max = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "plane", _two_user_plane(self.users))
         if self.producers < 2:
             raise ValueError("producers must be >= 2")
         if abs(self.plane.theta_star - math.pi / 2) > 1e-12:
@@ -279,11 +311,12 @@ class InfiniteTwoGenre(_PlanarFamily):
     winning-producer quality CDF alternates between power pieces
     c1^(-2) c2^(-2n beta) q^(2 beta) and flats, on geometric bands with ratio
     c2; support gaps are where the CDF is flat.  theta_g, c1 and c2 are
-    derived from the plane and a beta above its two-user threshold.
+    derived from the users' plane and a beta above its two-user threshold.
     """
 
-    plane: TwoUserPlane
+    users: UserSet
     beta: float
+    plane: _Plane = field(init=False)
     theta_g: float = field(init=False)
     c1: float = field(init=False)
     c2: float = field(init=False)
@@ -292,6 +325,7 @@ class InfiniteTwoGenre(_PlanarFamily):
     cdf_axis = "quality"
 
     def __post_init__(self):
+        object.__setattr__(self, "plane", _two_user_plane(self.users))
         theta_star = self.plane.theta_star
         if self.beta <= beta_star_two_user(theta_star):
             raise ValueError("beta must exceed 2/(1 - cos theta_star) for two genres")

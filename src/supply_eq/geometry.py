@@ -5,10 +5,11 @@ Users and content vectors live in the nonnegative orthant of R^D.  A
 
     cost(p) = ||p||_q ** beta,   q in [1, inf],  beta >= 1,
 
-whose unit ball, dual norm, and two-user plane drive everything else in
-this package.  The ball's kernels are here, once each: the norm, its dual
-norm and the dual point (the best unit-cost content for a value vector).
-Content vectors are plain 1-D float arrays.
+whose unit ball and dual norm drive everything else in this package.  The
+ball's kernels are here, once each: the norm, its dual norm and the dual
+point (the best unit-cost content for a value vector).  Content vectors are
+plain 1-D float arrays.  The plane two users span belongs to the planar
+equilibrium families in ``closedform``, which build it from their users.
 
 Feature weights alpha > 0 are a change of coordinates, not a cost family of
 their own: the cost ||alpha * p||_q ** beta with users u is the same game as
@@ -27,26 +28,14 @@ import numpy as np
 __all__ = [
     "CostSpec",
     "UserSet",
-    "TwoUserPlane",
     "weighted_norm",
     "cost",
     "dual_norm",
     "dual_point",
-    "angle_between",
-    "two_user_plane",
     "basis_pair",
     "angle_pair",
     "orthonormal_users",
 ]
-
-
-def _as_vector(x, name="vector"):
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} has non-finite entries")
-    return a
 
 
 @dataclass(frozen=True)
@@ -198,70 +187,3 @@ def dual_point(v, spec):
     v = np.asarray(v, dtype=float)
     x = (v / v.max(axis=-1, keepdims=True)) ** (1.0 / (spec.q - 1.0))
     return x / _norms(x, spec.q)[..., None]
-
-
-def angle_between(u1, u2):
-    """Euclidean angle between two nonzero vectors."""
-    u1 = _as_vector(u1, "u1")
-    u2 = _as_vector(u2, "u2")
-    n1 = float(np.linalg.norm(u1))
-    n2 = float(np.linalg.norm(u2))
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("angle_between requires nonzero vectors")
-    c = float(u1 @ u2) / (n1 * n2)
-    return math.acos(min(1.0, max(-1.0, c)))
-
-
-@dataclass(frozen=True)
-class TwoUserPlane:
-    """Orthonormal frame for the span of two users.
-
-    basis[0] points along u1; in-plane angles are measured from it toward u2,
-    so u2's direction sits at in-plane angle theta_star.
-    """
-
-    theta_star: float
-    basis: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=float)
-        if b.shape[0] != 2:
-            raise ValueError("basis must have two rows")
-        gram = b @ b.T
-        if not np.allclose(gram, np.eye(2), atol=1e-12):
-            raise ValueError("basis rows must be orthonormal")
-        if not 0.0 < self.theta_star <= math.pi / 2:
-            raise ValueError("theta_star must lie in (0, pi/2]")
-        object.__setattr__(self, "basis", b)
-
-    @property
-    def dim(self):
-        return self.basis.shape[1]
-
-    def embed(self, xy):
-        """Map in-plane coordinates (..., 2) to ambient (..., D)."""
-        return np.asarray(xy, dtype=float) @ self.basis
-
-    def direction(self, theta):
-        """Ambient unit vector(s) at in-plane angle(s) ``theta`` from the u1 axis."""
-        t = np.asarray(theta, dtype=float)
-        return self.embed(np.stack([np.cos(t), np.sin(t)], axis=-1))
-
-
-def two_user_plane(u1, u2):
-    """Build the TwoUserPlane spanned by two independent nonnegative users."""
-    u1 = _as_vector(u1, "u1")
-    u2 = _as_vector(u2, "u2")
-    if np.any(u1 < 0) or np.any(u2 < 0):
-        raise ValueError("user vectors must be nonnegative")
-    n1 = float(np.linalg.norm(u1))
-    n2 = float(np.linalg.norm(u2))
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("user vectors must be nonzero")
-    b1 = u1 / n1
-    resid = u2 - (u2 @ b1) * b1
-    rn = float(np.linalg.norm(resid))
-    if rn <= 1e-12 * n2:
-        raise ValueError("user vectors are linearly dependent")
-    b2 = resid / rn
-    return TwoUserPlane(theta_star=angle_between(u1, u2), basis=np.stack([b1, b2]))

@@ -205,6 +205,8 @@ def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
+    if min(grid) < 1:
+        raise ValueError(f"grid needs at least 1 angle and 1 radius, got {grid}")
     eq_profit = dist.profit(users.n_users, spec)
 
     n_angles, n_radii = grid

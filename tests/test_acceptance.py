@@ -25,7 +25,6 @@ from supply_eq.geometry import (
     angle_pair,
     basis_pair,
     orthonormal_users,
-    two_user_plane,
 )
 from supply_eq.ingest import NmfConfig, RatingsTable, nmf_factorize
 from supply_eq.optimize import nsw_direction
@@ -136,10 +135,7 @@ def test_criterion_06_finite_p_curve_laws():
 def test_criterion_07_infinite_two_genre_cdf():
     checks = {}
     for theta_star, beta in ((math.pi / 3, 7.0), (1.2, 7.0), (math.pi / 2.5, 5.0)):
-        plane = two_user_plane(
-            np.array([1.0, 0.0]), np.array([math.cos(theta_star), math.sin(theta_star)])
-        )
-        dist = InfiniteTwoGenre(plane, beta)
+        dist = InfiniteTwoGenre(angle_pair(theta_star), beta)
         tag = f"t{theta_star:.2f}_b{beta:g}"
 
         edges = dist.support_max * dist.c2 ** np.arange(1, 12)
@@ -159,9 +155,7 @@ def test_criterion_07_infinite_two_genre_cdf():
         )
         checks[f"foc_{tag}"] = abs(slope) < 1e-10
 
-    orth = InfiniteTwoGenre(
-        two_user_plane(np.array([1.0, 0.0]), np.array([0.0, 1.0])), 7.0
-    )
+    orth = InfiniteTwoGenre(basis_pair(), 7.0)
     qs = np.linspace(0.0, orth.support_max, 1000)
     worst = np.abs(orth.cdf(qs) - qs**14.0).max()
     checks["orthogonal_limit"] = worst <= 1e-12

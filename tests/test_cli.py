@@ -21,7 +21,7 @@ from supply_eq.closedform import (
     QuarterCircle,
     eq_sample,
 )
-from supply_eq.geometry import angle_pair, two_user_plane
+from supply_eq.geometry import angle_pair
 from supply_eq.optimize import OptResult
 from supply_eq.threshold import ConditionProbe, ThresholdReport
 
@@ -179,7 +179,7 @@ def test_eq_infinite_at_large_beta(capsys):
     assert cdf[0, 1] == 0.0 and cdf[-1, 1] == 1.0 and np.all(np.diff(cdf[:, 1]) >= 0.0)
     # theta_g = 0 here, so one genre lies on the f0 axis: each row is a
     # positive multiple, up to support_max, of one of the two genres.
-    dist = InfiniteTwoGenre(two_user_plane(*angle_pair(1.0).embeddings), 5000.0)
+    dist = InfiniteTwoGenre(angle_pair(1.0), 5000.0)
     dirs = dist.genre_directions()
     assert np.all(np.isfinite(pts))
     for pt in pts:
@@ -478,6 +478,9 @@ def test_exit_usage_below_threshold_infinite(capsys):
     (["--variant", "p2", "--beta", "4", "--samples-out", "x.csv"], "--samples-out"),
     (["--variant", "onepop", "--alpha", "1,1,1"], "--alpha gives 3 weights, but the users "
      "have dimension 2"),
+    # The population size would not be the users' own count.
+    (["--variant", "onepop", "--users", "orthonormal:3", "--n-users", "5"],
+     "--n-users and --users both give the users; pass one of them"),
 ])
 def test_exit_usage_eq_option_the_variant_ignores(capsys, argv, option):
     assert run(["eq", *argv, "--cdf-grid", "2"]) == 2
@@ -743,6 +746,54 @@ def test_exit_usage_planar_variant_weighted(capsys):
     assert run(argv) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eq", "--variant", "infinite", "--beta", "8", "--cdf-grid", "2"],
+     "the infinite variant needs --users or --theta"),
+    (["profit", "--users", "basis2", "--variant", "p2", "--beta", "4", "--producers", "3"],
+     "the p2 variant fixes producers = 2"),
+    (["profit", "--users", "basis2", "--variant", "finitep", "--beta", "3"],
+     "the finitep variant fixes beta = 2"),
+    (["verify", "--users", "basis2", "--variant", "p2", "--beta", "4", "--grid", "20"],
+     "grid must look like 200x200, got '20'"),
+])
+def test_exit_usage_planar_variant_rules(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_planar_variants_take_two_users_from_a_file(capsys, tmp_path):
+    # The library's families count the users; the command line passes them on.
+    three = _users_csv(tmp_path / "three.csv", np.eye(3))
+    for variant in ("p2", "finitep", "infinite"):
+        assert run(["eq", "--variant", variant, "--users", three, "--beta", "2",
+                    "--cdf-grid", "3"]) == 2
+        assert capsys.readouterr().err == "error: the planar families take exactly two users\n"
+    pair = _users_csv(tmp_path / "pair.csv", np.array([[0.6, 0, 0.8, 0], [0, 1.5, 0, 0]]))
+    code, rep = run_json(capsys, ["verify", "--users", pair, "--variant", "p2", "--beta", "4",
+                                  "--samples", "1000", "--grid", "20x20"])
+    assert code == 0
+    assert rep["eq_profit"] == 0.5
+    assert rep["best_response_gap"] <= 1e-12
+    assert np.abs(rep["support_profit_range"]).max() <= 1e-12
+
+
+def test_eq_infinite_on_near_parallel_users(capsys, tmp_path):
+    # theta* = 5.0e-5, so beta* = 2 / (1 - cos theta*) = 1.6e9.  A RuntimeWarning
+    # fails the test.
+    near = _users_csv(tmp_path / "near.csv", np.array([[1.0, 1.0, 0.3], [1.0, 1.0001, 0.3]]))
+    argv = ["eq", "--variant", "infinite", "--users", near, "--beta", "2e9", "--cdf-grid", "3",
+            "--n", "2"]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == "quality,cdf" and lines[3].endswith(",1") and lines[4] == "f0,f1,f2"
+    pts = np.array([line.split(",") for line in lines[5:]], dtype=float)
+    assert pts.shape == (2, 3) and np.all(pts > 0)
+
+
 def test_exit_input_on_negative_rating(capsys, tmp_path):
     ratings = tmp_path / "r.csv"
     ratings.write_text("user_id,item_id,rating\nu,m,-1.0\n")
@@ -890,6 +941,14 @@ def test_render_json_shapes():
     )
     rep = json.loads(text)
     assert rep == {"a": [1.0, "inf"], "b": None, "c": True, "d": "s", "e": 3}
+
+
+def test_render_json_empty_nan_and_unknown_types():
+    assert cli.render_json({}) == "{}\n"
+    assert json.loads(cli.render_json({"a": {}, "b": math.nan, "c": -math.inf})) == {
+        "a": {}, "b": "nan", "c": "-inf"}
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        cli.render_json({"a": object()})
 
 
 def test_repeated_runs_in_one_process_repeat_every_byte(capsys, tmp_path, monkeypatch):

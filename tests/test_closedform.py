@@ -6,6 +6,7 @@ analytic CDFs under test never touch scipy.
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,17 +20,16 @@ from supply_eq.closedform import (
     OnePopulation,
     QuarterCircle,
     _genre_slope,
+    _two_user_plane,
     eq_sample,
     eq_sample_blocks,
 )
 from supply_eq.geometry import (
     CostSpec,
     UserSet,
-    angle_between,
     angle_pair,
     dual_norm,
     dual_point,
-    two_user_plane,
     weighted_norm,
 )
 from supply_eq.threshold import beta_star_two_user
@@ -39,10 +39,6 @@ INFINITE_CASES = [
     (1.2, 7.0, 0.0021800236927420934),
     (math.pi / 2.5, 5.0, 0.009727302331289635),
 ]
-
-
-def _plane(theta):
-    return two_user_plane(*angle_pair(theta).embeddings)
 
 
 @pytest.mark.parametrize("n,beta,producers", [(1, 2.0, 2), (4, 3.0, 5), (2, 7.0, 2)])
@@ -129,9 +125,68 @@ def test_quarter_circle_angle_cdf_values():
 
 def test_quarter_circle_requires_orthogonal_plane():
     with pytest.raises(ValueError):
-        QuarterCircle(beta=4.0, plane=_plane(math.pi / 3))
+        QuarterCircle(beta=4.0, users=angle_pair(math.pi / 3))
     with pytest.raises(ValueError):
-        QuarterCircle(beta=1.5, plane=_plane(math.pi / 2))
+        QuarterCircle(beta=1.5, users=angle_pair(math.pi / 2))
+
+
+def test_finite_p_validation():
+    with pytest.raises(ValueError, match="producers must be >= 2"):
+        FinitePCurve(1)
+    with pytest.raises(ValueError, match="requires orthogonal users"):
+        FinitePCurve(3, users=angle_pair(1.0))
+
+
+def test_two_user_plane_roundtrip():
+    u1 = np.array([1.0, 0.0, 0.0])
+    u2 = np.array([0.6, 0.8, 0.0])
+    plane = _two_user_plane(UserSet(np.stack([u1, u2])))
+    assert plane.theta_star == pytest.approx(math.acos(0.6), abs=1e-12)
+    b = plane.basis
+    assert np.allclose(b @ b.T, np.eye(2), atol=1e-12)
+    # In-plane angle 0 is u1's direction; theta_star lands on u2's.
+    assert np.allclose(plane.direction(0.0), u1, atol=1e-12)
+    assert np.allclose(plane.direction(plane.theta_star), u2, atol=1e-12)
+    assert plane.direction(np.zeros((4, 2))).shape == (4, 2, 3)
+
+
+def test_two_user_plane_rejects_dependence():
+    # Every planar family builds its plane from its users, so each refuses
+    # other than two users, and two users on one ray.
+    for make in (lambda users: QuarterCircle(4.0, users), lambda users: FinitePCurve(3, users),
+                 lambda users: InfiniteTwoGenre(users, 8.0)):
+        for rows in (np.eye(3), np.array([[1.0, 0.0]])):
+            with pytest.raises(ValueError, match="exactly two users"):
+                make(UserSet(rows))
+        with pytest.raises(ValueError, match="linearly dependent"):
+            make(UserSet(np.array([[1.0, 1.0], [2.0, 2.0]])))
+
+
+def _exact_angle(u1, u2):
+    """The angle between two float vectors, from the exact rational Gram
+    entries: tan = sqrt(|u1|^2 |u2|^2 - <u1, u2>^2) / <u1, u2>."""
+    a, b = [Fraction(x) for x in u1], [Fraction(x) for x in u2]
+    dot = sum(x * y for x, y in zip(a, b))
+    cross2 = sum(x * x for x in a) * sum(y * y for y in b) - dot * dot
+    return math.atan2(math.sqrt(cross2), float(dot))
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-4, 1e-6, 1e-9, 1e-11])
+def test_two_user_plane_near_parallel(eps):
+    # A single Gram-Schmidt pass leaves the second basis row off orthogonal by
+    # about ulp / eps; the second pass brings it back to rounding.
+    users = UserSet(np.array([[1.0, 1.0, 0.3], [1.0, 1.0 + eps, 0.3]]))
+    plane = _two_user_plane(users)
+    b = plane.basis
+    assert np.abs(b @ b.T - np.eye(2)).max() <= 1e-15
+    if eps >= 1e-4:
+        exact = _exact_angle(*users.embeddings)
+        assert plane.theta_star == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("theta", [1e-7, 1e-3, 0.3, 1.0])
+def test_two_user_plane_reads_angle_pair_exactly(theta):
+    assert _two_user_plane(angle_pair(theta)).theta_star == theta
 
 
 @pytest.mark.parametrize("producers", [2, 3, 4])
@@ -169,13 +224,13 @@ def test_finite_p_beta_fixed():
 
 @pytest.mark.parametrize("theta_star,beta,theta_g", INFINITE_CASES)
 def test_infinite_genre_angle_frozen(theta_star, beta, theta_g):
-    dist = InfiniteTwoGenre(_plane(theta_star), beta)
+    dist = InfiniteTwoGenre(angle_pair(theta_star), beta)
     assert dist.theta_g == pytest.approx(theta_g, abs=1e-8)
 
 
 @pytest.mark.parametrize("theta_star,beta,_", INFINITE_CASES)
 def test_infinite_genre_angle_grid_oracle(theta_star, beta, _):
-    dist = InfiniteTwoGenre(_plane(theta_star), beta)
+    dist = InfiniteTwoGenre(angle_pair(theta_star), beta)
     grid = np.linspace(0.0, theta_star / 2, 1000001)
     vals = np.cos(grid) ** beta + np.cos(theta_star - grid) ** beta
     assert dist.theta_g == pytest.approx(float(grid[np.argmax(vals)]), abs=2e-6)
@@ -183,7 +238,7 @@ def test_infinite_genre_angle_grid_oracle(theta_star, beta, _):
 
 @pytest.mark.parametrize("theta_star,beta,_", INFINITE_CASES)
 def test_infinite_genre_foc_residual(theta_star, beta, _):
-    dist = InfiniteTwoGenre(_plane(theta_star), beta)
+    dist = InfiniteTwoGenre(angle_pair(theta_star), beta)
     t = dist.theta_g
     slope = beta * (
         math.cos(theta_star - t) ** (beta - 1) * math.sin(theta_star - t)
@@ -197,7 +252,7 @@ def test_infinite_genre_angle_brackets_the_slope_root(ratio):
     # The genre angle sits on the slope's sign change, to within 1e-7, or at 0.
     for theta_star in np.linspace(0.01, math.pi / 2 - 1e-3, 60).tolist():
         beta = ratio * beta_star_two_user(theta_star)
-        t = InfiniteTwoGenre(_plane(theta_star), beta).theta_g
+        t = InfiniteTwoGenre(angle_pair(theta_star), beta).theta_g
         if t != 0.0:
             assert _genre_slope(theta_star, beta, t - 1e-7) > 0.0, theta_star
             assert _genre_slope(theta_star, beta, t + 1e-7) < 0.0, theta_star
@@ -205,7 +260,7 @@ def test_infinite_genre_angle_brackets_the_slope_root(ratio):
 
 @pytest.mark.parametrize("theta_star,beta,_", INFINITE_CASES)
 def test_infinite_band_continuity(theta_star, beta, _):
-    dist = InfiniteTwoGenre(_plane(theta_star), beta)
+    dist = InfiniteTwoGenre(angle_pair(theta_star), beta)
     edges = dist.support_max * dist.c2 ** np.arange(1, 12)
     jump = np.abs(dist.cdf(edges) - dist.cdf(np.nextafter(edges, 0.0)))
     assert jump.max() <= 1e-12
@@ -213,14 +268,14 @@ def test_infinite_band_continuity(theta_star, beta, _):
 
 @pytest.mark.parametrize("theta_star,beta,_", INFINITE_CASES)
 def test_infinite_product_identity(theta_star, beta, _):
-    dist = InfiniteTwoGenre(_plane(theta_star), beta)
+    dist = InfiniteTwoGenre(angle_pair(theta_star), beta)
     qs = np.linspace(dist.support_max * dist.c2**6, dist.support_max, 1000)
     lhs = np.sqrt(dist.cdf(qs) * dist.cdf(qs * dist.c2))
     assert lhs == pytest.approx(dist.c2**beta * qs**beta / dist.c1, abs=1e-9)
 
 
 def test_infinite_orthogonal_limit_exact():
-    dist = InfiniteTwoGenre(_plane(math.pi / 2), 7.0)
+    dist = InfiniteTwoGenre(angle_pair(math.pi / 2), 7.0)
     assert dist.theta_g == 0.0
     assert dist.c1 == 1.0
     qs = np.linspace(0.0, 1.0, 1000)
@@ -230,21 +285,26 @@ def test_infinite_orthogonal_limit_exact():
 def test_infinite_requires_beta_above_threshold():
     theta = math.pi / 3
     with pytest.raises(ValueError):
-        InfiniteTwoGenre(_plane(theta), beta_star_two_user(theta))
+        InfiniteTwoGenre(angle_pair(theta), beta_star_two_user(theta))
+
+
+def test_infinite_has_no_per_producer_profit():
+    with pytest.raises(ValueError, match="not defined in the infinite-producer limit"):
+        InfiniteTwoGenre(angle_pair(1.0), 8.0).profit(2, CostSpec(beta=8.0))
 
 
 def test_infinite_genre_directions():
-    dist = InfiniteTwoGenre(_plane(math.pi / 3), 7.0)
+    dist = InfiniteTwoGenre(angle_pair(math.pi / 3), 7.0)
     dirs = dist.genre_directions()
     assert dirs.shape == (2, 2)
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
-    assert angle_between(dirs[0], dirs[1]) == pytest.approx(
+    assert math.acos(dirs[0] @ dirs[1]) == pytest.approx(
         math.pi / 3 - 2 * dist.theta_g, abs=1e-10
     )
 
 
 def test_infinite_sampler_two_genres_and_law():
-    dist = InfiniteTwoGenre(_plane(1.2), 7.0)
+    dist = InfiniteTwoGenre(angle_pair(1.2), 7.0)
     pts = eq_sample(dist, 20000, seed=5)
     angles = np.round(np.arctan2(pts[:, 1], pts[:, 0]), 9)
     assert len(np.unique(angles)) == 2
@@ -255,7 +315,7 @@ def test_infinite_sampler_two_genres_and_law():
 
 @pytest.mark.parametrize("theta_star, beta", [(math.pi / 3, 7.0), (1.0, 5000.0)])
 def test_infinite_points_split_the_genres_at_one_half_bitwise(theta_star, beta):
-    dist = InfiniteTwoGenre(_plane(theta_star), beta)
+    dist = InfiniteTwoGenre(angle_pair(theta_star), beta)
     top, mid, low = dist._quantile(np.array([1.0, 0.5, 2.0**-52]))
     lo, hi = dist.genre_directions()
     assert np.array_equal(dist.points(np.array([0.25, 0.75])), [mid * lo, mid * hi])
@@ -266,7 +326,7 @@ def test_infinite_points_split_the_genres_at_one_half_bitwise(theta_star, beta):
 
 def test_infinite_sampler_avoids_flat_bands():
     # Flat (odd) bands carry no mass; every draw must land on a power piece.
-    dist = InfiniteTwoGenre(_plane(math.pi / 3), 7.0)
+    dist = InfiniteTwoGenre(angle_pair(math.pi / 3), 7.0)
     quality = np.linalg.norm(eq_sample(dist, 20000, seed=6), axis=1)
     k = np.floor(np.log(quality / dist.support_max) / math.log(dist.c2)).astype(int)
     assert np.all(k % 2 == 0)
@@ -279,7 +339,7 @@ def test_infinite_sampler_avoids_flat_bands():
 )
 def test_infinite_cdf_monotone_property(theta_star, beta_factor):
     beta = beta_factor * beta_star_two_user(theta_star) + 0.1
-    dist = InfiniteTwoGenre(_plane(theta_star), beta)
+    dist = InfiniteTwoGenre(angle_pair(theta_star), beta)
     qs = np.linspace(0.0, dist.support_max * 1.1, 300)
     fs = dist.cdf(qs)
     assert np.all(np.diff(fs) >= -1e-15)
@@ -305,11 +365,11 @@ def _reference_sample(dist, n, seed):
         return np.outer(r, dist.direction)
     if isinstance(dist, QuarterCircle):
         u = rng.random(n)
-        return dist.plane.embed(dist.radius * np.stack([np.sqrt(1.0 - u), np.sqrt(u)], axis=1))
+        return dist.radius * np.stack([np.sqrt(1.0 - u), np.sqrt(u)], axis=1) @ dist.plane.basis
     if isinstance(dist, FinitePCurve):
         u = rng.random(n)
         e = 0.5 * (dist.producers - 1)
-        return dist.plane.embed(np.stack([u**e, (1.0 - u) ** e], axis=1))
+        return np.stack([u**e, (1.0 - u) ** e], axis=1) @ dist.plane.basis
     # The top half of u picks the genre; the quality's quantile is 1 - (2u - g).
     u = rng.random(n)
     g = np.where(u < 0.5, 0, 1)
@@ -317,18 +377,18 @@ def _reference_sample(dist, n, seed):
 
 
 _S = 2.0**-0.5
-PLANE_4D = two_user_plane(np.array([_S, _S, 0.0, 0.0]), np.array([0.0, 0.0, _S, _S]))
-PLANE_4D_60 = two_user_plane(np.array([_S, _S, 0.0, 0.0]), np.array([_S, 0.0, _S, 0.0]))
+USERS_4D = UserSet(np.array([[_S, _S, 0.0, 0.0], [0.0, 0.0, _S, _S]]))
+USERS_4D_60 = UserSet(np.array([[_S, _S, 0.0, 0.0], [_S, 0.0, _S, 0.0]]))
 BLOCK_DISTS = {
     "onepop-2d": OnePopulation(np.array([0.6, 0.8]), 3, 2.5, 3),
     "onepop-5d": OnePopulation(np.array([0.1, 0.2, 0.3, 0.4, 0.5]) / math.sqrt(0.55), 30, 3.0, 2),
     "p2-2d": QuarterCircle(4.0),
-    "p2-4d": QuarterCircle(beta=3.0, plane=PLANE_4D),
+    "p2-4d": QuarterCircle(beta=3.0, users=USERS_4D),
     "finitep-2d": FinitePCurve(4),
-    "finitep-4d": FinitePCurve(producers=3, plane=PLANE_4D),
-    "infinite-2d": InfiniteTwoGenre(_plane(1.0), 8.0),
-    "infinite-orthogonal": InfiniteTwoGenre(_plane(math.pi / 2), 5.0),
-    "infinite-4d": InfiniteTwoGenre(PLANE_4D_60, 6.0),
+    "finitep-4d": FinitePCurve(producers=3, users=USERS_4D),
+    "infinite-2d": InfiniteTwoGenre(angle_pair(1.0), 8.0),
+    "infinite-orthogonal": InfiniteTwoGenre(angle_pair(math.pi / 2), 5.0),
+    "infinite-4d": InfiniteTwoGenre(USERS_4D_60, 6.0),
 }
 
 
@@ -391,7 +451,7 @@ def test_onepop_deviation_dirs_beyond_the_plane(n_angles, expected):
 @pytest.mark.parametrize("dist, users", [
     (QuarterCircle(4.0), UserSet(np.eye(2))),
     (FinitePCurve(3), UserSet(np.eye(2))),
-    (FinitePCurve(producers=4, plane=PLANE_4D), UserSet(np.array([[_S, _S, 0, 0], [0, 0, _S, _S]]))),
+    (FinitePCurve(producers=4, users=USERS_4D), USERS_4D),
 ], ids=["p2", "finitep", "finitep-4d"])
 def test_planar_value_cdf_is_the_coordinate_law(dist, users):
     # Value of user i is |u_i| times in-plane coordinate i; the coordinate CDFs
@@ -416,8 +476,8 @@ CDF_DISTS = {
     "onepop": OnePopulation(np.array([1.0, 0.0]), n_users=5, beta=2.5, producers=4),
     "p2": QuarterCircle(4.0),
     "finitep": FinitePCurve(4),
-    "infinite": InfiniteTwoGenre(_plane(math.pi / 3), 7.0),
-    "infinite-orthogonal": InfiniteTwoGenre(_plane(math.pi / 2), 7.0),
+    "infinite": InfiniteTwoGenre(angle_pair(math.pi / 3), 7.0),
+    "infinite-orthogonal": InfiniteTwoGenre(angle_pair(math.pi / 2), 7.0),
 }
 
 

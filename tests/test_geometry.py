@@ -1,4 +1,4 @@
-"""Geometry layer: norms, duals, cost specs and two-user planes."""
+"""Geometry layer: norms, duals, cost specs and user sets."""
 
 import math
 
@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from supply_eq.geometry import (
     CostSpec,
     UserSet,
-    angle_between,
     angle_pair,
     basis_pair,
     cost,
     dual_norm,
     dual_point,
     orthonormal_users,
-    two_user_plane,
     weighted_norm,
 )
 
@@ -199,7 +197,7 @@ def test_cost_spec_validation():
 def test_builders():
     assert np.all(basis_pair().embeddings == np.eye(2))
     pair = angle_pair(math.pi / 3).embeddings
-    assert angle_between(pair[0], pair[1]) == pytest.approx(math.pi / 3, abs=1e-12)
+    assert math.acos(pair[0] @ pair[1]) == pytest.approx(math.pi / 3, abs=1e-12)
     us = orthonormal_users(4)
     assert us.embeddings.shape == (4, 4)
     assert np.allclose(us.embeddings @ us.embeddings.T, np.eye(4))
@@ -210,24 +208,3 @@ def test_angle_pair_zero_is_homogeneous_pair():
     assert np.all(pair[0] == pair[1])
     with pytest.raises(ValueError):
         angle_pair(2.0)
-
-
-def test_two_user_plane_roundtrip():
-    u1 = np.array([1.0, 0.0, 0.0])
-    u2 = np.array([0.6, 0.8, 0.0])
-    plane = two_user_plane(u1, u2)
-    assert plane.theta_star == pytest.approx(math.acos(0.6), abs=1e-12)
-    b = plane.basis
-    assert np.allclose(b @ b.T, np.eye(2), atol=1e-12)
-    # In-plane angle 0 is u1's direction; theta_star lands on u2's.
-    assert np.allclose(plane.direction(0.0), u1, atol=1e-12)
-    assert np.allclose(plane.direction(plane.theta_star), u2, atol=1e-12)
-    xy = np.array([[0.2, 0.5], [1.0, 0.0]])
-    amb = plane.embed(xy)
-    assert amb.shape == (2, 3)
-    assert np.allclose(amb @ b.T, xy, atol=1e-12)
-
-
-def test_two_user_plane_rejects_dependence():
-    with pytest.raises(ValueError):
-        two_user_plane(np.array([1.0, 1.0]), np.array([2.0, 2.0]))

@@ -118,6 +118,40 @@ def test_simplex_logsum_early_accept():
     assert res.value >= 0.5
 
 
+@pytest.mark.parametrize("y, message", [
+    (np.ones(3), "2-D"),
+    (np.array([[1.0, -1.0]]), "nonnegative and finite"),
+    (np.array([[1.0, np.inf]]), "nonnegative and finite"),
+    (np.array([[1.0, 0.0], [2.0, 0.0]]), "column with no positive entry"),
+])
+def test_simplex_logsum_rejects_bad_input(y, message):
+    with pytest.raises(ValueError, match=message):
+        simplex_logsum_max(y)
+
+
+def test_face_step_falls_back_to_the_vertex_direction(monkeypatch):
+    # Least-squares solutions of zeros make every face step d = 0, which does
+    # not ascend, so each step takes the fallback e_j - w: the iterates stay on
+    # the simplex and still reach the certified optimum.
+    y = np.array([[1.0, 0.2, 0.1], [0.1, 1.0, 0.3], [0.4, 0.1, 1.0]])
+    exact = simplex_logsum_max(y)
+    steps = []
+    face_step = optimize._face_step
+
+    def recorded(*args):
+        w, status = face_step(*args)
+        steps.append(w)
+        return w, status
+
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (np.zeros(a.shape[1]),))
+    monkeypatch.setattr(optimize, "_face_step", recorded)
+    res = simplex_logsum_max(y)
+    assert res.converged and len(steps) == res.iters - 1 > 10
+    for w in steps:
+        assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-15)
+    assert res.value == pytest.approx(exact.value, abs=1e-8)
+
+
 def test_nsw_direction_deterministic():
     users = UserSet(np.abs(np.random.default_rng(11).standard_normal((5, 4))) + 0.01)
     spec = CostSpec(q=2.0, beta=2.0)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -18,7 +19,7 @@ from supply_eq.closedform import (
     QuarterCircle,
     eq_sample,
 )
-from supply_eq.geometry import CostSpec, UserSet, angle_pair, cost, two_user_plane
+from supply_eq.geometry import CostSpec, UserSet, angle_pair, cost
 from supply_eq.ingest import save_embeddings_csv
 from supply_eq.optimize import OptResult, nsw_direction
 from supply_eq.verify import (
@@ -56,6 +57,14 @@ def test_empirical_marginals_sample_floor():
     dist = QuarterCircle(4.0)
     with pytest.raises(ValueError):
         empirical_marginals(dist, BASIS2, 2, 999, seed=0)
+
+
+@pytest.mark.parametrize("grid", [(0, 10), (10, 0)])
+def test_best_response_gap_rejects_an_empty_grid(grid):
+    message = f"grid needs at least 1 angle and 1 radius, got {grid}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        best_response_gap(QuarterCircle(4.0), BASIS2, CostSpec(beta=4.0), n_samples=1000,
+                          grid=grid)
 
 
 def test_deviation_profit_brackets_zero_on_support():
@@ -271,7 +280,7 @@ GENRE_CASES = {
     "onepop-30x5": ONEPOP_30X5,
     "p2": QuarterCircle(4.0),
     "finitep-P3": FinitePCurve(3),
-    "infinite-theta1-beta8": InfiniteTwoGenre(two_user_plane(*angle_pair(1.0).embeddings), 8.0),
+    "infinite-theta1-beta8": InfiniteTwoGenre(angle_pair(1.0), 8.0),
 }
 
 
@@ -393,7 +402,6 @@ def test_best_response_gap_report_independent_of_block_bitwise(monkeypatch):
 # the true CDF everywhere, except with probability 1e-6.
 DKW_1E6 = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * 1e6))
 _USERS_4D = UserSet(np.array([[0.6, 0.0, 0.8, 0.0], [0.0, 1.5, 0.0, 0.0]]))
-_PLANE_4D = two_user_plane(*_USERS_4D.embeddings)
 EXACT_CASES = {
     "p2-beta4": (QuarterCircle(4.0), BASIS2),
     "finitep-P2": (FinitePCurve(2), BASIS2),
@@ -401,8 +409,8 @@ EXACT_CASES = {
     "finitep-P4": (FinitePCurve(4), BASIS2),
     "onepop-basis2": (OnePopulation(np.full(2, 2.0**-0.5), 2, 3.0, 3), BASIS2),
     "onepop-30x5": (ONEPOP_30X5, USERS_30X5),
-    "p2-4d-plane": (QuarterCircle(beta=4.0, plane=_PLANE_4D), _USERS_4D),
-    "finitep-4d-plane": (FinitePCurve(producers=3, plane=_PLANE_4D), _USERS_4D),
+    "p2-4d-plane": (QuarterCircle(beta=4.0, users=_USERS_4D), _USERS_4D),
+    "finitep-4d-plane": (FinitePCurve(producers=3, users=_USERS_4D), _USERS_4D),
 }
 
 

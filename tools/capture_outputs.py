@@ -50,7 +50,11 @@ SEEDS = (1, 2)
 # file and its feature gauge (features scaled by 0.5, 1, 2, 1, 3 under the
 # same --alpha, which is the same game) run one verify above the threshold,
 # and a profit and a verify at q = 1 and at q = inf each, and a threshold at
-# q = 1.5 runs on emb.csv scaled by 1e150.
+# q = 1.5 runs on emb.csv scaled by 1e150.  The planar variants read users
+# files too: a p2 eq on the three users of emb3.csv (exit 2), an infinite eq
+# on the near-parallel pair of near.csv, (1, 1, 0.3) and (1, 1.0001, 0.3), at
+# beta = 2e9, and a p2 verify on the orthogonal 4-D pair of pair4.csv.  An
+# onepop eq passes both --users and --n-users (exit 2).
 SURFACE = [
     ["nsw", "--users", "basis2", "--q", "1"],
     ["nsw", "--users", "orthonormal:3", "--q", "3", "--alpha", "1,2,0.5"],
@@ -80,6 +84,10 @@ SURFACE = [
     ["eq", "--variant", "infinite", "--theta", "1.0", "--beta", "5000", "--cdf-grid", "3",
      "--n", "2"],
     ["eq", "--variant", "p2", "--n", "3", "--out", "f.csv"],
+    ["eq", "--variant", "p2", "--users", "emb3.csv", "--beta", "4", "--cdf-grid", "3"],
+    ["eq", "--variant", "infinite", "--users", "near.csv", "--beta", "2e9", "--cdf-grid", "3",
+     "--n", "2"],
+    ["eq", "--variant", "onepop", "--users", "emb.csv", "--n-users", "5", "--cdf-grid", "3"],
     ["verify", "--users", "basis2", "--variant", "p2", "--beta", "4", "--samples", "2000",
      "--grid", "20x20", "--seed", "1"],
     ["verify", "--users", "basis2", "--variant", "finitep", "--producers", "3",
@@ -92,6 +100,8 @@ SURFACE = [
     ["verify", "--users", "basis2", "--variant", "finitep", "--producers", "300",
      "--samples", "1000", "--grid", "5x5"],
     ["verify", "--users", "emb5.csv", "--variant", "onepop", "--beta", "12", "--grid", "20x20"],
+    ["verify", "--users", "pair4.csv", "--variant", "p2", "--beta", "4", "--samples", "2000",
+     "--grid", "20x20"],
     ["verify", "--users", "emb5_gauge.csv", "--alpha", "0.5,1,2,1,3", "--variant", "onepop",
      "--beta", "12", "--grid", "20x20"],
     *([*argv, "--q", q, *users]
@@ -161,6 +171,9 @@ def _write_surface_inputs(workdir: str) -> None:
     _write_readme_inputs(workdir)
     emb = [[1 + (u * 7 + k * 3) % 5 for k in range(4)] for u in range(6)]
     _write_users(workdir, "emb.csv", emb)
+    _write_users(workdir, "emb3.csv", emb[:3])
+    _write_users(workdir, "near.csv", [[1.0, 1.0, 0.3], [1.0, 1.0001, 0.3]])
+    _write_users(workdir, "pair4.csv", [[0.6, 0.0, 0.8, 0.0], [0.0, 1.5, 0.0, 0.0]])
     _write_users(workdir, "emb_1e150.csv", [[v * 1e150 for v in row] for row in emb])
     emb5 = [[1 + (u * 5 + k * 3) % 7 for k in range(5)] for u in range(10)]
     _write_users(workdir, "emb5.csv", emb5)
