@@ -13,6 +13,7 @@ from .geometry import (
     UserSet,
     angle_pair,
     basis_pair,
+    beta_star_two_user,
     cost,
     dual_norm,
     orthonormal_users,
@@ -37,7 +38,6 @@ from .optimize import (
 from .threshold import (
     ConditionProbe,
     ThresholdReport,
-    beta_star_two_user,
     beta_upper,
     max_condition_holds,
     threshold_report,

@@ -42,8 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CostSpec, UserSet, basis_pair, dual_point, weighted_norm
-from .threshold import beta_star_two_user
+from .geometry import CostSpec, UserSet, basis_pair, beta_star_two_user, dual_point, weighted_norm
 
 __all__ = [
     "OnePopulation",
@@ -88,12 +87,13 @@ def _two_user_plane(users: UserSet) -> _Plane:
     that frame as atan2(|r|, <u2, b1>), r the part of u2 orthogonal to b1."""
     _check(users.n_users == 2, "the planar families take exactly two users")
     u1, u2 = users.embeddings
-    b1 = u1 / np.linalg.norm(u1)
+    spec = CostSpec(q=2.0)
+    b1 = u1 / weighted_norm(u1, spec)
     along = float(u2 @ b1)
     r = u2 - along * b1
     r -= (r @ b1) * b1
-    rn = float(np.linalg.norm(r))
-    _check(rn > 1e-12 * np.linalg.norm(u2), "the two users are linearly dependent")
+    rn = weighted_norm(r, spec)
+    _check(rn > 1e-12 * weighted_norm(u2, spec), "the two users are linearly dependent")
     return _Plane(math.atan2(rn, along), np.stack([b1, r / rn]))
 
 
@@ -310,8 +310,9 @@ class InfiniteTwoGenre(_PlanarFamily):
     Genres sit at in-plane angles theta_g and theta_star - theta_g.  The
     winning-producer quality CDF alternates between power pieces
     c1^(-2) c2^(-2n beta) q^(2 beta) and flats, on geometric bands with ratio
-    c2; support gaps are where the CDF is flat.  theta_g, c1 and c2 are
-    derived from the users' plane and a beta above its two-user threshold.
+    c2; support gaps are where the CDF is flat.  theta_g, c1 and log c2 are
+    derived from the users' plane and a beta above its two-user threshold,
+    with every cosine in logs, as cos^beta would lose about beta ulps.
     """
 
     users: UserSet
@@ -319,6 +320,7 @@ class InfiniteTwoGenre(_PlanarFamily):
     plane: _Plane = field(init=False)
     theta_g: float = field(init=False)
     c1: float = field(init=False)
+    log_c2: float = field(init=False)
     c2: float = field(init=False)
 
     genres = 2
@@ -327,12 +329,13 @@ class InfiniteTwoGenre(_PlanarFamily):
     def __post_init__(self):
         object.__setattr__(self, "plane", _two_user_plane(self.users))
         theta_star = self.plane.theta_star
-        if self.beta <= beta_star_two_user(theta_star):
+        if self.beta <= beta_star_two_user(self.users):
             raise ValueError("beta must exceed 2/(1 - cos theta_star) for two genres")
         theta_g = _theta_genre(theta_star, self.beta)
         c1 = math.sin(theta_star) * math.cos(theta_g) / math.sin(theta_star - theta_g)
-        c2 = math.cos(theta_star - theta_g) / math.cos(theta_g)
-        for name, value in (("theta_g", theta_g), ("c1", c1), ("c2", c2)):
+        log_c2 = _log_cos(theta_star - theta_g) - _log_cos(theta_g)
+        for name, value in (("theta_g", theta_g), ("c1", c1), ("log_c2", log_c2),
+                            ("c2", math.exp(log_c2))):
             object.__setattr__(self, name, value)
 
     @property
@@ -351,7 +354,7 @@ class InfiniteTwoGenre(_PlanarFamily):
         beta = self.beta
         if self.c2 <= _DEGENERATE_C2:
             return (u * self.c1**2) ** (1.0 / (2.0 * beta))
-        lc2 = math.log(self.c2)
+        lc2 = self.log_c2
         n = np.floor(np.log(u) / (2.0 * beta * lc2))
         return np.exp(
             (np.log(u) + 2.0 * math.log(self.c1) + 2.0 * n * beta * lc2) / (2.0 * beta)
@@ -375,7 +378,7 @@ class InfiniteTwoGenre(_PlanarFamily):
         if self.c2 <= _DEGENERATE_C2:
             f = np.minimum(1.0, q_in ** (2.0 * beta) / self.c1**2)
         else:
-            lc2 = math.log(self.c2)
+            lc2 = self.log_c2
             k = np.floor(np.log(q_in / top) / lc2)
             f = np.exp(np.where(
                 k % 2 == 1, (k + 1) * beta * lc2,
@@ -389,15 +392,21 @@ class InfiniteTwoGenre(_PlanarFamily):
 EquilibriumDist = OnePopulation | QuarterCircle | FinitePCurve | InfiniteTwoGenre
 
 
-def _genre_objective(theta_star, beta, t):
-    return math.cos(t) ** beta + math.cos(theta_star - t) ** beta
+def _log_cos(t):
+    """log cos t as log1p(-2 sin^2(t/2)), which keeps its digits as t -> 0."""
+    return math.log1p(-2.0 * math.sin(0.5 * t) ** 2)
+
+
+def _genre_log_objective(theta_star, beta, t):
+    """log(cos^beta(t) + cos^beta(theta_star - t))."""
+    return float(np.logaddexp(beta * _log_cos(t), beta * _log_cos(theta_star - t)))
 
 
 def _genre_slope(theta_star, beta, t):
-    return beta * (
-        math.cos(theta_star - t) ** (beta - 1.0) * math.sin(theta_star - t)
-        - math.cos(t) ** (beta - 1.0) * math.sin(t)
-    )
+    """The objective's slope at t divided by beta cos^(beta-1)(t) > 0, so of
+    the same sign: the ratio of the two cosine powers is taken in logs."""
+    ratio = math.exp((beta - 1.0) * (_log_cos(theta_star - t) - _log_cos(t)))
+    return ratio * math.sin(theta_star - t) - math.sin(t)
 
 
 def _theta_genre(theta_star: float, beta: float) -> float:
@@ -412,7 +421,7 @@ def _theta_genre(theta_star: float, beta: float) -> float:
     cand = _bisect_to_float_limit(
         lambda t: _genre_slope(theta_star, beta, t) > 0.0, 0.0, 0.5 * theta_star
     )
-    if _genre_objective(theta_star, beta, 0.0) >= _genre_objective(theta_star, beta, cand):
+    if _genre_log_objective(theta_star, beta, 0.0) >= _genre_log_objective(theta_star, beta, cand):
         return 0.0
     return cand
 

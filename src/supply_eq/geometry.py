@@ -7,9 +7,11 @@ Users and content vectors live in the nonnegative orthant of R^D.  A
 
 whose unit ball and dual norm drive everything else in this package.  The
 ball's kernels are here, once each: the norm, its dual norm and the dual
-point (the best unit-cost content for a value vector).  Content vectors are
-plain 1-D float arrays.  The plane two users span belongs to the planar
-equilibrium families in ``closedform``, which build it from their users.
+point (the best unit-cost content for a value vector).  Every norm in the
+package is ``weighted_norm``, so common multiples of a user set give one answer.
+Content vectors are plain 1-D float arrays.  The plane two users span belongs
+to the planar equilibrium families in ``closedform``, which build it from
+their users; their two-user threshold ``beta_star_two_user`` is here.
 
 Feature weights alpha > 0 are a change of coordinates, not a cost family of
 their own: the cost ||alpha * p||_q ** beta with users u is the same game as
@@ -34,6 +36,7 @@ __all__ = [
     "dual_point",
     "basis_pair",
     "angle_pair",
+    "beta_star_two_user",
     "orthonormal_users",
 ]
 
@@ -102,6 +105,19 @@ def angle_pair(theta_star):
     return UserSet(
         np.array([[1.0, 0.0], [math.cos(theta_star), math.sin(theta_star)]])
     )
+
+
+def beta_star_two_user(users):
+    """The two-user threshold 2/(1 - cos theta*) of the Euclidean cost, above
+    which two genres exist, as 4/|d|^2 for d the difference of the unit users:
+    no cosine is taken from 1.  +inf once |d| <= 1e-12, the planar families'
+    bound for linearly dependent users."""
+    if users.n_users != 2:
+        raise ValueError("the two-user threshold takes exactly two users")
+    unit = users.embeddings / weighted_norm(users.embeddings, CostSpec(q=2.0))[:, None]
+    d = unit[0] - unit[1]
+    gap2 = float(d @ d)
+    return math.inf if gap2 <= 1e-24 else 4.0 / gap2
 
 
 def orthonormal_users(n):

@@ -1,10 +1,11 @@
-"""Specialization threshold: closed forms, the dual-norm upper bound, and a
-column-generation test of whether a single-genre equilibrium survives at cost
-exponent beta.  A content point p scores y_i = (<p, u_i>/a_i)^beta against the
-single-genre optimum (the anchor, <anchor, u_i> = a_i), and the test asks
-whether a mixture of points beats the anchor's all-ones values by tau in summed
-log value.  A master problem mixes a pool of points; pricing searches the
-cone-ball for the point that best raises it and bounds what any point could add.
+"""Specialization threshold: the report (with geometry's two-user closed form),
+the dual-norm upper bound, and a column-generation test of whether a
+single-genre equilibrium survives at cost exponent beta.  A content point p
+scores y_i = (<p, u_i>/a_i)^beta against the single-genre optimum (the anchor,
+<anchor, u_i> = a_i), and the test asks whether a mixture of points beats the
+anchor's all-ones values by tau in summed log value.  A master problem mixes a
+pool of points; pricing searches the cone-ball for the point that best raises
+it and bounds what any point could add.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CostSpec, UserSet, dual_norm, dual_point, weighted_norm
+from .geometry import CostSpec, UserSet, beta_star_two_user, dual_norm, dual_point, weighted_norm
 from .optimize import nsw_direction, simplex_logsum_max
 
-__all__ = ["ConditionProbe", "ThresholdReport", "beta_star_two_user", "beta_upper",
-           "max_condition_holds", "threshold_report"]
+__all__ = ["ConditionProbe", "ThresholdReport", "beta_upper", "max_condition_holds",
+           "threshold_report"]
 
 # _ROUND_CAP master solves per probe leave it inconclusive.  D = 2 pricing
 # grids _ANGLES angles, then _ZOOMS times _ANGLES_ZOOM around the best one.
@@ -58,21 +59,11 @@ class ThresholdReport:
     condition_trace: tuple[ConditionProbe, ...]
 
 
-def beta_star_two_user(theta_star: float) -> float:
-    """Exact two-user threshold 2/(1 - cos theta_star) for the Euclidean cost;
-    +inf as the users align (theta_star = 0)."""
-    if not 0.0 <= theta_star <= math.pi / 2:
-        raise ValueError("theta_star must lie in [0, pi/2]")
-    denom = 1.0 - math.cos(theta_star)
-    return math.inf if denom <= 0.0 else 2.0 / denom
-
-
 def beta_upper(users: UserSet, spec: CostSpec) -> float:
     """Dual-norm upper bound log(N)/(log(N) - log(Z)), Z the dual norm of the
-    sum of dual-normalized users: +inf when Z reaches N (all users aligned)."""
+    sum of dual-normalized users: +inf when Z reaches N (all users aligned,
+    or a single user)."""
     n = users.n_users
-    if n < 2:
-        raise ValueError("beta_upper requires at least 2 users")
     U = users.embeddings
     z = dual_norm(U.T @ (1.0 / dual_norm(U, spec)), spec)
     if z >= n - 1e-12:
@@ -179,13 +170,8 @@ def _bisect_threshold(users, spec):
 
 
 def threshold_report(users, spec) -> ThresholdReport:
-    """Full threshold summary: closed form where known, bound, and estimate."""
-    closed = None
-    if users.n_users == 2 and spec.q == 2.0:
-        u1, u2 = users.embeddings
-        # The normalized dot product is exact where cos(arccos(.)) is not,
-        # e.g. orthogonal rows land on 2 rather than 2 + 4e-16.
-        cos_t = float(u1 @ u2 / (np.linalg.norm(u1) * np.linalg.norm(u2)))
-        closed = math.inf if cos_t >= 1.0 else 2.0 / (1.0 - cos_t)
+    """Full threshold summary: the two-user closed form where known (two
+    users, q = 2), bound, and estimate."""
+    closed = beta_star_two_user(users) if users.n_users == 2 and spec.q == 2.0 else None
     est, trace, upper = _bisect_threshold(users, spec)
     return ThresholdReport(closed, upper, est, trace)

@@ -24,12 +24,12 @@ from supply_eq.geometry import (
     UserSet,
     angle_pair,
     basis_pair,
+    beta_star_two_user,
     orthonormal_users,
 )
 from supply_eq.ingest import NmfConfig, RatingsTable, nmf_factorize
 from supply_eq.optimize import nsw_direction
 from supply_eq.threshold import (
-    beta_star_two_user,
     beta_upper,
     max_condition_holds,
     threshold_report,
@@ -48,8 +48,8 @@ def verdict(num: int, checks: dict) -> None:
 
 def test_criterion_01_two_user_threshold_and_estimate():
     checks = {
-        "closed_right_angle": abs(beta_star_two_user(math.pi / 2) - 2.0) <= 1e-12,
-        "closed_pi_third": abs(beta_star_two_user(math.pi / 3) - 4.0) <= 1e-12,
+        "closed_right_angle": abs(beta_star_two_user(angle_pair(math.pi / 2)) - 2.0) <= 1e-12,
+        "closed_pi_third": abs(beta_star_two_user(angle_pair(math.pi / 3)) - 4.0) <= 1e-12,
     }
     for name, theta, target in (
         ("right_angle", math.pi / 2, 2.0),

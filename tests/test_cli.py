@@ -96,6 +96,28 @@ def test_threshold_rejects_removed_flags(capsys, flag):
     assert flag[0] in capsys.readouterr().err
 
 
+def test_threshold_alpha_keeps_the_basis2_angle(capsys):
+    # Weights that scale each user on its own axis leave the right angle, even
+    # where the two users differ in scale by 1e600.
+    argv = ["threshold", "--users", "basis2", "--alpha", "1e300,1e-300"]
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert rep["beta_star_closed"] == 2.0
+    assert rep["beta_estimate"] == pytest.approx(2.0, abs=0.15)
+
+
+@pytest.mark.parametrize("q", ["1", "1.5", "2", "3", "inf"])
+def test_threshold_single_user_never_specializes(capsys, tmp_path, q):
+    # One user is a homogeneous market, like two identical users.
+    one_row = _users_csv(tmp_path / "one.csv", np.array([[0.5, 2.0, 1.0]]))
+    for users in ("orthonormal:1", one_row):
+        code, rep = run_json(capsys, ["threshold", "--users", users, "--q", q])
+        assert code == 0
+        assert rep["beta_star_closed"] is None
+        assert rep["beta_upper"] == rep["beta_estimate"] == "inf"
+        assert rep["condition_trace"] == []
+
+
 def test_nsw_rejects_beta(capsys):
     # The NSW direction does not depend on the cost exponent.
     assert run(["nsw", "--users", "basis2", "--beta", "3"]) == 2
@@ -563,24 +585,95 @@ def _edge_sweep(tmp_path, q):
     return out
 
 
-@pytest.mark.parametrize("q", ["1", "1.5", "2", "3", "inf"])
-def test_edge_inputs_exit_zero_quietly(tmp_path, q):
-    # Every run exits 0 with no RuntimeWarning (an error here) and nothing on
-    # stderr.  A LAPACK routine that rejects its input prints to file
-    # descriptor 2, past Python's sys.stderr, so the sweep runs in a child
-    # process.
+def _run_quietly(argvs):
+    """The stdout of each argv, run in one child process where every run must
+    exit 0 with no RuntimeWarning (an error there) and nothing on stderr.  A
+    LAPACK routine that rejects its input prints to file descriptor 2, past
+    Python's sys.stderr, so the runs need a process of their own."""
     code = ("import contextlib, io, json, sys\n"
             "from supply_eq.cli import run\n"
+            "outs = []\n"
             "for argv in json.load(sys.stdin):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert run(argv) == 0, argv\n")
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        assert run(argv) == 0, argv\n"
+            "    outs.append(out.getvalue())\n"
+            "json.dump(outs, sys.stdout)\n")
     src = str(pathlib.Path(supply_eq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
-                          input=json.dumps(_edge_sweep(tmp_path, q)), env=env,
-                          capture_output=True, text=True)
+                          input=json.dumps(argvs), env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("q", ["1", "1.5", "2", "3", "inf"])
+def test_edge_inputs_exit_zero_quietly(tmp_path, q):
+    _run_quietly(_edge_sweep(tmp_path, q))
+
+
+def _csv_row(line):
+    try:
+        return [float(v) for v in line.split(",")]
+    except ValueError:  # a header line
+        return line
+
+
+def _answers(out):
+    """A report without its run_config, or a CSV's rows of floats, with the
+    summed log values of the threshold trace left out: they add beta N log s
+    when the users are scaled by s, where every other answer stays."""
+    assert "nan" not in out
+    if out.startswith("{"):
+        report = json.loads(out)
+        del report["run_config"]
+        for probe in report.get("condition_trace", []):
+            del probe["lhs_log"], probe["rhs_log"]
+        return report
+    return [_csv_row(line) for line in out.splitlines()]
+
+
+def _assert_same_answers(got, ref):
+    if isinstance(ref, dict):
+        assert got.keys() == ref.keys()
+        for key in ref:
+            _assert_same_answers(got[key], ref[key])
+    elif isinstance(ref, list):
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            _assert_same_answers(g, r)
+    elif isinstance(ref, float) or isinstance(got, float):
+        # The verify gaps are rounding zeros of size 1e-16.
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-14)
+    else:
+        assert got == ref
+
+
+def test_two_user_scales_give_one_answer(tmp_path):
+    # A common scale of the users is the same game, so every planar variant
+    # and threshold give the answers of scale 1, quietly, from 1e-300 to 1e300.
+    pairs = {
+        "orthogonal": ([[1.0, 0.0], [0.0, 1.0]], [
+            ["threshold"],
+            ["eq", "--variant", "p2", "--beta", "4", "--cdf-grid", "5", "--n", "5"],
+            ["eq", "--variant", "finitep", "--producers", "3", "--cdf-grid", "5", "--n", "5"],
+            ["eq", "--variant", "infinite", "--beta", "8", "--cdf-grid", "5", "--n", "5"],
+            ["verify", "--variant", "p2", "--beta", "4", "--grid", "20x20", "--samples", "1000"],
+            ["verify", "--variant", "finitep", "--producers", "3", "--grid", "20x20",
+             "--samples", "1000"],
+            ["profit", "--variant", "p2", "--beta", "4"]]),
+        "sixty": ([[1.0, 0.0], [1.0, math.sqrt(3.0)]], [
+            ["threshold"],
+            ["eq", "--variant", "infinite", "--beta", "8", "--cdf-grid", "5", "--n", "5"]]),
+    }
+    scales = (1.0, 1e-300, 1e-200, 1e-150, 1e150, 1e200, 1e300)
+    argvs = [[*cmd, "--users", _users_csv(tmp_path / f"{name}_{s:g}.csv", np.array(rows) * s)]
+             for name, (rows, cmds) in pairs.items() for cmd in cmds for s in scales]
+    answers = [_answers(out) for out in _run_quietly(argvs)]
+    for start in range(0, len(argvs), len(scales)):
+        ref = answers[start]
+        for k in range(1, len(scales)):
+            _assert_same_answers(answers[start + k], ref)
 
 
 def test_exit_usage_nothing_to_emit(capsys):

@@ -28,11 +28,11 @@ from supply_eq.geometry import (
     CostSpec,
     UserSet,
     angle_pair,
+    beta_star_two_user,
     dual_norm,
     dual_point,
     weighted_norm,
 )
-from supply_eq.threshold import beta_star_two_user
 
 INFINITE_CASES = [
     (math.pi / 3, 7.0, 0.015758743157470702),
@@ -251,7 +251,7 @@ def test_infinite_genre_foc_residual(theta_star, beta, _):
 def test_infinite_genre_angle_brackets_the_slope_root(ratio):
     # The genre angle sits on the slope's sign change, to within 1e-7, or at 0.
     for theta_star in np.linspace(0.01, math.pi / 2 - 1e-3, 60).tolist():
-        beta = ratio * beta_star_two_user(theta_star)
+        beta = ratio * beta_star_two_user(angle_pair(theta_star))
         t = InfiniteTwoGenre(angle_pair(theta_star), beta).theta_g
         if t != 0.0:
             assert _genre_slope(theta_star, beta, t - 1e-7) > 0.0, theta_star
@@ -285,7 +285,27 @@ def test_infinite_orthogonal_limit_exact():
 def test_infinite_requires_beta_above_threshold():
     theta = math.pi / 3
     with pytest.raises(ValueError):
-        InfiniteTwoGenre(angle_pair(theta), beta_star_two_user(theta))
+        InfiniteTwoGenre(angle_pair(theta), beta_star_two_user(angle_pair(theta)))
+
+
+def _two_genre_limit(eps):
+    # (theta_g / theta*, c1, beta log c2) at beta = 1.01 beta* for the pair
+    # (1, 1, 0.3), (1, 1 + eps, 0.3): each tends to a limit as theta* -> 0.
+    users = UserSet(np.array([[1.0, 1.0, 0.3], [1.0, 1.0 + eps, 0.3]]))
+    beta = 1.01 * beta_star_two_user(users)
+    dist = InfiniteTwoGenre(users, beta)
+    return dist, np.array([dist.theta_g / dist.plane.theta_star, dist.c1, beta * dist.log_c2])
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10])
+def test_infinite_near_parallel_constants_keep_the_small_angle_limit(eps):
+    # cos^beta would lose about beta ulps, and beta is near 4/eps^2 here; the
+    # constants are taken in logs.  The checks run with every RuntimeWarning
+    # an error, so the CDF and the draws are finite without a warning.
+    dist, got = _two_genre_limit(eps)
+    assert got == pytest.approx(_two_genre_limit(1e-4)[1], rel=1e-5)
+    assert np.isfinite(dist.cdf(np.linspace(0.0, dist.cdf_max, 9))).all()
+    assert np.isfinite(dist.points(np.linspace(0.0, 1.0, 9, endpoint=False))).all()
 
 
 def test_infinite_has_no_per_producer_profit():
@@ -338,7 +358,7 @@ def test_infinite_sampler_avoids_flat_bands():
     st.floats(1.05, 4.0),
 )
 def test_infinite_cdf_monotone_property(theta_star, beta_factor):
-    beta = beta_factor * beta_star_two_user(theta_star) + 0.1
+    beta = beta_factor * beta_star_two_user(angle_pair(theta_star)) + 0.1
     dist = InfiniteTwoGenre(angle_pair(theta_star), beta)
     qs = np.linspace(0.0, dist.support_max * 1.1, 300)
     fs = dist.cdf(qs)

@@ -1,6 +1,8 @@
 """Geometry layer: norms, duals, cost specs and user sets."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from supply_eq.geometry import (
     UserSet,
     angle_pair,
     basis_pair,
+    beta_star_two_user,
     cost,
     dual_norm,
     dual_point,
@@ -208,3 +211,35 @@ def test_angle_pair_zero_is_homogeneous_pair():
     assert np.all(pair[0] == pair[1])
     with pytest.raises(ValueError):
         angle_pair(2.0)
+
+
+def _exact_beta_star(u1, u2):
+    """2/(1 - cos theta*) from the exact rational Gram entries of two float
+    vectors, in 60 significant digits."""
+    a, b = [Fraction(x) for x in u1], [Fraction(x) for x in u2]
+    dot = sum(x * y for x, y in zip(a, b))
+    gram = sum(x * x for x in a) * sum(y * y for y in b)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dec = lambda f: Decimal(f.numerator) / Decimal(f.denominator)  # noqa: E731
+        return float(2 / (1 - dec(dot) / dec(gram).sqrt()))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+def test_beta_star_two_user_near_parallel(eps):
+    # 1 - cos theta* keeps no digits as the users align; the difference of
+    # the unit users keeps them.
+    rows = np.array([[1.0, 1.0, 0.3], [1.0, 1.0 + eps, 0.3]])
+    assert beta_star_two_user(UserSet(rows)) == pytest.approx(_exact_beta_star(*rows), rel=1e-6)
+
+
+@pytest.mark.parametrize("u", [[1.0, 0.3], [1.0, 0.3, 0.7]])
+@pytest.mark.parametrize("k", [2.0, 3.0, 7.0, 1e5])
+def test_beta_star_two_user_parallel_is_infinite(u, k):
+    u = np.array(u)
+    assert beta_star_two_user(UserSet(np.stack([u, k * u]))) == math.inf
+
+
+def test_beta_star_two_user_takes_two_users():
+    with pytest.raises(ValueError, match="exactly two users"):
+        beta_star_two_user(orthonormal_users(3))

@@ -11,6 +11,7 @@ from supply_eq.geometry import (
     CostSpec,
     UserSet,
     angle_pair,
+    beta_star_two_user,
     dual_norm,
     orthonormal_users,
     weighted_norm,
@@ -18,7 +19,6 @@ from supply_eq.geometry import (
 from supply_eq.ingest import save_embeddings_csv
 from supply_eq.optimize import nsw_direction, simplex_logsum_max
 from supply_eq.threshold import (
-    beta_star_two_user,
     beta_upper,
     max_condition_holds,
     threshold_report,
@@ -33,17 +33,18 @@ USERS_200X10 = UserSet(_RNG.random((200, 10)))
 
 
 def test_beta_star_closed_values():
-    assert beta_star_two_user(math.pi / 2) == pytest.approx(2.0, abs=1e-12)
-    assert beta_star_two_user(math.pi / 3) == pytest.approx(4.0, abs=1e-12)
-    assert beta_star_two_user(math.pi / 4) == pytest.approx(2.0 / (1.0 - math.cos(math.pi / 4)), abs=1e-12)
-    assert beta_star_two_user(0.0) == math.inf
+    assert beta_star_two_user(angle_pair(math.pi / 2)) == pytest.approx(2.0, abs=1e-12)
+    assert beta_star_two_user(angle_pair(math.pi / 3)) == pytest.approx(4.0, abs=1e-12)
+    assert beta_star_two_user(angle_pair(math.pi / 4)) == pytest.approx(
+        2.0 / (1.0 - math.cos(math.pi / 4)), abs=1e-12)
+    assert beta_star_two_user(angle_pair(0.0)) == math.inf
 
 
 def test_beta_star_validates_angle():
     with pytest.raises(ValueError):
-        beta_star_two_user(-0.1)
+        beta_star_two_user(angle_pair(-0.1))
     with pytest.raises(ValueError):
-        beta_star_two_user(math.pi / 2 + 0.1)
+        beta_star_two_user(angle_pair(math.pi / 2 + 0.1))
 
 
 @pytest.mark.parametrize("n", [2, 4, 9])
@@ -56,9 +57,9 @@ def test_beta_upper_identical_users_infinite():
     assert beta_upper(users, SPEC2) == math.inf
 
 
-def test_beta_upper_requires_two_users():
-    with pytest.raises(ValueError):
-        beta_upper(UserSet(np.array([[1.0, 0.0]])), SPEC2)
+def test_beta_upper_single_user_infinite():
+    # One user is a homogeneous market: Z = N, and the single genre never breaks.
+    assert beta_upper(UserSet(np.array([[1.0, 0.0]])), SPEC2) == math.inf
 
 
 def test_beta_upper_explicit_formula():
@@ -89,7 +90,7 @@ def test_beta_upper_bitwise_matches_row_loop(users, spec):
 def test_beta_upper_never_below_two_user_closed_form():
     for theta in (0.4, math.pi / 4, 1.2, math.pi / 2):
         users = angle_pair(theta)
-        assert beta_upper(users, SPEC2) >= beta_star_two_user(theta) - 1e-9
+        assert beta_upper(users, SPEC2) >= beta_star_two_user(angle_pair(theta)) - 1e-9
 
 
 def test_max_condition_flips_at_threshold():

@@ -54,7 +54,11 @@ SEEDS = (1, 2)
 # files too: a p2 eq on the three users of emb3.csv (exit 2), an infinite eq
 # on the near-parallel pair of near.csv, (1, 1, 0.3) and (1, 1.0001, 0.3), at
 # beta = 2e9, and a p2 verify on the orthogonal 4-D pair of pair4.csv.  An
-# onepop eq passes both --users and --n-users (exit 2).
+# onepop eq passes both --users and --n-users (exit 2).  Two-user edge inputs
+# run threshold and an infinite eq each: the pair of near8.csv, (1, 1, 0.3) and
+# (1, 1 + 1e-8, 0.3), at beta = 2e17, and a 60-degree pair scaled by 1e-200;
+# a p2 verify runs on the orthogonal pair scaled by 1e200, a threshold on
+# basis2 under --alpha 1e300,1e-300, and one on a single user.
 SURFACE = [
     ["nsw", "--users", "basis2", "--q", "1"],
     ["nsw", "--users", "orthonormal:3", "--q", "3", "--alpha", "1,2,0.5"],
@@ -117,6 +121,16 @@ SURFACE = [
      "--alpha", "1,2,1,1.5", "--seed", "9", "--out", "prof.json"],
     ["profit", "--users", "orthonormal:3", "--variant", "onepop", "--q", "1"],
     ["profit", "--users", "basis2", "--variant", "p2", "--producers", "3"],
+    ["threshold", "--users", "near8.csv"],
+    ["eq", "--variant", "infinite", "--users", "near8.csv", "--beta", "2e17", "--cdf-grid", "3",
+     "--n", "2"],
+    ["verify", "--users", "orth_1e200.csv", "--variant", "p2", "--beta", "4", "--grid", "20x20",
+     "--samples", "1000"],
+    ["threshold", "--users", "sixty_1e-200.csv"],
+    ["eq", "--variant", "infinite", "--users", "sixty_1e-200.csv", "--beta", "8",
+     "--cdf-grid", "3", "--n", "2"],
+    ["threshold", "--users", "basis2", "--alpha", "1e300,1e-300"],
+    ["threshold", "--users", "orthonormal:1"],
     ["nmf", "--ratings", "ratings.csv", "--factors", "3", "--epochs", "20", "--seed", "4",
      "--out", "nmf_users.csv"],
     ["nmf", "--ratings", "ratings.csv", "--factors", "2", "--init-scale", "0.2",
@@ -173,6 +187,9 @@ def _write_surface_inputs(workdir: str) -> None:
     _write_users(workdir, "emb.csv", emb)
     _write_users(workdir, "emb3.csv", emb[:3])
     _write_users(workdir, "near.csv", [[1.0, 1.0, 0.3], [1.0, 1.0001, 0.3]])
+    _write_users(workdir, "near8.csv", [[1.0, 1.0, 0.3], [1.0, 1.0 + 1e-8, 0.3]])
+    _write_users(workdir, "orth_1e200.csv", [[1e200, 0.0], [0.0, 1e200]])
+    _write_users(workdir, "sixty_1e-200.csv", [[1e-200, 0.0], [1e-200, 3.0**0.5 * 1e-200]])
     _write_users(workdir, "pair4.csv", [[0.6, 0.0, 0.8, 0.0], [0.0, 1.5, 0.0, 0.0]])
     _write_users(workdir, "emb_1e150.csv", [[v * 1e150 for v in row] for row in emb])
     emb5 = [[1 + (u * 5 + k * 3) % 7 for k in range(5)] for u in range(10)]
