@@ -368,7 +368,16 @@ def _spec(ns, users: UserSet | None):
         raise ValueError("alpha has non-finite entries")
     if np.any(alpha <= 0):
         raise ValueError("alpha must be strictly positive")
-    return spec, None if users is None else UserSet(users.embeddings / alpha), alpha
+    if users is None:
+        return spec, None, alpha
+    with np.errstate(over="ignore"):
+        scaled = users.embeddings / alpha
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError("users / --alpha overflows the double range")
+    lost = np.flatnonzero(~np.any(scaled > 0, axis=1))
+    if lost.size:
+        raise ValueError(f"users / --alpha underflows user rows {lost.tolist()} to zero")
+    return spec, UserSet(scaled), alpha
 
 
 def _build_dist(ns, users, spec, n_users=None):

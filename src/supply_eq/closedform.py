@@ -14,7 +14,10 @@ Throughout, quality is the production norm ||p||_q of a content vector and
 genre is its direction.  Every family states its law as one
 inverse-transform map, ``points``, from uniform quantiles to content; the
 sampler ``eq_sample_blocks`` feeds it ``rng.random`` a block at a time, so
-draws are deterministic for a fixed seed.  ``points`` returns (n, D) rows as
+draws are deterministic for a fixed seed.  The stream is random access: row
+k of a seed's draw is ``points`` at the seed's k-th uniform, which a copy of
+the seed's PCG64 state advanced by k gives, so blocks can be drawn in any
+order and on any thread.  ``points`` returns (n, D) rows as
 the transposed view of a contiguous coordinate-major (D, n) array, so
 consumers that score or cost whole coordinates (``verify``) read contiguous
 rows of length n.
@@ -442,20 +445,25 @@ def _bisect_to_float_limit(keep_low, lo, hi):
             hi = mid
 
 
-def eq_sample_blocks(dist: EquilibriumDist, n: int, seed: int, block: int):
-    """The rows of ``eq_sample(dist, n, seed)``, yielded ``block`` rows at a time.
+def eq_sample_blocks(dist: EquilibriumDist, n: int, seed: int, block: int, start: int = 0):
+    """Rows [start, n) of ``eq_sample(dist, n, seed)``, yielded ``block`` rows at a time.
 
-    Each block is ``dist.points`` at the block's next uniforms.  Successive
-    ``rng.random`` calls continue one stream, so the blocks concatenate bit
-    for bit to the n-row draw at any block size; only the last one may be
-    shorter.
+    Each block is ``dist.points`` at the block's next uniforms.  The seed's
+    PCG64 stream is advanced by ``start`` first; ``rng.random`` takes one
+    64-bit output per double, so that lands on row ``start``, and successive
+    calls continue the stream.  The blocks therefore equal the matching rows
+    of the n-row draw bit for bit at any block size and any start, drawn in
+    any order; only the last one may be shorter.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if block < 1:
         raise ValueError("block must be >= 1")
+    if not 0 <= start < n:
+        raise ValueError("start must be in [0, n)")
     rng = np.random.default_rng(seed)
-    return (dist.points(rng.random(min(block, n - start))) for start in range(0, n, block))
+    rng.bit_generator.advance(start)
+    return (dist.points(rng.random(min(block, n - lo))) for lo in range(start, n, block))
 
 
 def eq_sample(dist: EquilibriumDist, n: int, seed: int) -> np.ndarray:

@@ -14,6 +14,12 @@ independent cross-check of the analytic profit.  The
 deviation grid and the support are scored and the Monte Carlo rounds are
 drawn in blocks of about _BLOCK user scores, so memory grows with neither
 the sample count nor the grid's radii nor, past one block, the user count.
+The grid's radii and the Monte Carlo rounds, past one block, are split in
+two halves, each run on its own lane: this thread and one worker thread,
+joined before the call returns.  Each lane writes only its own rows of the
+result and draws its rounds from the seed's stream at their own offset, so
+the report is bit for bit that of one lane, and two lanes of half-size
+blocks hold what one lane of 2 MB blocks would.
 Both score user-major: the draws are row-shaped views of coordinate-major
 memory, so a block's scores come out as one row per user and its costs
 reduce one row per coordinate, not a short row per point.
@@ -29,6 +35,7 @@ deviation directions, the genre count) lives on the family classes in
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +59,12 @@ __all__ = [
 # (a sum of N win probabilities) ties with the grid's maximum.
 _TIE = 1e-12
 
-# User scores (one per user per point) handled per block, 2 MB, but never
+# User scores (one per user per point) handled per block, 1 MB, but never
 # fewer than one grid direction or one Monte Carlo round (P*N) at one
-# radius.  At N = 2 a block is still large enough for numpy's per-call cost
-# to stay small.
-_BLOCK = 1 << 18
+# radius.  Two lanes hold a block each, so together they hold 2 MB.  At
+# N = 2 a block is still large enough for numpy's per-call cost to stay
+# small.
+_BLOCK = 1 << 17
 
 # The support is priced at the midpoints of a quantile grid of this many
 # cells on [0, 1], which keep off the support's ends.
@@ -152,18 +160,48 @@ def _first_wins(z):
     return np.count_nonzero(won, axis=0)
 
 
+def _two_lanes(task, n, block):
+    """task(lo, hi) over [0, n): the first half on this thread, the second on
+    a worker thread.  The worker is always joined, and an exception it
+    raised is raised here.  Work of one block, n <= block, runs on this
+    thread alone: two threads trading the interpreter lock over a block of
+    small arrays take several times as long as one."""
+    if n <= max(1, block):
+        task(0, n)
+        return
+    half = (n + 1) // 2
+    errors = []
+
+    def worker():
+        try:
+            task(half, n)
+        except BaseException as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        task(0, half)
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _mc_profit(dist, users, spec, producers, n_rounds, seed):
     profits = np.empty(n_rounds)
-    start = 0
     rounds = max(1, _BLOCK // (producers * users.n_users))
-    for pts in eq_sample_blocks(dist, n_rounds * producers, seed, rounds * producers):
-        # The draws are rows of coordinate-major memory, so x is contiguous
-        # (D, rounds * P) and the scores come out user-major.
-        x = pts.T
-        z = (users.embeddings @ x).reshape(users.n_users, -1, producers)
-        stop = start + z.shape[1]
-        profits[start:stop] = _first_wins(z) - cost(x[:, ::producers].T, spec)
-        start = stop
+
+    def lane(lo, hi):
+        draws = eq_sample_blocks(dist, hi * producers, seed, rounds * producers, lo * producers)
+        for start, pts in zip(range(lo, hi, rounds), draws):
+            # The draws are rows of coordinate-major memory, so x is contiguous
+            # (D, rounds * P) and the scores come out user-major.
+            x = pts.T
+            z = (users.embeddings @ x).reshape(users.n_users, -1, producers)
+            profits[start:start + z.shape[1]] = _first_wins(z) - cost(x[:, ::producers].T, spec)
+
+    _two_lanes(lane, n_rounds, rounds)
     mc = float(profits.mean())
     stderr = float(profits.std(ddof=1) / math.sqrt(n_rounds))
     return mc, stderr
@@ -229,18 +267,23 @@ def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
         return _profits(dist, users, spec, z, np.moveaxis(r * d[:, None, :], 0, -1))
 
     row_max = np.full(n_radii, -np.inf)
-    for d in blocks:
-        scores = users.embeddings @ d
-        for start in range(0, n_radii, rows):
-            block = row_max[start:start + rows]
-            np.maximum(block, grid_profits(radii[start:start + rows, None], d, scores).max(axis=1),
-                       out=block)
+
+    def lane(lo, hi):
+        # A lane writes only its own radii's rows of row_max.
+        for d in blocks:
+            scores = users.embeddings @ d
+            for start in range(lo, hi, rows):
+                stop = min(start + rows, hi)
+                block = row_max[start:stop]
+                np.maximum(block, grid_profits(radii[start:stop, None], d, scores).max(axis=1),
+                           out=block)
+
+    _two_lanes(lane, n_radii, rows if len(blocks) == 1 else 1)
     best = float(row_max.max())
     near = best - _TIE * n_users
     k = int(np.argmax(row_max >= near))
-    # Only the chosen row is priced again; a row of one block reuses its scores.
-    row = np.concatenate([grid_profits(radii[k:k + 1, None], d,
-                                       scores if len(blocks) == 1 else users.embeddings @ d)[0]
+    # Only the chosen row is priced again.
+    row = np.concatenate([grid_profits(radii[k:k + 1, None], d, users.embeddings @ d)[0]
                           for d in blocks])
     j = int(np.argmax(row >= near))
 

@@ -540,6 +540,24 @@ def test_exit_usage_alpha_not_finite_and_positive(capsys, alpha, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("rows, alpha, message", [
+    ("1,0\n0,1", "1e-310,1", "users / --alpha overflows the double range"),
+    ("1e-100,0\n0,1", "1e300,1", "users / --alpha underflows user rows [0] to zero"),
+], ids=["overflow", "underflow"])
+def test_exit_usage_alpha_takes_the_users_out_of_range(capsys, tmp_path, rows, alpha, message):
+    # The users are divided by the weights; a quotient that leaves the double
+    # range is the weights' fault, and numpy warns of nothing.
+    path = tmp_path / "users.csv"
+    lines = [f"u{i},{row}" for i, row in enumerate(rows.split("\n"))]
+    path.write_text("user_id,f0,f1\n" + "\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["nsw", "--users", str(path), "--alpha", alpha]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_exit_input_on_linalg_error(capsys, tmp_path, monkeypatch):
     # numpy's LinAlgError is a ValueError, but it reports a failed routine on
     # the data, not a bad flag.

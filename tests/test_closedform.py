@@ -424,12 +424,30 @@ def test_eq_sample_blocks_match_unblocked_draw_bitwise(dist):
         assert np.array_equal(small, _reference_sample(dist, 50, 3))
 
 
+@pytest.mark.parametrize("dist", BLOCK_DISTS.values(), ids=BLOCK_DISTS.keys())
+def test_eq_sample_blocks_from_any_start_match_the_draw_bitwise(dist):
+    # Blocks from an odd start, with a short last block, are the matching
+    # rows of the whole draw, also when each is drawn on its own and last
+    # block first, as two lanes may draw them.
+    ref = eq_sample(dist, 20000, [4, 1])
+    blocks = list(eq_sample_blocks(dist, 20000, [4, 1], 4099, start=7777))
+    assert [len(b) for b in blocks] == [4099, 4099, 4025]
+    assert np.array_equal(np.concatenate(blocks), ref[7777:])
+    for lo in (19999, 15975, 11876, 7777):
+        hi = min(lo + 4099, 20000)
+        (block,) = eq_sample_blocks(dist, hi, [4, 1], 4099, start=lo)
+        assert np.array_equal(block, ref[lo:hi])
+
+
 def test_eq_sample_blocks_validation():
     dist = QuarterCircle(4.0)
     with pytest.raises(ValueError):
         eq_sample_blocks(dist, 0, 1, 10)
     with pytest.raises(ValueError):
         eq_sample_blocks(dist, 10, 1, 0)
+    for start in (-1, 10):
+        with pytest.raises(ValueError, match="start must be in"):
+            eq_sample_blocks(dist, 10, 1, 3, start=start)
 
 
 def test_onepop_deviation_dirs_sweep_off_the_ray_at_unit_cost():

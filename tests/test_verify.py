@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -563,6 +565,127 @@ def test_onepop_gap_memory_does_not_grow_with_a_radius_row():
         tracemalloc.stop()
     assert peak < 20e6
     assert rep.best_response_gap <= verify_mod._TIE * users.n_users
+
+
+# Users in D = 3 whose N + 1 onepop directions a radius hold more than
+# _BLOCK user scores, so a radius row is split into direction blocks.
+USERS_400X3 = UserSet(np.random.default_rng(2).random((400, 3)) + 0.01)
+
+
+def _lane_case(name):
+    """(dist, users, spec, verify keywords) with more than one block of
+    radii and of Monte Carlo rounds at the default _BLOCK; every case but
+    finitep has its best deviation at a radius of the worker's half."""
+    kw = dict(n_samples=70001, grid=(60, 1201), seed=4)
+    if name == "p2":
+        return QuarterCircle(4.0), BASIS2, CostSpec(q=2.0, beta=4.0), kw
+    if name == "finitep-P3":
+        return FinitePCurve(3), BASIS2, SPEC2, kw
+    if name == "onepop-basis2":
+        dist, spec = _onepop_nsw(BASIS2, 3.0)
+        return dist, BASIS2, spec, kw
+    dist, spec = _onepop_nsw(USERS_400X3, 12.0)
+    return dist, USERS_400X3, spec, dict(n_samples=20001, grid=(20, 9), seed=4)
+
+
+@pytest.mark.parametrize("block", [RAGGED, None], ids=["ragged", "default"])
+@pytest.mark.parametrize("name", ["p2", "finitep-P3", "onepop-basis2", "onepop-400x3-split"])
+def test_two_lanes_match_an_in_order_loop_bitwise(monkeypatch, name, block):
+    # Each lane prices its own radii and draws its own Monte Carlo rounds;
+    # the report is that of one lane running every block in order.
+    if block is not None:
+        monkeypatch.setattr(verify_mod, "_BLOCK", block)
+    dist, users, spec, kw = _lane_case(name)
+    if name.endswith("split"):
+        assert (users.n_users + 1) * users.n_users > verify_mod._BLOCK
+    on_worker = []
+    two_lanes = verify_mod._two_lanes
+
+    def spy(task, n, blk):
+        def noted(lo, hi):
+            on_worker.append(threading.current_thread() is not threading.main_thread())
+            task(lo, hi)
+        two_lanes(noted, n, blk)
+
+    monkeypatch.setattr(verify_mod, "_two_lanes", spy)
+    lanes = best_response_gap(dist, users, spec, **kw)
+    assert on_worker.count(True) == 2  # the grid and the Monte Carlo both split
+    monkeypatch.setattr(verify_mod, "_two_lanes", lambda task, n, blk: task(0, n))
+    in_order = best_response_gap(dist, users, spec, **kw)
+    for field in dataclasses.fields(lanes):
+        assert np.array_equal(getattr(lanes, field.name), getattr(in_order, field.name)), field.name
+
+
+def test_two_lanes_split_more_than_one_block_in_halves():
+    # Work of one block is not split: it runs on this thread alone.
+    me = threading.get_ident()
+    for n, block, halves in ((7, 3, [(0, 4), (4, 7)]), (7, 7, [(0, 7)]), (1, 0, [(0, 1)])):
+        seen = {}
+        verify_mod._two_lanes(lambda lo, hi: seen.update({(lo, hi): threading.get_ident()}),
+                              n, block)
+        assert sorted(seen) == halves
+        assert seen[halves[0]] == me
+        assert all(seen[h] != me for h in halves[1:])
+
+
+def test_lanes_keep_every_report_under_a_short_switch_interval(monkeypatch):
+    # Three verify calls at once, each with its worker lane, so six threads
+    # share the cores and switch every microsecond; a row written by the
+    # wrong lane, or lost, would change a report.
+    monkeypatch.setattr(verify_mod, "_BLOCK", RAGGED)
+    cases = [_lane_case(name)[:3] for name in ("p2", "finitep-P3", "onepop-basis2")]
+    kw = dict(n_samples=20001, grid=(30, 300), seed=4)
+    with monkeypatch.context() as m:
+        m.setattr(verify_mod, "_two_lanes", lambda task, n, blk: task(0, n))
+        want = [best_response_gap(*case, **kw) for case in cases]
+    got = [None] * len(cases)
+
+    def call(i):
+        got[i] = best_response_gap(*cases[i], **kw)
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for a, b in zip(got, want):
+        for field in dataclasses.fields(b):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+class _FailingOffMainThread:
+    """dist, except that one method raises when called off the main thread."""
+
+    def __init__(self, dist, method):
+        self._dist, self._method = dist, method
+
+    def __getattr__(self, name):
+        attr = getattr(self._dist, name)
+        if name != self._method:
+            return attr
+
+        def call(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError(f"{name} failed in the worker lane")
+            return attr(*args)
+
+        return call
+
+
+@pytest.mark.parametrize("method", ["value_cdf", "points"], ids=["grid", "monte-carlo"])
+def test_worker_lane_exception_propagates_and_the_worker_is_joined(monkeypatch, method):
+    monkeypatch.setattr(verify_mod, "_BLOCK", RAGGED)
+    threads = threading.active_count()
+    dist = _FailingOffMainThread(FinitePCurve(3), method)
+    with pytest.raises(FloatingPointError, match=f"{method} failed in the worker lane"):
+        best_response_gap(dist, BASIS2, SPEC2, n_samples=5000, grid=(20, 200))
+    assert threading.active_count() == threads
 
 
 def test_grid_blocks_keep_the_first_maximum(monkeypatch):
