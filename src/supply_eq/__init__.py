@@ -10,6 +10,7 @@ from .closedform import (
 )
 from .geometry import (
     CostSpec,
+    NumericalError,
     UserSet,
     angle_pair,
     basis_pair,

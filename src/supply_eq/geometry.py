@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "NumericalError",
     "CostSpec",
     "UserSet",
     "weighted_norm",
@@ -39,6 +40,11 @@ __all__ = [
     "beta_star_two_user",
     "orthonormal_users",
 ]
+
+
+class NumericalError(ValueError):
+    """A computation on valid input left the finite doubles: a failure of the
+    numbers, not of the caller's arguments."""
 
 
 @dataclass(frozen=True)
@@ -182,7 +188,7 @@ def dual_norm(u, spec):
     if u.ndim < 1:
         raise ValueError("u must have at least one axis")
     if not np.isfinite(u).all():
-        raise ValueError("u has non-finite entries")
+        raise NumericalError("u has non-finite entries")
     if (u < 0).any():
         raise ValueError("dual_norm requires a nonnegative vector")
     if math.isinf(spec.q):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import dual_norm, dual_point, weighted_norm
+from .geometry import NumericalError, dual_norm, dual_point, weighted_norm
 
 __all__ = ["OptResult", "nsw_direction", "minmax_alignment", "simplex_logsum_max"]
 
@@ -235,7 +235,7 @@ def simplex_logsum_max(Y, tol=_TOL, early_accept=None, early_reject=None):
     if Y.ndim != 2:
         raise ValueError("Y must be a 2-D array")
     if np.any(Y < 0) or not np.all(np.isfinite(Y)):
-        raise ValueError("Y must be nonnegative and finite")
+        raise NumericalError("Y must be nonnegative and finite")
     if np.any(Y.max(axis=0) <= 0):
         raise ValueError("Y has a column with no positive entry")
     m, n = Y.shape

@@ -5,7 +5,10 @@ scores y_i = (<p, u_i>/a_i)^beta against the single-genre optimum (the anchor,
 <anchor, u_i> = a_i), and the test asks whether a mixture of points beats the
 anchor's all-ones values by tau in summed log value.  A master problem mixes a
 pool of points; pricing searches the cone-ball for the point that best raises
-it and bounds what any point could add.
+it and bounds what any point could add.  In D > 2 the search is a multistart
+ascent: conditional-gradient steps, and Newton steps on the unit-cost sphere
+for starts already priced above the bar, so a probe it decides as holding is
+a local answer ("local_max", or "step_cap" when its step cap cut it short).
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ __all__ = ["ConditionProbe", "ThresholdReport", "beta_upper", "max_condition_hol
 # _ROUND_CAP master solves per probe leave it inconclusive.  D = 2 pricing
 # grids _ANGLES angles, then _ZOOMS times _ANGLES_ZOOM around the best one.
 # D > 2 ascents of at most _ASCENT_STEPS start at the pool, the axes and the
-# _USER_STARTS most valuable users; a start stops at a relative gain < _STALL.
+# _USER_STARTS most valuable users; a start stops when its step, conditional
+# gradient or Newton, gains less than the relative _STALL.
 _ROUND_CAP, _ANGLES, _ZOOMS, _ANGLES_ZOOM = 50, 1025, 8, 33
 _USER_STARTS, _ASCENT_STEPS, _STALL = 4, 200, 1e-12
 
@@ -41,7 +45,9 @@ def _tau(n_users: int) -> float:
 class ConditionProbe:
     """One max-condition evaluation.  status says what decided it: "beaten"
     (a mixture beat the anchor by tau), "priced_out" (a global search found no
-    improving point), "local_max" (a multistart ascent found none), or
+    improving point), "local_max" (a multistart ascent found none, every
+    start at a stall), "step_cap" (a multistart ascent found none, but some
+    start was still climbing at _ASCENT_STEPS; holds is True), or
     "round_cap" (undecided, holds is None)."""
 
     beta: float
@@ -71,14 +77,55 @@ def beta_upper(users: UserSet, spec: CostSpec) -> float:
     return math.log(n) / (math.log(n) - math.log(z))
 
 
+def _newton(X, Z, G, v, Ua, c, beta, spec):
+    """Newton points of F(x) = log f(x) - beta log ||x||_q, f as in _price, at
+    unit-cost rows X with scaled scores Z, gradient directions G and values v:
+    (rows, points), each point at unit cost.  F does not change along rays,
+    so its maximizers are f's on the unit-cost sphere, and on the plane
+    x + x^perp it is an ordinary function whose Hessian is P H P
+    (P = I - n n^T, n = x/|x|); subtracting n n^T makes that invertible and
+    leaves its tangent eigenvalues alone.  No row gets a point unless that
+    matrix is negative definite at every row (one Cholesky test), and a row
+    keeps its point only inside the open orthant.  Rows with a non-finite
+    term (x_k = 0 at q < 2, z_i = 0 at beta < 2) are dropped before LAPACK.
+    Gradient and Hessian are F's divided by beta."""
+    k, d = X.shape
+    q = spec.q
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xq = X ** (q - 1.0)
+        s = (xq * X).sum(axis=1)[:, None]
+        g, y = G / v[:, None], xq / s  # grad log f / beta, grad log ||x||_q
+        H = (Ua.T * (Z ** (beta - 2.0) * c * ((beta - 1.0) / v)[:, None])[:, None, :]) @ Ua
+        H += q * y[:, :, None] * y[:, None, :] - beta * g[:, :, None] * g[:, None, :]
+        H.reshape(k, d * d)[:, :: d + 1] -= (q - 1.0) * X ** (q - 2.0) / s
+        rows = np.flatnonzero(np.isfinite(H).all(axis=(1, 2)))
+        H, r, x = H[rows], (g - y)[rows], X[rows]
+        n = x / np.sqrt((x * x).sum(axis=1))[:, None]
+        h = (H @ n[:, :, None])[:, :, 0]
+        e = n[:, :, None] * (h - 0.5 * ((h * n).sum(axis=1) - 1.0)[:, None] * n)[:, None, :]
+        M = H - e - e.transpose(0, 2, 1)
+        try:
+            np.linalg.cholesky(-M)
+        except np.linalg.LinAlgError:
+            return rows[:0], x[:0]
+        Y = x - np.linalg.solve(M, r[:, :, None])[:, :, 0]
+        ok = ((Y > 0) & (Y < math.inf)).all(axis=1)
+    return rows[ok], Y[ok] / weighted_norm(Y[ok], spec)[:, None]
+
+
 def _price(U, a, c, beta, spec, pool, bar):
-    """(point, price, global) for max f(p) = sum_i c_i (<p, u_i>/a_i)^beta over
+    """(point, price, status) for max f(p) = sum_i c_i (<p, u_i>/a_i)^beta over
     the cone-ball.  f is convex, so at q = 1 it peaks at a vertex e_k, at
-    q = inf at the all-ones point, and D = 2 is a search over one angle.
-    D > 2 runs conditional-gradient ascents p <- dual_point(grad f(p)), which
-    never lower f, from the pool, the vertices and the best users' dual
-    points; once one prices above bar, only those go on.  Each point is scored once, and its
-    scores give its next gradient.  global is False only for these ascents."""
+    q = inf at the all-ones point, and D = 2 is a search over one angle:
+    status "priced_out".  D > 2 runs ascents from the pool, the vertices and
+    the best users' dual points.  A step is the conditional-gradient step
+    p <- dual_point(grad f(p)), which never lowers f, or, for a start above
+    bar, its _newton point where that raises f by the factor (1 + _STALL).
+    Once a start prices above bar only those go on, and a start stops when
+    its step gains less: status "local_max" when every start stopped,
+    "step_cap" when some were still climbing after _ASCENT_STEPS.  The live
+    starts' points, scores and values sit in compact arrays, and a start is
+    written back to P and v only when it stops."""
     f = lambda P: ((P @ U.T / a) ** beta) @ c  # noqa: E731
     d = U.shape[1]
     if spec.q == 1.0 or d == 1:
@@ -98,23 +145,40 @@ def _price(U, a, c, beta, spec, pool, bar):
         S = dual_point(U, spec)  # ranked by each user's own term
         own = c * ((S * U).sum(axis=1) / a) ** beta
         P = np.vstack([pool, np.eye(d), S[np.argsort(-own)[:_USER_STARTS]]])
-        Z = P @ U.T / a  # each point's scaled scores, kept for its next gradient
+        UT, ca, b1, Ua = U.T, c / a, beta - 1.0, U / a[:, None]
+        Z = P @ UT / a  # each point's scaled scores, kept for its next gradient
         v = (Z ** beta) @ c
         live = np.flatnonzero(v > 0)
+        X, Z, vl, top = P[live], Z[live], v[live], v.max()
         for _ in range(_ASCENT_STEPS):
-            if v.max() >= bar:  # ascend only those: a column at its local max gains more
-                live = live[v[live] >= bar]
+            if top >= bar:  # ascend only those: a column at its local max gains more
+                keep = vl >= bar  # v keeps a dropped start's older, lower value: never the max
+                live, X, Z, vl = live[keep], X[keep], Z[keep], vl[keep]
             if not live.size:
                 break
-            Pn = dual_point((Z[live] ** (beta - 1.0) * (c / a)) @ U, spec)
-            Zn = Pn @ U.T / a
+            G = (Z ** b1 * ca) @ U
+            Xn = dual_point(G, spec)
+            Zn = Xn @ UT / a
             vn = (Zn ** beta) @ c
-            up = vn > v[live] * (1.0 + _STALL)
-            live = live[up]
-            P[live], Z[live], v[live] = Pn[up], Zn[up], vn[up]
-        return P[np.argmax(v)], float(v.max()), False
+            if top >= bar:
+                rows, Y = _newton(X, Z, G, vl, Ua, c, beta, spec)
+                Yz = Y @ UT / a
+                yv = (Yz ** beta) @ c
+                gain = yv > vl[rows] * (1.0 + _STALL)
+                rows = rows[gain]
+                Xn[rows], Zn[rows], vn[rows] = Y[gain], Yz[gain], yv[gain]
+            up = vn > vl * (1.0 + _STALL)
+            if up.all():
+                X, Z, vl = Xn, Zn, vn
+            else:  # write the stopped starts back
+                P[live[~up]], v[live[~up]] = X[~up], vl[~up]
+                live, X, Z, vl = live[up], Xn[up], Zn[up], vn[up]
+            if vl.size:
+                top = max(top, vl.max())
+        P[live], v[live] = X, vl
+        return P[np.argmax(v)], float(v.max()), "step_cap" if live.size else "local_max"
     v = f(P)
-    return P[np.argmax(v)], float(v.max()), True
+    return P[np.argmax(v)], float(v.max()), "priced_out"
 
 
 def max_condition_holds(users, spec, beta, _anchor=None, _pool=None):
@@ -141,9 +205,9 @@ def max_condition_holds(users, spec, beta, _anchor=None, _pool=None):
         if r.value >= tau:
             return False, lhs_log, rhs_log, "beaten"
         bar = users.n_users + tau - r.value
-        p, price, exact = _price(U, a, 1.0 / (r.point @ Y), beta, spec, pool, bar)
+        p, price, status = _price(U, a, 1.0 / (r.point @ Y), beta, spec, pool, bar)
         if price < bar:
-            return True, lhs_log, rhs_log, "priced_out" if exact else "local_max"
+            return True, lhs_log, rhs_log, status
         pool.append(p)
     return None, lhs_log, rhs_log, "round_cap"
 

@@ -13,6 +13,7 @@ import pytest
 
 import supply_eq
 import supply_eq.cli as cli
+import supply_eq.threshold as threshold_mod
 from supply_eq.cli import run
 from supply_eq.closedform import (
     FinitePCurve,
@@ -573,6 +574,19 @@ def test_exit_input_on_linalg_error(capsys, tmp_path, monkeypatch):
                             "Squares\n")
 
 
+def test_exit_input_on_numerical_error(capsys, tmp_path, monkeypatch):
+    # A non-finite intermediate on valid input is a ValueError too, but it
+    # reports the numbers' failure, not a bad flag.
+    real = threshold_mod.simplex_logsum_max
+    monkeypatch.setattr(threshold_mod, "simplex_logsum_max",
+                        lambda Y, **kw: real(np.full_like(Y, np.inf), **kw))
+    users = _seeded_embeddings(tmp_path / "u.csv", 30, 5)
+    assert run(["threshold", "--users", users]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: NumericalError: Y must be nonnegative and finite\n"
+
+
 def _edge_sweep(tmp_path, q):
     """The argv of every edge user set at q, without and with --alpha, through
     nsw, threshold, profit onepop and verify onepop."""
@@ -582,6 +596,9 @@ def _edge_sweep(tmp_path, q):
                             [math.cos(0.4 + 1e-9), math.sin(0.4 + 1e-9)]],
         "near_parallel_3": [[1.0, 0.5, 0.25], [1.0, 0.5 + 1e-9, 0.25 - 1e-9]],
         "axis": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5]],
+        # Ascents at q < 2 reach points with a zero coordinate, where the
+        # Newton step's x^(q-2) is infinite.
+        "faces": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
         "duplicated_axis": [[1.0, 0.0], [1.0, 0.0]],
         "sparse": [[1.0, 0.0, 0.0, 2.0], [0.0, 3.0, 0.0, 0.0], [0.0, 0.5, 1.0, 0.0],
                    [0.0, 0.0, 4.0, 0.0]],

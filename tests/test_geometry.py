@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from supply_eq.geometry import (
     CostSpec,
+    NumericalError,
     UserSet,
     angle_pair,
     basis_pair,
@@ -171,9 +172,11 @@ def test_dual_point_has_unit_cost_and_attains_the_dual_norm(q, alpha):
 
 def test_dual_norm_stack_validation():
     spec = CostSpec(q=2.0, beta=1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="nonnegative") as caller_fault:
         dual_norm(np.array([[1.0, 0.0], [0.5, -0.1]]), spec)
-    with pytest.raises(ValueError, match="non-finite"):
+    assert not isinstance(caller_fault.value, NumericalError)
+    # A non-finite entry is the numbers' failure, which the CLI reports as exit 3.
+    with pytest.raises(NumericalError, match="non-finite"):
         dual_norm(np.array([[1.0, np.nan]]), spec)
     with pytest.raises(ValueError, match="at least one axis"):
         dual_norm(1.0, spec)

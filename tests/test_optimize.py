@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import supply_eq
-from supply_eq.geometry import CostSpec, UserSet, dual_norm, weighted_norm
+from supply_eq.geometry import CostSpec, NumericalError, UserSet, dual_norm, weighted_norm
 from supply_eq.ingest import NmfConfig, load_ratings_csv, nmf_factorize
 from supply_eq import optimize
 from supply_eq.optimize import minmax_alignment, nsw_direction, simplex_logsum_max
@@ -127,6 +127,12 @@ def test_simplex_logsum_early_accept():
 def test_simplex_logsum_rejects_bad_input(y, message):
     with pytest.raises(ValueError, match=message):
         simplex_logsum_max(y)
+
+
+def test_simplex_logsum_non_finite_values_are_a_numerical_error():
+    # The CLI reports a NumericalError as exit 3, not as a usage error.
+    with pytest.raises(NumericalError, match="nonnegative and finite"):
+        simplex_logsum_max(np.array([[1.0, 2.0], [np.inf, 1.0]]))
 
 
 def test_face_step_falls_back_to_the_vertex_direction(monkeypatch):

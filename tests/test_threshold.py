@@ -214,9 +214,10 @@ def test_threshold_estimates_on_benchmark_sets():
     est200 = threshold_report(USERS_200X10, SPEC2)
     assert 9.0 < est30.beta_estimate <= 9.471406802579658
     assert 12.0 < est200.beta_estimate <= 13.125578790996029
-    for rep in (est30, est200):
-        assert {p.status for p in rep.condition_trace} <= {"beaten", "local_max"}
-        assert "beaten" in {p.status for p in rep.condition_trace}
+    # On 30x5 the ascents at beta = 9.3478 were still climbing at the step cap.
+    assert [p.status for p in est30.condition_trace] == (
+        ["local_max"] * 2 + ["step_cap"] + ["beaten"] * 7)
+    assert [p.status for p in est200.condition_trace] == ["local_max"] * 4 + ["beaten"] * 6
 
 
 def test_largest_holding_beta_survives_random_points():
@@ -324,3 +325,121 @@ def test_probes_decide_near_the_threshold_at_q7():
     rep = threshold_report(UserSet(np.random.default_rng(11).random((8, 3))), CostSpec(q=7.0))
     assert all(p.holds is not None for p in rep.condition_trace)
     assert 24.1 < rep.beta_estimate < 24.2
+
+
+# _price before its Newton steps and compact arrays: conditional-gradient
+# ascents over the full arrays, the reference for the D > 2 ascent.
+_PRICE = threshold_mod._price
+
+
+def _price_cg(U, a, c, beta, spec, pool, bar):
+    d = U.shape[1]
+    if spec.q == 1.0 or math.isinf(spec.q) or d <= 2:
+        return _PRICE(U, a, c, beta, spec, pool, bar)
+    S = threshold_mod.dual_point(U, spec)
+    own = c * ((S * U).sum(axis=1) / a) ** beta
+    P = np.vstack([pool, np.eye(d), S[np.argsort(-own)[:threshold_mod._USER_STARTS]]])
+    Z = P @ U.T / a
+    v = (Z ** beta) @ c
+    live = np.flatnonzero(v > 0)
+    for _ in range(threshold_mod._ASCENT_STEPS):
+        if v.max() >= bar:
+            live = live[v[live] >= bar]
+        if not live.size:
+            break
+        Pn = threshold_mod.dual_point((Z[live] ** (beta - 1.0) * (c / a)) @ U, spec)
+        Zn = Pn @ U.T / a
+        vn = (Zn ** beta) @ c
+        up = vn > v[live] * (1.0 + threshold_mod._STALL)
+        live = live[up]
+        P[live], Z[live], v[live] = Pn[up], Zn[up], vn[up]
+    return P[np.argmax(v)], float(v.max()), "step_cap" if live.size else "local_max"
+
+
+_R7 = np.random.default_rng(7)
+ASCENT_SETS = {
+    "30x5": USERS_30X5.embeddings,
+    "200x10": USERS_200X10.embeddings,
+    **{f"rng7_{n}x{d}": _R7.random((n, d)) for n, d in ((10, 3), (20, 4), (30, 5), (40, 6),
+                                                        (50, 7))},
+    "rng11_8x3": np.random.default_rng(11).random((8, 3)),
+}
+ASCENT_CASES = [(name, q) for name in list(ASCENT_SETS)[:-1] for q in (1.5, 2.0, 3.0, 7.0)]
+ASCENT_CASES.append(("rng11_8x3", 7.0))
+
+
+@pytest.mark.parametrize("name, q", ASCENT_CASES)
+def test_ascent_keeps_every_verdict_of_the_conditional_gradient_ascent(monkeypatch, name, q):
+    users, spec = UserSet(ASCENT_SETS[name]), CostSpec(q=q)
+    new = threshold_report(users, spec)
+    monkeypatch.setattr(threshold_mod, "_price", _price_cg)
+    old = threshold_report(users, spec)
+    assert ([(p.beta, p.holds, p.status) for p in new.condition_trace]
+            == [(p.beta, p.holds, p.status) for p in old.condition_trace])
+    assert (new.beta_estimate, new.beta_upper) == (old.beta_estimate, old.beta_upper)
+
+
+@pytest.mark.parametrize("name, q", [("30x5", 2.0), ("200x10", 3.0), ("rng7_10x3", 1.5),
+                                     ("rng11_8x3", 7.0)])
+def test_ascent_below_the_bar_matches_the_conditional_gradient_ascent_bitwise(
+        monkeypatch, name, q):
+    # Newton steps start only above the bar, so a pricing no start lifts to
+    # the bar is the conditional-gradient ascent's, to the last bit.
+    calls = []
+
+    def spy(U, a, c, beta, spec, pool, bar):
+        out = _PRICE(U, a, c, beta, spec, pool, bar)
+        calls.append(((U, a, c, beta, spec, list(pool), bar), out))
+        return out
+
+    monkeypatch.setattr(threshold_mod, "_price", spy)
+    threshold_report(UserSet(ASCENT_SETS[name]), CostSpec(q=q))
+    below = [(args, out) for args, out in calls if out[1] < args[-1]]
+    assert below
+    for args, (point, price, status) in below:
+        ref_point, ref_price, ref_status = _price_cg(*args)
+        assert point.tobytes() == ref_point.tobytes()
+        assert (price, status) == (ref_price, ref_status)
+
+
+def test_a_newton_point_that_lowers_f_is_refused(monkeypatch):
+    # Points at half the unit cost lower f by 2^-beta; refusing each one, the
+    # ascents step as the conditional-gradient ones do, to the last bit.
+    monkeypatch.setattr(threshold_mod, "_newton", lambda X, *args: (np.arange(len(X)), 0.5 * X))
+    for users in (USERS_30X5, UserSet(ASCENT_SETS["rng7_10x3"])):
+        new = threshold_report(users, SPEC2)
+        with monkeypatch.context() as m:
+            m.setattr(threshold_mod, "_price", _price_cg)
+            assert new == threshold_report(users, SPEC2)
+
+
+def test_newton_steps_shorten_the_ascents(monkeypatch):
+    calls = []
+    real = threshold_mod.dual_point
+    monkeypatch.setattr(threshold_mod, "dual_point", lambda *args: calls.append(1) or real(*args))
+    threshold_report(USERS_30X5, SPEC2)
+    new = len(calls)
+    monkeypatch.setattr(threshold_mod, "_price", _price_cg)
+    calls.clear()
+    threshold_report(USERS_30X5, SPEC2)
+    assert new < 0.6 * len(calls)
+
+
+def test_an_ascent_cut_by_its_step_cap_says_so(monkeypatch):
+    monkeypatch.setattr(threshold_mod, "_ASCENT_STEPS", 1)
+    assert max_condition_holds(USERS_30X5, SPEC2, 8.0)[::3] == (True, "step_cap")
+
+
+def test_newton_skips_a_zero_coordinate_below_q2(monkeypatch):
+    # At q < 2 a zero coordinate makes x^(q-2) infinite: the row is dropped
+    # before LAPACK, with no RuntimeWarning (an error here) and no LinAlgError.
+    seen, real = [], threshold_mod._newton
+
+    def spy(X, *args):
+        seen.append(bool((X == 0).any()))
+        return real(X, *args)
+
+    monkeypatch.setattr(threshold_mod, "_newton", spy)
+    users = UserSet(np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [1.0, 1.0, 0]]))
+    assert threshold_report(users, CostSpec(q=1.5)).beta_estimate < 2.0
+    assert any(seen)

@@ -14,12 +14,16 @@ For each command it records the exit code (or the type of the exception it
 raised) and the sha256 of its stdout, its stderr and every file it wrote,
 with the temporary directory's path replaced by ``<work>``.  When stdout,
 or a file the command wrote, parses as a JSON object, it also records one
-sha256 per top-level key, of that key's value.
+sha256 per top-level key, of that key's value, and, where that value is a
+list of objects, one per key of each element, named like
+``condition_trace[3].rhs_log``.
 
 The second form prints every command whose record differs between the two
 captures, or is in only one of them, and exits 1 when there is one.  Where
 both records of a command digest its stdout, or one of its files, by key,
-it names the keys that were added, removed or changed.
+it names the keys that were added, removed or changed: the element keys
+that changed in place of their list, and an added or removed element by its
+index.
 """
 
 from __future__ import annotations
@@ -148,16 +152,27 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _digest(value) -> str:
+    return _sha(json.dumps(value, sort_keys=True).encode())
+
+
 def _key_digests(text) -> dict | None:
-    """One sha256 per top-level key of a JSON object, of that key's value, or
-    None when text is not a JSON object."""
+    """One sha256 per top-level key of a JSON object, of that key's value, and
+    one per key of each element of a top-level list of objects, or None when
+    text is not a JSON object."""
     try:
         report = json.loads(text)
     except ValueError:
         return None
     if not isinstance(report, dict):
         return None
-    return {k: _sha(json.dumps(v, sort_keys=True).encode()) for k, v in report.items()}
+    digests = {}
+    for key, value in report.items():
+        digests[key] = _digest(value)
+        if isinstance(value, list) and value and all(isinstance(e, dict) for e in value):
+            for i, element in enumerate(value):
+                digests.update({f"{key}[{i}].{k}": _digest(v) for k, v in element.items()})
+    return digests
 
 
 def _readme_commands() -> list:
@@ -247,12 +262,16 @@ def _record(run, argv: list, workdir: str) -> dict:
 
 
 def _key_changes(old: dict | None, cur: dict | None) -> str:
-    """The keys added, removed and changed between two key digests, or ''."""
+    """The keys added, removed and changed between two key digests, or ''.  A
+    list whose element keys changed is named by those keys, and an element
+    added or removed by its index alone."""
     if old is None or cur is None:
         return ""
-    groups = [("added", [k for k in cur if k not in old]),
-              ("removed", [k for k in old if k not in cur]),
-              ("changed", [k for k in old if k in cur and old[k] != cur[k]])]
+    changed = [k for k in old if k in cur and old[k] != cur[k]]
+    changed = [k for k in changed if not any(j.startswith(k + "[") for j in changed)]
+    groups = [("added", list(dict.fromkeys(k.split(".")[0] for k in cur if k not in old))),
+              ("removed", list(dict.fromkeys(k.split(".")[0] for k in old if k not in cur))),
+              ("changed", changed)]
     return "; ".join(f"{verb} {', '.join(keys)}" for verb, keys in groups if keys)
 
 
