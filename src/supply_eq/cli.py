@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from ._lanes import Lanes
 from .closedform import FinitePCurve, InfiniteTwoGenre, OnePopulation, QuarterCircle, eq_sample
 from .geometry import (
     CostSpec,
@@ -314,8 +315,11 @@ def _write_rows(head: str, table: np.ndarray, out: str | None) -> None:
     """Write a CSV header line, then the rows of a 2-D float table at 17
     significant digits, to out or to stdout.
 
-    Rows are formatted _ROW_BLOCK at a time and written as they are
-    formatted.  A block goes through the vectorised kernel _G17.rows.  A block
+    Rows are formatted _ROW_BLOCK at a time, two blocks at once: block 2i on
+    this thread and block 2i + 1 on the worker of a ``_lanes.Lanes``, and
+    each pair is written, in order, once both are formatted.  A table of
+    one block starts no thread.  A block goes through the vectorised kernel
+    _G17.rows, built before the lanes start.  A block
     holding a value outside its domain (non-finite, or nonzero |x| outside
     [1e-99, 1e17), which '%g' prints with a positive or three-digit exponent),
     or one the kernel cannot round exactly, goes through one % operation
@@ -328,10 +332,19 @@ def _write_rows(head: str, table: np.ndarray, out: str | None) -> None:
         else open(out, "w", encoding="utf-8", newline="\n")
     ) as fh:
         fh.write(head + "\n")
-        for start in range(0, len(table), _ROW_BLOCK):
-            block = table[start:start + _ROW_BLOCK]
-            text = _g17().rows(block)
-            fh.write(_percent_rows(block) if text is None else text)
+        if not len(table):
+            return
+        kernel = _g17()
+
+        def render(block):
+            text = kernel.rows(block)
+            return _percent_rows(block) if text is None else text
+
+        with Lanes() as lanes:
+            for start in range(0, len(table), 2 * _ROW_BLOCK):
+                stop = min(start + 2 * _ROW_BLOCK, len(table))
+                fh.writelines(lanes.map(render, [table[lo:lo + _ROW_BLOCK]
+                                                 for lo in range(start, stop, _ROW_BLOCK)]))
 
 
 def _parse_users(source: str | None) -> UserSet | None:

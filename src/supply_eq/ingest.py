@@ -14,13 +14,18 @@ permutation each item's, are laid into rows of a fixed width (``_Rows``),
 so an update's predictions, numerator and denominator come from batched
 products over short rows and a segment sum over each user's or item's few
 rows; its time and memory grow with the number of ratings, users and items,
-not with users x items.  It exists to produce nonnegative user embeddings at
-desk scale, not to chase benchmark reconstruction error.
+not with users x items.  A side of at least _LANE_SLOTS slots runs each
+half-step on two lanes of a ``_lanes.Lanes``, this thread and one worker,
+split at a segment boundary: each lane updates only its own users' or
+items' rows with the one-lane arithmetic, so the factors and the objective
+are bit for bit those of one lane.  It exists to produce nonnegative user
+embeddings at desk scale, not to chase benchmark reconstruction error.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import warnings
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lanes import Lanes
 from .geometry import UserSet
 
 __all__ = [
@@ -45,6 +51,11 @@ __all__ = [
 # Initial factors are uniform on [0, _INIT_SCALE); every factor and update
 # denominator is floored at _MIN_ENTRY.
 _INIT_SCALE, _MIN_ENTRY = 0.1, 1e-9
+
+# A side of fewer slots than this updates on one lane.  Two lanes trading
+# the interpreter lock pay from about 8,000 slots one wide and 12,000 to
+# 16,000 sixteen wide (2 vCPUs, k = 8): below that they take longer than one.
+_LANE_SLOTS = 1 << 14
 
 
 class InputDataError(ValueError):
@@ -233,6 +244,27 @@ class _Rows:
         self.other.flat[slot] = other
         self.coef = np.zeros((rows.sum(), 2, width))
         self.coef[:, 0].flat[slot] = r
+        self.own = slice(0, m)
+
+    def split(self):
+        """This side as the _Rows of each lane, views of its arrays: the
+        segments either side of the segment boundary nearest half its rows,
+        or the whole side when it has fewer than _LANE_SLOTS slots or one
+        segment (the only cut then is at row 0)."""
+        cut = int(np.argmin(np.abs(self.first - len(self.owner) / 2)))
+        if self.other.size < _LANE_SLOTS or cut == 0:
+            return [self]
+        return [self._part(0, cut), self._part(cut, len(self.first))]
+
+    def _part(self, lo, hi):
+        start = self.first[lo]
+        stop = self.first[hi] if hi < len(self.first) else len(self.owner)
+        part = _Rows.__new__(_Rows)
+        part.first = self.first[lo:hi] - start
+        part.owner, part.other, part.coef = (
+            a[start:stop] for a in (self.owner, self.other, self.coef))
+        part.own = slice(lo, hi)
+        return part
 
     def predict(self, own, other):
         """other gathered at the slots, (rows, width, k); writes own @ other.T
@@ -242,12 +274,12 @@ class _Rows:
         return g
 
     def scale(self, own, g):
-        """The multiplicative update of own's rows but the pad: segment sums of
-        r * g over those of pred * g, both from one batched product."""
-        m, k = len(own) - 1, own.shape[1]
+        """The multiplicative update of own's rows of these segments: segment
+        sums of r * g over those of pred * g, both from one batched product."""
+        k, rows = own.shape[1], own[self.own]
         sums = np.add.reduceat(np.matmul(self.coef, g).reshape(-1, 2 * k), self.first, axis=0)
-        own[:m] *= sums[:, :k] / np.maximum(sums[:, k:], _MIN_ENTRY)
-        np.maximum(own[:m], _MIN_ENTRY, out=own[:m])
+        rows *= sums[:, :k] / np.maximum(sums[:, k:], _MIN_ENTRY)
+        np.maximum(rows, _MIN_ENTRY, out=rows)
 
 
 def nmf_factorize(ratings: RatingsTable, cfg: NmfConfig) -> NmfResult:
@@ -288,15 +320,26 @@ def nmf_factorize(ratings: RatingsTable, cfg: NmfConfig) -> NmfResult:
     user_rows = _Rows(user, item, r, n, d)
     item_rows = _Rows(item[order], user[order], r[order], d, n)
 
-    # Each epoch's objective reuses the predictions the next W step needs.
+    # Each epoch's objective reuses the predictions the next W step needs:
+    # a user step predicts, then scales W from those predictions but after
+    # the last epoch; scale never writes coef, which the objective reads.
+    def user_step(part, last=False):
+        g = part.predict(w, h)
+        if not last:
+            part.scale(w, g)
+
+    def item_step(part):
+        part.scale(h, part.predict(h, w))
+
     trace = np.empty(cfg.epochs)
-    g = user_rows.predict(w, h)
-    for epoch in range(cfg.epochs):
-        user_rows.scale(w, g)
-        item_rows.scale(h, item_rows.predict(h, w))
-        g = user_rows.predict(w, h)
-        resid = user_rows.coef[:, 0] - user_rows.coef[:, 1]
-        trace[epoch] = np.einsum("rs,rs->", resid, resid)
+    users, items = user_rows.split(), item_rows.split()
+    with Lanes() as lanes:
+        lanes.map(user_step, users)
+        for epoch in range(cfg.epochs):
+            lanes.map(item_step, items)
+            lanes.map(functools.partial(user_step, last=epoch + 1 == cfg.epochs), users)
+            resid = user_rows.coef[:, 0] - user_rows.coef[:, 1]
+            trace[epoch] = np.einsum("rs,rs->", resid, resid)
     return NmfResult(
         users=UserSet(w[:n]),
         user_ids=tuple(uid for uid, kp in zip(ratings.user_ids, keep) if kp),

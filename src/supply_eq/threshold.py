@@ -145,6 +145,11 @@ def _price(U, a, c, beta, spec, pool, bar):
         S = dual_point(U, spec)  # ranked by each user's own term
         own = c * ((S * U).sum(axis=1) / a) ** beta
         P = np.vstack([pool, np.eye(d), S[np.argsort(-own)[:_USER_STARTS]]])
+        # A copy of a start would take its steps again; argmax keeps the first.
+        first = {}
+        for i, row in enumerate(P):
+            first.setdefault(row.tobytes(), i)
+        P = P[list(first.values())]
         UT, ca, b1, Ua = U.T, c / a, beta - 1.0, U / a[:, None]
         Z = P @ UT / a  # each point's scaled scores, kept for its next gradient
         v = (Z ** beta) @ c

@@ -15,8 +15,9 @@ deviation grid and the support are scored and the Monte Carlo rounds are
 drawn in blocks of about _BLOCK user scores, so memory grows with neither
 the sample count nor the grid's radii nor, past one block, the user count.
 The grid's radii and the Monte Carlo rounds, past one block, are split in
-two halves, each run on its own lane: this thread and one worker thread,
-joined before the call returns.  Each lane writes only its own rows of the
+two halves, each run on its own lane of one ``_lanes.Lanes``: this thread
+and one worker thread, which serves both loops and is joined before the
+call returns.  Each lane writes only its own rows of the
 result and draws its rounds from the seed's stream at their own offset, so
 the report is bit for bit that of one lane, and two lanes of half-size
 blocks hold what one lane of 2 MB blocks would.
@@ -35,11 +36,11 @@ deviation directions, the genre count) lives on the family classes in
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._lanes import Lanes
 from .closedform import eq_sample_blocks
 from .geometry import CostSpec, UserSet, cost
 from .optimize import minmax_alignment
@@ -160,39 +161,23 @@ def _first_wins(z):
     return np.count_nonzero(won, axis=0)
 
 
-def _two_lanes(task, n, block):
-    """task(lo, hi) over [0, n): the first half on this thread, the second on
-    a worker thread.  The worker is always joined, and an exception it
-    raised is raised here.  Work of one block, n <= block, runs on this
-    thread alone: two threads trading the interpreter lock over a block of
-    small arrays take several times as long as one."""
+def _spans(n, block):
+    """[0, n) as the spans of its lanes: two halves, or all of it when it is
+    work of one block, n <= block, which runs on this thread alone: two
+    threads trading the interpreter lock over a block of small arrays take
+    several times as long as one."""
     if n <= max(1, block):
-        task(0, n)
-        return
+        return [(0, n)]
     half = (n + 1) // 2
-    errors = []
-
-    def worker():
-        try:
-            task(half, n)
-        except BaseException as exc:
-            errors.append(exc)
-
-    thread = threading.Thread(target=worker)
-    thread.start()
-    try:
-        task(0, half)
-    finally:
-        thread.join()
-    if errors:
-        raise errors[0]
+    return [(0, half), (half, n)]
 
 
-def _mc_profit(dist, users, spec, producers, n_rounds, seed):
+def _mc_profit(dist, users, spec, producers, n_rounds, seed, lanes):
     profits = np.empty(n_rounds)
     rounds = max(1, _BLOCK // (producers * users.n_users))
 
-    def lane(lo, hi):
+    def lane(span):
+        lo, hi = span
         draws = eq_sample_blocks(dist, hi * producers, seed, rounds * producers, lo * producers)
         for start, pts in zip(range(lo, hi, rounds), draws):
             # The draws are rows of coordinate-major memory, so x is contiguous
@@ -201,7 +186,7 @@ def _mc_profit(dist, users, spec, producers, n_rounds, seed):
             z = (users.embeddings @ x).reshape(users.n_users, -1, producers)
             profits[start:start + z.shape[1]] = _first_wins(z) - cost(x[:, ::producers].T, spec)
 
-    _two_lanes(lane, n_rounds, rounds)
+    lanes.map(lane, _spans(n_rounds, rounds))
     mc = float(profits.mean())
     stderr = float(profits.std(ddof=1) / math.sqrt(n_rounds))
     return mc, stderr
@@ -268,8 +253,9 @@ def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
 
     row_max = np.full(n_radii, -np.inf)
 
-    def lane(lo, hi):
+    def lane(span):
         # A lane writes only its own radii's rows of row_max.
+        lo, hi = span
         for d in blocks:
             scores = users.embeddings @ d
             for start in range(lo, hi, rows):
@@ -278,7 +264,9 @@ def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
                 np.maximum(block, grid_profits(radii[start:stop, None], d, scores).max(axis=1),
                            out=block)
 
-    _two_lanes(lane, n_radii, rows if len(blocks) == 1 else 1)
+    with Lanes() as lanes:
+        lanes.map(lane, _spans(n_radii, rows if len(blocks) == 1 else 1))
+        mc, stderr = _mc_profit(dist, users, spec, dist.producers, n_samples, [seed, 1], lanes)
     best = float(row_max.max())
     near = best - _TIE * n_users
     k = int(np.argmax(row_max >= near))
@@ -298,7 +286,6 @@ def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
         ranges.append((gap.min(), gap.max()))
     low, high = np.array(ranges).T
 
-    mc, stderr = _mc_profit(dist, users, spec, dist.producers, n_samples, [seed, 1])
     return VerifyReport(
         eq_profit=eq_profit,
         eq_profit_mc=mc,

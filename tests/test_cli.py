@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -838,6 +839,87 @@ def test_write_rows_bitwise_inexact_ties_fall_back(capsys, monkeypatch):
     cli._write_rows("t", table, None)
     assert capsys.readouterr().out == _percent_per_row("t", table)
     assert len(fallbacks) == 1
+
+
+def _one_lane_rows(head, table):
+    """_write_rows's text as one lane writes it: each block in order."""
+    out = [head + "\n"]
+    for start in range(0, len(table), cli._ROW_BLOCK):
+        block = table[start:start + cli._ROW_BLOCK]
+        text = cli._g17().rows(block)
+        out.append(cli._percent_rows(block) if text is None else text)
+    return "".join(out)
+
+
+@pytest.mark.parametrize("blocks", [0, 1, 2, 3, 5])
+def test_write_rows_two_lanes_match_one_lane_bitwise(capsys, monkeypatch, blocks):
+    # Blocks 1 and 3 are rendered on the worker lane, and block 1 holds an
+    # inf, so the worker falls back to the % operation.  One worker serves
+    # every pair of a call, and a table of one block starts none.
+    rows = 0 if blocks == 0 else (blocks - 1) * cli._ROW_BLOCK + 17
+    table = np.random.default_rng(blocks).standard_normal((rows, 3))
+    if blocks >= 2:
+        table[cli._ROW_BLOCK + 5, 1] = np.inf
+    fallbacks = []
+    percent_rows = cli._percent_rows
+
+    def spy(block):
+        fallbacks.append(threading.current_thread() is threading.main_thread())
+        return percent_rows(block)
+
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    monkeypatch.setattr(cli, "_percent_rows", spy)
+    threads = threading.active_count()
+    cli._write_rows("a,b,c", table, None)
+    assert threading.active_count() == threads
+    monkeypatch.undo()
+    assert capsys.readouterr().out == _one_lane_rows("a,b,c", table)
+    assert fallbacks == [False] * (blocks >= 2)
+    assert len(started) == (blocks >= 2)
+
+
+@pytest.mark.parametrize("lane", ["this", "worker"])
+def test_write_rows_lane_exception_propagates_and_the_worker_is_joined(monkeypatch, tmp_path,
+                                                                       lane):
+    g17_rows = cli._G17.rows
+
+    def failing(self, block):
+        if (threading.current_thread() is threading.main_thread()) == (lane == "this"):
+            raise FloatingPointError(f"rendering failed on the {lane} lane")
+        return g17_rows(self, block)
+
+    monkeypatch.setattr(cli._G17, "rows", failing)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"rendering failed on the {lane} lane"):
+        cli._write_rows("a", np.ones((3 * cli._ROW_BLOCK, 1)), str(tmp_path / "t.csv"))
+    assert threading.active_count() == threads
+
+
+def test_write_rows_lanes_keep_their_bytes_under_a_short_switch_interval(monkeypatch, tmp_path):
+    # Three tables written at once, each call with its worker lane, so six
+    # threads switch every microsecond; a block written out of order, or
+    # rendered from the wrong rows, would change a file.
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 64)
+    rng = np.random.default_rng(4)
+    tables = [rng.standard_normal((rows, 2)) for rows in (1000, 777, 513)]
+    tables[1][100, 0] = np.nan  # a fallback block on the worker lane
+    want = [_one_lane_rows("x,y", t) for t in tables]
+    paths = [str(tmp_path / f"t{i}.csv") for i in range(len(tables))]
+    workers = [threading.Thread(target=cli._write_rows, args=("x,y", t, path))
+               for t, path in zip(tables, paths)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert [pathlib.Path(p).read_text() for p in paths] == want
 
 
 def test_zero_columns_never_fall_back(capsys, monkeypatch):

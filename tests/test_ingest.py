@@ -4,12 +4,15 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import supply_eq
+import supply_eq.ingest as ingest_mod
 from supply_eq.geometry import UserSet
 from supply_eq.ingest import (
     InputDataError,
@@ -279,17 +282,7 @@ def test_nmf_uneven_table_matches_dense_reference():
 
 
 def test_nmf_one_row_per_user_matches_dense_reference():
-    # Every user rates four items: each user fills one four-slot row with no
-    # empty slot.
-    rng = np.random.default_rng(7)
-    items = np.array([rng.choice(9, 4, replace=False) for _ in range(50)])
-    table = RatingsTable(
-        user_ids=tuple(f"u{i}" for i in range(50)),
-        item_ids=tuple(f"m{j}" for j in range(9)),
-        user_index=np.repeat(np.arange(50), 4),
-        item_index=items.ravel(),
-        rating=rng.integers(1, 6, 200).astype(float),
-    )
+    table = _one_row_per_user_table()
     cfg = NmfConfig(factors=2, epochs=30, seed=5)
     res = nmf_factorize(table, cfg)
     w, h, trace = _nmf_reference(*table.dense(), cfg)
@@ -320,6 +313,188 @@ def test_nmf_bitwise_across_blas_threads():
                                       text=True, check=True).stdout.split())
     assert len(digests[0]) == 3
     assert digests[0] == digests[1]
+
+
+def _one_lane_nmf(ratings, cfg):
+    """(W, H, trace) of nmf_factorize's loop on one lane, as it ran before
+    the lanes: the same _Rows layout, each half-step over all of a side's
+    rows, and the next W step's predictions kept across the H step."""
+    key = ratings.user_index.astype(np.int64) * ratings.n_items + ratings.item_index
+    _, first_rev = np.unique(key[::-1], return_index=True)
+    last = len(key) - 1 - first_rev
+    user, item, r = ratings.user_index[last], ratings.item_index[last], ratings.rating[last]
+    keep = np.zeros(ratings.n_users, dtype=bool)
+    keep[user[r > 0]] = True
+    kept = keep[user]
+    user = (np.cumsum(keep) - 1)[user[kept]]
+    item, r = item[kept], r[kept]
+    order = np.argsort(item, kind="stable")
+    rng = np.random.default_rng(cfg.seed)
+    n, d, k = int(keep.sum()), ratings.n_items, cfg.factors
+    w, h = np.zeros((n + 1, k)), np.zeros((d + 1, k))
+    w[:n] = np.maximum(_INIT_SCALE * rng.random((n, k)), _MIN_ENTRY)
+    h[:d] = np.maximum(_INIT_SCALE * rng.random((k, d)), _MIN_ENTRY).T
+    user_rows = ingest_mod._Rows(user, item, r, n, d)
+    item_rows = ingest_mod._Rows(item[order], user[order], r[order], d, n)
+
+    def predict(rows, own, other):
+        g = np.take(other, rows.other, axis=0)
+        np.matmul(g, np.take(own, rows.owner, axis=0)[:, :, None], out=rows.coef[:, 1, :, None])
+        return g
+
+    def scale(rows, own, g):
+        m = len(own) - 1
+        sums = np.add.reduceat(np.matmul(rows.coef, g).reshape(-1, 2 * k), rows.first, axis=0)
+        own[:m] *= sums[:, :k] / np.maximum(sums[:, k:], _MIN_ENTRY)
+        np.maximum(own[:m], _MIN_ENTRY, out=own[:m])
+
+    trace = np.empty(cfg.epochs)
+    g = predict(user_rows, w, h)
+    for epoch in range(cfg.epochs):
+        scale(user_rows, w, g)
+        scale(item_rows, h, predict(item_rows, h, w))
+        g = predict(user_rows, w, h)
+        resid = user_rows.coef[:, 0] - user_rows.coef[:, 1]
+        trace[epoch] = np.einsum("rs,rs->", resid, resid)
+    return w[:n], h[:d].T, trace
+
+
+def _uniform_table(seed, n_users=300, n_items=200, density=0.1):
+    rng = np.random.default_rng(seed)
+    obs = np.argwhere(rng.random((n_users, n_items)) < density)
+    return RatingsTable(tuple(f"u{i}" for i in range(n_users)),
+                        tuple(f"m{j}" for j in range(n_items)),
+                        obs[:, 0], obs[:, 1], rng.integers(1, 6, len(obs)).astype(float))
+
+
+def _one_row_per_user_table():
+    """Every user rates four items: each user fills one four-slot row with no
+    empty slot."""
+    rng = np.random.default_rng(7)
+    items = np.array([rng.choice(9, 4, replace=False) for _ in range(50)])
+    return RatingsTable(tuple(f"u{i}" for i in range(50)), tuple(f"m{j}" for j in range(9)),
+                        np.repeat(np.arange(50), 4), items.ravel(),
+                        rng.integers(1, 6, 200).astype(float))
+
+
+def _single_item_table():
+    rng = np.random.default_rng(8)
+    return RatingsTable(tuple(f"u{i}" for i in range(40)), ("m0",), np.arange(40),
+                        np.zeros(40, dtype=int), rng.integers(1, 6, 40).astype(float))
+
+
+_LANE_TABLES = {
+    "uniform": (lambda: _uniform_table(11), 3, 2),
+    "uneven": (lambda: _uneven_table(6), 30, 2),
+    "one-row-per-user": (_one_row_per_user_table, 30, 2),
+    "single-item": (_single_item_table, 30, 1),
+    "uniform-one-epoch": (lambda: _uniform_table(12), 1, 2),
+}
+
+
+def _spy_lanes(monkeypatch):
+    """The _Rows of each side's lanes, users first, and the threads that ran
+    each one's predictions, by id."""
+    sides, ran = [], {}
+    split, predict = ingest_mod._Rows.split, ingest_mod._Rows.predict
+
+    def split_spy(self):
+        sides.append(split(self))
+        return sides[-1]
+
+    def predict_spy(self, own, other):
+        ran.setdefault(id(self), set()).add(threading.get_ident())
+        return predict(self, own, other)
+
+    monkeypatch.setattr(ingest_mod._Rows, "split", split_spy)
+    monkeypatch.setattr(ingest_mod._Rows, "predict", predict_spy)
+    return sides, ran
+
+
+@pytest.mark.parametrize("name", list(_LANE_TABLES))
+def test_nmf_two_lanes_match_the_one_lane_loop_bitwise(monkeypatch, name):
+    # With the split size at one slot, every side of more than one segment
+    # runs on two lanes; W, H and the objective are those of the one-lane
+    # loop bit for bit.
+    make, epochs, item_lanes = _LANE_TABLES[name]
+    table = make()
+    cfg = NmfConfig(factors=3, epochs=epochs, seed=2)
+    monkeypatch.setattr(ingest_mod, "_LANE_SLOTS", 1)
+    sides, ran = _spy_lanes(monkeypatch)
+    threads = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the uneven table drops a user
+        res = nmf_factorize(table, cfg)
+        w, h, trace = _one_lane_nmf(table, cfg)
+    assert threading.active_count() == threads
+    assert [len(parts) for parts in sides] == [2, item_lanes]
+    me = threading.get_ident()
+    for parts in sides:
+        assert ran[id(parts[0])] == {me}
+        assert all(len(ran[id(p)]) == 1 and me not in ran[id(p)] for p in parts[1:])
+    assert np.array_equal(res.users.embeddings, w)
+    assert np.array_equal(res.item_factors, h)
+    assert np.array_equal(res.objective_trace, trace)
+
+
+def test_nmf_below_the_split_size_starts_no_thread(monkeypatch):
+    # Every side of the uniform table holds fewer than _LANE_SLOTS slots.
+    sides, ran = _spy_lanes(monkeypatch)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or pytest.fail("a thread started"))
+    nmf_factorize(_uniform_table(11), NmfConfig(factors=3, epochs=3, seed=2))
+    assert [len(parts) for parts in sides] == [1, 1] and started == []
+
+
+@pytest.mark.parametrize("lane", ["this", "worker"])
+@pytest.mark.parametrize("side", ["users", "items"])
+def test_nmf_lane_exception_propagates_and_the_worker_is_joined(monkeypatch, side, lane):
+    monkeypatch.setattr(ingest_mod, "_LANE_SLOTS", 1)
+    table = _uniform_table(11)
+    scale = ingest_mod._Rows.scale
+
+    def failing(self, own, g):
+        here = threading.current_thread() is threading.main_thread()
+        if (len(own) == table.n_users + 1) == (side == "users") and here == (lane == "this"):
+            raise FloatingPointError(f"{side} failed on the {lane} lane")
+        return scale(self, own, g)
+
+    monkeypatch.setattr(ingest_mod._Rows, "scale", failing)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"{side} failed on the {lane} lane"):
+        nmf_factorize(table, NmfConfig(factors=3, epochs=4, seed=2))
+    assert threading.active_count() == threads
+
+
+def test_nmf_lanes_keep_their_bits_under_a_short_switch_interval(monkeypatch):
+    # Two calls at once, each with its worker lane, so four threads share the
+    # cores and switch every microsecond; a row updated by the wrong lane,
+    # or read before the other lane wrote it, would change the bits.
+    monkeypatch.setattr(ingest_mod, "_LANE_SLOTS", 1)
+    tables = [_uniform_table(13), _one_row_per_user_table()]
+    cfg = NmfConfig(factors=3, epochs=20, seed=2)
+    want = [_one_lane_nmf(t, cfg) for t in tables]
+    got = [None] * len(tables)
+
+    def call(i):
+        got[i] = nmf_factorize(tables[i], cfg)
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(tables))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for res, (w, h, trace) in zip(got, want):
+        assert np.array_equal(res.users.embeddings, w)
+        assert np.array_equal(res.item_factors, h)
+        assert np.array_equal(res.objective_trace, trace)
 
 
 def test_nmf_memory_scales_with_observed_entries(monkeypatch):

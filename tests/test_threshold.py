@@ -430,6 +430,31 @@ def test_an_ascent_cut_by_its_step_cap_says_so(monkeypatch):
     assert max_condition_holds(USERS_30X5, SPEC2, 8.0)[::3] == (True, "step_cap")
 
 
+def test_ascent_starts_no_copy_of_a_start(monkeypatch):
+    # The axes are also three users' dual points here, and the anchor's pool
+    # can hold them too; the first copy of each start is kept, and a copy
+    # would have taken the same steps, so the report is what it was with the
+    # copies: the values pinned below.
+    seen, real = [], threshold_mod._newton
+
+    def spy(X, *args):
+        seen.append(len(np.unique(X, axis=0)) == len(X))
+        return real(X, *args)
+
+    monkeypatch.setattr(threshold_mod, "_newton", spy)
+    users = UserSet(np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [1.0, 1.0, 0]]))
+    rep = threshold_report(users, CostSpec(q=1.5))
+    assert seen and all(seen)
+    assert (rep.beta_estimate, rep.beta_upper) == (1.5091747930103852, 2.5517707977459354)
+    assert [(p.beta, p.holds, p.lhs_log, p.rhs_log, p.status) for p in rep.condition_trace] == [
+        (1.3879426994364839, True, -3.0433524585208285, -3.0433524585208285, "local_max"),
+        (1.4849283742956048, True, -3.2560136815984424, -3.2560136815984424, "local_max"),
+        (1.5334212117251653, False, -3.3623442931372494, -3.3617190216786255, "beaten"),
+        (1.5819140491547259, False, -3.4686749046760563, -3.4650084700869086, "beaten"),
+        (1.7758853988729677, False, -3.8939973508312837, -3.8560450168592024, "beaten"),
+    ]
+
+
 def test_newton_skips_a_zero_coordinate_below_q2(monkeypatch):
     # At q < 2 a zero coordinate makes x^(q-2) infinite: the row is dropped
     # before LAPACK, with no RuntimeWarning (an error here) and no LinAlgError.

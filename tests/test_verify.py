@@ -14,6 +14,7 @@ import pytest
 
 import supply_eq.verify as verify_mod
 from supply_eq import cli
+from supply_eq._lanes import Lanes
 from supply_eq.closedform import (
     FinitePCurve,
     OnePopulation,
@@ -319,7 +320,8 @@ def test_mc_profit_blocks_bitwise(monkeypatch, producers):
     if producers == 2:
         cases.append((QuarterCircle(4.0), BASIS2, CostSpec(q=2.0, beta=4.0)))
     for dist, users, spec in cases:
-        got = verify_mod._mc_profit(dist, users, spec, producers, 10000, [2, 1])
+        with Lanes() as lanes:
+            got = verify_mod._mc_profit(dist, users, spec, producers, 10000, [2, 1], lanes)
         assert got == _reference_mc_profit(dist, users, spec, producers, 10000, [2, 1])
 
 
@@ -599,18 +601,18 @@ def test_two_lanes_match_an_in_order_loop_bitwise(monkeypatch, name, block):
     if name.endswith("split"):
         assert (users.n_users + 1) * users.n_users > verify_mod._BLOCK
     on_worker = []
-    two_lanes = verify_mod._two_lanes
+    lanes_map = Lanes.map
 
-    def spy(task, n, blk):
-        def noted(lo, hi):
+    def spy(self, fn, args):
+        def noted(span):
             on_worker.append(threading.current_thread() is not threading.main_thread())
-            task(lo, hi)
-        two_lanes(noted, n, blk)
+            return fn(span)
+        return lanes_map(self, noted, args)
 
-    monkeypatch.setattr(verify_mod, "_two_lanes", spy)
+    monkeypatch.setattr(Lanes, "map", spy)
     lanes = best_response_gap(dist, users, spec, **kw)
     assert on_worker.count(True) == 2  # the grid and the Monte Carlo both split
-    monkeypatch.setattr(verify_mod, "_two_lanes", lambda task, n, blk: task(0, n))
+    monkeypatch.setattr(verify_mod, "_spans", lambda n, blk: [(0, n)])
     in_order = best_response_gap(dist, users, spec, **kw)
     for field in dataclasses.fields(lanes):
         assert np.array_equal(getattr(lanes, field.name), getattr(in_order, field.name)), field.name
@@ -621,8 +623,9 @@ def test_two_lanes_split_more_than_one_block_in_halves():
     me = threading.get_ident()
     for n, block, halves in ((7, 3, [(0, 4), (4, 7)]), (7, 7, [(0, 7)]), (1, 0, [(0, 1)])):
         seen = {}
-        verify_mod._two_lanes(lambda lo, hi: seen.update({(lo, hi): threading.get_ident()}),
-                              n, block)
+        with Lanes() as lanes:
+            lanes.map(lambda span: seen.update({span: threading.get_ident()}),
+                      verify_mod._spans(n, block))
         assert sorted(seen) == halves
         assert seen[halves[0]] == me
         assert all(seen[h] != me for h in halves[1:])
@@ -636,7 +639,7 @@ def test_lanes_keep_every_report_under_a_short_switch_interval(monkeypatch):
     cases = [_lane_case(name)[:3] for name in ("p2", "finitep-P3", "onepop-basis2")]
     kw = dict(n_samples=20001, grid=(30, 300), seed=4)
     with monkeypatch.context() as m:
-        m.setattr(verify_mod, "_two_lanes", lambda task, n, blk: task(0, n))
+        m.setattr(verify_mod, "_spans", lambda n, blk: [(0, n)])
         want = [best_response_gap(*case, **kw) for case in cases]
     got = [None] * len(cases)
 

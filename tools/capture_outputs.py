@@ -34,6 +34,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 import warnings
@@ -62,7 +63,10 @@ SEEDS = (1, 2)
 # run threshold and an infinite eq each: the pair of near8.csv, (1, 1, 0.3) and
 # (1, 1 + 1e-8, 0.3), at beta = 2e17, and a 60-degree pair scaled by 1e-200;
 # a p2 verify runs on the orthogonal pair scaled by 1e200, a threshold on
-# basis2 under --alpha 1e300,1e-300, and one on a single user.
+# basis2 under --alpha 1e300,1e-300, and one on a single user.  Two commands
+# run on two lanes: a p2 samples file of 20,001 rows (five CSV blocks, the
+# last rendered alone) and an nmf on ratings_lanes.csv, whose two sides each
+# hold more slots than the size past which nmf splits a half-step.
 SURFACE = [
     ["nsw", "--users", "basis2", "--q", "1"],
     ["nsw", "--users", "orthonormal:3", "--q", "3", "--alpha", "1,2,0.5"],
@@ -92,6 +96,7 @@ SURFACE = [
     ["eq", "--variant", "infinite", "--theta", "1.0", "--beta", "5000", "--cdf-grid", "3",
      "--n", "2"],
     ["eq", "--variant", "p2", "--n", "3", "--out", "f.csv"],
+    ["eq", "--variant", "p2", "--n", "20001", "--samples-out", "p2_lanes.csv"],
     ["eq", "--variant", "p2", "--users", "emb3.csv", "--beta", "4", "--cdf-grid", "3"],
     ["eq", "--variant", "infinite", "--users", "near.csv", "--beta", "2e9", "--cdf-grid", "3",
      "--n", "2"],
@@ -144,6 +149,8 @@ SURFACE = [
     ["nmf", "--ratings", "ratings.csv", "--factors", "0", "--out", "none.csv"],
     ["nmf", "--ratings", "ratings_uneven.csv", "--factors", "3", "--epochs", "30", "--seed", "2",
      "--out", "nmf_uneven.csv"],
+    ["nmf", "--ratings", "ratings_lanes.csv", "--factors", "4", "--epochs", "20", "--seed", "3",
+     "--out", "nmf_lanes.csv"],
     ["bogus"],
 ]
 
@@ -220,6 +227,14 @@ def _write_surface_inputs(workdir: str) -> None:
         rows += [f"u{u},m{j},{(u + 2 * j) % 6}" for j in range(20) if (u * 7 + j * 11) % 5 < 3]
     rows.insert(25, "z,orphan,0")
     with open(os.path.join(workdir, "ratings_uneven.csv"), "w", encoding="utf-8") as fh:
+        fh.write("user_id,item_id,rating\n" + "\n".join(rows) + "\n")
+    # 1,000 users x 400 items at 5% from a fixed seed: about 20 ratings a user
+    # and 50 an item, so each side lays out in rows 16 slots wide, about
+    # 32,000 and 25,600 slots.
+    rng = random.Random(5)
+    rows = [f"u{u},m{i},{rng.randint(1, 5)}" for u in range(1000) for i in range(400)
+            if rng.random() < 0.05]
+    with open(os.path.join(workdir, "ratings_lanes.csv"), "w", encoding="utf-8") as fh:
         fh.write("user_id,item_id,rating\n" + "\n".join(rows) + "\n")
 
 
