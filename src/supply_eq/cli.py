@@ -16,9 +16,9 @@ configuration.  Floats are serialized at 17 significant digits, infinities as
 the strings "inf"/"-inf", so identical argv reproduces every output byte for
 byte.  ``--seed`` (default 0) is read by ``eq``, ``verify`` and ``nmf``;
 ``nsw``, ``threshold`` and ``profit`` accept it and ignore it.  Exit codes:
-0 success, 2 usage error, 3 input-data error, failed linear algebra or a
-non-finite intermediate (``NumericalError``), 4 non-convergence (the report
-is still written).
+0 success, 2 usage error, 3 input-data error, failed linear algebra, a
+non-finite intermediate (``NumericalError``) or an array too large to
+allocate (``MemoryError``), 4 non-convergence (the report is still written).
 """
 
 from __future__ import annotations
@@ -648,6 +648,9 @@ def run(argv=None) -> int:
         return _EXIT_INPUT
     except (np.linalg.LinAlgError, NumericalError) as exc:  # ValueErrors, but not the flags' fault
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _EXIT_INPUT
+    except MemoryError as exc:  # numpy's is a private subclass
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return _EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,10 @@ and one worker thread, which serves both loops and is joined before the
 call returns.  Each lane writes only its own rows of the
 result and draws its rounds from the seed's stream at their own offset, so
 the report is bit for bit that of one lane, and two lanes of half-size
-blocks hold what one lane of 2 MB blocks would.
+blocks hold what one lane of 2 MB blocks would.  The Monte Carlo's mean and
+standard error are summed on the same two lanes, whose halves meet where
+numpy's pairwise sum splits the rounds, with the variance formed in place,
+so their bits are those of ``profits.mean()`` and ``profits.std(ddof=1)``.
 Both score user-major: the draws are row-shaped views of coordinate-major
 memory, so a block's scores come out as one row per user and its costs
 reduce one row per coordinate, not a short row per point.
@@ -165,16 +168,30 @@ def _spans(n, block):
     """[0, n) as the spans of its lanes: two halves, or all of it when it is
     work of one block, n <= block, which runs on this thread alone: two
     threads trading the interpreter lock over a block of small arrays take
-    several times as long as one."""
+    several times as long as one.  Past 128 values the halves meet where
+    numpy's pairwise sum splits n values, so the sums of the halves add up
+    to that of the whole, bit for bit."""
     if n <= max(1, block):
         return [(0, n)]
-    half = (n + 1) // 2
+    half = n // 2 - n // 2 % 8 if n > 128 else (n + 1) // 2
     return [(0, half), (half, n)]
 
 
 def _mc_profit(dist, users, spec, producers, n_rounds, seed, lanes):
+    """(mean, standard error) of producer 0's profit over n_rounds rounds.
+
+    Each lane draws its span of the rounds, from ``_spans``, and sums its
+    span's profits; a second pass on the same lanes subtracts the mean from
+    each span in place, squares it in place and sums the squares.  For more
+    than 128 doubles ``np.add.reduce`` adds the pairwise sums of the halves
+    ``_spans`` splits at, so the two sums are those of the whole array, and
+    the results are bit for bit ``profits.mean()`` and
+    ``profits.std(ddof=1) / sqrt(n_rounds)`` with no second array.  Callers
+    pass n_rounds >= 1000, and a single span is summed whole.
+    """
     profits = np.empty(n_rounds)
     rounds = max(1, _BLOCK // (producers * users.n_users))
+    spans = _spans(n_rounds, rounds)
 
     def lane(span):
         lo, hi = span
@@ -185,11 +202,18 @@ def _mc_profit(dist, users, spec, producers, n_rounds, seed, lanes):
             x = pts.T
             z = (users.embeddings @ x).reshape(users.n_users, -1, producers)
             profits[start:start + z.shape[1]] = _first_wins(z) - cost(x[:, ::producers].T, spec)
+        return np.add.reduce(profits[lo:hi])
 
-    lanes.map(lane, _spans(n_rounds, rounds))
-    mc = float(profits.mean())
-    stderr = float(profits.std(ddof=1) / math.sqrt(n_rounds))
-    return mc, stderr
+    mean = sum(lanes.map(lane, spans)) / n_rounds
+
+    def squares(span):
+        x = profits[span[0]:span[1]]
+        np.subtract(x, mean, out=x)
+        np.square(x, out=x)
+        return np.add.reduce(x)
+
+    var = sum(lanes.map(squares, spans)) / (n_rounds - 1)
+    return float(mean), math.sqrt(var) / math.sqrt(n_rounds)
 
 
 @dataclass(frozen=True)

@@ -588,6 +588,20 @@ def test_exit_input_on_numerical_error(capsys, tmp_path, monkeypatch):
     assert captured.err == "error: NumericalError: Y must be nonnegative and finite\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--users", "basis2", "--variant", "p2", "--beta", "4", "--grid", "2x2",
+     "--samples", str(10**15)],
+    ["eq", "--variant", "p2", "--n", str(10**15)],
+], ids=["verify", "eq"])
+def test_exit_input_on_memory_error(capsys, argv):
+    # 10**15 doubles are more than numpy will allocate, so it refuses at once.
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: MemoryError: Unable to allocate ")
+    assert captured.err.count("\n") == 1
+
+
 def _edge_sweep(tmp_path, q):
     """The argv of every edge user set at q, without and with --alpha, through
     nsw, threshold, profit onepop and verify onepop."""

@@ -305,12 +305,7 @@ def test_empirical_marginals_blocks_bitwise(monkeypatch, dist, users):
     assert np.array_equal(marg.values, _reference_marginals(dist, users, 20000, [3, 0]))
 
 
-@pytest.mark.parametrize("producers", [2, 3, 4])
-def test_mc_profit_blocks_bitwise(monkeypatch, producers):
-    # The draws are rows of coordinate-major memory; the reference copies
-    # them row-major, so the weighted cost over a strided coordinate-major
-    # view is checked against the row-major one too.
-    monkeypatch.setattr(verify_mod, "_BLOCK", RAGGED)
+def _mc_cases(producers):
     onepop = OnePopulation(ONEPOP_30X5.direction, 30, 3.0, producers)
     cases = [
         (FinitePCurve(producers), BASIS2, SPEC2),
@@ -319,10 +314,46 @@ def test_mc_profit_blocks_bitwise(monkeypatch, producers):
     ]
     if producers == 2:
         cases.append((QuarterCircle(4.0), BASIS2, CostSpec(q=2.0, beta=4.0)))
-    for dist, users, spec in cases:
+    return cases
+
+
+@pytest.mark.parametrize("producers", [2, 3, 4])
+def test_mc_profit_blocks_bitwise(monkeypatch, producers):
+    # The draws are rows of coordinate-major memory; the reference copies
+    # them row-major, so the weighted cost over a strided coordinate-major
+    # view is checked against the row-major one too.  The lanes' sums meet
+    # where numpy's pairwise sum splits; 10,013 and 70,011 rounds have
+    # halves that are not a multiple of 8.
+    for block in (RAGGED, verify_mod._BLOCK):
+        monkeypatch.setattr(verify_mod, "_BLOCK", block)
+        for dist, users, spec in _mc_cases(producers):
+            for n in (10000, 10013, 70011):
+                with Lanes() as lanes:
+                    got = verify_mod._mc_profit(dist, users, spec, producers, n, [2, 1], lanes)
+                want = _reference_mc_profit(dist, users, spec, producers, n, [2, 1])
+                assert got == want, (block, n)
+
+
+@pytest.mark.parametrize("producers", [2, 3])
+def test_mc_profit_of_one_block_bitwise_on_this_thread(monkeypatch, producers):
+    # Rounds of one block run as one span, summed whole, and start no worker.
+    n = 1500
+    for dist, users, spec in _mc_cases(producers):
+        monkeypatch.setattr(verify_mod, "_BLOCK", n * producers * users.n_users)
+        threads = threading.active_count()
         with Lanes() as lanes:
-            got = verify_mod._mc_profit(dist, users, spec, producers, 10000, [2, 1], lanes)
-        assert got == _reference_mc_profit(dist, users, spec, producers, 10000, [2, 1])
+            got = verify_mod._mc_profit(dist, users, spec, producers, n, [2, 1], lanes)
+            assert threading.active_count() == threads
+        assert got == _reference_mc_profit(dist, users, spec, producers, n, [2, 1])
+
+
+def test_mc_profit_of_a_million_rounds_bitwise():
+    # The Monte Carlo as simulate runs it: 1,000,000 basis2 rounds of p2 at
+    # the default _BLOCK, in two halves of 500,000.
+    dist, spec = QuarterCircle(4.0), CostSpec(q=2.0, beta=4.0)
+    with Lanes() as lanes:
+        got = verify_mod._mc_profit(dist, BASIS2, spec, 2, 10**6, [7, 1], lanes)
+    assert got == _reference_mc_profit(dist, BASIS2, spec, 2, 10**6, [7, 1])
 
 
 def test_first_wins_counts_ties_like_argmax():
@@ -611,7 +642,9 @@ def test_two_lanes_match_an_in_order_loop_bitwise(monkeypatch, name, block):
 
     monkeypatch.setattr(Lanes, "map", spy)
     lanes = best_response_gap(dist, users, spec, **kw)
-    assert on_worker.count(True) == 2  # the grid and the Monte Carlo both split
+    # The grid and the Monte Carlo both split, and the Monte Carlo's squares
+    # run on the same halves as its rounds.
+    assert on_worker.count(True) == 3
     monkeypatch.setattr(verify_mod, "_spans", lambda n, blk: [(0, n)])
     in_order = best_response_gap(dist, users, spec, **kw)
     for field in dataclasses.fields(lanes):
@@ -621,7 +654,10 @@ def test_two_lanes_match_an_in_order_loop_bitwise(monkeypatch, name, block):
 def test_two_lanes_split_more_than_one_block_in_halves():
     # Work of one block is not split: it runs on this thread alone.
     me = threading.get_ident()
-    for n, block, halves in ((7, 3, [(0, 4), (4, 7)]), (7, 7, [(0, 7)]), (1, 0, [(0, 1)])):
+    # Past 128 values the halves meet where numpy's pairwise sum splits.
+    for n, block, halves in ((7, 3, [(0, 4), (4, 7)]), (7, 7, [(0, 7)]), (1, 0, [(0, 1)]),
+                             (10013, 1024, [(0, 5000), (5000, 10013)]),
+                             (129, 1, [(0, 64), (64, 129)])):
         seen = {}
         with Lanes() as lanes:
             lanes.map(lambda span: seen.update({span: threading.get_ident()}),

@@ -66,7 +66,9 @@ SEEDS = (1, 2)
 # basis2 under --alpha 1e300,1e-300, and one on a single user.  Two commands
 # run on two lanes: a p2 samples file of 20,001 rows (five CSV blocks, the
 # last rendered alone) and an nmf on ratings_lanes.csv, whose two sides each
-# hold more slots than the size past which nmf splits a half-step.
+# hold more slots than the size past which nmf splits a half-step.  A finitep
+# verify of 70,011 rounds has more than one block of them, in halves of
+# 35,000 and 35,011 rounds, so its Monte Carlo sums split off the middle.
 SURFACE = [
     ["nsw", "--users", "basis2", "--q", "1"],
     ["nsw", "--users", "orthonormal:3", "--q", "3", "--alpha", "1,2,0.5"],
@@ -117,6 +119,8 @@ SURFACE = [
      "--grid", "20x20"],
     ["verify", "--users", "emb5_gauge.csv", "--alpha", "0.5,1,2,1,3", "--variant", "onepop",
      "--beta", "12", "--grid", "20x20"],
+    ["verify", "--users", "basis2", "--variant", "finitep", "--producers", "3",
+     "--samples", "70011", "--grid", "20x20"],
     *([*argv, "--q", q, *users]
       for q in ("1", "inf")
       for argv in (["profit", "--variant", "onepop", "--beta", "12"],
