@@ -77,7 +77,7 @@ def test_compare_names_the_keys_of_a_json_report_that_differ(tmp_path):
 
 
 def test_compare_names_the_element_keys_of_a_list_of_objects_that_differ(tmp_path):
-    probe = '{"beta": %s, "rhs_log": %s, "status": "%s"}'
+    probe = '{"beta": %s, "excess": %s, "status": "%s"}'
     base = capture._record(_printer('{"est": 9, "condition_trace": [%s, %s]}' % (
         probe % (1, 2, "local_max"), probe % (2, 3, "beaten"))), [], str(tmp_path))
     new = capture._record(_printer('{"est": 9, "condition_trace": [%s, %s, %s]}' % (
@@ -87,10 +87,10 @@ def test_compare_names_the_element_keys_of_a_list_of_objects_that_differ(tmp_pat
         "condition_trace[1].beta"]
     assert capture.compare({"threshold": base}, {"threshold": new}) == [
         "differs in stdout [added condition_trace[2]; changed condition_trace[0].status, "
-        "condition_trace[1].rhs_log]: threshold"]
+        "condition_trace[1].excess]: threshold"]
     assert capture.compare({"threshold": new}, {"threshold": base}) == [
         "differs in stdout [removed condition_trace[2]; changed condition_trace[0].status, "
-        "condition_trace[1].rhs_log]: threshold"]
+        "condition_trace[1].excess]: threshold"]
 
 
 def _writer(name, text):

@@ -14,6 +14,7 @@ import pytest
 
 import supply_eq
 import supply_eq.cli as cli
+import supply_eq.optimize as optimize_mod
 import supply_eq.threshold as threshold_mod
 from supply_eq.cli import run
 from supply_eq.closedform import (
@@ -25,7 +26,6 @@ from supply_eq.closedform import (
 )
 from supply_eq.geometry import angle_pair
 from supply_eq.optimize import OptResult
-from supply_eq.threshold import ConditionProbe, ThresholdReport
 
 
 def run_json(capsys, argv):
@@ -42,8 +42,8 @@ def test_threshold_basis2_example(capsys):
     assert rep["run_config"]["subcommand"] == "threshold"
     assert rep["run_config"]["seed"] == 0
     for probe in rep["condition_trace"]:
-        assert set(probe) == {"beta", "holds", "lhs_log", "rhs_log", "status"}
-        assert probe["status"] == "priced_out"
+        assert set(probe) == {"beta", "holds", "excess", "witness", "status"}
+        assert probe["status"] == "priced_out" and probe["witness"] is None
     assert rep["run_config"]["beta"] is None
 
 
@@ -348,9 +348,10 @@ def _report_leaves(report, path=""):
 def test_extreme_common_scale_gives_the_same_answers(capsys, tmp_path, argv, q):
     # Scaling every user by one c > 0 leaves the game unchanged: each report
     # agrees with scale 1 to 1e-10 relative (1e-12 absolute where the value
-    # is rounding, such as a gap at an equilibrium), except that a threshold
-    # probe's summed logs shift by beta * N * log(c).  No sum of powers may
-    # under- or overflow on the way, and no RuntimeWarning is raised.
+    # is rounding, such as a gap at an equilibrium, which prints as 0 where
+    # it rounds to it), and a threshold probe's excess, a sum near N less N,
+    # to its rounding bound delta N.  No sum of powers may under- or overflow
+    # on the way, and no RuntimeWarning is raised.
     users = np.random.default_rng(3).random((10, 3))
     reports = {}
     for scale in (1.0, 1e100, 1e-100, 1e150, 1e-150, 1e-300):
@@ -367,24 +368,33 @@ def test_extreme_common_scale_gives_the_same_answers(capsys, tmp_path, argv, q):
     for scale, got in reports.items():
         assert got.keys() == want.keys()
         for key, val in got.items():
-            if isinstance(val, float) and key.endswith("_log"):
-                probe = key.rsplit(".", 1)[0]
-                shift = got[probe + ".beta"] * len(users) * math.log(scale)
-                assert val - shift == pytest.approx(want[key], abs=1e-10 * abs(val)), (scale, key)
-            elif isinstance(val, float):
+            if key.endswith(".excess"):
+                assert val == pytest.approx(want[key], abs=_DELTA * len(users)), (scale, key)
+            elif _is_number(val):
                 assert val == pytest.approx(want[key], rel=1e-10, abs=1e-12), (scale, key)
             else:
                 assert val == want[key], (scale, key)
 
 
+_DELTA = threshold_mod._DELTA
+
+
+def _is_number(val):
+    # A float that rounds to an integer prints as one, such as a gap of 0.
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _assert_same_numbers(got, want, n_users):
-    """Every leaf of got equals want's, a float within 1e-9 relative, or
-    within 1e-13 where both are at rounding level (below 1e-12 * N)."""
+    """Every leaf of got equals want's, a number within 1e-9 relative, or
+    within 1e-13 where both are at rounding level (below 1e-12 * N); a
+    threshold probe's excess, a sum near N less N, within delta N."""
     assert got.keys() == want.keys()
     for key, val in got.items():
-        if isinstance(val, float) and max(abs(val), abs(want[key])) < 1e-12 * n_users:
+        if key.endswith(".excess"):
+            assert abs(val - want[key]) <= _DELTA * n_users, key
+        elif _is_number(val) and max(abs(val), abs(want[key])) < 1e-12 * n_users:
             assert abs(val - want[key]) <= 1e-13, key
-        elif isinstance(val, float):
+        elif _is_number(val):
             assert val == pytest.approx(want[key], rel=1e-9, abs=0), key
         else:
             assert val == want[key], key
@@ -397,7 +407,8 @@ _GAUGE = (0.5, 1.0, 2.0, 1.0, 3.0)
 def test_every_number_is_the_same_in_a_feature_gauge(capsys, tmp_path, q):
     # Users scaled by d feature by feature under --alpha d are the same game,
     # so every printed number agrees with the unweighted run on the original
-    # users; content (direction, gap_argmax) is printed divided by d.
+    # users; content (direction, gap_argmax, a probe's witness) is printed
+    # divided by d.
     users = np.random.default_rng(0).random((30, 5))
     plain = _users_csv(tmp_path / "plain.csv", users)
     gauge = _users_csv(tmp_path / "gauge.csv", users * np.array(_GAUGE))
@@ -412,12 +423,16 @@ def test_every_number_is_the_same_in_a_feature_gauge(capsys, tmp_path, q):
         for key in ("direction", "gap_argmax"):
             if key in got:
                 got[key] = (np.array(got[key]) * _GAUGE).tolist()
+        for probe in got.get("condition_trace", []):
+            if probe["witness"] is not None:
+                probe["witness"] = (np.array(probe["witness"]) * _GAUGE).tolist()
         _assert_same_numbers(dict(_report_leaves(got)), dict(_report_leaves(want)), 30)
 
 
 def test_per_user_scale_changes_only_the_summed_logs(capsys, tmp_path):
-    # Scaling user i by c_i > 0 leaves the game unchanged: only the summed
-    # logs move, nsw_value by sum log c_i and a probe's by beta times that.
+    # Scaling user i by c_i > 0 leaves the game unchanged: only nsw_value, a
+    # summed log, moves by sum log c_i.  A threshold probe reads only the
+    # ratios <p, u_i>/a_i, so the whole trace stays.
     users = np.random.default_rng(0).random((30, 5))
     c = np.random.default_rng(1).random(30) * 10.0 + 0.1
     shift = float(np.log(c).sum())
@@ -433,11 +448,8 @@ def test_per_user_scale_changes_only_the_summed_logs(capsys, tmp_path):
             reports[name, src] = rep
     want, got = reports["threshold", plain], reports["threshold", scaled]
     assert got["beta_estimate"] == want["beta_estimate"]
-    assert len(got["condition_trace"]) == len(want["condition_trace"])
-    for pg, pw in zip(got["condition_trace"], want["condition_trace"]):
-        assert (pg["beta"], pg["holds"], pg["status"]) == (pw["beta"], pw["holds"], pw["status"])
-        for key in ("lhs_log", "rhs_log"):
-            assert pg[key] - pg["beta"] * shift == pytest.approx(pw[key], rel=1e-12)
+    assert any(p["witness"] for p in got["condition_trace"])
+    _assert_same_numbers(dict(_report_leaves(got)), dict(_report_leaves(want)), 30)
     want, got = reports["nsw", plain], reports["nsw", scaled]
     assert got["nsw_value"] - shift == pytest.approx(want["nsw_value"], rel=1e-12)
     want, got = reports["verify", plain], reports["verify", scaled]
@@ -577,12 +589,13 @@ def test_exit_input_on_linalg_error(capsys, tmp_path, monkeypatch):
 
 def test_exit_input_on_numerical_error(capsys, tmp_path, monkeypatch):
     # A non-finite intermediate on valid input is a ValueError too, but it
-    # reports the numbers' failure, not a bad flag.
-    real = threshold_mod.simplex_logsum_max
-    monkeypatch.setattr(threshold_mod, "simplex_logsum_max",
+    # reports the numbers' failure, not a bad flag.  At q = 1 the threshold's
+    # anchor is the simplex program's.
+    real = optimize_mod.simplex_logsum_max
+    monkeypatch.setattr(optimize_mod, "simplex_logsum_max",
                         lambda Y, **kw: real(np.full_like(Y, np.inf), **kw))
     users = _seeded_embeddings(tmp_path / "u.csv", 30, 5)
-    assert run(["threshold", "--users", users]) == 3
+    assert run(["threshold", "--users", users, "--q", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: NumericalError: Y must be nonnegative and finite\n"
@@ -611,8 +624,8 @@ def _edge_sweep(tmp_path, q):
                             [math.cos(0.4 + 1e-9), math.sin(0.4 + 1e-9)]],
         "near_parallel_3": [[1.0, 0.5, 0.25], [1.0, 0.5 + 1e-9, 0.25 - 1e-9]],
         "axis": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5]],
-        # Ascents at q < 2 reach points with a zero coordinate, where the
-        # Newton step's x^(q-2) is infinite.
+        # Ascents start at the axes, and their points keep zero coordinates
+        # on faces of the orthant.
         "faces": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
         "duplicated_axis": [[1.0, 0.0], [1.0, 0.0]],
         "sparse": [[1.0, 0.0, 0.0, 2.0], [0.0, 3.0, 0.0, 0.0], [0.0, 0.5, 1.0, 0.0],
@@ -670,15 +683,11 @@ def _csv_row(line):
 
 
 def _answers(out):
-    """A report without its run_config, or a CSV's rows of floats, with the
-    summed log values of the threshold trace left out: they add beta N log s
-    when the users are scaled by s, where every other answer stays."""
+    """A report without its run_config, or a CSV's rows of floats."""
     assert "nan" not in out
     if out.startswith("{"):
         report = json.loads(out)
         del report["run_config"]
-        for probe in report.get("condition_trace", []):
-            del probe["lhs_log"], probe["rhs_log"]
         return report
     return [_csv_row(line) for line in out.splitlines()]
 
@@ -687,7 +696,12 @@ def _assert_same_answers(got, ref):
     if isinstance(ref, dict):
         assert got.keys() == ref.keys()
         for key in ref:
-            _assert_same_answers(got[key], ref[key])
+            if key == "witness" and ref[key] is not None:
+                # A D = 2 witness is the argmax of the sum at its peak, where
+                # rounding of the sum moves the argmax by about 1e-7.
+                assert got[key] == pytest.approx(ref[key], abs=1e-6)
+            else:
+                _assert_same_answers(got[key], ref[key])
     elif isinstance(ref, list):
         assert len(got) == len(ref)
         for g, r in zip(got, ref):
@@ -1102,20 +1116,14 @@ def test_help_exits_zero(capsys):
 
 
 def test_exit_nonconvergence_still_writes_report(capsys, monkeypatch, tmp_path):
-    stuck = ThresholdReport(
-        beta_star_closed=2.0,
-        beta_upper=2.5,
-        beta_estimate=None,
-        condition_trace=(
-            ConditionProbe(beta=2.2, holds=None, lhs_log=-1.0, rhs_log=-1.0, status="round_cap"),
-        ),
-    )
-    monkeypatch.setattr(cli, "threshold_report", lambda *a, **k: stuck)
+    # One step leaves Frank-Wolfe far from its target gap on 30x5.
+    monkeypatch.setattr(optimize_mod, "_MAX_ITERS", 1)
+    users = _seeded_embeddings(tmp_path / "u.csv", 30, 5)
     dest = tmp_path / "rep.json"
-    assert run(["threshold", "--users", "basis2", "--out", str(dest)]) == 4
+    assert run(["nsw", "--users", users, "--out", str(dest)]) == 4
     rep = json.loads(dest.read_text())
-    assert rep["condition_trace"][0]["holds"] is None
-    assert rep["beta_estimate"] is None
+    assert rep["converged"] is False and rep["iters"] == 1
+    assert rep["kkt_residual"] > 1e-11
 
 
 

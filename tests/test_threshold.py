@@ -1,10 +1,11 @@
-"""Specialization thresholds: closed form, dual-norm bound, hull-test search."""
+"""Specialization thresholds: closed form, dual-norm bound, first-order test."""
 
 import math
 
 import numpy as np
 import pytest
 
+import supply_eq.optimize as optimize_mod
 import supply_eq.threshold as threshold_mod
 from supply_eq.cli import run
 from supply_eq.geometry import (
@@ -25,6 +26,7 @@ from supply_eq.threshold import (
 )
 
 SPEC2 = CostSpec(q=2.0, beta=2.0)
+DELTA = threshold_mod._DELTA
 
 # The benchmark's seeded sets: one generator, 30x5 drawn first.
 _RNG = np.random.default_rng(0)
@@ -102,13 +104,20 @@ def test_max_condition_flips_at_threshold():
 
 
 def test_max_condition_trace_ordering():
+    # A beaten probe's witness is a unit-cost point whose sum of y_i is
+    # N + excess, above the bar; a holding probe has no witness.
     users = angle_pair(math.pi / 3)
+    a = users.embeddings @ nsw_direction(users, SPEC2).point
     for beta in (1.2, 3.0, 4.5):
-        holds, lhs, rhs, _ = max_condition_holds(users, SPEC2, beta)
-        assert rhs >= lhs - 1e-12
-        if holds is False:
-            tau = threshold_mod._tau(users.n_users)
-            assert rhs - lhs >= tau - 1e-15
+        holds, excess, witness, status = max_condition_holds(users, SPEC2, beta)
+        assert holds is (beta < 4.0)
+        if holds:
+            assert witness is None and excess <= DELTA * 2 and status == "priced_out"
+        else:
+            w = np.array(witness)
+            assert weighted_norm(w, SPEC2) == pytest.approx(1.0, abs=1e-15)
+            assert float(((users.embeddings @ w / a) ** beta).sum()) == 2 + excess
+            assert excess > DELTA * 2 and status == "beaten"
 
 
 def test_max_condition_rejects_bad_beta():
@@ -182,16 +191,24 @@ def test_hull_search_deterministic():
     b = threshold_report(users, SPEC2)
     assert a.beta_estimate == b.beta_estimate
     assert [p.beta for p in a.condition_trace] == [p.beta for p in b.condition_trace]
-    assert [p.lhs_log for p in a.condition_trace] == [p.lhs_log for p in b.condition_trace]
+    assert [p.excess for p in a.condition_trace] == [p.excess for p in b.condition_trace]
     assert a.condition_trace == b.condition_trace
 
 
-@pytest.mark.parametrize("theta", [0.3, 0.6, 1.0, math.pi / 4, math.pi / 3, 1.2, math.pi / 2])
+# 59 angles from 0.05 (beta* = 1600) to 1.5; a copy of a listed angle runs once.
+_THETAS = dict.fromkeys([0.3, 0.6, 1.0, math.pi / 4, math.pi / 3, 1.2, math.pi / 2,
+                         *np.linspace(0.05, 1.5, 59).tolist()])
+
+
+@pytest.mark.parametrize("theta", list(_THETAS))
 def test_angle_pair_estimate_within_gap_of_closed_form(theta):
     rep = threshold_report(angle_pair(theta), SPEC2)
-    assert abs(rep.beta_estimate - 2.0 / (1.0 - math.cos(theta))) <= threshold_mod._GAP
-    # D = 2 pricing searches every angle, so each probe is decided globally.
+    assert abs(rep.beta_estimate - rep.beta_star_closed) <= threshold_mod._GAP
+    # D = 2 pricing searches every angle, so each probe is decided globally,
+    # and every verdict is the closed form's.
     assert {p.status for p in rep.condition_trace} <= {"beaten", "priced_out"}
+    assert [p.holds for p in rep.condition_trace] == [
+        p.beta <= rep.beta_star_closed for p in rep.condition_trace]
 
 
 @pytest.mark.parametrize("users", [USERS_30X5, USERS_200X10], ids=["30x5", "200x10"])
@@ -210,43 +227,45 @@ def test_threshold_report_bytes_do_not_depend_on_seed(tmp_path, capsys, users):
 def test_threshold_estimates_on_benchmark_sets():
     # Below the lowest sampled-hull estimate over --seed 0..4 (9.4714 and
     # 13.1256): random points missed improvements and read them as "holds".
+    # On 200x10 a point prices 0.17 above N at beta = 12.4352.
     est30 = threshold_report(USERS_30X5, SPEC2)
     est200 = threshold_report(USERS_200X10, SPEC2)
     assert 9.0 < est30.beta_estimate <= 9.471406802579658
-    assert 12.0 < est200.beta_estimate <= 13.125578790996029
+    assert 12.0 < est200.beta_estimate < 12.4352
     # On 30x5 the ascents at beta = 9.3478 were still climbing at the step cap.
     assert [p.status for p in est30.condition_trace] == (
         ["local_max"] * 2 + ["step_cap"] + ["beaten"] * 7)
-    assert [p.status for p in est200.condition_trace] == ["local_max"] * 4 + ["beaten"] * 6
+    assert [p.status for p in est200.condition_trace] == ["local_max"] * 3 + ["beaten"] * 7
+    assert est200.condition_trace[3].excess > 0.17
 
 
 def test_largest_holding_beta_survives_random_points():
     # At the largest beta the search accepts on 30x5, no seeded random
     # cone-ball point, nor any point of the old sampled test's 50 trials of
-    # 75, prices above N + tau at the anchor.
+    # 75, prices above the bar N (1 + delta) at the anchor.
     users = USERS_30X5
     rep = threshold_report(users, SPEC2)
     beta = max(p.beta for p in rep.condition_trace if p.holds)
     U = users.embeddings
     anchor = nsw_direction(users, SPEC2)
     a = U @ anchor.point
-    tau = threshold_mod._tau(users.n_users)
     draws = [np.abs(np.random.default_rng(123).standard_normal((20000, 5)))]
     draws += [np.abs(np.random.default_rng([0, t]).standard_normal((75, 5))) for t in range(50)]
     for pts in draws:
         pts = pts / weighted_norm(pts, SPEC2)[:, None]
         price = (((pts @ U.T) / a) ** beta).sum(axis=1)
-        assert price.max() <= users.n_users + tau
+        assert price.max() <= users.n_users * (1.0 + DELTA)
 
 
 def _vertex_mixture_value(users, spec, beta):
     # At q = 1 every point of the ball is a mixture of 0 and the vertices
     # e_k, and the values (<p, u_i>/a_i)^beta are convex in p, so the best
-    # mixture of the vertices and the anchor is the best of all mixtures.
+    # mixture of the vertices and the anchor is the best of all mixtures:
+    # (its gain in summed log value, the best vertex's sum of values).
     U = users.embeddings
     a = U @ nsw_direction(users, spec).point
     Y = np.vstack([np.ones(users.n_users), (U.T / a) ** beta])
-    return simplex_logsum_max(Y).value
+    return simplex_logsum_max(Y).value, float(Y[1:].sum(axis=1).max())
 
 
 @pytest.mark.parametrize("U, alpha", [
@@ -257,17 +276,21 @@ def _vertex_mixture_value(users, spec, beta):
 ], ids=["pair", "pair_weighted", "6x4", "6x4_weighted"])
 def test_q1_flips_where_vertex_pricing_says(U, alpha):
     # The weighted cases run on the users divided by alpha.
+    # The first-order test agrees with the best vertex, and the concave
+    # mixture program gains where it says beaten.
     users, spec = UserSet(U if alpha is None else U / alpha), CostSpec(q=1.0)
-    tau = threshold_mod._tau(users.n_users)
+    n = users.n_users
     est = threshold_report(users, spec).beta_estimate
     flags = []
     for beta in np.unique(np.r_[np.linspace(1.0, 1.1, 11), np.linspace(est - 0.5, est + 0.5, 11)]):
         if beta < 1.0:
             continue
-        holds, _, _, status = max_condition_holds(users, spec, float(beta))
-        oracle = _vertex_mixture_value(users, spec, float(beta))
-        if abs(oracle - tau) > 1e-9:
-            assert holds is (oracle < tau)
+        holds, excess, _, status = max_condition_holds(users, spec, float(beta))
+        gain, vertex = _vertex_mixture_value(users, spec, float(beta))
+        assert excess == pytest.approx(vertex - n, rel=1e-12, abs=1e-12)
+        assert holds is (vertex <= n * (1.0 + DELTA))
+        if gain > 1e-9:
+            assert not holds
         assert status == ("priced_out" if holds else "beaten")
         flags.append(holds)
     assert True in flags and False in flags
@@ -299,57 +322,52 @@ def test_weighted_pair_flips_at_rescaled_closed_form():
     assert max_condition_holds(users, spec, closed + 0.1)[::3] == (False, "beaten")
 
 
-def test_round_cap_is_inconclusive(monkeypatch):
-    monkeypatch.setattr(threshold_mod, "_ROUND_CAP", 1)
-    holds, lhs, rhs, status = max_condition_holds(USERS_30X5, SPEC2, 12.0)
-    assert (holds, status) == (None, "round_cap")
-    assert rhs == lhs
-
-
 def test_probes_share_one_pool():
+    # The pool holds the witnesses of beaten probes and nothing else.
     users = USERS_30X5
     anchor = nsw_direction(users, SPEC2)
-    pool = [anchor.point]
+    pool = []
     first = max_condition_holds(users, SPEC2, 12.0, anchor, pool)
-    assert first[::3] == (False, "beaten") and len(pool) > 1
-    grown = len(pool)
-    # The points found at beta = 12 already beat the anchor at 13.
-    assert max_condition_holds(users, SPEC2, 13.0, anchor, pool)[::3] == (False, "beaten")
-    assert len(pool) == grown
+    assert first[::3] == (False, "beaten")
+    assert len(pool) == 1 and tuple(pool[0].tolist()) == first[2]
+    # The witness found at beta = 12 already beats the anchor at 13: it is
+    # the witness again, and the pool keeps one copy.
+    again = max_condition_holds(users, SPEC2, 13.0, anchor, pool)
+    assert again[::3] == (False, "beaten") and again[2] == first[2]
+    assert len(pool) == 1
+    assert max_condition_holds(users, SPEC2, 8.0, anchor, pool)[0] is True
+    assert len(pool) == 1
 
 
 def test_probes_decide_near_the_threshold_at_q7():
-    # Each new column is ascended to its local maximum.  Columns cut off at
-    # the first price above the bar were near-copies of the pool, and the
-    # probe at beta = 24.18 on this set stayed undecided after _ROUND_CAP.
+    # Near its threshold this set's probes come within 0.01 of beta*.
     rep = threshold_report(UserSet(np.random.default_rng(11).random((8, 3))), CostSpec(q=7.0))
-    assert all(p.holds is not None for p in rep.condition_trace)
     assert 24.1 < rep.beta_estimate < 24.2
 
 
-# _price before its Newton steps and compact arrays: conditional-gradient
-# ascents over the full arrays, the reference for the D > 2 ascent.
+# _price without its return at the first point above the bar, nor compact
+# arrays: conditional-gradient ascents over the full arrays, each start to its
+# stall, the reference for the D > 2 ascent.
 _PRICE = threshold_mod._price
 
 
-def _price_cg(U, a, c, beta, spec, pool, bar):
+def _price_cg(U, a, beta, spec, pool, bar):
     d = U.shape[1]
     if spec.q == 1.0 or math.isinf(spec.q) or d <= 2:
-        return _PRICE(U, a, c, beta, spec, pool, bar)
+        return _PRICE(U, a, beta, spec, pool, bar)
     S = threshold_mod.dual_point(U, spec)
-    own = c * ((S * U).sum(axis=1) / a) ** beta
-    P = np.vstack([pool, np.eye(d), S[np.argsort(-own)[:threshold_mod._USER_STARTS]]])
+    own = ((S * U).sum(axis=1) / a) ** beta
+    P = np.vstack([*pool, np.eye(d), S[np.argsort(-own)[:threshold_mod._USER_STARTS]]])
+    P = P[np.sort(np.unique(P, axis=0, return_index=True)[1])]
     Z = P @ U.T / a
-    v = (Z ** beta) @ c
+    v = (Z ** beta).sum(axis=1)
     live = np.flatnonzero(v > 0)
     for _ in range(threshold_mod._ASCENT_STEPS):
-        if v.max() >= bar:
-            live = live[v[live] >= bar]
         if not live.size:
             break
-        Pn = threshold_mod.dual_point((Z[live] ** (beta - 1.0) * (c / a)) @ U, spec)
+        Pn = threshold_mod.dual_point(Z[live] ** (beta - 1.0) / a @ U, spec)
         Zn = Pn @ U.T / a
-        vn = (Zn ** beta) @ c
+        vn = (Zn ** beta).sum(axis=1)
         up = vn > v[live] * (1.0 + threshold_mod._STALL)
         live = live[up]
         P[live], Z[live], v[live] = Pn[up], Zn[up], vn[up]
@@ -370,6 +388,8 @@ ASCENT_CASES.append(("rng11_8x3", 7.0))
 
 @pytest.mark.parametrize("name, q", ASCENT_CASES)
 def test_ascent_keeps_every_verdict_of_the_conditional_gradient_ascent(monkeypatch, name, q):
+    # Returning at the first point above the bar decides a probe as the
+    # climb to the top does; the pools differ, since their witnesses do.
     users, spec = UserSet(ASCENT_SETS[name]), CostSpec(q=q)
     new = threshold_report(users, spec)
     monkeypatch.setattr(threshold_mod, "_price", _price_cg)
@@ -383,18 +403,19 @@ def test_ascent_keeps_every_verdict_of_the_conditional_gradient_ascent(monkeypat
                                      ("rng11_8x3", 7.0)])
 def test_ascent_below_the_bar_matches_the_conditional_gradient_ascent_bitwise(
         monkeypatch, name, q):
-    # Newton steps start only above the bar, so a pricing no start lifts to
-    # the bar is the conditional-gradient ascent's, to the last bit.
+    # The return above the bar and the compact arrays change nothing else,
+    # so a pricing no start lifts above the bar is the full-array ascent's,
+    # to the last bit.
     calls = []
 
-    def spy(U, a, c, beta, spec, pool, bar):
-        out = _PRICE(U, a, c, beta, spec, pool, bar)
-        calls.append(((U, a, c, beta, spec, list(pool), bar), out))
+    def spy(U, a, beta, spec, pool, bar):
+        out = _PRICE(U, a, beta, spec, pool, bar)
+        calls.append(((U, a, beta, spec, list(pool), bar), out))
         return out
 
     monkeypatch.setattr(threshold_mod, "_price", spy)
     threshold_report(UserSet(ASCENT_SETS[name]), CostSpec(q=q))
-    below = [(args, out) for args, out in calls if out[1] < args[-1]]
+    below = [(args, out) for args, out in calls if out[1] <= args[-1]]
     assert below
     for args, (point, price, status) in below:
         ref_point, ref_price, ref_status = _price_cg(*args)
@@ -403,17 +424,24 @@ def test_ascent_below_the_bar_matches_the_conditional_gradient_ascent_bitwise(
 
 
 def test_a_newton_point_that_lowers_f_is_refused(monkeypatch):
-    # Points at half the unit cost lower f by 2^-beta; refusing each one, the
-    # ascents step as the conditional-gradient ones do, to the last bit.
-    monkeypatch.setattr(threshold_mod, "_newton", lambda X, *args: (np.arange(len(X)), 0.5 * X))
+    # The anchor's Newton finish keeps a step only where it lowers the
+    # Frank-Wolfe gap.  A proposal toward e1 lowers the Nash welfare and
+    # raises the gap, so each one is refused, and the reports are those of
+    # the Frank-Wolfe anchor alone, to the last bit.
+    def toward_e1(U, x, spec):
+        y = x + np.eye(1, len(x))[0]
+        return y / weighted_norm(y, spec)
+
     for users in (USERS_30X5, UserSet(ASCENT_SETS["rng7_10x3"])):
-        new = threshold_report(users, SPEC2)
         with monkeypatch.context() as m:
-            m.setattr(threshold_mod, "_price", _price_cg)
-            assert new == threshold_report(users, SPEC2)
+            m.setattr(optimize_mod, "_polish", lambda U, x, spec, cap: (x, 0))
+            old = threshold_report(users, SPEC2)
+        with monkeypatch.context() as m:
+            m.setattr(optimize_mod, "_tangent_step", toward_e1)
+            assert threshold_report(users, SPEC2) == old
 
 
-def test_newton_steps_shorten_the_ascents(monkeypatch):
+def test_returning_above_the_bar_shortens_the_ascents(monkeypatch):
     calls = []
     real = threshold_mod.dual_point
     monkeypatch.setattr(threshold_mod, "dual_point", lambda *args: calls.append(1) or real(*args))
@@ -422,7 +450,7 @@ def test_newton_steps_shorten_the_ascents(monkeypatch):
     monkeypatch.setattr(threshold_mod, "_price", _price_cg)
     calls.clear()
     threshold_report(USERS_30X5, SPEC2)
-    assert new < 0.6 * len(calls)
+    assert new < 0.4 * len(calls)
 
 
 def test_an_ascent_cut_by_its_step_cap_says_so(monkeypatch):
@@ -431,40 +459,43 @@ def test_an_ascent_cut_by_its_step_cap_says_so(monkeypatch):
 
 
 def test_ascent_starts_no_copy_of_a_start(monkeypatch):
-    # The axes are also three users' dual points here, and the anchor's pool
-    # can hold them too; the first copy of each start is kept, and a copy
-    # would have taken the same steps, so the report is what it was with the
-    # copies: the values pinned below.
-    seen, real = [], threshold_mod._newton
+    # The axes are also three users' dual points here, and the pool can hold
+    # them too; the first copy of each start is kept, and a copy would have
+    # taken the same steps, so the report is what it was with the copies:
+    # the values pinned below.  Each gradient row belongs to one start.
+    seen, real = [], threshold_mod.dual_point
 
-    def spy(X, *args):
-        seen.append(len(np.unique(X, axis=0)) == len(X))
-        return real(X, *args)
+    def spy(G, spec):
+        seen.append(len(np.unique(G, axis=0)) == len(G))
+        return real(G, spec)
 
-    monkeypatch.setattr(threshold_mod, "_newton", spy)
+    monkeypatch.setattr(threshold_mod, "dual_point", spy)
     users = UserSet(np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [1.0, 1.0, 0]]))
     rep = threshold_report(users, CostSpec(q=1.5))
     assert seen and all(seen)
     assert (rep.beta_estimate, rep.beta_upper) == (1.5091747930103852, 2.5517707977459354)
-    assert [(p.beta, p.holds, p.lhs_log, p.rhs_log, p.status) for p in rep.condition_trace] == [
-        (1.3879426994364839, True, -3.0433524585208285, -3.0433524585208285, "local_max"),
-        (1.4849283742956048, True, -3.2560136815984424, -3.2560136815984424, "local_max"),
-        (1.5334212117251653, False, -3.3623442931372494, -3.3617190216786255, "beaten"),
-        (1.5819140491547259, False, -3.4686749046760563, -3.4650084700869086, "beaten"),
-        (1.7758853988729677, False, -3.8939973508312837, -3.8560450168592024, "beaten"),
+    assert [(p.beta, p.holds, p.witness, p.status) for p in rep.condition_trace] == [
+        (1.3879426994364839, True, None, "local_max"),
+        (1.4849283742956048, True, None, "local_max"),
+        (1.5334212117251653, False, (0.0, 0.0, 1.0), "beaten"),
+        (1.5819140491547259, False, (0.0, 0.0, 1.0), "beaten"),
+        (1.7758853988729677, False, (0.0, 0.0, 1.0), "beaten"),
     ]
 
 
 def test_newton_skips_a_zero_coordinate_below_q2(monkeypatch):
-    # At q < 2 a zero coordinate makes x^(q-2) infinite: the row is dropped
-    # before LAPACK, with no RuntimeWarning (an error here) and no LinAlgError.
-    seen, real = [], threshold_mod._newton
+    # The second feature is no user's, and Frank-Wolfe sets it to 0: at
+    # q < 2, x^(q-2) is infinite there, so the anchor's Newton steps run on
+    # the support, with no RuntimeWarning (an error here) and no LinAlgError.
+    seen, real = [], optimize_mod._tangent_step
 
-    def spy(X, *args):
-        seen.append(bool((X == 0).any()))
-        return real(X, *args)
+    def spy(U, x, spec):
+        seen.append(bool((x == 0).any()))
+        return real(U, x, spec)
 
-    monkeypatch.setattr(threshold_mod, "_newton", spy)
-    users = UserSet(np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [1.0, 1.0, 0]]))
-    assert threshold_report(users, CostSpec(q=1.5)).beta_estimate < 2.0
-    assert any(seen)
+    monkeypatch.setattr(optimize_mod, "_tangent_step", spy)
+    users = UserSet(np.array([[1.0, 0.0, 0.0, 0.5], [0.7, 0.0, 0.1, 0.3]]))
+    anchor = nsw_direction(users, CostSpec(q=1.5))
+    assert seen and all(seen) and anchor.converged and anchor.kkt_residual < 1e-15
+    rep = threshold_report(users, CostSpec(q=1.5))
+    assert 1.0 < rep.beta_estimate < rep.beta_upper < math.inf

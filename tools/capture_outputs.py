@@ -16,7 +16,7 @@ with the temporary directory's path replaced by ``<work>``.  When stdout,
 or a file the command wrote, parses as a JSON object, it also records one
 sha256 per top-level key, of that key's value, and, where that value is a
 list of objects, one per key of each element, named like
-``condition_trace[3].rhs_log``.
+``condition_trace[3].excess``.
 
 The second form prints every command whose record differs between the two
 captures, or is in only one of them, and exits 1 when there is one.  Where
@@ -63,10 +63,13 @@ SEEDS = (1, 2)
 # run threshold and an infinite eq each: the pair of near8.csv, (1, 1, 0.3) and
 # (1, 1 + 1e-8, 0.3), at beta = 2e17, and a 60-degree pair scaled by 1e-200;
 # a p2 verify runs on the orthogonal pair scaled by 1e200, a threshold on
-# basis2 under --alpha 1e300,1e-300, and one on a single user.  Two commands
-# run on two lanes: a p2 samples file of 20,001 rows (five CSV blocks, the
-# last rendered alone) and an nmf on ratings_lanes.csv, whose two sides each
-# hold more slots than the size past which nmf splits a half-step.  A finitep
+# basis2 under --alpha 1e300,1e-300, and one on a single user.  Threshold
+# runs on the pairs at 0.075 and 0.3 rad too, whose probes come within a few
+# hundredths of beta* (711.4 and 44.8), where the first-order test needs the
+# anchor to rounding.  Two commands run on two lanes: a p2 samples file of
+# 20,001 rows (five CSV blocks, the last rendered alone) and an nmf on
+# ratings_lanes.csv, whose two sides each hold more slots than the size past
+# which nmf splits a half-step.  A finitep
 # verify of 70,011 rounds has more than one block of them, in halves of
 # 35,000 and 35,011 rounds, so its Monte Carlo sums split off the middle.
 SURFACE = [
@@ -135,6 +138,8 @@ SURFACE = [
     ["profit", "--users", "orthonormal:3", "--variant", "onepop", "--q", "1"],
     ["profit", "--users", "basis2", "--variant", "p2", "--producers", "3"],
     ["threshold", "--users", "near8.csv"],
+    ["threshold", "--users", "angle:0.075"],
+    ["threshold", "--users", "angle:0.3"],
     ["eq", "--variant", "infinite", "--users", "near8.csv", "--beta", "2e17", "--cdf-grid", "3",
      "--n", "2"],
     ["verify", "--users", "orth_1e200.csv", "--variant", "p2", "--beta", "4", "--grid", "20x20",
