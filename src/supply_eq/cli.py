@@ -449,10 +449,11 @@ def _cmd_threshold(ns) -> int:
         "beta_upper": rep.beta_upper,
         "beta_estimate": rep.beta_estimate,
         "condition_trace": trace,
+        "anchor_converged": rep.anchor_converged,
         "run_config": _run_config(ns, users_source=ns.users),
     }
     _write_text(render_json(report), ns.out)
-    return _EXIT_OK
+    return _EXIT_OK if rep.anchor_converged else _EXIT_NOCONV
 
 
 def _same_file(a: str, b: str) -> bool:

@@ -19,8 +19,10 @@ from .geometry import NumericalError, dual_norm, dual_point, weighted_norm
 __all__ = ["OptResult", "nsw_direction", "minmax_alignment", "simplex_logsum_max"]
 
 # Frank-Wolfe gap at which nsw_direction stops: well below the 1e-9 * N an
-# independent check of the returned direction asks for.
-_FW_GAP = 1e-11
+# independent check of the returned direction asks for.  Its Newton finish
+# stops at |x * grad F| <= _GRAD_TOL * N, about 1e-13 rad from the optimum,
+# which the gap cannot show: it rounds to 0 about 1e-8 rad away.
+_FW_GAP, _GRAD_TOL = 1e-11, 1e-13
 
 # Iteration cap of every solver, and the certificate width at which the
 # alignment bracket and the simplex program stop unless told otherwise.
@@ -128,13 +130,14 @@ def _fw_gap(U, x, spec):
 
 
 def _tangent_step(U, x, spec):
-    """The Newton point of F(x) = sum_i log <x, u_i> - N log ||x||_q from the
-    unit-cost x, 1 < q < inf, on the support of x, at unit cost; None where
-    the system is not finite or singular.  F does not change along rays, so
-    on the plane x + x^perp it is an ordinary function whose Hessian is P H P
-    (P = I - n n^T, n = x/|x|); subtracting n n^T makes that invertible and
-    keeps the step in the plane.  A coordinate the step takes below 0 leaves
-    the support at 0."""
+    """(xn, r): the Newton point xn of F(x) = sum_i log <x, u_i> - N log
+    ||x||_q from the unit-cost x, 1 < q < inf, on the support of x, at unit
+    cost (None where the system is not finite or singular), and r = |x * grad
+    F| at x, which no rescaling of the features changes.  F does not change
+    along rays, so on the plane x + x^perp it is an ordinary function whose
+    Hessian is P H P (P = I - n n^T, n = x/|x|); subtracting n n^T makes
+    that invertible and keeps the step in the plane.  A coordinate the step
+    takes below 0 leaves the support at 0."""
     n, q, S = U.shape[0], spec.q, np.flatnonzero(x > 0)
     xs, W = x[S], U[:, S] / (U[:, S] @ x[S])[:, None]  # rows u_i / <x, u_i>
     with np.errstate(over="ignore", invalid="ignore"):
@@ -145,28 +148,32 @@ def _tangent_step(U, x, spec):
     nx = xs / math.sqrt(xs @ xs)
     P = np.eye(len(S)) - np.outer(nx, nx)
     M = P @ H @ P - np.outer(nx, nx)
+    grad = W.sum(axis=0) - n * y
+    r = float(np.linalg.norm(xs * grad))
     if not np.isfinite(M).all():
-        return None
+        return None, r
     try:
-        step = np.linalg.solve(M, P @ (W.sum(axis=0) - n * y))
+        step = np.linalg.solve(M, P @ grad)
     except np.linalg.LinAlgError:
-        return None
+        return None, r
     xn = np.zeros_like(x)
     xn[S] = np.maximum(xs - step, 0.0)
-    return xn / weighted_norm(xn, spec)
+    return xn / weighted_norm(xn, spec), r
 
 
 def _polish(U, x, spec, cap):
-    """(x, steps): _tangent_step from x while it lowers the Frank-Wolfe gap,
-    at most cap steps."""
+    """(x, gap, steps): _tangent_step from x until r <= _GRAD_TOL * N, at
+    most cap steps, each kept only where it lowers the Frank-Wolfe gap, or
+    leaves it and lowers r."""
     gap, steps = _fw_gap(U, x, spec), 0
-    while gap > 0.0 and steps < cap:
-        xn = _tangent_step(U, x, spec)
-        gn = math.inf if xn is None else _fw_gap(U, xn, spec)
-        if not gn < gap:
+    xn, r = _tangent_step(U, x, spec)
+    while xn is not None and steps < cap and r > _GRAD_TOL * len(U):
+        gn = _fw_gap(U, xn, spec)
+        xnn, rn = _tangent_step(U, xn, spec)
+        if not (gn, rn) < (gap, r):
             break
-        x, gap, steps = xn, gn, steps + 1
-    return x, steps
+        x, gap, r, xn, steps = xn, gn, rn, xnn, steps + 1
+    return x, gap, steps
 
 
 def nsw_direction(users, spec):
@@ -178,8 +185,8 @@ def nsw_direction(users, spec):
     kkt_residual is the Frank-Wolfe gap dual_norm(g) - <g, p>, g = sum_i
     u_i/<p, u_i>, which bounds the suboptimality of p (Jaggi 2013); converged
     means it is <= _FW_GAP.  A gap of 1e-11 still leaves p about 1e-6 rad
-    off the optimum; one Newton step takes that to rounding, and no step
-    raises the gap.
+    off the optimum; Newton steps take that to rounding, usually in two,
+    and no step raises the gap.
     """
     U = users.embeddings
     if math.isinf(spec.q):
@@ -189,11 +196,12 @@ def nsw_direction(users, spec):
         # gap and the Frank-Wolfe gap recomputed at p.
         r = simplex_logsum_max(U.T, tol=0.5 * _FW_GAP)
         x, iters, status = r.point, r.iters, r.status
-    else:
+    else:  # _polish returns the gap it reached
         x, iters, status = _nsw_frank_wolfe(U, spec)
-        x, steps = _polish(U, x, spec, _MAX_ITERS - iters)
+        x, gap, steps = _polish(U, x, spec, _MAX_ITERS - iters)
         iters += steps
-    gap = _fw_gap(U, x, spec)
+    if not 1.0 < spec.q < math.inf:
+        gap = _fw_gap(U, x, spec)
     ok = gap <= _FW_GAP
     return OptResult(x, float(np.log(U @ x).sum()), gap, iters, ok, "converged" if ok else status)
 

@@ -5,9 +5,10 @@ y_i = (<p, u_i>/a_i)^beta against the single-genre optimum (the anchor,
 <anchor, u_i> = a_i).  Mixing p into the anchor changes the summed log values
 at rate sum_i y_i - N, and they are concave over mixtures, so the single genre
 survives exactly when no unit-cost p has sum_i y_i > N.  A probe prices the
-cone-ball once against the bar N (1 + _DELTA).  In D > 2 the pricing is a
-multistart conditional-gradient ascent that returns at the first point above
-the bar, so a probe it decides as holding is a local answer ("local_max", or
+cone-ball once against the bar N (1 + _delta(beta)).  In D = 2 the pricing
+zooms in on the best angle and in D > 2 it is a multistart
+conditional-gradient ascent; both return at the first point above the bar,
+so a probe the ascent decides as holding is a local answer ("local_max", or
 "step_cap" when its step cap cut it short).
 """
 
@@ -24,11 +25,11 @@ from .optimize import nsw_direction
 __all__ = ["ConditionProbe", "ThresholdReport", "beta_upper", "max_condition_holds",
            "threshold_report"]
 
-# A point beats the anchor when sum_i y_i exceeds N (1 + _DELTA).  Each y_i
-# is a ratio of two dot products raised to beta, so it carries a relative
-# rounding error of about 10 beta ulps: _DELTA covers that for beta into the
-# thousands, and the anchor's own sum, N, never crosses the bar.
-_DELTA = 1e-11
+# A point beats the anchor when sum_i y_i exceeds N (1 + _delta(beta)).  The
+# sum's relative rounding grows like beta ulps (at most 1.7 beta on pairs and
+# near-parallel sets in D <= 20 with beta* up to 10^7), which _ULPS covers;
+# _DELTA bounds the rounding of the sum and the anchor where beta is small.
+_DELTA, _ULPS = 1e-11, 10.0
 
 # D = 2 pricing grids _ANGLES angles, then _ZOOMS times _ANGLES_ZOOM around
 # the best one.  D > 2 ascents of at most _ASCENT_STEPS start at the pool,
@@ -41,14 +42,20 @@ _USER_STARTS, _ASCENT_STEPS, _STALL = 4, 200, 1e-12
 _GAP = 0.05
 
 
+def _delta(beta):
+    """The bar's relative margin over N at cost exponent beta."""
+    return max(_DELTA, _ULPS * beta * np.finfo(float).eps)
+
+
 @dataclass(frozen=True)
 class ConditionProbe:
     """One first-order test.  excess is the largest sum_i y_i - N the pricing
-    found, and witness its point when that beats the bar (None otherwise).
-    status says what decided it: "beaten" (a point priced above the bar),
-    "priced_out" (a global search found none), "local_max" (a multistart
-    ascent found none, every start at a stall) or "step_cap" (a multistart
-    ascent found none, but some start was still climbing at _ASCENT_STEPS)."""
+    found, which returns at its first point above the bar: that point is the
+    witness (None when there is none).  status says what decided it:
+    "beaten" (a point priced above the bar), "priced_out" (a global search
+    found none), "local_max" (a multistart ascent found none, every start at
+    a stall) or "step_cap" (a multistart ascent found none, but some start
+    was still climbing at _ASCENT_STEPS)."""
 
     beta: float
     holds: bool
@@ -63,6 +70,7 @@ class ThresholdReport:
     beta_upper: float
     beta_estimate: float | None
     condition_trace: tuple[ConditionProbe, ...]
+    anchor_converged: bool
 
 
 def beta_upper(users: UserSet, spec: CostSpec) -> float:
@@ -80,9 +88,10 @@ def beta_upper(users: UserSet, spec: CostSpec) -> float:
 def _price(U, a, beta, spec, pool, bar):
     """(point, price, status) for max f(p) = sum_i (<p, u_i>/a_i)^beta over
     the cone-ball.  f is convex, so at q = 1 it peaks at a vertex e_k, at
-    q = inf at the all-ones point, and D = 2 is a search over one angle:
-    status "priced_out".  D > 2 runs ascents from the pool, the vertices and
-    the best users' dual points by conditional-gradient steps
+    q = inf at the all-ones point, and D = 2 is a search over one angle that
+    stops zooming once its best angle prices above bar: status "priced_out".
+    D > 2 runs ascents from the pool, the vertices and the best users' dual
+    points by conditional-gradient steps
     p <- dual_point(grad f(p)), which never lower f, and returns as soon as a
     start prices above bar.  A start stops when its step gains less than the
     factor (1 + _STALL): status "local_max" when every start stopped,
@@ -100,8 +109,11 @@ def _price(U, a, beta, spec, pool, bar):
         for _ in range(_ZOOMS + 1):
             X = np.stack([np.cos(t), np.sin(t)], axis=1)
             X /= weighted_norm(X, spec)[:, None]
-            k = int(np.argmax(f(X)))
+            v = f(X)
+            k = int(np.argmax(v))
             P.append(X[k])
+            if v[k] > bar:  # a coarser grid's argmax is stable under rounding
+                break
             t = np.linspace(t[max(k - 1, 0)], t[min(k + 1, len(t) - 1)], _ANGLES_ZOOM)
         P = np.array(P)
     else:
@@ -139,17 +151,16 @@ def _price(U, a, beta, spec, pool, bar):
 def max_condition_holds(users, spec, beta, _anchor=None, _pool=None):
     """First-order test of the single genre at cost exponent beta:
     (holds, excess, witness, status) as in ConditionProbe, from one pricing
-    of the cone-ball at the anchor against the bar N (1 + _DELTA).  A witness
-    joins _pool, where the D > 2 ascents of later probes start too: witnesses
-    do not depend on beta, so a search shares one pool."""
+    of the cone-ball at the anchor against the bar N (1 + _delta(beta)).  A
+    witness joins _pool, where the D > 2 ascents of later probes start too:
+    witnesses do not depend on beta, so a search shares one pool."""
     if beta < 1.0:
         raise ValueError("beta must be >= 1")
-    if _anchor is None:
-        _anchor = nsw_direction(users, spec)
+    anchor = nsw_direction(users, spec) if _anchor is None else _anchor
     pool = [] if _pool is None else _pool
     U, n = users.embeddings, users.n_users
-    bar = n * (1.0 + _DELTA)
-    p, price, status = _price(U, U @ _anchor.point, beta, spec, pool, bar)
+    bar = n * (1.0 + _delta(beta))
+    p, price, status = _price(U, U @ anchor.point, beta, spec, pool, bar)
     if price <= bar:
         return True, price - n, None, status
     if all(p.tobytes() != w.tobytes() for w in pool):  # a pool start may win again
@@ -157,26 +168,20 @@ def max_condition_holds(users, spec, beta, _anchor=None, _pool=None):
     return False, price - n, tuple(p.tolist()), "beaten"
 
 
-def _bisect_threshold(users, spec):
-    """(estimate, sorted probes, beta_upper) of the bisection on [1, beta_upper]:
-    the estimate is the midpoint once the bracket is narrower than _GAP (+inf
-    if the bound is)."""
+def threshold_report(users, spec) -> ThresholdReport:
+    """Full threshold summary: the two-user closed form where known (two
+    users, q = 2), the bound, and the bisection on [1, beta_upper] with its
+    probes sorted by beta.  The estimate is the midpoint once the bracket is
+    narrower than _GAP (+inf if the bound is); anchor_converged is the NSW
+    anchor's certificate (True when there is no anchor to read)."""
+    closed = beta_star_two_user(users) if users.n_users == 2 and spec.q == 2.0 else None
     upper = beta_upper(users, spec)
     if math.isinf(upper):
-        return math.inf, (), upper
-    anchor, probes, pool = nsw_direction(users, spec), [], []
-    lo, hi = 1.0, upper
+        return ThresholdReport(closed, upper, math.inf, (), True)
+    anchor, probes, pool, lo, hi = nsw_direction(users, spec), [], [], 1.0, upper
     while hi - lo > _GAP:
         mid = 0.5 * (lo + hi)
         probes.append(ConditionProbe(mid, *max_condition_holds(users, spec, mid, anchor, pool)))
         lo, hi = (mid, hi) if probes[-1].holds else (lo, mid)
     probes.sort(key=lambda pr: pr.beta)
-    return 0.5 * (lo + hi), tuple(probes), upper
-
-
-def threshold_report(users, spec) -> ThresholdReport:
-    """Full threshold summary: the two-user closed form where known (two
-    users, q = 2), bound, and estimate."""
-    closed = beta_star_two_user(users) if users.n_users == 2 and spec.q == 2.0 else None
-    est, trace, upper = _bisect_threshold(users, spec)
-    return ThresholdReport(closed, upper, est, trace)
+    return ThresholdReport(closed, upper, 0.5 * (lo + hi), tuple(probes), anchor.converged)

@@ -42,11 +42,12 @@ def test_threshold_witnesses_reprice_against_the_printed_anchor(capsys, tmp_path
     path = tmp_path / "users.csv"
     save_embeddings_csv(UserSet(SETS[name]), path)
     U = SETS[name]
-    n, bar = len(U), len(U) * (1.0 + threshold_mod._DELTA)
+    n = len(U)
     anchor = np.array(_report(capsys, ["nsw", "--users", str(path), "--q", q])["direction"])
     trace = _report(capsys, ["threshold", "--users", str(path), "--q", q])["condition_trace"]
     a = U @ anchor
     for probe in trace:
+        bar = n * (1.0 + threshold_mod._delta(probe["beta"]))
         if probe["holds"]:
             assert probe["witness"] is None and probe["excess"] <= bar - n
         else:

@@ -199,11 +199,12 @@ def test_nsw_polish_never_raises_the_gap(name, q):
     assert iters <= res.iters <= iters + 2
 
 
-@pytest.mark.parametrize("theta", [0.05, 0.075, 0.3, 1.0, 1.5])
+@pytest.mark.parametrize("theta", [0.005, 0.01, 0.02, 0.05, 0.075, 0.3, 1.0, 1.5])
 def test_nsw_polish_reaches_the_bisector(theta):
     # Two unit users at q = 2 have the bisector as their Nash-welfare
     # direction.  Frank-Wolfe stops up to 2e-6 rad off it; the finish is
-    # within a few ulps.
+    # within a few ulps.  Near-parallel pairs check that it does not stop
+    # where the gap first rounds to 0, about 1e-8 rad off.
     users = UserSet(np.array([[1.0, 0.0], [math.cos(theta), math.sin(theta)]]))
     res = nsw_direction(users, CostSpec(q=2.0))
     assert math.atan2(res.point[1], res.point[0]) == pytest.approx(0.5 * theta, abs=1e-16)

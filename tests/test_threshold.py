@@ -26,7 +26,7 @@ from supply_eq.threshold import (
 )
 
 SPEC2 = CostSpec(q=2.0, beta=2.0)
-DELTA = threshold_mod._DELTA
+delta = threshold_mod._delta
 
 # The benchmark's seeded sets: one generator, 30x5 drawn first.
 _RNG = np.random.default_rng(0)
@@ -112,12 +112,12 @@ def test_max_condition_trace_ordering():
         holds, excess, witness, status = max_condition_holds(users, SPEC2, beta)
         assert holds is (beta < 4.0)
         if holds:
-            assert witness is None and excess <= DELTA * 2 and status == "priced_out"
+            assert witness is None and excess <= delta(beta) * 2 and status == "priced_out"
         else:
             w = np.array(witness)
             assert weighted_norm(w, SPEC2) == pytest.approx(1.0, abs=1e-15)
             assert float(((users.embeddings @ w / a) ** beta).sum()) == 2 + excess
-            assert excess > DELTA * 2 and status == "beaten"
+            assert excess > delta(beta) * 2 and status == "beaten"
 
 
 def test_max_condition_rejects_bad_beta():
@@ -211,6 +211,19 @@ def test_angle_pair_estimate_within_gap_of_closed_form(theta):
         p.beta <= rep.beta_star_closed for p in rep.condition_trace]
 
 
+@pytest.mark.parametrize("theta", [0.02, 0.005, 0.002])
+def test_near_parallel_pair_prints_no_false_certificate(theta):
+    # beta* is 10^4, 1.6e5 and 10^6 here.  The sum's rounding, which the bar
+    # covers, grows like beta ulps, while the true excess at beta* + _GAP
+    # shrinks (1.9e-11 N at theta = 0.02, 6e-14 N at 0.005), so a probe just
+    # above beta* may hold and the estimate sit above beta* by a few parts in
+    # 10^5.  A beaten probe is still a true certificate: it lies above beta*.
+    rep = threshold_report(angle_pair(theta), SPEC2)
+    closed = rep.beta_star_closed
+    assert all(p.beta > closed for p in rep.condition_trace if not p.holds)
+    assert closed - 0.5 * threshold_mod._GAP < rep.beta_estimate < closed * (1.0 + 1e-4)
+
+
 @pytest.mark.parametrize("users", [USERS_30X5, USERS_200X10], ids=["30x5", "200x10"])
 def test_threshold_report_bytes_do_not_depend_on_seed(tmp_path, capsys, users):
     path = tmp_path / "users.csv"
@@ -254,7 +267,7 @@ def test_largest_holding_beta_survives_random_points():
     for pts in draws:
         pts = pts / weighted_norm(pts, SPEC2)[:, None]
         price = (((pts @ U.T) / a) ** beta).sum(axis=1)
-        assert price.max() <= users.n_users * (1.0 + DELTA)
+        assert price.max() <= users.n_users * (1.0 + delta(beta))
 
 
 def _vertex_mixture_value(users, spec, beta):
@@ -288,7 +301,7 @@ def test_q1_flips_where_vertex_pricing_says(U, alpha):
         holds, excess, _, status = max_condition_holds(users, spec, float(beta))
         gain, vertex = _vertex_mixture_value(users, spec, float(beta))
         assert excess == pytest.approx(vertex - n, rel=1e-12, abs=1e-12)
-        assert holds is (vertex <= n * (1.0 + DELTA))
+        assert holds is (vertex <= n * (1.0 + delta(float(beta))))
         if gain > 1e-9:
             assert not holds
         assert status == ("priced_out" if holds else "beaten")
@@ -430,11 +443,14 @@ def test_a_newton_point_that_lowers_f_is_refused(monkeypatch):
     # the Frank-Wolfe anchor alone, to the last bit.
     def toward_e1(U, x, spec):
         y = x + np.eye(1, len(x))[0]
-        return y / weighted_norm(y, spec)
+        return y / weighted_norm(y, spec), 1.0
+
+    def no_polish(U, x, spec, cap):
+        return x, optimize_mod._fw_gap(U, x, spec), 0
 
     for users in (USERS_30X5, UserSet(ASCENT_SETS["rng7_10x3"])):
         with monkeypatch.context() as m:
-            m.setattr(optimize_mod, "_polish", lambda U, x, spec, cap: (x, 0))
+            m.setattr(optimize_mod, "_polish", no_polish)
             old = threshold_report(users, SPEC2)
         with monkeypatch.context() as m:
             m.setattr(optimize_mod, "_tangent_step", toward_e1)
