@@ -618,7 +618,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="Monte Carlo rounds for eq_profit_mc; deviations are priced against exact "
         "CDFs, not samples",
     )
-    p.add_argument("--grid", default="200x200")
+    p.add_argument("--grid", default="200x200",
+                   help="angles x radii of the p2 and finitep deviation grid; onepop ignores it")
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("profit", help="equilibrium profit and positive-profit condition")

@@ -27,9 +27,9 @@ Each family class holds all of its own behaviour: its genre count
 (``cdf_axis``, ``cdf_max`` and ``cdf``, which maps an array of points
 elementwise; where ``cdf_axis`` is ``"quality"`` it is the quality law) and
 the analytic per-producer ``profit``.  The families ``verify`` prices
-against also state the best-response sweep directions ``deviation_dirs``
-and each user's exact value CDF ``value_cdf``.  The module functions below
-dispatch to them.
+against also state each user's exact value CDF ``value_cdf`` and where to
+look for a deviation: the planar families their sweep directions
+``deviation_dirs``, ``OnePopulation`` its exact search ``best_deviation``.
 
 Each family is built by its own class from what fixes it.  The three
 planar families take their two users (``QuarterCircle`` and ``FinitePCurve``
@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CostSpec, UserSet, basis_pair, beta_star_two_user, dual_point, weighted_norm
+from .threshold import _price
 
 __all__ = [
     "OnePopulation",
@@ -103,7 +104,7 @@ def _two_user_plane(users: UserSet) -> _Plane:
 class _PlanarFamily:
     """A family laid out in the plane of its two users; deviations sweep its angles."""
 
-    def deviation_dirs(self, n_angles: int, users: UserSet, spec: CostSpec, seed) -> np.ndarray:
+    def deviation_dirs(self, n_angles: int) -> np.ndarray:
         angles = np.linspace(0.0, self.plane.theta_star, n_angles)
         return self.plane.direction(angles)
 
@@ -183,28 +184,40 @@ class OnePopulation:
         bs, bd, p = spec.beta, self.beta, self.producers
         return n_users / p - n_users ** (bs / bd) * bd / (bd + (p - 1) * bs)
 
-    def deviation_dirs(self, n_angles: int, users: UserSet, spec: CostSpec, seed) -> np.ndarray:
-        """The equilibrium's own ray, then directions off it, all of unit cost.
-
-        Off the ray, a value vector v gives its dual point (v scaled to unit
-        cost at q = 1 or inf).  In D = 2 the values sweep n_angles angles
-        between the users' extreme directions.  In D > 2 they are each user,
-        then nonnegative random combinations of random user subsets, drawn
-        from seed, up to n_angles directions in all.
-        """
+    def best_deviation(self, users: UserSet, spec: CostSpec, block: int) -> np.ndarray:
+        """The best deviation r p found, p of unit cost: by ``value_cdf`` it wins
+        user i with probability min(1, t s_i), where t = r^beta and
+        s_i = (<p, u_i>/a_i)^beta / N, so it earns sum_i min(1, t s_i) - t, concave
+        and piecewise linear in t.  With s ascending, the breakpoint t = 1/s_k
+        earns (M - k) + (sum_{i<k} s_i - 1)/s_k over the M users with a_i > 0
+        (the rest win at any radius).  The directions p, scored about ``block``
+        scores at a time, are each user's unit-cost dual point and where
+        threshold's pricing climbs at this ray: to its end in D > 2, and in D = 2
+        to its first angle grid to beat the ray, whose argmax, unlike a finer
+        zoom's, is stable under rounding."""
         u = users.embeddings
-        if users.dim == 2:
-            t = np.arctan2(u[:, 1], u[:, 0])
-            t = np.linspace(t.min(), t.max(), n_angles)
-            off = np.stack([np.cos(t), np.sin(t)], axis=1)
-        else:
-            rng = np.random.default_rng(seed)
-            r = rng.random((max(0, n_angles - 1 - users.n_users), users.n_users))
-            keep = r <= np.maximum(rng.random((len(r), 1)), r.min(axis=1, keepdims=True))
-            off = np.vstack([u, (rng.random(r.shape) * keep) @ u])
+        a = u @ self.direction
+        scored, a = u[a > 0.0], a[a > 0.0]
+        best, point, m = -math.inf, np.zeros(users.dim), len(a)
+        if not m:
+            return point
         if 1.0 < spec.q < math.inf:
-            return np.vstack([self.direction, dual_point(off, spec)])
-        return np.vstack([self.direction, off / weighted_norm(off, spec)[:, None]])
+            own = dual_point(u, spec)
+        else:  # each user scaled to unit cost
+            own = u / weighted_norm(u, spec)[:, None]
+        climb = _price(scored, a, self.beta, spec, [], m if users.dim == 2 else math.inf)[0]
+        dirs, rows = np.vstack([climb, own]), max(1, block // m)
+        for lo in range(0, len(dirs), rows):
+            s = np.sort((dirs[lo:lo + rows] @ scored.T / a) ** self.beta / self.n_users, axis=1)
+            below = np.zeros_like(s)
+            np.cumsum(s[:, :-1], axis=1, out=below[:, 1:])
+            # A zero s_k (the s below it are zero too) prices at -inf, as may a tiny one.
+            with np.errstate(divide="ignore", over="ignore"):
+                profit = (below - 1.0) / s + np.arange(m, 0, -1)
+            i, k = np.unravel_index(np.argmax(profit), profit.shape)
+            if profit[i, k] > best:
+                best, point = profit[i, k], dirs[lo + i] * s[i, k] ** (-1.0 / self.beta)
+        return point
 
 
 @dataclass(frozen=True)

@@ -1,39 +1,26 @@
 """Numerical equilibrium verification.
 
 Checks a constructed distribution the way a skeptical producer would: price
-every deviation on a grid against the opponents' exact per-user value CDFs,
-and compare against the family's analytic ``profit``.  A deviation wins a
-user when it beats all P-1 opponents, ties included, so the gap is the
-win-all-ties upper bracket.  The same pricing runs over the distribution's
-own support, at fixed quantiles mapped through the family's ``points``: an
-equilibrium earns its profit at every point it plays, so the range of
-profit - eq_profit there is zero up to rounding, and leaves zero where the
-support is not indifferent.  A Monte Carlo simulation of the
-equilibrium's own profit, drawn through the same ``points``, stays as the
-independent cross-check of the analytic profit.  The
-deviation grid and the support are scored and the Monte Carlo rounds are
-drawn in blocks of about _BLOCK user scores, so memory grows with neither
-the sample count nor the grid's radii nor, past one block, the user count.
-The grid's radii and the Monte Carlo rounds, past one block, are split in
-two halves, each run on its own lane of one ``_lanes.Lanes``: this thread
-and one worker thread, which serves both loops and is joined before the
-call returns.  Each lane writes only its own rows of the
-result and draws its rounds from the seed's stream at their own offset, so
-the report is bit for bit that of one lane, and two lanes of half-size
-blocks hold what one lane of 2 MB blocks would.  The Monte Carlo's mean and
-standard error are summed on the same two lanes, whose halves meet where
-numpy's pairwise sum splits the rounds, with the variance formed in place,
-so their bits are those of ``profits.mean()`` and ``profits.std(ddof=1)``.
-Both score user-major: the draws are row-shaped views of coordinate-major
-memory, so a block's scores come out as one row per user and its costs
-reduce one row per coordinate, not a short row per point.
-The empirical marginals (sorted sampled values) remain as a test oracle for
-the exact CDFs.  ``positive_profit_condition`` is a separate check, of the
-users, cost and producer count only, through one alignment solve; it is
-not part of the report.  What differs between equilibrium families (the
-value CDFs, the analytic profit, the support's inverse-transform map, the
-deviation directions, the genre count) lives on the family classes in
-``closedform`` and is read from them directly.
+deviations against the opponents' exact per-user value CDFs, ties counted as
+the deviator's wins, and compare against the family's analytic ``profit``.
+``OnePopulation`` searches its own best deviation (``best_deviation``, an
+exact radius along each candidate direction); the planar families are priced
+on an angle-by-radius grid.  The same pricing runs over the distribution's
+own support at fixed quantiles of ``points``: an equilibrium earns its profit
+at every point it plays, so the range of profit - eq_profit there is zero up
+to rounding.  A Monte Carlo simulation of the equilibrium's own profit stays
+as the independent cross-check of the analytic profit.  The grid, the
+support and the Monte Carlo rounds go in blocks of about _BLOCK user scores,
+scored user-major, so memory grows with neither the sample count nor the
+grid's radii.  Past one block, the grid's radii and the Monte Carlo rounds
+are split in two halves, one on each lane of a ``_lanes.Lanes``, each lane
+writing only its own rows and drawing its rounds at their own offset of the
+seed's stream, so the report is bit for bit that of one lane.  The Monte
+Carlo's mean and standard error are summed on the same lanes, split where
+numpy's pairwise sum splits, so their bits are those of ``profits.mean()``
+and ``profits.std(ddof=1)``.  The empirical marginals remain as a test
+oracle for the exact CDFs.  ``positive_profit_condition`` checks the users,
+cost and producer count alone, through one alignment solve.
 """
 
 from __future__ import annotations
@@ -60,14 +47,13 @@ __all__ = [
 # Relative distance at which a bracket end ties with the profit threshold:
 # far above the few ulps that value + kkt_residual may round away from the
 # bracket's upper end.  Times N, the distance at which a deviation's profit
-# (a sum of N win probabilities) ties with the grid's maximum.
+# (a sum of N win probabilities) ties with the best one's.
 _TIE = 1e-12
 
 # User scores (one per user per point) handled per block, 1 MB, but never
-# fewer than one grid direction or one Monte Carlo round (P*N) at one
-# radius.  Two lanes hold a block each, so together they hold 2 MB.  At
-# N = 2 a block is still large enough for numpy's per-call cost to stay
-# small.
+# fewer than one grid radius, onepop direction or Monte Carlo round (P*N).
+# Two lanes hold a block each, so together they hold 2 MB.  At N = 2 a block
+# is still large enough for numpy's per-call cost to stay small.
 _BLOCK = 1 << 17
 
 # The support is priced at the midpoints of a quantile grid of this many
@@ -233,71 +219,70 @@ def _profits(dist, users, spec, z, p):
     return win - cost(p, spec)
 
 
+def _grid_best(dist, users, spec, grid, lanes):
+    """(profit, point) of the planar families' best deviation on the grid of
+    ``deviation_dirs`` times radii up to N^(1/beta), beyond which revenue
+    cannot cover cost: the first cell, radius-major, within _TIE * N of the
+    maximum, as profits along a support tie up to rounding.  Blocks of radii
+    are built user-major, (N, radii, directions) and (D, radii, directions),
+    and seen through axis-moved views, so value_cdf and cost reduce whole
+    rows; a cell is priced the same in any block."""
+    n_angles, n_radii = grid
+    radii = np.linspace(0.0, users.n_users ** (1.0 / spec.beta), n_radii)
+    dirs = dist.deviation_dirs(n_angles)
+    d = np.ascontiguousarray(dirs.T)
+    scores = users.embeddings @ d
+    rows = max(1, _BLOCK // (len(dirs) * users.n_users))
+
+    def grid_profits(r):
+        z = np.moveaxis(r * scores[:, None, :], 0, -1)
+        return _profits(dist, users, spec, z, np.moveaxis(r * d[:, None, :], 0, -1))
+
+    row_max = np.empty(n_radii)
+
+    def lane(span):  # writes only its own radii's rows of row_max
+        for start in range(span[0], span[1], rows):
+            stop = min(start + rows, span[1])
+            row_max[start:stop] = grid_profits(radii[start:stop, None]).max(axis=1)
+
+    lanes.map(lane, _spans(n_radii, rows))
+    best = float(row_max.max())
+    near = best - _TIE * users.n_users
+    k = int(np.argmax(row_max >= near))
+    # Only the chosen row is priced again.
+    j = int(np.argmax(grid_profits(radii[k:k + 1, None])[0] >= near))
+    return best, radii[k] * dirs[j]
+
+
 def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
                       seed=0) -> VerifyReport:
-    """Grid-search deviations against the exact opponent marginals; the report.
+    """The best deviation against the exact opponent marginals; the report.
 
-    Deviations sweep the family's directions (``deviation_dirs``) times
-    qualities up to N^(1/beta), beyond which revenue cannot cover cost.  A
-    deviation to p earns sum_i F_i(<u_i, p>)^(P-1) - cost(p), with F_i the
-    family's ``value_cdf``.  The grid is scored a block of radii and
-    directions at a time.  Along an equilibrium's support profits tie up to
-    rounding, so ``gap_argmax`` is the first cell in radius-major order
-    within _TIE * N of the maximum.  The same formula prices ``dist.points``
-    at the midpoints of a _SUPPORT_CELLS quantile grid, and
-    ``support_profit_range`` is the (min, max) of profit - eq_profit there.
-    n_samples sizes only the Monte Carlo profit.  The producer count and the
-    genre count are the family's own, ``dist.producers`` and
-    ``dist.genres``.
+    A deviation to p earns sum_i F_i(<u_i, p>)^(P-1) - cost(p), with F_i the
+    family's ``value_cdf``.  A family with a ``best_deviation`` (onepop) is
+    searched by it, which reads neither ``grid`` nor ``seed``; the planar
+    families are priced on the (angles, radii) ``grid``.  ``gap_argmax`` is
+    the point found and ``best_response_gap`` its profit minus eq_profit.
+    The same formula prices ``dist.points`` at the midpoints of a
+    _SUPPORT_CELLS quantile grid for ``support_profit_range``, the (min, max)
+    of profit - eq_profit there.  n_samples sizes only the Monte Carlo profit.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
     if min(grid) < 1:
         raise ValueError(f"grid needs at least 1 angle and 1 radius, got {grid}")
     eq_profit = dist.profit(users.n_users, spec)
-
-    n_angles, n_radii = grid
-    radii = np.linspace(0.0, users.n_users ** (1.0 / spec.beta), n_radii)
-    dirs = dist.deviation_dirs(n_angles, users, spec, [seed, 3])
-    # Blocks are built user-major, (N, radii, directions) and (D, radii,
-    # directions) (so a block's directions are made contiguous), and seen
-    # through (radii, directions, N) and (radii, directions, D) views, so
-    # value_cdf and cost keep their APIs while their reductions add whole
-    # rows.  A radius row whose A*N scores exceed a block is split into
-    # blocks of max(1, _BLOCK // N) directions.  A cell is priced the same in
-    # any block.
-    n_users, n_dirs = users.n_users, len(dirs)
-    step = min(n_dirs, max(1, _BLOCK // n_users))
-    rows = max(1, _BLOCK // (step * n_users))
-    blocks = [np.ascontiguousarray(dirs[lo:lo + step].T) for lo in range(0, n_dirs, step)]
-
-    def grid_profits(r, d, scores):
-        z = np.moveaxis(r * scores[:, None, :], 0, -1)
-        return _profits(dist, users, spec, z, np.moveaxis(r * d[:, None, :], 0, -1))
-
-    row_max = np.full(n_radii, -np.inf)
-
-    def lane(span):
-        # A lane writes only its own radii's rows of row_max.
-        lo, hi = span
-        for d in blocks:
-            scores = users.embeddings @ d
-            for start in range(lo, hi, rows):
-                stop = min(start + rows, hi)
-                block = row_max[start:stop]
-                np.maximum(block, grid_profits(radii[start:stop, None], d, scores).max(axis=1),
-                           out=block)
-
     with Lanes() as lanes:
-        lanes.map(lane, _spans(n_radii, rows if len(blocks) == 1 else 1))
+        if hasattr(dist, "best_deviation"):
+            # The point found, priced exactly, or the origin unless it beats
+            # the origin by more than _TIE * N.
+            pts = np.stack([np.zeros(users.dim), dist.best_deviation(users, spec, _BLOCK)])
+            profit = _profits(dist, users, spec, pts @ users.embeddings.T, pts)
+            k = int(profit[1] > profit[0] + _TIE * users.n_users)
+            best, argmax = float(profit[k]), pts[k]
+        else:
+            best, argmax = _grid_best(dist, users, spec, grid, lanes)
         mc, stderr = _mc_profit(dist, users, spec, dist.producers, n_samples, [seed, 1], lanes)
-    best = float(row_max.max())
-    near = best - _TIE * n_users
-    k = int(np.argmax(row_max >= near))
-    # Only the chosen row is priced again.
-    row = np.concatenate([grid_profits(radii[k:k + 1, None], d, users.embeddings @ d)[0]
-                          for d in blocks])
-    j = int(np.argmax(row >= near))
 
     # About _BLOCK scores a block, each cell priced on its own, in the draws'
     # layout: (N, cells) scores seen as (cells, N).
@@ -315,7 +300,7 @@ def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
         eq_profit_mc=mc,
         eq_profit_mc_stderr=stderr,
         best_response_gap=best - eq_profit,
-        gap_argmax=radii[k] * dirs[j],
+        gap_argmax=argmax,
         genre_count_estimate=dist.genres,
         support_profit_range=(float(low.min()), float(high.max())),
     )

@@ -29,9 +29,6 @@ from supply_eq.geometry import (
     UserSet,
     angle_pair,
     beta_star_two_user,
-    dual_norm,
-    dual_point,
-    weighted_norm,
 )
 
 INFINITE_CASES = [
@@ -448,42 +445,6 @@ def test_eq_sample_blocks_validation():
     for start in (-1, 10):
         with pytest.raises(ValueError, match="start must be in"):
             eq_sample_blocks(dist, 10, 1, 3, start=start)
-
-
-def test_onepop_deviation_dirs_sweep_off_the_ray_at_unit_cost():
-    # Users divided by the weights (1, 2), as the command line hands them over.
-    spec = CostSpec(q=3.0, beta=3.0)
-    users = UserSet(np.array([[1.0, 0.2], [0.5, 1.0], [0.3, 0.9]]) / np.array([1.0, 2.0]))
-    direction = np.array([1.0, 1.0]) / weighted_norm(np.array([1.0, 1.0]), spec)
-    dirs = OnePopulation(direction, 3, 3.0, 2).deviation_dirs(50, users, spec, 0)
-    assert dirs.shape == (51, 2)
-    assert np.array_equal(dirs[0], direction)
-    assert np.allclose(weighted_norm(dirs, spec), 1.0, rtol=1e-14)
-    # The sweep spans the dual points of the extreme users, rows 0 and 2:
-    # their best unit-cost content, which at q = 3 is pulled off the user's
-    # own direction toward the diagonal.
-    assert np.allclose(dirs[1], dual_point(users.embeddings[0], spec), rtol=0, atol=1e-14)
-    assert np.allclose(dirs[-1], dual_point(users.embeddings[2], spec), rtol=0, atol=1e-14)
-    assert dirs[1] @ users.embeddings[0] == pytest.approx(
-        dual_norm(users.embeddings[0], spec), rel=1e-14)
-    angles = np.arctan2(dirs[1:, 1], dirs[1:, 0])
-    (x0, y0), (x2, y2) = users.embeddings[[0, 2]]
-    assert angles[0] > math.atan2(y0, x0) and angles[-1] < math.atan2(y2, x2)
-    assert np.all(np.diff(angles) > 0)
-
-
-@pytest.mark.parametrize("n_angles, expected", [(200, 200), (5, 31)])
-def test_onepop_deviation_dirs_beyond_the_plane(n_angles, expected):
-    users = UserSet(np.random.default_rng(0).random((30, 5)))
-    spec = CostSpec(q=2.0, beta=3.0)
-    dist = OnePopulation(np.full(5, 5.0**-0.5), 30, 3.0, 2)
-    dirs = dist.deviation_dirs(n_angles, users, spec, [1, 3])
-    assert dirs.shape == (expected, 5)
-    assert np.array_equal(dirs[0], dist.direction)
-    unit = users.embeddings / np.linalg.norm(users.embeddings, axis=1)[:, None]
-    assert np.allclose(dirs[1:31], unit, rtol=0, atol=1e-15)
-    assert np.all(dirs >= 0) and np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-14)
-    assert np.array_equal(dirs, dist.deviation_dirs(n_angles, users, spec, [1, 3]))
 
 
 @pytest.mark.parametrize("dist, users", [

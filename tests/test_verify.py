@@ -369,11 +369,11 @@ def test_first_wins_counts_ties_like_argmax():
     assert np.array_equal(wins, (z.argmax(axis=1) == 0).sum(axis=1))
 
 
-def _reference_grid(dist, users, spec, producers, grid, seed):
+def _reference_grid(dist, users, spec, producers, grid):
     """best_response_gap's deviation grid scored row-major, in one block."""
     n_angles, n_radii = grid
     radii = np.linspace(0.0, users.n_users ** (1.0 / spec.beta), n_radii)
-    dirs = dist.deviation_dirs(n_angles, users, spec, [seed, 3])
+    dirs = dist.deviation_dirs(n_angles)
     scores = dirs @ users.embeddings.T
     r = radii[:, None, None]
     win = (dist.value_cdf(r * scores, users) ** (producers - 1)).sum(axis=-1)
@@ -385,39 +385,65 @@ def _reference_grid(dist, users, spec, producers, grid, seed):
     return gap, radii[i // len(dirs)] * dirs[i % len(dirs)]
 
 
-def _grid_case(name):
-    """(dist, users, spec, producers) of the simulate workload's verify
-    commands, and a D = 5 onepop on six users of the 30x5 set."""
-    if name == "p2-beta4":
-        return QuarterCircle(4.0), BASIS2, CostSpec(q=2.0, beta=4.0), 2
-    if name == "finitep-P3":
-        return FinitePCurve(3), BASIS2, SPEC2, 3
-    users = UserSet(USERS_30X5.embeddings[:6]) if name == "onepop-6x5-beta12" else BASIS2
-    dist, spec = _onepop_nsw(users, float(name.rsplit("beta", 1)[1]))
-    return dist, users, spec, 2
-
-
-@pytest.mark.parametrize("name", ["p2-beta4", "finitep-P3", "onepop-beta1.5", "onepop-beta4",
-                                  "onepop-6x5-beta12"])
+@pytest.mark.parametrize("name", ["p2-beta4", "finitep-P3"])
 def test_deviation_grid_matches_row_major_reference_bitwise(name):
-    # Below 8 users the user-major sum adds users in the order numpy's
-    # row-wise sum does; from 8 users on, numpy sums a contiguous row
-    # pairwise, so the two agree to rounding only (next test).
-    dist, users, spec, producers = _grid_case(name)
-    rep = best_response_gap(dist, users, spec, n_samples=1000, grid=(60, 70), seed=3)
-    gap, argmax_pt = _reference_grid(dist, users, spec, producers, (60, 70), 3)
+    # The planar families have two users, which the user-major sum adds in
+    # the order numpy's row-wise sum does.
+    if name == "p2-beta4":
+        dist, spec, producers = QuarterCircle(4.0), CostSpec(q=2.0, beta=4.0), 2
+    else:
+        dist, spec, producers = FinitePCurve(3), SPEC2, 3
+    rep = best_response_gap(dist, BASIS2, spec, n_samples=1000, grid=(60, 70), seed=3)
+    gap, argmax_pt = _reference_grid(dist, BASIS2, spec, producers, (60, 70))
     assert rep.best_response_gap == gap
     assert np.array_equal(rep.gap_argmax, argmax_pt)
 
 
-def test_deviation_grid_many_users_matches_row_major_reference():
-    dist, spec = _onepop_nsw(USERS_30X5, 12.0)
-    rep = best_response_gap(dist, USERS_30X5, spec, n_samples=1000, grid=(60, 70), seed=3)
-    gap, argmax_pt = _reference_grid(dist, USERS_30X5, spec, 2, (60, 70), 3)
-    # Either order of adding N values in [0, 1] errs by at most N * eps * N.
-    n = USERS_30X5.n_users
-    assert rep.best_response_gap == pytest.approx(gap, rel=0, abs=2 * n * n * np.finfo(float).eps)
-    assert np.array_equal(rep.gap_argmax, argmax_pt)
+def _onepop_profits(dist, users, spec, pts):
+    """Plain numpy: the profit of deviating to each row of pts against a
+    single-genre equilibrium priced at its own beta.  User i values the
+    ray's quality law at a_i = <d, u_i>, so a deviation scoring z_i wins it
+    with probability min(1, z_i / (a_i N^(1/beta)))^beta, and always where
+    a_i = 0."""
+    a = users.embeddings @ dist.direction
+    z = pts @ users.embeddings.T
+    top = a * users.n_users ** (1.0 / spec.beta)
+    win = np.where(a > 0, np.minimum(1.0, z / np.where(a > 0, top, 1.0)) ** spec.beta, 1.0)
+    return win.sum(axis=1) - np.linalg.norm(pts, ord=spec.q, axis=1) ** spec.beta
+
+
+ONEPOP_SCAN_CASES = {
+    "basis2-beta1.5": (BASIS2, 1.5),
+    "basis2-beta4": (BASIS2, 4.0),
+    "6x5-beta12": (UserSet(USERS_30X5.embeddings[:6]), 12.0),
+    "30x5-beta9.45": (USERS_30X5, 9.45),
+    "30x5-beta12": (USERS_30X5, 12.0),
+}
+
+
+@pytest.mark.parametrize("name", list(ONEPOP_SCAN_CASES))
+def test_onepop_gap_is_not_beaten_by_a_radius_scan(name):
+    # 20,001 radii on [0, N^(1/beta)] along gap_argmax's direction and along
+    # each user's dual point (u / |u| at q = 2).  No scanned point beats the
+    # reported profit by more than rounding, and re-pricing gap_argmax gives
+    # it.  At 30x5 and beta = 9.45, past the set's threshold of about 9.36,
+    # the best deviation earns about 0.0176.
+    users, beta = ONEPOP_SCAN_CASES[name]
+    dist, spec = _onepop_nsw(users, beta)
+    rep = best_response_gap(dist, users, spec, n_samples=1000, grid=(60, 70), seed=3)
+    found = rep.eq_profit + rep.best_response_gap
+    n, eps = users.n_users, np.finfo(float).eps
+    assert _onepop_profits(dist, users, spec, rep.gap_argmax[None])[0] == pytest.approx(
+        found, rel=0, abs=4 * n * eps)
+    dirs = users.embeddings / np.linalg.norm(users.embeddings, axis=1)[:, None]
+    length = np.linalg.norm(rep.gap_argmax)
+    if length > 0:
+        dirs = np.vstack([rep.gap_argmax / length, dirs])
+    radii = np.linspace(0.0, n ** (1.0 / beta), 20001)[:, None]
+    scan = max(_onepop_profits(dist, users, spec, radii * d).max() for d in dirs)
+    assert scan <= found + 4 * n * eps
+    if name == "30x5-beta9.45":
+        assert rep.best_response_gap > 0.0175
 
 
 def test_best_response_gap_report_independent_of_block_bitwise(monkeypatch):
@@ -482,6 +508,15 @@ def test_value_cdf_orthogonal_user_wins_every_tie_at_zero(producers):
     assert math.isfinite(rep.best_response_gap)
 
 
+def test_onepop_gap_where_no_user_values_the_ray():
+    # e2 values every draw along e1 at 0 and wins at every radius, so the
+    # search has no user to price and the origin earns 1.
+    dist = OnePopulation(np.array([1.0, 0.0]), 1, 2.0, 2)
+    rep = best_response_gap(dist, UserSet(np.array([[0.0, 1.0]])), SPEC2, n_samples=1000)
+    assert rep.best_response_gap == 1.0
+    assert np.array_equal(rep.gap_argmax, [0.0, 0.0])
+
+
 def _onepop_nsw(users, beta, producers=2):
     spec = CostSpec(q=2.0, beta=beta)
     direction = nsw_direction(users, spec).point
@@ -541,17 +576,22 @@ def test_onepop_gap_beyond_the_plane_crosses():
     assert gaps[1] >= 0.1
 
 
-@pytest.mark.parametrize("case", ["p2", "finitep", "onepop"])
+@pytest.mark.parametrize("case", ["p2", "finitep", "onepop", "onepop-30x5"])
 def test_planar_gap_independent_of_seed_bitwise(case):
+    # onepop's search reads neither the seed nor the grid, in D > 2 too.
+    grids = [(60, 70), (60, 70)]
     if case == "p2":
         args = (QuarterCircle(4.0), BASIS2, CostSpec(q=2.0, beta=4.0))
     elif case == "finitep":
         args = (FinitePCurve(3), BASIS2, SPEC2)
-    else:
+    elif case == "onepop":
         dist, spec = _onepop_nsw(angle_pair(1.0), 8.0)
         args = (dist, angle_pair(1.0), spec)
-    a = best_response_gap(*args, n_samples=2000, grid=(60, 70), seed=0)
-    b = best_response_gap(*args, n_samples=2000, grid=(60, 70), seed=5)
+    else:
+        dist, spec = _onepop_nsw(USERS_30X5, 12.0)
+        args, grids = (dist, USERS_30X5, spec), [(20, 20), (400, 400)]
+    a = best_response_gap(*args, n_samples=2000, grid=grids[0], seed=0)
+    b = best_response_gap(*args, n_samples=2000, grid=grids[1], seed=5)
     assert a.best_response_gap == b.best_response_gap
     assert np.array_equal(a.gap_argmax, b.gap_argmax)
 
@@ -570,11 +610,10 @@ def test_onepop_gap_independent_of_grid_block_bitwise(monkeypatch, users, beta):
 
 
 @pytest.mark.parametrize("beta", [3.0, 20.0])
-def test_onepop_gap_splits_a_radius_row_into_direction_blocks_bitwise(monkeypatch, beta):
-    # In D > 2, onepop on the 30x5 set prices N + 1 = 31 directions a radius;
-    # a block of 480 or 150 user scores holds 16 or 5 of them, so each row is
-    # priced in 2 or 7 direction blocks.  At beta = 20 the best deviation is
-    # along the tenth user's direction, in the third of the 7 blocks.
+def test_onepop_gap_scores_its_candidates_in_blocks_bitwise(monkeypatch, beta):
+    # onepop on the 30x5 set scores N + 1 = 31 candidate directions against
+    # 30 users; a block of 480 or 150 user scores holds 16 or 5 of them, so
+    # they are scored in 2 or 7 blocks.
     dist, spec = _onepop_nsw(USERS_30X5, beta)
     kw = dict(n_samples=2000, grid=(20, 20), seed=4)
     full = best_response_gap(dist, USERS_30X5, spec, **kw)
@@ -586,8 +625,8 @@ def test_onepop_gap_splits_a_radius_row_into_direction_blocks_bitwise(monkeypatc
 
 
 def test_onepop_gap_memory_does_not_grow_with_a_radius_row():
-    # 1,500 users in D = 8 give 1,501 directions a radius, so one row is
-    # 2.25M user scores, 18 MB an array; pricing the row whole peaked at 90 MB.
+    # 1,500 users in D = 8 give 1,501 candidate directions, so their scores
+    # are 2.25M, 18 MB an array; pricing them whole peaked at 90 MB.
     users = UserSet(np.random.default_rng(1).random((1500, 8)) + 0.01)
     dist, spec = _onepop_nsw(users, 3.0)
     tracemalloc.start()
@@ -600,37 +639,28 @@ def test_onepop_gap_memory_does_not_grow_with_a_radius_row():
     assert rep.best_response_gap <= verify_mod._TIE * users.n_users
 
 
-# Users in D = 3 whose N + 1 onepop directions a radius hold more than
-# _BLOCK user scores, so a radius row is split into direction blocks.
-USERS_400X3 = UserSet(np.random.default_rng(2).random((400, 3)) + 0.01)
-
-
 def _lane_case(name):
-    """(dist, users, spec, verify keywords) with more than one block of
-    radii and of Monte Carlo rounds at the default _BLOCK; every case but
-    finitep has its best deviation at a radius of the worker's half."""
-    kw = dict(n_samples=70001, grid=(60, 1201), seed=4)
+    """(dist, users, spec) with more than one block of Monte Carlo rounds,
+    and for the planar families of radii, at the default _BLOCK and the
+    lane test's keywords; p2 has its best deviation at a radius of the
+    worker's half."""
     if name == "p2":
-        return QuarterCircle(4.0), BASIS2, CostSpec(q=2.0, beta=4.0), kw
+        return QuarterCircle(4.0), BASIS2, CostSpec(q=2.0, beta=4.0)
     if name == "finitep-P3":
-        return FinitePCurve(3), BASIS2, SPEC2, kw
-    if name == "onepop-basis2":
-        dist, spec = _onepop_nsw(BASIS2, 3.0)
-        return dist, BASIS2, spec, kw
-    dist, spec = _onepop_nsw(USERS_400X3, 12.0)
-    return dist, USERS_400X3, spec, dict(n_samples=20001, grid=(20, 9), seed=4)
+        return FinitePCurve(3), BASIS2, SPEC2
+    dist, spec = _onepop_nsw(BASIS2, 3.0)
+    return dist, BASIS2, spec
 
 
 @pytest.mark.parametrize("block", [RAGGED, None], ids=["ragged", "default"])
-@pytest.mark.parametrize("name", ["p2", "finitep-P3", "onepop-basis2", "onepop-400x3-split"])
+@pytest.mark.parametrize("name", ["p2", "finitep-P3", "onepop-basis2"])
 def test_two_lanes_match_an_in_order_loop_bitwise(monkeypatch, name, block):
     # Each lane prices its own radii and draws its own Monte Carlo rounds;
     # the report is that of one lane running every block in order.
     if block is not None:
         monkeypatch.setattr(verify_mod, "_BLOCK", block)
-    dist, users, spec, kw = _lane_case(name)
-    if name.endswith("split"):
-        assert (users.n_users + 1) * users.n_users > verify_mod._BLOCK
+    dist, users, spec = _lane_case(name)
+    kw = dict(n_samples=70001, grid=(60, 1201), seed=4)
     on_worker = []
     lanes_map = Lanes.map
 
@@ -642,9 +672,9 @@ def test_two_lanes_match_an_in_order_loop_bitwise(monkeypatch, name, block):
 
     monkeypatch.setattr(Lanes, "map", spy)
     lanes = best_response_gap(dist, users, spec, **kw)
-    # The grid and the Monte Carlo both split, and the Monte Carlo's squares
-    # run on the same halves as its rounds.
-    assert on_worker.count(True) == 3
+    # The planar grid and the Monte Carlo both split, and the Monte Carlo's
+    # squares run on the same halves as its rounds; onepop prices no grid.
+    assert on_worker.count(True) == (2 if name.startswith("onepop") else 3)
     monkeypatch.setattr(verify_mod, "_spans", lambda n, blk: [(0, n)])
     in_order = best_response_gap(dist, users, spec, **kw)
     for field in dataclasses.fields(lanes):
@@ -672,7 +702,7 @@ def test_lanes_keep_every_report_under_a_short_switch_interval(monkeypatch):
     # share the cores and switch every microsecond; a row written by the
     # wrong lane, or lost, would change a report.
     monkeypatch.setattr(verify_mod, "_BLOCK", RAGGED)
-    cases = [_lane_case(name)[:3] for name in ("p2", "finitep-P3", "onepop-basis2")]
+    cases = [_lane_case(name) for name in ("p2", "finitep-P3", "onepop-basis2")]
     kw = dict(n_samples=20001, grid=(30, 300), seed=4)
     with monkeypatch.context() as m:
         m.setattr(verify_mod, "_spans", lambda n, blk: [(0, n)])

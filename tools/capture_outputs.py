@@ -40,6 +40,8 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2)
 
@@ -72,6 +74,9 @@ SEEDS = (1, 2)
 # which nmf splits a half-step.  A finitep
 # verify of 70,011 rounds has more than one block of them, in halves of
 # 35,000 and 35,011 rounds, so its Monte Carlo sums split off the middle.
+# A onepop verify runs on the 30x5 set of default_rng(0) at beta = 9.45,
+# just past that set's threshold of about 9.36, where the best deviation
+# earns about 0.0176.
 SURFACE = [
     ["nsw", "--users", "basis2", "--q", "1"],
     ["nsw", "--users", "orthonormal:3", "--q", "3", "--alpha", "1,2,0.5"],
@@ -124,6 +129,8 @@ SURFACE = [
      "--beta", "12", "--grid", "20x20"],
     ["verify", "--users", "basis2", "--variant", "finitep", "--producers", "3",
      "--samples", "70011", "--grid", "20x20"],
+    ["verify", "--users", "emb30x5.csv", "--variant", "onepop", "--beta", "9.45",
+     "--samples", "2000"],
     *([*argv, "--q", q, *users]
       for q in ("1", "inf")
       for argv in (["profit", "--variant", "onepop", "--beta", "12"],
@@ -227,6 +234,7 @@ def _write_surface_inputs(workdir: str) -> None:
     _write_users(workdir, "emb5.csv", emb5)
     _write_users(workdir, "emb5_gauge.csv",
                  [[v * d for v, d in zip(row, (0.5, 1, 2, 1, 3))] for row in emb5])
+    _write_users(workdir, "emb30x5.csv", np.random.default_rng(0).random((30, 5)).tolist())
     # 80 users rate only item "all", 5 rate it and 12 of 20 others each, and
     # "z" rates "orphan" 0 and is dropped: a kept user has 1.7 ratings on
     # average, each other item 3, and "all" has 85.
