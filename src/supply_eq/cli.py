@@ -619,7 +619,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "CDFs, not samples",
     )
     p.add_argument("--grid", default="200x200",
-                   help="angles x radii of the p2 and finitep deviation grid; onepop ignores it")
+                   help="angles of the p2/finitep sweep, as AxR (R is only checked)")
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("profit", help="equilibrium profit and positive-profit condition")

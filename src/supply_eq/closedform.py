@@ -26,10 +26,11 @@ Each family class holds all of its own behaviour: its genre count
 ``genres`` (1, 2 or ``"continuum"``), ``points``, the tabulated CDF
 (``cdf_axis``, ``cdf_max`` and ``cdf``, which maps an array of points
 elementwise; where ``cdf_axis`` is ``"quality"`` it is the quality law) and
-the analytic per-producer ``profit``.  The families ``verify`` prices
-against also state each user's exact value CDF ``value_cdf`` and where to
-look for a deviation: the planar families their sweep directions
-``deviation_dirs``, ``OnePopulation`` its exact search ``best_deviation``.
+the analytic per-producer ``profit``.  The three families ``verify`` prices
+against state their value law once, ``value_law``: user i values a draw at
+or below z with probability F_i(z) = clip(z / c_i, 0, 1)^gamma, per-user
+scales c_i and one exponent gamma, which the one ``value_cdf`` evaluates.
+The planar families also give their sweep directions ``deviation_dirs``.
 
 Each family is built by its own class from what fixes it.  The three
 planar families take their two users (``QuarterCircle`` and ``FinitePCurve``
@@ -45,8 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CostSpec, UserSet, basis_pair, beta_star_two_user, dual_point, weighted_norm
-from .threshold import _price
+from .geometry import CostSpec, UserSet, basis_pair, beta_star_two_user, weighted_norm
 
 __all__ = [
     "OnePopulation",
@@ -101,6 +101,20 @@ def _two_user_plane(users: UserSet) -> _Plane:
     return _Plane(math.atan2(rn, along), np.stack([b1, r / rn]))
 
 
+class _ValueLaw:
+    """A family whose (c, gamma) = ``value_law(users)`` gives user i the value
+    CDF F_i(z) = clip(z / c_i, 0, 1)^gamma; F_i = [z >= 0] where c_i = 0, a
+    user who values every draw at 0."""
+
+    def value_cdf(self, z: np.ndarray, users: UserSet) -> np.ndarray:
+        """P(value <= z) per user for scores z shaped (..., N)."""
+        c, gamma = self.value_law(users)
+        pos = c > 0.0
+        f = np.clip(z / np.where(pos, c, 1.0), 0.0, 1.0) ** gamma
+        f[..., ~pos] = z[..., ~pos] >= 0.0
+        return f
+
+
 class _PlanarFamily:
     """A family laid out in the plane of its two users; deviations sweep its angles."""
 
@@ -124,7 +138,7 @@ class _PlanarFamily:
 
 
 @dataclass(frozen=True)
-class OnePopulation:
+class OnePopulation(_ValueLaw):
     """Single-genre equilibrium for N users sharing one direction.
 
     ``direction`` must have unit production norm; every sampled content
@@ -165,17 +179,10 @@ class OnePopulation:
     def cdf(self, q):
         return np.clip(q / self.support_max, 0.0, 1.0) ** (self.beta / (self.producers - 1))
 
-    def value_cdf(self, z: np.ndarray, users: UserSet) -> np.ndarray:
-        """P(value <= z) per user for scores z shaped (..., N).
-
-        User i values the ray at a_i = <d, u_i> times the quality, so its CDF
-        is cdf(z / a_i); a user with a_i = 0 values every draw at 0.
-        """
-        scale = users.embeddings @ self.direction
-        pos = scale > 0.0
-        f = self.cdf(z / np.where(pos, scale, 1.0))
-        f[..., ~pos] = z[..., ~pos] >= 0.0
-        return f
+    def value_law(self, users: UserSet):
+        """cdf(z / a_i), as user i values the ray at a_i = <d, u_i> times the quality."""
+        a = users.embeddings @ self.direction
+        return a * self.support_max, self.beta / (self.producers - 1)
 
     def profit(self, n_users: int, spec: CostSpec) -> float:
         _check(n_users == self.n_users, "user count disagrees with dist")
@@ -184,44 +191,9 @@ class OnePopulation:
         bs, bd, p = spec.beta, self.beta, self.producers
         return n_users / p - n_users ** (bs / bd) * bd / (bd + (p - 1) * bs)
 
-    def best_deviation(self, users: UserSet, spec: CostSpec, block: int) -> np.ndarray:
-        """The best deviation r p found, p of unit cost: by ``value_cdf`` it wins
-        user i with probability min(1, t s_i), where t = r^beta and
-        s_i = (<p, u_i>/a_i)^beta / N, so it earns sum_i min(1, t s_i) - t, concave
-        and piecewise linear in t.  With s ascending, the breakpoint t = 1/s_k
-        earns (M - k) + (sum_{i<k} s_i - 1)/s_k over the M users with a_i > 0
-        (the rest win at any radius).  The directions p, scored about ``block``
-        scores at a time, are each user's unit-cost dual point and where
-        threshold's pricing climbs at this ray: to its end in D > 2, and in D = 2
-        to its first angle grid to beat the ray, whose argmax, unlike a finer
-        zoom's, is stable under rounding."""
-        u = users.embeddings
-        a = u @ self.direction
-        scored, a = u[a > 0.0], a[a > 0.0]
-        best, point, m = -math.inf, np.zeros(users.dim), len(a)
-        if not m:
-            return point
-        if 1.0 < spec.q < math.inf:
-            own = dual_point(u, spec)
-        else:  # each user scaled to unit cost
-            own = u / weighted_norm(u, spec)[:, None]
-        climb = _price(scored, a, self.beta, spec, [], m if users.dim == 2 else math.inf)[0]
-        dirs, rows = np.vstack([climb, own]), max(1, block // m)
-        for lo in range(0, len(dirs), rows):
-            s = np.sort((dirs[lo:lo + rows] @ scored.T / a) ** self.beta / self.n_users, axis=1)
-            below = np.zeros_like(s)
-            np.cumsum(s[:, :-1], axis=1, out=below[:, 1:])
-            # A zero s_k (the s below it are zero too) prices at -inf, as may a tiny one.
-            with np.errstate(divide="ignore", over="ignore"):
-                profit = (below - 1.0) / s + np.arange(m, 0, -1)
-            i, k = np.unravel_index(np.argmax(profit), profit.shape)
-            if profit[i, k] > best:
-                best, point = profit[i, k], dirs[lo + i] * s[i, k] ** (-1.0 / self.beta)
-        return point
-
 
 @dataclass(frozen=True)
-class QuarterCircle(_PlanarFamily):
+class QuarterCircle(_PlanarFamily, _ValueLaw):
     """Two-producer equilibrium on the quarter circle between orthogonal users.
 
     Quality is degenerate at radius (2/beta)^(1/beta); the angle has CDF
@@ -262,17 +234,16 @@ class QuarterCircle(_PlanarFamily):
     def cdf(self, theta):
         return np.sin(np.clip(theta, 0.0, math.pi / 2)) ** 2
 
-    def value_cdf(self, z: np.ndarray, users: UserSet) -> np.ndarray:
-        """P(value <= z) per user: (z / (r |u_i|))^2, as the angle has CDF sin^2."""
-        x = np.clip(z / (self.radius * self._user_scales(users)), 0.0, 1.0)
-        return x * x
+    def value_law(self, users: UserSet):
+        """(z / (r |u_i|))^2, as the angle has CDF sin^2."""
+        return self.radius * self._user_scales(users), 2.0
 
     def profit(self, n_users: int, spec: CostSpec) -> float:
         return n_users / 2.0 - (2.0 / self.beta) ** (spec.beta / self.beta)
 
 
 @dataclass(frozen=True)
-class FinitePCurve(_PlanarFamily):
+class FinitePCurve(_PlanarFamily, _ValueLaw):
     """P-producer equilibrium on the curve y = (1 - x^(2/(P-1)))^((P-1)/2).
 
     Fixed to quadratic cost; the x coordinate has CDF min(1, x^(2/(P-1))).
@@ -306,9 +277,9 @@ class FinitePCurve(_PlanarFamily):
     def cdf(self, x):
         return np.clip(x, 0.0, 1.0) ** (2.0 / (self.producers - 1))
 
-    def value_cdf(self, z: np.ndarray, users: UserSet) -> np.ndarray:
-        """P(value <= z) per user: cdf(z / |u_i|), the coordinate CDF."""
-        return self.cdf(z / self._user_scales(users))
+    def value_law(self, users: UserSet):
+        """cdf(z / |u_i|), the coordinate CDF."""
+        return self._user_scales(users), 2.0 / (self.producers - 1)
 
     def profit(self, n_users: int, spec: CostSpec) -> float:
         p = self.producers

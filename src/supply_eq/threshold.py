@@ -22,7 +22,7 @@ import numpy as np
 from .geometry import CostSpec, UserSet, beta_star_two_user, dual_norm, dual_point, weighted_norm
 from .optimize import nsw_direction
 
-__all__ = ["ConditionProbe", "ThresholdReport", "beta_upper", "max_condition_holds",
+__all__ = ["ConditionProbe", "ThresholdReport", "beta_upper", "max_condition_holds", "price",
            "threshold_report"]
 
 # A point beats the anchor when sum_i y_i exceeds N (1 + _delta(beta)).  The
@@ -85,7 +85,7 @@ def beta_upper(users: UserSet, spec: CostSpec) -> float:
     return math.log(n) / (math.log(n) - math.log(z))
 
 
-def _price(U, a, beta, spec, pool, bar):
+def price(U, a, beta, spec, pool, bar):
     """(point, price, status) for max f(p) = sum_i (<p, u_i>/a_i)^beta over
     the cone-ball.  f is convex, so at q = 1 it peaks at a vertex e_k, at
     q = inf at the all-ones point, and D = 2 is a search over one angle that
@@ -160,12 +160,12 @@ def max_condition_holds(users, spec, beta, _anchor=None, _pool=None):
     pool = [] if _pool is None else _pool
     U, n = users.embeddings, users.n_users
     bar = n * (1.0 + _delta(beta))
-    p, price, status = _price(U, U @ anchor.point, beta, spec, pool, bar)
-    if price <= bar:
-        return True, price - n, None, status
+    p, value, status = price(U, U @ anchor.point, beta, spec, pool, bar)
+    if value <= bar:
+        return True, value - n, None, status
     if all(p.tobytes() != w.tobytes() for w in pool):  # a pool start may win again
         pool.append(p)
-    return False, price - n, tuple(p.tolist()), "beaten"
+    return False, value - n, tuple(p.tolist()), "beaten"
 
 
 def threshold_report(users, spec) -> ThresholdReport:

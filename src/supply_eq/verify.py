@@ -3,24 +3,25 @@
 Checks a constructed distribution the way a skeptical producer would: price
 deviations against the opponents' exact per-user value CDFs, ties counted as
 the deviator's wins, and compare against the family's analytic ``profit``.
-``OnePopulation`` searches its own best deviation (``best_deviation``, an
-exact radius along each candidate direction); the planar families are priced
-on an angle-by-radius grid.  The same pricing runs over the distribution's
-own support at fixed quantiles of ``points``: an equilibrium earns its profit
-at every point it plays, so the range of profit - eq_profit there is zero up
-to rounding.  A Monte Carlo simulation of the equilibrium's own profit stays
-as the independent cross-check of the analytic profit.  The grid, the
-support and the Monte Carlo rounds go in blocks of about _BLOCK user scores,
-scored user-major, so memory grows with neither the sample count nor the
-grid's radii.  Past one block, the grid's radii and the Monte Carlo rounds
-are split in two halves, one on each lane of a ``_lanes.Lanes``, each lane
-writing only its own rows and drawing its rounds at their own offset of the
-seed's stream, so the report is bit for bit that of one lane.  The Monte
-Carlo's mean and standard error are summed on the same lanes, split where
-numpy's pairwise sum splits, so their bits are those of ``profits.mean()``
-and ``profits.std(ddof=1)``.  The empirical marginals remain as a test
-oracle for the exact CDFs.  ``positive_profit_condition`` checks the users,
-cost and producer count alone, through one alignment solve.
+Every family priced here states one value law, F_i(z) = clip(z/c_i, 0, 1)^gamma
+(``value_law``), so along a ray a deviation's profit is a closed form in the
+radius, and one search takes the exact best radius along every candidate
+direction: the planar families' angle sweep, or onepop's users' unit-cost
+points and threshold's pricing climb at its ray.  The same pricing runs over
+the distribution's own support at fixed quantiles of ``points``: an
+equilibrium earns its profit at every point it plays, so the range of
+profit - eq_profit there is zero up to rounding.  A Monte Carlo simulation
+of the equilibrium's own profit stays as the independent cross-check of the
+analytic profit.  All three go in blocks of about _BLOCK user scores.  Past
+one block, the Monte Carlo rounds are split in two halves, one on each lane
+of a ``_lanes.Lanes``, each lane writing only its own rows and drawing its
+rounds at their own offset of the seed's stream, and their mean and
+standard error are summed on the same lanes, split where numpy's pairwise
+sum splits, so the report is bit for bit that of one lane, and of
+``profits.mean()`` and ``profits.std(ddof=1)``.  The empirical marginals
+remain as a test oracle for the exact CDFs.  ``positive_profit_condition``
+checks the users, cost and producer count alone, through one alignment
+solve.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lanes import Lanes
-from .closedform import eq_sample_blocks
-from .geometry import CostSpec, UserSet, cost
+from .closedform import OnePopulation, eq_sample_blocks
+from .geometry import CostSpec, UserSet, cost, dual_point, weighted_norm
 from .optimize import minmax_alignment
+from .threshold import price
 
 __all__ = [
     "EmpiricalMarginals",
@@ -51,9 +53,9 @@ __all__ = [
 _TIE = 1e-12
 
 # User scores (one per user per point) handled per block, 1 MB, but never
-# fewer than one grid radius, onepop direction or Monte Carlo round (P*N).
-# Two lanes hold a block each, so together they hold 2 MB.  At N = 2 a block
-# is still large enough for numpy's per-call cost to stay small.
+# fewer than one search direction or Monte Carlo round (P*N).  The Monte
+# Carlo's two lanes hold a block each, so together they hold 2 MB.  At N = 2
+# a block is still large enough for numpy's per-call cost to stay small.
 _BLOCK = 1 << 17
 
 # The support is priced at the midpoints of a quantile grid of this many
@@ -219,39 +221,56 @@ def _profits(dist, users, spec, z, p):
     return win - cost(p, spec)
 
 
-def _grid_best(dist, users, spec, grid, lanes):
-    """(profit, point) of the planar families' best deviation on the grid of
-    ``deviation_dirs`` times radii up to N^(1/beta), beyond which revenue
-    cannot cover cost: the first cell, radius-major, within _TIE * N of the
-    maximum, as profits along a support tie up to rounding.  Blocks of radii
-    are built user-major, (N, radii, directions) and (D, radii, directions),
-    and seen through axis-moved views, so value_cdf and cost reduce whole
-    rows; a cell is priced the same in any block."""
-    n_angles, n_radii = grid
-    radii = np.linspace(0.0, users.n_users ** (1.0 / spec.beta), n_radii)
-    dirs = dist.deviation_dirs(n_angles)
-    d = np.ascontiguousarray(dirs.T)
-    scores = users.embeddings @ d
-    rows = max(1, _BLOCK // (len(dirs) * users.n_users))
+def _onepop_dirs(dist, users, spec):
+    """onepop's candidate directions: each user's unit-cost dual point (the
+    user scaled to unit cost at q = 1 and inf) and where threshold's pricing
+    climbs at the equilibrium's ray, at the family's beta: to its end in
+    D > 2, and in D = 2 to its first angle grid to beat the ray, whose
+    argmax, unlike a finer zoom's, is stable under rounding."""
+    u = users.embeddings
+    own = dual_point(u, spec) if 1.0 < spec.q < math.inf else u / weighted_norm(u, spec)[:, None]
+    a = u @ dist.direction
+    bar = np.count_nonzero(a > 0.0) if users.dim == 2 else math.inf
+    return np.vstack([price(u[a > 0.0], a[a > 0.0], dist.beta, spec, [], bar)[0], own])
 
-    def grid_profits(r):
-        z = np.moveaxis(r * scores[:, None, :], 0, -1)
-        return _profits(dist, users, spec, z, np.moveaxis(r * d[:, None, :], 0, -1))
 
-    row_max = np.empty(n_radii)
-
-    def lane(span):  # writes only its own radii's rows of row_max
-        for start in range(span[0], span[1], rows):
-            stop = min(start + rows, span[1])
-            row_max[start:stop] = grid_profits(radii[start:stop, None]).max(axis=1)
-
-    lanes.map(lane, _spans(n_radii, rows))
-    best = float(row_max.max())
-    near = best - _TIE * users.n_users
-    k = int(np.argmax(row_max >= near))
-    # Only the chosen row is priced again.
-    j = int(np.argmax(grid_profits(radii[k:k + 1, None])[0] >= near))
-    return best, radii[k] * dirs[j]
+def _ray_best(dist, users, spec, dirs):
+    """The best deviation along the rays of dirs, each at its exact best
+    radius: the first direction within _TIE * N of the best of all, as
+    profits along a support tie up to rounding.  By ``value_law``, r d (d at
+    unit cost) wins user i with probability min(1, t s_i), where t = r^e,
+    e = gamma (P - 1) and s_i = (<d, u_i>/c_i)^e, and always where c_i = 0,
+    and it costs t^rho, rho = beta/e.  With the M values s_i ascending, the
+    users j and up are won outright on [1/s_j, 1/s_(j-1)] (from 0 for j = M,
+    to inf for j = 0), where the deviation earns m + K t - t^rho, m the users
+    won and K = sum_(i<j) s_i a running sum: it peaks at t = (K/rho)^(1/(rho-1))
+    clipped into the segment where rho > 1, else at the lower end (the upper
+    is the next segment's).  Directions are scored about _BLOCK scores a block."""
+    c, gamma = dist.value_law(users)
+    e = gamma * (dist.producers - 1)
+    rho = spec.beta / e
+    v = users.embeddings[c > 0.0] / c[c > 0.0, None]
+    m = len(v)
+    won = users.n_users - m + np.arange(m, -1, -1)
+    dirs = dirs / weighted_norm(dirs, spec)[:, None]
+    best, radius = np.empty(len(dirs)), np.empty(len(dirs))
+    rows = max(1, _BLOCK // max(m, 1))
+    for lo in range(0, len(dirs), rows):
+        s = np.sort((dirs[lo:lo + rows] @ v.T) ** e, axis=1)
+        k = np.zeros((len(s), m + 1))
+        np.cumsum(s, axis=1, out=k[:, 1:])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t = np.hstack([1.0 / s, np.zeros((len(s), 1))])  # inf where s = 0: never won
+            if rho > 1.0:
+                high = np.hstack([np.full((len(s), 1), np.inf), t[:, :-1]])
+                t = np.clip((k / rho) ** (1.0 / (rho - 1.0)), t, high)
+            profit = won + k * t - t ** rho
+        profit[~np.isfinite(profit)] = -np.inf
+        j = m - np.argmax(profit[:, ::-1], axis=1)  # the smallest radius of a tie
+        at = np.arange(len(s))
+        best[lo:lo + len(s)], radius[lo:lo + len(s)] = profit[at, j], t[at, j] ** (1.0 / e)
+    k = int(np.argmax(best >= best.max() - _TIE * users.n_users))
+    return radius[k] * dirs[k]
 
 
 def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
@@ -259,10 +278,12 @@ def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
     """The best deviation against the exact opponent marginals; the report.
 
     A deviation to p earns sum_i F_i(<u_i, p>)^(P-1) - cost(p), with F_i the
-    family's ``value_cdf``.  A family with a ``best_deviation`` (onepop) is
-    searched by it, which reads neither ``grid`` nor ``seed``; the planar
-    families are priced on the (angles, radii) ``grid``.  ``gap_argmax`` is
-    the point found and ``best_response_gap`` its profit minus eq_profit.
+    family's ``value_cdf``.  Each candidate direction is priced at its exact
+    best radius: the planar families' ``deviation_dirs`` over grid[0]
+    angles, and onepop's candidates, which read neither ``grid`` nor
+    ``seed``; grid[1], the radius count, is only checked.  ``gap_argmax`` is
+    the point found, or the origin unless the point beats it by more than
+    _TIE * N, and ``best_response_gap`` its profit minus eq_profit.
     The same formula prices ``dist.points`` at the midpoints of a
     _SUPPORT_CELLS quantile grid for ``support_profit_range``, the (min, max)
     of profit - eq_profit there.  n_samples sizes only the Monte Carlo profit.
@@ -272,16 +293,13 @@ def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
     if min(grid) < 1:
         raise ValueError(f"grid needs at least 1 angle and 1 radius, got {grid}")
     eq_profit = dist.profit(users.n_users, spec)
+    dirs = (_onepop_dirs(dist, users, spec) if isinstance(dist, OnePopulation)
+            else dist.deviation_dirs(grid[0]))
+    pts = np.stack([np.zeros(users.dim), _ray_best(dist, users, spec, dirs)])
+    profit = _profits(dist, users, spec, pts @ users.embeddings.T, pts)
+    k = int(profit[1] > profit[0] + _TIE * users.n_users)
+    best, argmax = float(profit[k]), pts[k]
     with Lanes() as lanes:
-        if hasattr(dist, "best_deviation"):
-            # The point found, priced exactly, or the origin unless it beats
-            # the origin by more than _TIE * N.
-            pts = np.stack([np.zeros(users.dim), dist.best_deviation(users, spec, _BLOCK)])
-            profit = _profits(dist, users, spec, pts @ users.embeddings.T, pts)
-            k = int(profit[1] > profit[0] + _TIE * users.n_users)
-            best, argmax = float(profit[k]), pts[k]
-        else:
-            best, argmax = _grid_best(dist, users, spec, grid, lanes)
         mc, stderr = _mc_profit(dist, users, spec, dist.producers, n_samples, [seed, 1], lanes)
 
     # About _BLOCK scores a block, each cell priced on its own, in the draws'

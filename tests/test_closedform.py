@@ -4,7 +4,9 @@ Sampled-law checks use scipy.stats KS tests as the independent oracle; the
 analytic CDFs under test never touch scipy.
 """
 
+import ast
 import math
+import pathlib
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import supply_eq.closedform as closedform_mod
 from supply_eq.closedform import (
     FinitePCurve,
     InfiniteTwoGenre,
@@ -523,3 +526,13 @@ def test_finite_p_value_cdf_is_cdf_at_user_scale_bitwise():
     z = np.random.default_rng(3).random((500, 2)) * 4.0 - 0.5
     f = dist.value_cdf(z, UserSet(np.diag([1.0, 3.0])))
     assert np.array_equal(f, dist.cdf(z / np.array([1.0, 3.0])))
+
+
+def test_closedform_imports_nothing_from_threshold():
+    # The equilibrium families rest on geometry alone, not on the threshold
+    # search that verify gathers onepop's candidate directions from.
+    tree = ast.parse(pathlib.Path(closedform_mod.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+            assert not any("threshold" in name for name in names), ast.dump(node)

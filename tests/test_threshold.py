@@ -358,10 +358,10 @@ def test_probes_decide_near_the_threshold_at_q7():
     assert 24.1 < rep.beta_estimate < 24.2
 
 
-# _price without its return at the first point above the bar, nor compact
+# price without its return at the first point above the bar, nor compact
 # arrays: conditional-gradient ascents over the full arrays, each start to its
 # stall, the reference for the D > 2 ascent.
-_PRICE = threshold_mod._price
+_PRICE = threshold_mod.price
 
 
 def _price_cg(U, a, beta, spec, pool, bar):
@@ -405,7 +405,7 @@ def test_ascent_keeps_every_verdict_of_the_conditional_gradient_ascent(monkeypat
     # climb to the top does; the pools differ, since their witnesses do.
     users, spec = UserSet(ASCENT_SETS[name]), CostSpec(q=q)
     new = threshold_report(users, spec)
-    monkeypatch.setattr(threshold_mod, "_price", _price_cg)
+    monkeypatch.setattr(threshold_mod, "price", _price_cg)
     old = threshold_report(users, spec)
     assert ([(p.beta, p.holds, p.status) for p in new.condition_trace]
             == [(p.beta, p.holds, p.status) for p in old.condition_trace])
@@ -426,7 +426,7 @@ def test_ascent_below_the_bar_matches_the_conditional_gradient_ascent_bitwise(
         calls.append(((U, a, beta, spec, list(pool), bar), out))
         return out
 
-    monkeypatch.setattr(threshold_mod, "_price", spy)
+    monkeypatch.setattr(threshold_mod, "price", spy)
     threshold_report(UserSet(ASCENT_SETS[name]), CostSpec(q=q))
     below = [(args, out) for args, out in calls if out[1] <= args[-1]]
     assert below
@@ -463,7 +463,7 @@ def test_returning_above_the_bar_shortens_the_ascents(monkeypatch):
     monkeypatch.setattr(threshold_mod, "dual_point", lambda *args: calls.append(1) or real(*args))
     threshold_report(USERS_30X5, SPEC2)
     new = len(calls)
-    monkeypatch.setattr(threshold_mod, "_price", _price_cg)
+    monkeypatch.setattr(threshold_mod, "price", _price_cg)
     calls.clear()
     threshold_report(USERS_30X5, SPEC2)
     assert new < 0.4 * len(calls)

@@ -369,46 +369,23 @@ def test_first_wins_counts_ties_like_argmax():
     assert np.array_equal(wins, (z.argmax(axis=1) == 0).sum(axis=1))
 
 
-def _reference_grid(dist, users, spec, producers, grid):
-    """best_response_gap's deviation grid scored row-major, in one block."""
-    n_angles, n_radii = grid
-    radii = np.linspace(0.0, users.n_users ** (1.0 / spec.beta), n_radii)
-    dirs = dist.deviation_dirs(n_angles)
-    scores = dirs @ users.embeddings.T
-    r = radii[:, None, None]
-    win = (dist.value_cdf(r * scores, users) ** (producers - 1)).sum(axis=-1)
-    profits = win - cost(r * dirs, spec)
-    best = float(profits.max())
-    # The first cell, radius-major, within _TIE * N of the maximum.
-    i = int(np.argmax(profits >= best - verify_mod._TIE * users.n_users))
-    gap = best - dist.profit(users.n_users, spec)
-    return gap, radii[i // len(dirs)] * dirs[i % len(dirs)]
-
-
-@pytest.mark.parametrize("name", ["p2-beta4", "finitep-P3"])
-def test_deviation_grid_matches_row_major_reference_bitwise(name):
-    # The planar families have two users, which the user-major sum adds in
-    # the order numpy's row-wise sum does.
-    if name == "p2-beta4":
-        dist, spec, producers = QuarterCircle(4.0), CostSpec(q=2.0, beta=4.0), 2
-    else:
-        dist, spec, producers = FinitePCurve(3), SPEC2, 3
-    rep = best_response_gap(dist, BASIS2, spec, n_samples=1000, grid=(60, 70), seed=3)
-    gap, argmax_pt = _reference_grid(dist, BASIS2, spec, producers, (60, 70))
-    assert rep.best_response_gap == gap
-    assert np.array_equal(rep.gap_argmax, argmax_pt)
-
-
-def _onepop_profits(dist, users, spec, pts):
-    """Plain numpy: the profit of deviating to each row of pts against a
-    single-genre equilibrium priced at its own beta.  User i values the
-    ray's quality law at a_i = <d, u_i>, so a deviation scoring z_i wins it
-    with probability min(1, z_i / (a_i N^(1/beta)))^beta, and always where
-    a_i = 0."""
-    a = users.embeddings @ dist.direction
+def _plain_profits(dist, users, spec, pts):
+    """Plain numpy: the profit of deviating to each row of pts, from each
+    family's own law.  Against a single genre built for beta_d, user i values
+    the ray's quality law at a_i = <d, u_i>, so a deviation scoring z_i wins
+    it with probability min(1, z_i / (a_i N^(1/beta_d)))^beta_d, and always
+    where a_i = 0.  On the planar families user i values a point at |u_i|
+    times its i-th in-plane coordinate, whose law is (x / r)^2 on the
+    quarter circle and x^(2/(P-1)) on the curve, taken to the P - 1
+    opponents."""
     z = pts @ users.embeddings.T
-    top = a * users.n_users ** (1.0 / spec.beta)
-    win = np.where(a > 0, np.minimum(1.0, z / np.where(a > 0, top, 1.0)) ** spec.beta, 1.0)
+    if isinstance(dist, OnePopulation):
+        top, e = users.embeddings @ dist.direction * users.n_users ** (1.0 / dist.beta), dist.beta
+    else:
+        top, e = np.linalg.norm(users.embeddings, axis=1), 2.0
+        if isinstance(dist, QuarterCircle):
+            top = top * dist.radius
+    win = np.where(top > 0, np.minimum(1.0, z / np.where(top > 0, top, 1.0)) ** e, 1.0)
     return win.sum(axis=1) - np.linalg.norm(pts, ord=spec.q, axis=1) ** spec.beta
 
 
@@ -433,14 +410,14 @@ def test_onepop_gap_is_not_beaten_by_a_radius_scan(name):
     rep = best_response_gap(dist, users, spec, n_samples=1000, grid=(60, 70), seed=3)
     found = rep.eq_profit + rep.best_response_gap
     n, eps = users.n_users, np.finfo(float).eps
-    assert _onepop_profits(dist, users, spec, rep.gap_argmax[None])[0] == pytest.approx(
+    assert _plain_profits(dist, users, spec, rep.gap_argmax[None])[0] == pytest.approx(
         found, rel=0, abs=4 * n * eps)
     dirs = users.embeddings / np.linalg.norm(users.embeddings, axis=1)[:, None]
     length = np.linalg.norm(rep.gap_argmax)
     if length > 0:
         dirs = np.vstack([rep.gap_argmax / length, dirs])
     radii = np.linspace(0.0, n ** (1.0 / beta), 20001)[:, None]
-    scan = max(_onepop_profits(dist, users, spec, radii * d).max() for d in dirs)
+    scan = max(_plain_profits(dist, users, spec, radii * d).max() for d in dirs)
     assert scan <= found + 4 * n * eps
     if name == "30x5-beta9.45":
         assert rep.best_response_gap > 0.0175
@@ -640,10 +617,8 @@ def test_onepop_gap_memory_does_not_grow_with_a_radius_row():
 
 
 def _lane_case(name):
-    """(dist, users, spec) with more than one block of Monte Carlo rounds,
-    and for the planar families of radii, at the default _BLOCK and the
-    lane test's keywords; p2 has its best deviation at a radius of the
-    worker's half."""
+    """(dist, users, spec) with more than one block of Monte Carlo rounds at
+    the default _BLOCK and the lane test's keywords."""
     if name == "p2":
         return QuarterCircle(4.0), BASIS2, CostSpec(q=2.0, beta=4.0)
     if name == "finitep-P3":
@@ -655,8 +630,8 @@ def _lane_case(name):
 @pytest.mark.parametrize("block", [RAGGED, None], ids=["ragged", "default"])
 @pytest.mark.parametrize("name", ["p2", "finitep-P3", "onepop-basis2"])
 def test_two_lanes_match_an_in_order_loop_bitwise(monkeypatch, name, block):
-    # Each lane prices its own radii and draws its own Monte Carlo rounds;
-    # the report is that of one lane running every block in order.
+    # Each lane draws its own Monte Carlo rounds; the report is that of one
+    # lane running every block in order.
     if block is not None:
         monkeypatch.setattr(verify_mod, "_BLOCK", block)
     dist, users, spec = _lane_case(name)
@@ -672,9 +647,9 @@ def test_two_lanes_match_an_in_order_loop_bitwise(monkeypatch, name, block):
 
     monkeypatch.setattr(Lanes, "map", spy)
     lanes = best_response_gap(dist, users, spec, **kw)
-    # The planar grid and the Monte Carlo both split, and the Monte Carlo's
-    # squares run on the same halves as its rounds; onepop prices no grid.
-    assert on_worker.count(True) == (2 if name.startswith("onepop") else 3)
+    # Only the Monte Carlo splits, and its squares run on the same halves as
+    # its rounds; the deviation search runs on this thread.
+    assert on_worker.count(True) == 2
     monkeypatch.setattr(verify_mod, "_spans", lambda n, blk: [(0, n)])
     in_order = best_response_gap(dist, users, spec, **kw)
     for field in dataclasses.fields(lanes):
@@ -747,7 +722,7 @@ class _FailingOffMainThread:
         return call
 
 
-@pytest.mark.parametrize("method", ["value_cdf", "points"], ids=["grid", "monte-carlo"])
+@pytest.mark.parametrize("method", ["points"], ids=["monte-carlo"])
 def test_worker_lane_exception_propagates_and_the_worker_is_joined(monkeypatch, method):
     monkeypatch.setattr(verify_mod, "_BLOCK", RAGGED)
     threads = threading.active_count()
@@ -757,11 +732,64 @@ def test_worker_lane_exception_propagates_and_the_worker_is_joined(monkeypatch, 
     assert threading.active_count() == threads
 
 
-def test_grid_blocks_keep_the_first_maximum(monkeypatch):
-    # On the two axes finitep P = 3 prices a deviation at radius x <= 1 as
-    # x*x - x*x = 0 exactly, so the maximum ties across one-radius blocks;
-    # the first one, at radius 0, wins as np.argmax over the whole grid would.
-    monkeypatch.setattr(verify_mod, "_BLOCK", 1)
-    rep = best_response_gap(FinitePCurve(3), BASIS2, SPEC2, n_samples=1000, grid=(2, 50))
-    assert rep.best_response_gap == 0.0
-    assert np.array_equal(rep.gap_argmax, [0.0, 0.0])
+def _scan_best(dist, users, spec, dirs):
+    """The best plain-numpy profit over 20,001 radii on [0, N^(1/beta)], past
+    which cost exceeds any revenue, along each of dirs at unit cost."""
+    dirs = dirs / np.linalg.norm(dirs, ord=spec.q, axis=1)[:, None]
+    radii = np.linspace(0.0, users.n_users ** (1.0 / spec.beta), 20001)[:, None]
+    return max(_plain_profits(dist, users, spec, radii * d).max() for d in dirs)
+
+
+def _searched_dirs(dist, users, spec, n_angles):
+    if isinstance(dist, OnePopulation):
+        return verify_mod._onepop_dirs(dist, users, spec)
+    return dist.deviation_dirs(n_angles)
+
+
+PLANAR_SCAN_CASES = {
+    **{f"p2-beta{beta:g}-{plane}": (lambda beta=beta, users=users: (
+        QuarterCircle(beta, users=users), users, CostSpec(q=2.0, beta=beta)))
+       for beta in (2.0, 4.0, 7.0) for plane, users in (("basis2", BASIS2), ("4d", _USERS_4D))},
+    **{f"finitep-P{p}-{plane}": (lambda p=p, users=users: (
+        FinitePCurve(p, users=users), users, SPEC2))
+       for p in (2, 3, 4, 7) for plane, users in (("basis2", BASIS2), ("4d", _USERS_4D))},
+}
+
+
+@pytest.mark.parametrize("name", list(PLANAR_SCAN_CASES))
+def test_planar_gap_is_the_radius_scan_s_best_and_rounding(name):
+    # Each sweep direction's exact best radius earns at least what a scan of
+    # 20,001 radii along it finds, and at an equilibrium no more than its
+    # profit, up to rounding.
+    dist, users, spec = PLANAR_SCAN_CASES[name]()
+    rep = best_response_gap(dist, users, spec, n_samples=1000, grid=(60, 1))
+    n, eps = users.n_users, np.finfo(float).eps
+    scan = _scan_best(dist, users, spec, _searched_dirs(dist, users, spec, 60)) - rep.eq_profit
+    assert scan - 4 * n * eps <= rep.best_response_gap <= 1e-13 * n
+
+
+OFF_EQUILIBRIUM_CASES = {
+    "finitep-P3-at-beta3": lambda: (FinitePCurve(3), BASIS2, CostSpec(q=2.0, beta=3.0)),
+    "p2-beta4-at-2.5": lambda: (QuarterCircle(4.0), BASIS2, CostSpec(q=2.0, beta=2.5)),
+    "p2-beta4-at-6": lambda: (QuarterCircle(4.0), BASIS2, CostSpec(q=2.0, beta=6.0)),
+    "onepop-beta3-at-2-stacked": lambda: (
+        OnePopulation(np.array([1.0, 0.0]), 2, 3.0, 2), UserSet(np.array([[1.0, 0.0]] * 2)), SPEC2),
+    "onepop-beta3-at-2-30x5": lambda: (
+        _onepop_nsw(USERS_30X5, 3.0)[0], USERS_30X5, SPEC2),
+}
+
+
+@pytest.mark.parametrize("name", list(OFF_EQUILIBRIUM_CASES))
+def test_gap_off_equilibrium_is_at_least_the_radius_scan_s_best(name):
+    # Priced at a cost exponent the family was not built for, the best radius
+    # is no longer at the family's own breakpoints: the exact search still
+    # finds at least what the scan does along every direction it searched,
+    # and gap_argmax re-prices to the profit printed.
+    dist, users, spec = OFF_EQUILIBRIUM_CASES[name]()
+    rep = best_response_gap(dist, users, spec, n_samples=1000, grid=(60, 1))
+    found = rep.eq_profit + rep.best_response_gap
+    n, eps = users.n_users, np.finfo(float).eps
+    assert _plain_profits(dist, users, spec, rep.gap_argmax[None])[0] == pytest.approx(
+        found, rel=0, abs=4 * n * eps)
+    scan = _scan_best(dist, users, spec, _searched_dirs(dist, users, spec, 60))
+    assert found >= scan - 4 * n * eps

@@ -76,7 +76,10 @@ SEEDS = (1, 2)
 # 35,000 and 35,011 rounds, so its Monte Carlo sums split off the middle.
 # A onepop verify runs on the 30x5 set of default_rng(0) at beta = 9.45,
 # just past that set's threshold of about 9.36, where the best deviation
-# earns about 0.0176.
+# earns about 0.0176.  A p2 verify at beta = 7 and a finitep verify at
+# P = 7 take one radius on a 3x1 grid, which the deviation search does not
+# read: each of the three sweep directions is priced at its exact best
+# radius.
 SURFACE = [
     ["nsw", "--users", "basis2", "--q", "1"],
     ["nsw", "--users", "orthonormal:3", "--q", "3", "--alpha", "1,2,0.5"],
@@ -131,6 +134,8 @@ SURFACE = [
      "--samples", "70011", "--grid", "20x20"],
     ["verify", "--users", "emb30x5.csv", "--variant", "onepop", "--beta", "9.45",
      "--samples", "2000"],
+    ["verify", "--users", "basis2", "--variant", "p2", "--beta", "7", "--grid", "3x1"],
+    ["verify", "--users", "basis2", "--variant", "finitep", "--producers", "7", "--grid", "3x1"],
     *([*argv, "--q", q, *users]
       for q in ("1", "inf")
       for argv in (["profit", "--variant", "onepop", "--beta", "12"],
