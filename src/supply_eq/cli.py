@@ -507,10 +507,7 @@ def _parse_grid(raw: str) -> tuple[int, int]:
     parts = raw.lower().split("x")
     if len(parts) != 2:
         raise ValueError(f"grid must look like 200x200, got {raw!r}")
-    angles, radii = int(parts[0]), int(parts[1])
-    if angles < 1 or radii < 1:
-        raise ValueError(f"--grid needs at least 1 angle and 1 radius, got {raw!r}")
-    return angles, radii
+    return int(parts[0]), int(parts[1])
 
 
 def _cmd_report(ns) -> int:

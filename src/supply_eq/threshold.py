@@ -85,6 +85,7 @@ def beta_upper(users: UserSet, spec: CostSpec) -> float:
     return math.log(n) / (math.log(n) - math.log(z))
 
 
+@np.errstate(over="ignore")  # a sum past the double range is above any bar
 def price(U, a, beta, spec, pool, bar):
     """(point, price, status) for max f(p) = sum_i (<p, u_i>/a_i)^beta over
     the cone-ball.  f is convex, so at q = 1 it peaks at a vertex e_k, at

@@ -14,10 +14,10 @@ profit - eq_profit there is zero up to rounding.  A Monte Carlo simulation
 of the equilibrium's own profit stays as the independent cross-check of the
 analytic profit.  All three go in blocks of about _BLOCK user scores.  Past
 one block, the Monte Carlo rounds are split in two halves, one on each lane
-of a ``_lanes.Lanes``, each lane writing only its own rows and drawing its
-rounds at their own offset of the seed's stream, and their mean and
-standard error are summed on the same lanes, split where numpy's pairwise
-sum splits, so the report is bit for bit that of one lane, and of
+of a ``_lanes.Lanes`` it opens itself, each lane writing only its own rows
+and drawing its rounds at their own offset of the seed's stream, and their
+mean and standard error are summed on the same lanes, split where numpy's
+pairwise sum splits, so the report is bit for bit that of one lane, and of
 ``profits.mean()`` and ``profits.std(ddof=1)``.  The empirical marginals
 remain as a test oracle for the exact CDFs.  ``positive_profit_condition``
 checks the users, cost and producer count alone, through one alignment
@@ -165,7 +165,7 @@ def _spans(n, block):
     return [(0, half), (half, n)]
 
 
-def _mc_profit(dist, users, spec, producers, n_rounds, seed, lanes):
+def _mc_profit(dist, users, spec, n_rounds, seed):
     """(mean, standard error) of producer 0's profit over n_rounds rounds.
 
     Each lane draws its span of the rounds, from ``_spans``, and sums its
@@ -177,6 +177,7 @@ def _mc_profit(dist, users, spec, producers, n_rounds, seed, lanes):
     ``profits.std(ddof=1) / sqrt(n_rounds)`` with no second array.  Callers
     pass n_rounds >= 1000, and a single span is summed whole.
     """
+    producers = dist.producers
     profits = np.empty(n_rounds)
     rounds = max(1, _BLOCK // (producers * users.n_users))
     spans = _spans(n_rounds, rounds)
@@ -192,15 +193,15 @@ def _mc_profit(dist, users, spec, producers, n_rounds, seed, lanes):
             profits[start:start + z.shape[1]] = _first_wins(z) - cost(x[:, ::producers].T, spec)
         return np.add.reduce(profits[lo:hi])
 
-    mean = sum(lanes.map(lane, spans)) / n_rounds
-
     def squares(span):
         x = profits[span[0]:span[1]]
         np.subtract(x, mean, out=x)
         np.square(x, out=x)
         return np.add.reduce(x)
 
-    var = sum(lanes.map(squares, spans)) / (n_rounds - 1)
+    with Lanes() as lanes:
+        mean = sum(lanes.map(lane, spans)) / n_rounds
+        var = sum(lanes.map(squares, spans)) / (n_rounds - 1)
     return float(mean), math.sqrt(var) / math.sqrt(n_rounds)
 
 
@@ -240,12 +241,16 @@ def _ray_best(dist, users, spec, dirs):
     profits along a support tie up to rounding.  By ``value_law``, r d (d at
     unit cost) wins user i with probability min(1, t s_i), where t = r^e,
     e = gamma (P - 1) and s_i = (<d, u_i>/c_i)^e, and always where c_i = 0,
-    and it costs t^rho, rho = beta/e.  With the M values s_i ascending, the
-    users j and up are won outright on [1/s_j, 1/s_(j-1)] (from 0 for j = M,
-    to inf for j = 0), where the deviation earns m + K t - t^rho, m the users
-    won and K = sum_(i<j) s_i a running sum: it peaks at t = (K/rho)^(1/(rho-1))
-    clipped into the segment where rho > 1, else at the lower end (the upper
-    is the next segment's).  Directions are scored about _BLOCK scores a block."""
+    and it costs t^rho, rho = beta/e.  Each direction's scores are first
+    divided by their largest, top, so that no power overflows: in those
+    units t is (r top)^e and the cost kappa t^rho, kappa = top^-beta.  With
+    the M values s_i ascending, the users j and up are won outright on
+    [1/s_j, 1/s_(j-1)] (from 0 for j = M, to inf for j = 0), where the
+    deviation earns m + K t - kappa t^rho, m the users won and
+    K = sum_(i<j) s_i a running sum: it peaks at
+    t = (K/(rho kappa))^(1/(rho-1)) clipped into the segment where rho > 1,
+    else at the lower end (the upper is the next segment's).  Directions are
+    scored about _BLOCK scores a block."""
     c, gamma = dist.value_law(users)
     e = gamma * (dist.producers - 1)
     rho = spec.beta / e
@@ -256,19 +261,24 @@ def _ray_best(dist, users, spec, dirs):
     best, radius = np.empty(len(dirs)), np.empty(len(dirs))
     rows = max(1, _BLOCK // max(m, 1))
     for lo in range(0, len(dirs), rows):
-        s = np.sort((dirs[lo:lo + rows] @ v.T) ** e, axis=1)
+        x = dirs[lo:lo + rows] @ v.T
+        # At least tiny: a user set can have no priced user.
+        top = np.maximum(x.max(axis=1, keepdims=True, initial=0.0), np.finfo(float).tiny)
+        s = np.sort((x / top) ** e, axis=1)
         k = np.zeros((len(s), m + 1))
         np.cumsum(s, axis=1, out=k[:, 1:])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            kappa = top ** -spec.beta
             t = np.hstack([1.0 / s, np.zeros((len(s), 1))])  # inf where s = 0: never won
             if rho > 1.0:
                 high = np.hstack([np.full((len(s), 1), np.inf), t[:, :-1]])
-                t = np.clip((k / rho) ** (1.0 / (rho - 1.0)), t, high)
-            profit = won + k * t - t ** rho
+                t = np.clip((k / (rho * kappa)) ** (1.0 / (rho - 1.0)), t, high)
+            profit = won + k * t - kappa * t ** rho
         profit[~np.isfinite(profit)] = -np.inf
         j = m - np.argmax(profit[:, ::-1], axis=1)  # the smallest radius of a tie
         at = np.arange(len(s))
-        best[lo:lo + len(s)], radius[lo:lo + len(s)] = profit[at, j], t[at, j] ** (1.0 / e)
+        best[lo:lo + len(s)] = profit[at, j]
+        radius[lo:lo + len(s)] = t[at, j] ** (1.0 / e) / top[:, 0]
     k = int(np.argmax(best >= best.max() - _TIE * users.n_users))
     return radius[k] * dirs[k]
 
@@ -299,8 +309,7 @@ def best_response_gap(dist, users, spec, n_samples=100000, grid=(200, 200),
     profit = _profits(dist, users, spec, pts @ users.embeddings.T, pts)
     k = int(profit[1] > profit[0] + _TIE * users.n_users)
     best, argmax = float(profit[k]), pts[k]
-    with Lanes() as lanes:
-        mc, stderr = _mc_profit(dist, users, spec, dist.producers, n_samples, [seed, 1], lanes)
+    mc, stderr = _mc_profit(dist, users, spec, n_samples, [seed, 1])
 
     # About _BLOCK scores a block, each cell priced on its own, in the draws'
     # layout: (N, cells) scores seen as (cells, N).

@@ -269,11 +269,12 @@ def test_verify_finitep_many_producers_reports_a_continuum(capsys):
 
 @pytest.mark.parametrize("grid", ["0x10", "10x0"])
 def test_exit_usage_empty_verify_grid(capsys, grid):
+    # The library rejects the grid; the command line passes its message on.
     argv = ["verify", "--users", "basis2", "--variant", "p2", "--beta", "4",
             "--samples", "1000", "--grid", grid]
     assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert "--grid" in err and grid in err
+    message = f"grid needs at least 1 angle and 1 radius, got {tuple(map(int, grid.split('x')))}"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_profit_finitep(capsys):
@@ -988,6 +989,12 @@ def test_exit_usage_planar_variant_weighted(capsys):
      "the finitep variant fixes beta = 2"),
     (["verify", "--users", "basis2", "--variant", "p2", "--beta", "4", "--grid", "20"],
      "grid must look like 200x200, got '20'"),
+    (["verify", "--users", "basis2", "--variant", "p2", "--beta", "4", "--grid", "0x5"],
+     "grid needs at least 1 angle and 1 radius, got (0, 5)"),
+    (["eq", "--variant", "p2", "--alpha", "1,2", "--cdf-grid", "3"],
+     "planar variants are defined for q = 2 with unit weights"),
+    (["eq", "--variant", "finitep", "--q", "3", "--cdf-grid", "3"],
+     "planar variants are defined for q = 2 with unit weights"),
 ])
 def test_exit_usage_planar_variant_rules(capsys, argv, message):
     assert run(argv) == 2

@@ -120,6 +120,12 @@ def test_max_condition_trace_ordering():
             assert excess > delta(beta) * 2 and status == "beaten"
 
 
+def test_max_condition_beaten_past_the_double_range():
+    # At beta = 5000 the best sums overflow: inf is above any bar.
+    holds, _, witness, status = max_condition_holds(USERS_30X5, SPEC2, 5000.0)
+    assert (holds, status) == (False, "beaten") and witness is not None
+
+
 def test_max_condition_rejects_bad_beta():
     with pytest.raises(ValueError):
         max_condition_holds(UserSet(np.eye(2)), SPEC2, 0.5)

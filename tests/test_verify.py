@@ -31,6 +31,7 @@ from supply_eq.verify import (
     empirical_marginals,
     positive_profit_condition,
 )
+from test_lanes import _count_starts
 
 BASIS2 = UserSet(np.eye(2))
 E1_USER = UserSet(np.array([[1.0, 0.0]]))
@@ -328,8 +329,7 @@ def test_mc_profit_blocks_bitwise(monkeypatch, producers):
         monkeypatch.setattr(verify_mod, "_BLOCK", block)
         for dist, users, spec in _mc_cases(producers):
             for n in (10000, 10013, 70011):
-                with Lanes() as lanes:
-                    got = verify_mod._mc_profit(dist, users, spec, producers, n, [2, 1], lanes)
+                got = verify_mod._mc_profit(dist, users, spec, n, [2, 1])
                 want = _reference_mc_profit(dist, users, spec, producers, n, [2, 1])
                 assert got == want, (block, n)
 
@@ -340,10 +340,10 @@ def test_mc_profit_of_one_block_bitwise_on_this_thread(monkeypatch, producers):
     n = 1500
     for dist, users, spec in _mc_cases(producers):
         monkeypatch.setattr(verify_mod, "_BLOCK", n * producers * users.n_users)
-        threads = threading.active_count()
-        with Lanes() as lanes:
-            got = verify_mod._mc_profit(dist, users, spec, producers, n, [2, 1], lanes)
-            assert threading.active_count() == threads
+        with monkeypatch.context() as m:
+            started = _count_starts(m)
+            got = verify_mod._mc_profit(dist, users, spec, n, [2, 1])
+        assert started == []
         assert got == _reference_mc_profit(dist, users, spec, producers, n, [2, 1])
 
 
@@ -351,8 +351,7 @@ def test_mc_profit_of_a_million_rounds_bitwise():
     # The Monte Carlo as simulate runs it: 1,000,000 basis2 rounds of p2 at
     # the default _BLOCK, in two halves of 500,000.
     dist, spec = QuarterCircle(4.0), CostSpec(q=2.0, beta=4.0)
-    with Lanes() as lanes:
-        got = verify_mod._mc_profit(dist, BASIS2, spec, 2, 10**6, [7, 1], lanes)
+    got = verify_mod._mc_profit(dist, BASIS2, spec, 10**6, [7, 1])
     assert got == _reference_mc_profit(dist, BASIS2, spec, 2, 10**6, [7, 1])
 
 
@@ -551,6 +550,18 @@ def test_onepop_gap_beyond_the_plane_crosses():
         gaps.append(rep.best_response_gap)
     assert gaps[0] <= 1e-12
     assert gaps[1] >= 0.1
+
+
+@pytest.mark.parametrize("beta", [2000.0, 3000.0, 1e4])
+def test_onepop_gap_at_a_large_beta(beta):
+    # Along e1 the best user scores sqrt(2) times the ray's value, whose
+    # power beta passes the double range from beta = 2048 on: deviating to
+    # (0.9, 0) still wins user 1 outright at a cost of 0.9^beta.
+    dist, spec = _onepop_nsw(BASIS2, beta)
+    rep = best_response_gap(dist, BASIS2, spec, n_samples=1000)
+    deviation = _plain_profits(dist, BASIS2, spec, np.array([[0.9, 0.0]]))[0] - rep.eq_profit
+    assert deviation >= 1.0 - 0.9**beta - 4 * BASIS2.n_users * np.finfo(float).eps
+    assert rep.best_response_gap >= deviation - 4 * BASIS2.n_users * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("case", ["p2", "finitep", "onepop", "onepop-30x5"])
