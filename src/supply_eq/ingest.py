@@ -18,8 +18,13 @@ not with users x items.  A side of at least _LANE_SLOTS slots runs each
 half-step on two lanes of a ``_lanes.Lanes``, this thread and one worker,
 split at a segment boundary: each lane updates only its own users' or
 items' rows with the one-lane arithmetic, so the factors and the objective
-are bit for bit those of one lane.  It exists to produce nonnegative user
-embeddings at desk scale, not to chase benchmark reconstruction error.
+are bit for bit those of one lane.  The segment sums are np.add.reduceat's,
+added in its order, but only segments of more than 8 rows call it: it holds
+the interpreter lock and loops over each segment on its own, where one take
+and one add per row depth are cheaper and release the lock.  Each epoch's
+objective is scored on this lane while the worker runs its half of the
+next H step.  It exists to produce nonnegative user embeddings at desk
+scale, not to chase benchmark reconstruction error.
 """
 
 from __future__ import annotations
@@ -245,6 +250,24 @@ class _Rows:
         self.coef = np.zeros((rows.sum(), 2, width))
         self.coef[:, 0].flat[slot] = r
         self.own = slice(0, m)
+        self._plan()
+
+    def _plan(self):
+        """Plan segment_sums for these segments.  Those of 2 to 8 rows,
+        ``mid``, are sorted by row count, longest first, so that the ones with
+        a d-th row after their first form a prefix; ``steps[d - 1]`` holds
+        those rows.  ``long`` names the segments of 9 or more rows and
+        ``bounds`` their [start, end) row pairs as reduceat indices."""
+        end = np.append(self.first[1:], len(self.owner))
+        count = end - self.first
+        mid = np.flatnonzero((count > 1) & (count <= 8))
+        self.mid = mid[np.argsort(-count[mid], kind="stable")]
+        self.steps = [self.first[self.mid[:n]] + d for d in range(1, 8)
+                      if (n := np.count_nonzero(count[self.mid] > d))]
+        self.long = np.flatnonzero(count > 8)
+        bounds = np.stack([self.first[self.long], end[self.long]], axis=1).ravel()
+        # reduceat takes no index past the last row: its last index sums to the end.
+        self.bounds = bounds[:-1] if len(bounds) and bounds[-1] == len(self.owner) else bounds
 
     def split(self):
         """This side as the _Rows of each lane, views of its arrays: the
@@ -264,6 +287,7 @@ class _Rows:
         part.owner, part.other, part.coef = (
             a[start:stop] for a in (self.owner, self.other, self.coef))
         part.own = slice(lo, hi)
+        part._plan()
         return part
 
     def predict(self, own, other):
@@ -277,9 +301,32 @@ class _Rows:
         """The multiplicative update of own's rows of these segments: segment
         sums of r * g over those of pred * g, both from one batched product."""
         k, rows = own.shape[1], own[self.own]
-        sums = np.add.reduceat(np.matmul(self.coef, g).reshape(-1, 2 * k), self.first, axis=0)
+        sums = self.segment_sums(np.matmul(self.coef, g).reshape(-1, 2 * k))
         rows *= sums[:, :k] / np.maximum(sums[:, k:], _MIN_ENTRY)
         np.maximum(rows, _MIN_ENTRY, out=rows)
+
+    def segment_sums(self, terms):
+        """np.add.reduceat(terms, self.first, axis=0) bit for bit, in its own
+        order (numpy 2.x): each segment's first row plus the sum of the rest,
+        which are added one by one while there are fewer than 8 of them and
+        pairwise from 8.  Only segments of 9 or more rows call reduceat,
+        which holds the interpreter lock; the shorter ones cost one take
+        and one add per row depth."""
+        sums = np.take(terms, self.first, axis=0)
+        if self.steps:
+            rest = np.take(terms, self.steps[0], axis=0)
+            for at in self.steps[1:]:
+                rest[:len(at)] += np.take(terms, at, axis=0)
+            sums[self.mid] += rest
+        if len(self.long):
+            sums[self.long] = np.add.reduceat(terms, self.bounds, axis=0)[::2]
+        return sums
+
+    def sq_error(self, resid):
+        """The squared error of the predictions in coef, its residual formed
+        in resid, (rows, width)."""
+        np.subtract(self.coef[:, 0], self.coef[:, 1], out=resid)
+        return np.einsum("rs,rs->", resid, resid)
 
 
 def nmf_factorize(ratings: RatingsTable, cfg: NmfConfig) -> NmfResult:
@@ -328,18 +375,23 @@ def nmf_factorize(ratings: RatingsTable, cfg: NmfConfig) -> NmfResult:
         if not last:
             part.scale(w, g)
 
-    def item_step(part):
+    # Epoch e's objective is scored at the start of epoch e + 1's H step, on
+    # this lane while the worker runs the other H half: it reads only the
+    # user side's coef, which an H step neither reads nor writes.
+    def item_step(part, epoch):
+        if part is items[0] and epoch:
+            trace[epoch - 1] = user_rows.sq_error(resid)
         part.scale(h, part.predict(h, w))
 
     trace = np.empty(cfg.epochs)
+    resid = np.empty(user_rows.coef[:, 0].shape)
     users, items = user_rows.split(), item_rows.split()
     with Lanes() as lanes:
         lanes.map(user_step, users)
         for epoch in range(cfg.epochs):
-            lanes.map(item_step, items)
+            lanes.map(functools.partial(item_step, epoch=epoch), items)
             lanes.map(functools.partial(user_step, last=epoch + 1 == cfg.epochs), users)
-            resid = user_rows.coef[:, 0] - user_rows.coef[:, 1]
-            trace[epoch] = np.einsum("rs,rs->", resid, resid)
+    trace[-1] = user_rows.sq_error(resid)
     return NmfResult(
         users=UserSet(w[:n]),
         user_ids=tuple(uid for uid, kp in zip(ratings.user_ids, keep) if kp),

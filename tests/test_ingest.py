@@ -497,6 +497,140 @@ def test_nmf_lanes_keep_their_bits_under_a_short_switch_interval(monkeypatch):
         assert np.array_equal(res.objective_trace, trace)
 
 
+def _segment_rows(row_counts, seed):
+    """A _Rows sixteen slots wide whose segments fill row_counts[i] rows."""
+    rng = np.random.default_rng(seed)
+    entries = [16 * (c - 1) + int(rng.integers(1, 17)) for c in row_counts]
+    seg = np.repeat(np.arange(len(row_counts)), entries)
+    rows = ingest_mod._Rows(seg, rng.integers(0, 50, len(seg)), rng.random(len(seg)),
+                            len(row_counts), 50)
+    assert rows.other.shape[1] == 16
+    return rows
+
+
+def _reduceat_bounds(rows):
+    """The [start, end) row pairs of rows' segments of 9 or more rows, as
+    np.add.reduceat indices, the last end left out when it is the row count."""
+    end = np.append(rows.first[1:], len(rows.owner))
+    long = end - rows.first > 8
+    bounds = np.stack([rows.first[long], end[long]], axis=1).ravel()
+    return tuple(bounds[:-1] if len(bounds) and bounds[-1] == len(rows.owner) else bounds)
+
+
+def test_nmf_segment_sums_match_reduceat_bitwise(monkeypatch):
+    # Segments of 1 to 12 rows, interleaved, in two halves of 78 rows: the
+    # first half ends in an 11-row segment and the second in a 12-row one.
+    counts = [1, 9, 2, 10, 3, 12, 4, 8, 5, 7, 6, 11] + [6, 8, 1, 11, 2, 7, 3, 10, 4, 5, 9, 12]
+    monkeypatch.setattr(ingest_mod, "_LANE_SLOTS", 1)
+    rows = _segment_rows(counts, 21)
+    halves = rows.split()
+    assert [len(p.first) for p in halves] == [12, 12]
+    assert [len(p.owner) - p.first[-1] for p in halves] == [11, 12]
+    rng = np.random.default_rng(22)
+    for lane in [rows, *halves]:
+        # Terms over sixteen orders of magnitude, so that any other order of
+        # the additions changes some sum's bits.
+        terms = rng.random((len(lane.owner), 6)) * 10.0 ** rng.integers(-8, 8, (len(lane.owner), 6))
+        want = np.add.reduceat(terms, lane.first, axis=0)
+        in_turn = np.array([terms[a:b].cumsum(axis=0)[-1] for a, b in
+                            zip(lane.first, [*lane.first[1:], len(lane.owner)])])
+        assert not np.array_equal(in_turn, want)
+        assert np.array_equal(lane.segment_sums(terms), want)
+
+
+class _ReduceatSpy:
+    """Stands in for numpy in ingest, recording each np.add.reduceat call as
+    (rows summed, indices)."""
+
+    def __init__(self):
+        self.calls = []
+        spy = self
+
+        class Add:
+            def __getattr__(self, name):
+                return getattr(np.add, name)
+
+            def reduceat(self, a, indices, axis=0):
+                spy.calls.append((len(a), tuple(indices)))
+                return np.add.reduceat(a, indices, axis=axis)
+
+        self.add = Add()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("name", ["uniform", "uneven"])
+def test_nmf_reduceat_sums_only_segments_of_nine_or_more_rows(monkeypatch, name):
+    # The uniform table's segments are all 1 or 2 rows; the uneven table's
+    # five heavy users and its item "all" take more than 8 rows.
+    monkeypatch.setattr(ingest_mod, "_LANE_SLOTS", 1)
+    sides, _ = _spy_lanes(monkeypatch)
+    spy = _ReduceatSpy()
+    monkeypatch.setattr(ingest_mod, "np", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the uneven table drops a user
+        nmf_factorize(_LANE_TABLES[name][0](), NmfConfig(factors=3, epochs=4, seed=2))
+    long = [(len(p.owner), _reduceat_bounds(p)) for parts in sides for p in parts
+            if _reduceat_bounds(p)]
+    # The uneven table's heavy users fall in one W lane and "all" in one H lane.
+    assert len(long) == (0 if name == "uniform" else 2)
+    # One call per such lane in each of the 4 W and 4 H half-steps (the
+    # last epoch's W predictions score the objective, not a step).
+    assert sorted(spy.calls) == sorted(4 * long)
+
+
+@pytest.mark.parametrize("name", ["uniform", "single-item"])
+def test_nmf_scores_each_epoch_on_this_thread_between_w_steps(monkeypatch, name):
+    # Epoch e's objective is scored on the calling thread after epoch e's W
+    # predictions and before epoch e + 1's, never while a W half-step runs,
+    # also when the H side runs on one lane.
+    make, _, item_lanes = _LANE_TABLES[name]
+    table, epochs = make(), 6
+    monkeypatch.setattr(ingest_mod, "_LANE_SLOTS", 1)
+    log, lock = [], threading.Lock()
+
+    def logged(method, kind):
+        def spy(self, *args):
+            with lock:
+                log.append((kind(args), "enter", threading.get_ident()))
+            try:
+                return method(self, *args)
+            finally:
+                with lock:
+                    log.append((kind(args), "exit", threading.get_ident()))
+        return spy
+
+    for method in ("predict", "scale"):
+        monkeypatch.setattr(ingest_mod._Rows, method, logged(
+            getattr(ingest_mod._Rows, method),
+            lambda args, m=method: ("W " if len(args[0]) == table.n_users + 1 else "H ") + m))
+    monkeypatch.setattr(ingest_mod._Rows, "sq_error",
+                        logged(ingest_mod._Rows.sq_error, lambda args: "score"))
+    sides, _ = _spy_lanes(monkeypatch)
+    nmf_factorize(table, NmfConfig(factors=3, epochs=epochs, seed=2))
+    assert [len(parts) for parts in sides] == [2, item_lanes]
+
+    running = {"W": 0, "H": 0, "score": 0}
+    for kind, edge, thread in log:
+        running[kind.split()[0]] += 1 if edge == "enter" else -1
+        assert not (running["W"] and running["score"])
+        if kind == "score":
+            assert thread == threading.get_ident()
+
+    def positions(kind, edge):
+        return [at for at, entry in enumerate(log) if entry[:2] == (kind, edge)]
+
+    scores = positions("score", "enter")
+    # Two W lanes predict once before the first epoch and once in each.
+    w_enters, w_exits = (np.reshape(positions("W predict", edge), (epochs + 1, 2))
+                         for edge in ("enter", "exit"))
+    assert len(scores) == epochs
+    for epoch, at in enumerate(scores):
+        assert w_exits[epoch + 1].max() < at
+        assert epoch + 1 == epochs or at < w_enters[epoch + 2].min()
+
+
 def test_nmf_memory_scales_with_observed_entries(monkeypatch):
     # One dense 2,000 x 1,000 float array is 16 MB; the loop must not build one.
     rng = np.random.default_rng(8)
