@@ -352,17 +352,24 @@ def _parse_users(source: str | None) -> UserSet | None:
         return None
     if source == "basis2":
         return basis_pair()
-    if source.startswith("angle:"):
-        return angle_pair(float(source[len("angle:"):]))
-    if source.startswith("orthonormal:"):
-        return orthonormal_users(int(source[len("orthonormal:"):]))
+    if source.startswith(("angle:", "orthonormal:")):
+        kind, arg = source.split(":", 1)
+        try:
+            number = float(arg) if kind == "angle" else int(arg)
+        except ValueError:
+            what = "<theta> needs a number" if kind == "angle" else "<N> needs an integer"
+            raise ValueError(f"--users {kind}:{what}, got {source!r}") from None
+        return angle_pair(number) if kind == "angle" else orthonormal_users(number)
     return load_embeddings_csv(source)
 
 
 def _parse_alpha(raw: str | None) -> np.ndarray | None:
     if raw is None:
         return None
-    return np.array([float(tok) for tok in raw.split(",")])
+    try:
+        return np.array([float(tok) for tok in raw.split(",")])
+    except ValueError:
+        raise ValueError(f"--alpha must be comma-separated numbers, got {raw!r}") from None
 
 
 def _spec(ns, users: UserSet | None):
@@ -504,10 +511,10 @@ def _cmd_eq(ns) -> int:
 
 
 def _parse_grid(raw: str) -> tuple[int, int]:
-    parts = raw.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f"grid must look like 200x200, got {raw!r}")
-    return int(parts[0]), int(parts[1])
+    try:  # "20" leaves no radii, and "2x3x4" radii "3x4": int() refuses both
+        return tuple(map(int, raw.lower().partition("x")[::2]))
+    except ValueError:
+        raise ValueError(f"grid must look like 200x200, got {raw!r}") from None
 
 
 def _cmd_report(ns) -> int:

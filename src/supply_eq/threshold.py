@@ -32,9 +32,9 @@ __all__ = ["ConditionProbe", "ThresholdReport", "beta_upper", "max_condition_hol
 _DELTA, _ULPS = 1e-11, 10.0
 
 # D = 2 pricing grids _ANGLES angles, then _ZOOMS times _ANGLES_ZOOM around
-# the best one.  D > 2 ascents of at most _ASCENT_STEPS start at the pool,
-# the axes and the _USER_STARTS most valuable users; a start stops when its
-# step gains less than the relative _STALL.
+# the best one.  D > 2 ascents of at most _ASCENT_STEPS start at the axes and
+# the _USER_STARTS most valuable users; a start stops when its step gains less
+# than the relative _STALL.
 _ANGLES, _ZOOMS, _ANGLES_ZOOM = 1025, 8, 33
 _USER_STARTS, _ASCENT_STEPS, _STALL = 4, 200, 1e-12
 
@@ -86,19 +86,18 @@ def beta_upper(users: UserSet, spec: CostSpec) -> float:
 
 
 @np.errstate(over="ignore")  # a sum past the double range is above any bar
-def price(U, a, beta, spec, pool, bar):
+def price(U, a, beta, spec, bar):
     """(point, price, status) for max f(p) = sum_i (<p, u_i>/a_i)^beta over
     the cone-ball.  f is convex, so at q = 1 it peaks at a vertex e_k, at
     q = inf at the all-ones point, and D = 2 is a search over one angle that
     stops zooming once its best angle prices above bar: status "priced_out".
-    D > 2 runs ascents from the pool, the vertices and the best users' dual
-    points by conditional-gradient steps
-    p <- dual_point(grad f(p)), which never lower f, and returns as soon as a
-    start prices above bar.  A start stops when its step gains less than the
-    factor (1 + _STALL): status "local_max" when every start stopped,
-    "step_cap" when some were still climbing after _ASCENT_STEPS.  The live
-    starts' points, scores and values sit in compact arrays, and a start is
-    written back to P and v only when it stops."""
+    D > 2 runs ascents from the vertices and the best users' dual points by
+    conditional-gradient steps p <- dual_point(grad f(p)), which never lower
+    f, and returns as soon as a start prices above bar.  A start stops when
+    its step gains less than the factor (1 + _STALL): status "local_max" when
+    every start stopped, "step_cap" when some were still climbing after
+    _ASCENT_STEPS.  The live starts' points, scores and values sit in compact
+    arrays, and a start is written back to P and v only when it stops."""
     f = lambda P: ((P @ U.T / a) ** beta).sum(axis=1)  # noqa: E731
     d = U.shape[1]
     if spec.q == 1.0 or d == 1:
@@ -120,12 +119,10 @@ def price(U, a, beta, spec, pool, bar):
     else:
         S = dual_point(U, spec)  # ranked by each user's own term
         own = ((S * U).sum(axis=1) / a) ** beta
-        P = np.vstack([*pool, np.eye(d), S[np.argsort(-own)[:_USER_STARTS]]])
-        # A copy of a start would take its steps again; argmax keeps the first.
-        first = {}
-        for i, row in enumerate(P):
-            first.setdefault(row.tobytes(), i)
-        P = P[list(first.values())]
+        P = np.vstack([np.eye(d), S[np.argsort(-own)[:_USER_STARTS]]])
+        # An axis can be a user's dual point: keep the first copy of a start.
+        keys = [row.tobytes() for row in P]
+        P = P[[keys.index(k) for k in dict.fromkeys(keys)]]
         UT, b1 = U.T, beta - 1.0
         Z = P @ UT / a  # each point's scaled scores, kept for its next gradient
         v = (Z ** beta).sum(axis=1)
@@ -149,23 +146,18 @@ def price(U, a, beta, spec, pool, bar):
     return P[np.argmax(v)], float(v.max()), "priced_out"
 
 
-def max_condition_holds(users, spec, beta, _anchor=None, _pool=None):
+def max_condition_holds(users, spec, beta, _anchor=None):
     """First-order test of the single genre at cost exponent beta:
     (holds, excess, witness, status) as in ConditionProbe, from one pricing
-    of the cone-ball at the anchor against the bar N (1 + _delta(beta)).  A
-    witness joins _pool, where the D > 2 ascents of later probes start too:
-    witnesses do not depend on beta, so a search shares one pool."""
+    of the cone-ball at the anchor against the bar N (1 + _delta(beta))."""
     if beta < 1.0:
         raise ValueError("beta must be >= 1")
     anchor = nsw_direction(users, spec) if _anchor is None else _anchor
-    pool = [] if _pool is None else _pool
     U, n = users.embeddings, users.n_users
     bar = n * (1.0 + _delta(beta))
-    p, value, status = price(U, U @ anchor.point, beta, spec, pool, bar)
+    p, value, status = price(U, U @ anchor.point, beta, spec, bar)
     if value <= bar:
         return True, value - n, None, status
-    if all(p.tobytes() != w.tobytes() for w in pool):  # a pool start may win again
-        pool.append(p)
     return False, value - n, tuple(p.tolist()), "beaten"
 
 
@@ -179,10 +171,10 @@ def threshold_report(users, spec) -> ThresholdReport:
     upper = beta_upper(users, spec)
     if math.isinf(upper):
         return ThresholdReport(closed, upper, math.inf, (), True)
-    anchor, probes, pool, lo, hi = nsw_direction(users, spec), [], [], 1.0, upper
+    anchor, probes, lo, hi = nsw_direction(users, spec), [], 1.0, upper
     while hi - lo > _GAP:
         mid = 0.5 * (lo + hi)
-        probes.append(ConditionProbe(mid, *max_condition_holds(users, spec, mid, anchor, pool)))
+        probes.append(ConditionProbe(mid, *max_condition_holds(users, spec, mid, anchor)))
         lo, hi = (mid, hi) if probes[-1].holds else (lo, mid)
     probes.sort(key=lambda pr: pr.beta)
     return ThresholdReport(closed, upper, 0.5 * (lo + hi), tuple(probes), anchor.converged)

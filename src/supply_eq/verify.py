@@ -232,7 +232,7 @@ def _onepop_dirs(dist, users, spec):
     own = dual_point(u, spec) if 1.0 < spec.q < math.inf else u / weighted_norm(u, spec)[:, None]
     a = u @ dist.direction
     bar = np.count_nonzero(a > 0.0) if users.dim == 2 else math.inf
-    return np.vstack([price(u[a > 0.0], a[a > 0.0], dist.beta, spec, [], bar)[0], own])
+    return np.vstack([price(u[a > 0.0], a[a > 0.0], dist.beta, spec, bar)[0], own])
 
 
 def _ray_best(dist, users, spec, dirs):

@@ -1003,6 +1003,22 @@ def test_exit_usage_planar_variant_rules(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["nsw", "--users", "angle:abc"], "--users angle:<theta> needs a number, got 'angle:abc'"),
+    (["nsw", "--users", "orthonormal:x"],
+     "--users orthonormal:<N> needs an integer, got 'orthonormal:x'"),
+    (["nsw", "--users", "basis2", "--alpha", "1,,2"],
+     "--alpha must be comma-separated numbers, got '1,,2'"),
+    (["verify", "--users", "basis2", "--variant", "p2", "--grid", "1e3x5"],
+     "grid must look like 200x200, got '1e3x5'"),
+])
+def test_exit_usage_names_the_flag_of_a_number_that_does_not_parse(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_planar_variants_take_two_users_from_a_file(capsys, tmp_path):
     # The library's families count the users; the command line passes them on.
     three = _users_csv(tmp_path / "three.csv", np.eye(3))

@@ -20,6 +20,7 @@ from supply_eq.geometry import (
 from supply_eq.ingest import save_embeddings_csv
 from supply_eq.optimize import nsw_direction, simplex_logsum_max
 from supply_eq.threshold import (
+    ConditionProbe,
     beta_upper,
     max_condition_holds,
     threshold_report,
@@ -341,21 +342,17 @@ def test_weighted_pair_flips_at_rescaled_closed_form():
     assert max_condition_holds(users, spec, closed + 0.1)[::3] == (False, "beaten")
 
 
-def test_probes_share_one_pool():
-    # The pool holds the witnesses of beaten probes and nothing else.
-    users = USERS_30X5
-    anchor = nsw_direction(users, SPEC2)
-    pool = []
-    first = max_condition_holds(users, SPEC2, 12.0, anchor, pool)
-    assert first[::3] == (False, "beaten")
-    assert len(pool) == 1 and tuple(pool[0].tolist()) == first[2]
-    # The witness found at beta = 12 already beats the anchor at 13: it is
-    # the witness again, and the pool keeps one copy.
-    again = max_condition_holds(users, SPEC2, 13.0, anchor, pool)
-    assert again[::3] == (False, "beaten") and again[2] == first[2]
-    assert len(pool) == 1
-    assert max_condition_holds(users, SPEC2, 8.0, anchor, pool)[0] is True
-    assert len(pool) == 1
+@pytest.mark.parametrize("users", [USERS_30X5, USERS_200X10], ids=["30x5", "200x10"])
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 7.0])
+def test_a_probe_in_a_search_answers_as_it_does_alone(users, q):
+    # A probe reads only the users, the cost, beta and the anchor, so each
+    # entry of the trace is the same probe run on its own, to the last bit.
+    spec = CostSpec(q=q)
+    anchor = nsw_direction(users, spec)
+    rep = threshold_report(users, spec)
+    assert rep.condition_trace
+    for p in rep.condition_trace:
+        assert ConditionProbe(p.beta, *max_condition_holds(users, spec, p.beta, anchor)) == p
 
 
 def test_probes_decide_near_the_threshold_at_q7():
@@ -370,13 +367,13 @@ def test_probes_decide_near_the_threshold_at_q7():
 _PRICE = threshold_mod.price
 
 
-def _price_cg(U, a, beta, spec, pool, bar):
+def _price_cg(U, a, beta, spec, bar):
     d = U.shape[1]
     if spec.q == 1.0 or math.isinf(spec.q) or d <= 2:
-        return _PRICE(U, a, beta, spec, pool, bar)
+        return _PRICE(U, a, beta, spec, bar)
     S = threshold_mod.dual_point(U, spec)
     own = ((S * U).sum(axis=1) / a) ** beta
-    P = np.vstack([*pool, np.eye(d), S[np.argsort(-own)[:threshold_mod._USER_STARTS]]])
+    P = np.vstack([np.eye(d), S[np.argsort(-own)[:threshold_mod._USER_STARTS]]])
     P = P[np.sort(np.unique(P, axis=0, return_index=True)[1])]
     Z = P @ U.T / a
     v = (Z ** beta).sum(axis=1)
@@ -408,7 +405,7 @@ ASCENT_CASES.append(("rng11_8x3", 7.0))
 @pytest.mark.parametrize("name, q", ASCENT_CASES)
 def test_ascent_keeps_every_verdict_of_the_conditional_gradient_ascent(monkeypatch, name, q):
     # Returning at the first point above the bar decides a probe as the
-    # climb to the top does; the pools differ, since their witnesses do.
+    # climb to the top does, though its witness may differ.
     users, spec = UserSet(ASCENT_SETS[name]), CostSpec(q=q)
     new = threshold_report(users, spec)
     monkeypatch.setattr(threshold_mod, "price", _price_cg)
@@ -427,9 +424,9 @@ def test_ascent_below_the_bar_matches_the_conditional_gradient_ascent_bitwise(
     # to the last bit.
     calls = []
 
-    def spy(U, a, beta, spec, pool, bar):
-        out = _PRICE(U, a, beta, spec, pool, bar)
-        calls.append(((U, a, beta, spec, list(pool), bar), out))
+    def spy(U, a, beta, spec, bar):
+        out = _PRICE(U, a, beta, spec, bar)
+        calls.append(((U, a, beta, spec, bar), out))
         return out
 
     monkeypatch.setattr(threshold_mod, "price", spy)
@@ -481,10 +478,10 @@ def test_an_ascent_cut_by_its_step_cap_says_so(monkeypatch):
 
 
 def test_ascent_starts_no_copy_of_a_start(monkeypatch):
-    # The axes are also three users' dual points here, and the pool can hold
-    # them too; the first copy of each start is kept, and a copy would have
-    # taken the same steps, so the report is what it was with the copies:
-    # the values pinned below.  Each gradient row belongs to one start.
+    # The axes are also three users' dual points here; the first copy of
+    # each start is kept, and a copy would have taken the same steps, so the
+    # report is what it was with the copies: the values pinned below.  Each
+    # gradient row belongs to one start.
     seen, real = [], threshold_mod.dual_point
 
     def spy(G, spec):

@@ -79,7 +79,7 @@ SEEDS = (1, 2)
 # earns about 0.0176.  A p2 verify at beta = 7 and a finitep verify at
 # P = 7 take one radius on a 3x1 grid, which the deviation search does not
 # read: each of the three sweep directions is priced at its exact best
-# radius.
+# radius.  A p2 verify's --grid 1e3x5 does not parse (exit 2).
 SURFACE = [
     ["nsw", "--users", "basis2", "--q", "1"],
     ["nsw", "--users", "orthonormal:3", "--q", "3", "--alpha", "1,2,0.5"],
@@ -123,6 +123,7 @@ SURFACE = [
     ["verify", "--users", "angle:1.0", "--variant", "onepop", "--beta", "1.5", "--q", "1",
      "--samples", "2000", "--grid", "20x20"],
     ["verify", "--users", "basis2", "--variant", "p2", "--grid", "0x10"],
+    ["verify", "--users", "basis2", "--variant", "p2", "--grid", "1e3x5"],
     ["verify", "--users", "basis2", "--variant", "finitep", "--producers", "300",
      "--samples", "1000", "--grid", "5x5"],
     ["verify", "--users", "emb5.csv", "--variant", "onepop", "--beta", "12", "--grid", "20x20"],
