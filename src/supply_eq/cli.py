@@ -359,7 +359,10 @@ def _parse_users(source: str | None) -> UserSet | None:
         except ValueError:
             what = "<theta> needs a number" if kind == "angle" else "<N> needs an integer"
             raise ValueError(f"--users {kind}:{what}, got {source!r}") from None
-        return angle_pair(number) if kind == "angle" else orthonormal_users(number)
+        try:  # the library checks the value; the message names the flag
+            return angle_pair(number) if kind == "angle" else orthonormal_users(number)
+        except ValueError as exc:
+            raise ValueError(f"--users {source!r}: {exc}") from None
     return load_embeddings_csv(source)
 
 

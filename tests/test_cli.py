@@ -1019,6 +1019,19 @@ def test_exit_usage_names_the_flag_of_a_number_that_does_not_parse(capsys, argv,
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("users, message", [
+    ("angle:5", "theta_star must lie in [0, pi/2]"),
+    ("orthonormal:0", "need n >= 1"),
+])
+def test_exit_usage_names_the_flag_of_a_preset_the_library_refuses(capsys, users, message):
+    # The library validates the number; the command line adds the flag and
+    # the text it was given.
+    assert run(["nsw", "--users", users]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --users {users!r}: {message}\n"
+
+
 def test_planar_variants_take_two_users_from_a_file(capsys, tmp_path):
     # The library's families count the users; the command line passes them on.
     three = _users_csv(tmp_path / "three.csv", np.eye(3))

@@ -363,14 +363,14 @@ def test_probes_decide_near_the_threshold_at_q7():
 
 # price without its return at the first point above the bar, nor compact
 # arrays: conditional-gradient ascents over the full arrays, each start to its
-# stall, the reference for the D > 2 ascent.
+# stall or into the anchor's cap, the reference for the D > 2 ascent.
 _PRICE = threshold_mod.price
 
 
-def _price_cg(U, a, beta, spec, bar):
+def _price_cg(U, a, beta, spec, bar, cap=None):
     d = U.shape[1]
     if spec.q == 1.0 or math.isinf(spec.q) or d <= 2:
-        return _PRICE(U, a, beta, spec, bar)
+        return _PRICE(U, a, beta, spec, bar, cap)
     S = threshold_mod.dual_point(U, spec)
     own = ((S * U).sum(axis=1) / a) ** beta
     P = np.vstack([np.eye(d), S[np.argsort(-own)[:threshold_mod._USER_STARTS]]])
@@ -385,8 +385,13 @@ def _price_cg(U, a, beta, spec, bar):
         Zn = Pn @ U.T / a
         vn = (Zn ** beta).sum(axis=1)
         up = vn > v[live] * (1.0 + threshold_mod._STALL)
+        if cap is not None:
+            up &= Pn @ cap[0] < cap[1]
         live = live[up]
         P[live], Z[live], v[live] = Pn[up], Zn[up], vn[up]
+    if cap is not None:
+        P = np.vstack([P, cap[0]])
+        v = np.append(v, ((cap[0][None] @ U.T / a) ** beta).sum(axis=1))
     return P[np.argmax(v)], float(v.max()), "step_cap" if live.size else "local_max"
 
 
@@ -415,6 +420,98 @@ def test_ascent_keeps_every_verdict_of_the_conditional_gradient_ascent(monkeypat
     assert (new.beta_estimate, new.beta_upper) == (old.beta_estimate, old.beta_upper)
 
 
+@pytest.mark.parametrize("name, q", ASCENT_CASES)
+def test_the_cap_keeps_every_verdict_of_the_uncapped_ascent(monkeypatch, name, q):
+    # Stopping a start in the anchor's cap moves no probe's verdict, and so
+    # no bisection step: only a holding probe's excess and status can move.
+    users, spec = UserSet(ASCENT_SETS[name]), CostSpec(q=q)
+    new = threshold_report(users, spec)
+    monkeypatch.setattr(threshold_mod, "_cap", lambda *args: None)
+    old = threshold_report(users, spec)
+    assert ([(p.beta, p.holds) for p in new.condition_trace]
+            == [(p.beta, p.holds) for p in old.condition_trace])
+    assert [p for p in new.condition_trace if not p.holds] == [
+        p for p in old.condition_trace if not p.holds]
+    assert (new.beta_estimate, new.beta_upper) == (old.beta_estimate, old.beta_upper)
+
+
+def _tangential(U, x):
+    # The rows t_i: the parts of u_i/<x, u_i> orthogonal to the unit anchor x.
+    W = U / (U @ x)[:, None]
+    return W - np.outer(W @ x, x)
+
+
+# One user apart from a cluster of 20 puts the cap's edge within a factor
+# 3.05-3.4 of the nearest point above the bar as beta nears beta_loc.
+_OUTLIER = np.vstack([[1.0, 0.0, 0.0]] + [[math.cos(0.3), math.sin(0.3), 0.2]] * 20)
+CAP_SETS = {
+    **{name: ASCENT_SETS[name] for name in list(ASCENT_SETS)[:-1]},
+    "zero_column_12x4": np.random.default_rng(9).random((12, 4)) * [1.0, 1.0, 0.0, 1.0],
+    "near_parallel_6x3": 1.0 + 1e-3 * np.random.default_rng(5).random((6, 3)),
+    "outlier_21x3": _OUTLIER + 1e-3 * np.random.default_rng(1).random(_OUTLIER.shape),
+}
+
+
+@pytest.mark.parametrize("name", list(CAP_SETS))
+def test_no_point_of_the_cap_prices_above_the_bar(name):
+    # Seeded feasible unit points inside the cap, a third of them on its
+    # edge, and the edge points toward each user and along the top
+    # eigenvector of sum_i t_i t_i^T, priced in plain numpy at a grid of
+    # beta in [2, beta_loc): none is above N (1 + delta(beta)).  At least
+    # 5,000 points a set, so over 20,000 on the ten sets.
+    users = UserSet(CAP_SETS[name])
+    U, spec = users.embeddings, SPEC2
+    x, n = nsw_direction(users, spec).point, users.n_users
+    a, T = U @ x, _tangential(U, x)
+    lam, V = np.linalg.eigh(T.T @ T)
+    beta_loc = 1.0 + n / lam[-1]
+    edge_dirs = np.vstack([T, -T, V[:, -1], -V[:, -1]])
+    rng = np.random.default_rng(123)
+    priced = 0
+    for beta in np.linspace(2.0, beta_loc, 7)[:-1].tolist() + [beta_loc * (1.0 - 1e-6)]:
+        p0, cos = threshold_mod._cap(U, x, beta, spec)
+        assert p0 is x and 0.0 <= cos <= 1.0
+        theta = math.acos(cos)
+        E = rng.standard_normal((3000, U.shape[1]))
+        angles = theta * np.sqrt(rng.random(3000))
+        angles[:1000] = theta
+        E = np.vstack([E, edge_dirs])
+        angles = np.r_[angles, np.full(len(edge_dirs), theta)]
+        E -= np.outer(E @ x, x)
+        E /= np.linalg.norm(E, axis=1)[:, None]
+        P = np.cos(angles)[:, None] * x + np.sin(angles)[:, None] * E
+        P = P[(P >= 0.0).all(axis=1)]
+        P /= np.linalg.norm(P, axis=1)[:, None]
+        values = (((P @ U.T) / a) ** beta).sum(axis=1)
+        assert values.max() <= n * (1.0 + delta(beta))
+        priced += len(P)
+    assert priced >= 5000
+    for beta in (beta_loc, beta_loc * 1.001, 2.0 * beta_loc):
+        assert threshold_mod._cap(U, x, beta, spec) is None
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, 1.2])
+def test_beta_loc_is_the_two_user_closed_form(theta):
+    # For two unit users at angle theta the anchor is the bisector and
+    # lambda = 2 tan^2(theta/2), so 1 + N/lambda = 2/(1 - cos theta); _cap
+    # proves a cap just below it and none just above.
+    users = angle_pair(theta)
+    U, x = users.embeddings, nsw_direction(users, SPEC2).point
+    T = _tangential(U, x)
+    closed = beta_star_two_user(users)
+    assert 1.0 + 2.0 / np.linalg.eigvalsh(T.T @ T)[-1] == pytest.approx(closed, rel=1e-9, abs=0.0)
+    assert threshold_mod._cap(U, x, closed * (1.0 - 1e-8), SPEC2) is not None
+    assert threshold_mod._cap(U, x, closed * (1.0 + 1e-8), SPEC2) is None
+
+
+def test_no_cap_off_q2_or_below_beta_2():
+    U, x = USERS_30X5.embeddings, nsw_direction(USERS_30X5, SPEC2).point
+    assert threshold_mod._cap(U, x, 1.99, SPEC2) is None
+    for q in (1.0, 1.5, 3.0, math.inf):
+        assert threshold_mod._cap(U, x, 5.0, CostSpec(q=q)) is None
+    assert threshold_mod._cap(U, x, 5.0, SPEC2) is not None
+
+
 @pytest.mark.parametrize("name, q", [("30x5", 2.0), ("200x10", 3.0), ("rng7_10x3", 1.5),
                                      ("rng11_8x3", 7.0)])
 def test_ascent_below_the_bar_matches_the_conditional_gradient_ascent_bitwise(
@@ -424,15 +521,16 @@ def test_ascent_below_the_bar_matches_the_conditional_gradient_ascent_bitwise(
     # to the last bit.
     calls = []
 
-    def spy(U, a, beta, spec, bar):
-        out = _PRICE(U, a, beta, spec, bar)
-        calls.append(((U, a, beta, spec, bar), out))
+    def spy(U, a, beta, spec, bar, cap=None):
+        out = _PRICE(U, a, beta, spec, bar, cap)
+        calls.append(((U, a, beta, spec, bar, cap), out))
         return out
 
     monkeypatch.setattr(threshold_mod, "price", spy)
     threshold_report(UserSet(ASCENT_SETS[name]), CostSpec(q=q))
-    below = [(args, out) for args, out in calls if out[1] <= args[-1]]
+    below = [(args, out) for args, out in calls if out[1] <= args[4]]
     assert below
+    assert (q == 2.0) is any(args[5] is not None for args, _ in below)
     for args, (point, price, status) in below:
         ref_point, ref_price, ref_status = _price_cg(*args)
         assert point.tobytes() == ref_point.tobytes()

@@ -79,12 +79,14 @@ SEEDS = (1, 2)
 # earns about 0.0176.  A p2 verify at beta = 7 and a finitep verify at
 # P = 7 take one radius on a 3x1 grid, which the deviation search does not
 # read: each of the three sweep directions is priced at its exact best
-# radius.  A p2 verify's --grid 1e3x5 does not parse (exit 2).
+# radius.  A p2 verify's --grid 1e3x5 does not parse (exit 2), and the
+# angle of nsw's angle:5 lies outside [0, pi/2] (exit 2).
 SURFACE = [
     ["nsw", "--users", "basis2", "--q", "1"],
     ["nsw", "--users", "orthonormal:3", "--q", "3", "--alpha", "1,2,0.5"],
     ["nsw", "--users", "emb.csv", "--q", "inf", "--seed", "3", "--out", "nsw.json"],
     ["nsw", "--users", "basis2", "--alpha", "1,1,1"],
+    ["nsw", "--users", "angle:5"],
     ["threshold", "--users", "angle:1.0"],
     ["threshold", "--users", "emb.csv", "--q", "3", "--alpha", "1,2,1,1.5", "--out", "thr.json"],
     ["threshold", "--users", "orthonormal:3", "--q", "1", "--seed", "4"],
