@@ -615,26 +615,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples-out", help="samples path (default stdout)")
     p.set_defaults(fn=_cmd_eq)
 
-    p = sub.add_parser("verify", help="numerical equilibrium verification report")
-    _add_common(p, users_required=True)
-    p.add_argument("--variant", required=True, choices=["onepop", "p2", "finitep"])
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--producers", type=int, default=2)
-    p.add_argument(
-        "--samples", type=int, default=100000,
-        help="Monte Carlo rounds for eq_profit_mc; deviations are priced against exact "
-        "CDFs, not samples",
-    )
+    # verify and profit share one report path and the flags that build its equilibrium.
+    for cmd, about in (("verify", "numerical equilibrium verification report"),
+                       ("profit", "equilibrium profit and positive-profit condition")):
+        p = sub.add_parser(cmd, help=about)
+        _add_common(p, users_required=True)
+        p.add_argument("--variant", required=True, choices=["onepop", "p2", "finitep"])
+        p.add_argument("--beta", type=float, default=2.0)
+        p.add_argument("--producers", type=int, default=2)
+        p.set_defaults(fn=_cmd_report)
+    p = sub.choices["verify"]
+    p.add_argument("--samples", type=int, default=100000,
+                   help="Monte Carlo rounds for eq_profit_mc; deviations are priced against "
+                   "exact CDFs, not samples")
     p.add_argument("--grid", default="200x200",
                    help="angles of the p2/finitep sweep, as AxR (R is only checked)")
-    p.set_defaults(fn=_cmd_report)
-
-    p = sub.add_parser("profit", help="equilibrium profit and positive-profit condition")
-    _add_common(p, users_required=True)
-    p.add_argument("--variant", required=True, choices=["onepop", "p2", "finitep"])
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--producers", type=int, default=2)
-    p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("nmf", help="factorize a ratings CSV into embeddings")
     p.add_argument("--ratings", required=True, help="ratings CSV path")

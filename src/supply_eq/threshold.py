@@ -13,17 +13,17 @@ so a probe the ascent decides as holding is a local answer ("local_max", or
 
 At q = 2 the D > 2 ascent also stops a start once it enters a cap around the
 anchor on which no point prices above the bar (second-order optimality
-conditions, Nocedal & Wright ch. 12).  Let p0 be the unit anchor,
-w_i = u_i/a_i, c_i = <w_i, p0> (1 up to rounding), t_i = w_i - c_i p0,
-lambda = lambda_max(sum_i t_i t_i^T), m = max_i ||t_i|| and g = sum_i t_i,
-which the anchor's KKT condition sum_i w_i = N p0 makes 0.  A unit p >= 0 at
-angle theta from p0 is cos(theta) p0 + sin(theta) e for a unit e orthogonal
-to p0, so y_i = cos(theta) (c_i + tau s_i) with tau = tan(theta) and
-s_i = <e, t_i>, where |sum_i s_i| <= ||g||, sum_i s_i^2 <= lambda and
-|s_i| <= m.  Take M = max(1, max_i c_i): y_i >= 0, so
-y_i^beta <= cos(theta)^beta M^beta (1 + x_i)^beta with x_i = tau s_i/M, and
-the three bounds hold for s_i/M.  At beta >= 2 the Lagrange remainder of
-(1 + x)^beta, with 1 + x >= 0, gives
+conditions, Nocedal & Wright ch. 12).  Once per report (_Anchor), let p0 be
+the unit anchor, w_i = u_i/a_i, c_i = <w_i, p0> (1 up to rounding),
+t_i = w_i - c_i p0, lambda = lambda_max(sum_i t_i t_i^T), m = max_i ||t_i||,
+g = sum_i t_i, which the anchor's KKT condition sum_i w_i = N p0 makes 0,
+and M = max(1, max_i c_i).  A unit p >= 0 at angle theta from p0 is
+cos(theta) p0 + sin(theta) e for a unit e orthogonal to p0, so
+y_i = cos(theta) (c_i + tau s_i) with tau = tan(theta) and s_i = <e, t_i>,
+where |sum_i s_i| <= ||g||, sum_i s_i^2 <= lambda and |s_i| <= m.  As
+y_i >= 0, y_i^beta <= cos(theta)^beta M^beta (1 + x_i)^beta with
+x_i = tau s_i/M, and the three bounds hold for s_i/M.  At beta >= 2 the
+Lagrange remainder of (1 + x)^beta, with 1 + x >= 0, gives
 
     sum_i (1 + x_i)^beta <= N + beta sum_i x_i
                             + beta (beta - 1)/2 (1 + max_i |x_i|)^(beta - 2) sum_i x_i^2,
@@ -34,16 +34,14 @@ and (1 + tau^2)^(beta/2) >= 1 + beta tau^2/2 (Bernoulli), so
         <= M^beta [N + beta tau ||g|| + beta (beta - 1)/2 tau^2 lambda (1 + m tau)^(beta - 2)].
 
 The right side is at most N (1 + delta) (1 + beta tau^2/2), so f_beta(p) is
-at most the bar, wherever (a) beta tau ||g|| <= N delta', with
+at most the bar wherever both (a) beta tau ||g|| <= N delta', with
 1 + delta' = (1 + delta)/M^beta >= 1, and (b) (beta - 1) lambda
-(1 + m tau)^(beta - 2) <= N.  With beta_loc = 1 + N/lambda, (b) is
+(1 + m tau)^(beta - 2) <= N hold; each probe solves them for tau (_cap).
+With beta_loc = 1 + N/lambda, (b) is
 tau <= [((beta_loc - 1)/(beta - 1))^(1/(beta - 2)) - 1]/m for beta > 2; it
 holds for every tau at beta = 2 when lambda <= N, and for none from beta_loc
 on, where the anchor stops being a local maximum.  On two users at angle
-theta, beta_loc = 2/(1 - cos theta), the closed form.  A start that enters
-the cap stops there as at a stall, so a holding verdict stays a local answer,
-and the anchor is priced as one more point: a holding probe's excess reads
-f_beta(anchor) - N, near 0, not the stopped starts' own shortfall.
+theta, beta_loc = 2/(1 - cos theta), the closed form.
 """
 
 from __future__ import annotations
@@ -75,7 +73,7 @@ _USER_STARTS, _ASCENT_STEPS, _STALL = 4, 200, 1e-12
 # The bisection stops once its bracket is narrower than _GAP.
 _GAP = 0.05
 
-# _cap widens its curvature and reach by this relative margin (see _cap).
+# _Anchor widens the cap's curvature and reach by this relative margin (see _cap).
 _CAP_MARGIN = 1e-10
 
 
@@ -124,41 +122,50 @@ def beta_upper(users: UserSet, spec: CostSpec) -> float:
     return math.log(n) / (math.log(n) - math.log(z))
 
 
-def _cap(U, anchor, beta, spec):
-    """(p0, cos of the cap angle): the cap around the anchor p0 on which no
+class _Anchor:
+    """The NSW anchor every probe of a report reads: its point x, a = U x,
+    converged and, at q = 2 in D > 2, _cap's tangent (N, lambda, m, gamma, M)."""
+
+    def __init__(self, users, spec):
+        opt, U = nsw_direction(users, spec), users.embeddings
+        x = self.point = opt.point
+        self.a, self.converged, self.tangent = U @ x, opt.converged, None
+        if spec.q == 2.0 and users.dim > 2:  # only the q = 2 ascent reads a cap
+            (n, d), eps = U.shape, np.finfo(float).eps
+            p0, W = x / math.sqrt(x @ x), U / self.a[:, None]
+            c = W @ p0
+            T = W - np.outer(c, p0)
+            tn2, g = np.einsum("ij,ij->i", T, T), np.ones(n) @ T
+            wn = np.sqrt(c * c + tn2)
+            eta, grow = (d + 3) * eps * wn, 1.0 + _CAP_MARGIN + n * d * eps
+            lam = (math.sqrt(max(np.linalg.eigvalsh(T.T @ T)[-1], 0.0)) * grow
+                   + math.sqrt(eta @ eta)) ** 2
+            m = float((np.sqrt(tn2) + eta).max()) * grow
+            gam = math.sqrt(g @ g) + (n + d + 3) * eps * float(wn.sum())
+            self.tangent = n, lam, m, gam, max(1.0, float(c.max()) * (1.0 + (d + 2) * eps))
+
+
+def _cap(anchor, beta):
+    """(x, cos of the cap angle): the cap around the anchor x on which no
     unit point prices above N (1 + _delta(beta)), as derived in the module
-    docstring; None at q != 2, at beta < 2 and once beta reaches beta_loc,
-    where no cap is proved.  Rounding is paid in three places:
-    - lambda and m are inflated by the relative margin _CAP_MARGIN + N D eps,
-      which covers eigvalsh, the sums of T^T T and the cap's own formula,
-      after each t_i is widened by its own rounding eta_i = (D + 3) eps
-      ||w_i||, large against ||t_i|| only on near-parallel users;
-    - the computed tangential gradient g, plus (N + D + 3) eps sum_i ||w_i||
-      for its rounding, is carried as the linear term of condition (a);
-    - the bound is checked against the bar N (1 + _delta(beta)), not N: the
-      bar's margin pays for that term and for M^beta, with M taken
-      (D + 2) eps above the largest computed c_i."""
-    if spec.q != 2.0 or beta < 2.0:
+    docstring; None without a tangent, at beta < 2 and from beta_loc on.  Per
+    probe, only delta' and the tau of (a) and (b) are computed.  The anchor
+    pays for rounding: lambda and m are inflated by the relative
+    _CAP_MARGIN + N D eps (eigvalsh, the sums of T^T T and this formula),
+    after each t_i is widened by eta_i = (D + 3) eps ||w_i|| (large only on
+    near-parallel users); gamma adds (N + D + 3) eps sum_i ||w_i|| to the
+    computed ||g||; and M is (D + 2) eps above the largest computed c_i, whose
+    power M^beta the bar's margin pays for, with the linear term."""
+    if anchor.tangent is None or beta < 2.0:
         return None
-    (n, d), eps = U.shape, np.finfo(float).eps
-    p0 = anchor / math.sqrt(anchor @ anchor)
-    W = U / (U @ anchor)[:, None]
-    c = W @ p0
-    T = W - np.outer(c, p0)
-    tn2, g = np.einsum("ij,ij->i", T, T), np.ones(n) @ T
-    wn = np.sqrt(c * c + tn2)
-    eta, grow = (d + 3) * eps * wn, 1.0 + _CAP_MARGIN + n * d * eps
-    lam = (math.sqrt(max(np.linalg.eigvalsh(T.T @ T)[-1], 0.0)) * grow
-           + math.sqrt(eta @ eta)) ** 2
-    m = float((np.sqrt(tn2) + eta).max()) * grow
-    gam = math.sqrt(g @ g) + (n + d + 3) * eps * float(wn.sum())
-    slack = (1.0 + _delta(beta)) / max(1.0, float(c.max()) * (1.0 + (d + 2) * eps)) ** beta - 1.0
+    n, lam, m, gam, cmax = anchor.tangent
+    slack = (1.0 + _delta(beta)) / cmax ** beta - 1.0
     r = n / ((beta - 1.0) * lam)
     if r <= 1.0 or slack <= 0.0:
         return None
     tau = math.inf if beta == 2.0 else math.expm1(min(math.log(r) / (beta - 2.0), 700.0)) / m
     tau = min(tau, n * slack / (beta * gam))
-    return anchor, 1.0 / math.hypot(1.0, tau)
+    return anchor.point, 1.0 / math.hypot(1.0, tau)
 
 
 @np.errstate(over="ignore")  # a sum past the double range is above any bar
@@ -232,15 +239,13 @@ def price(U, a, beta, spec, bar, cap=None):
 def max_condition_holds(users, spec, beta, _anchor=None):
     """First-order test of the single genre at cost exponent beta:
     (holds, excess, witness, status) as in ConditionProbe, from one pricing
-    of the cone-ball at the anchor against the bar N (1 + _delta(beta)),
-    with the anchor's cap where _cap proves one."""
+    of the cone-ball at the _Anchor (the report's, or built here) against
+    the bar N (1 + _delta(beta)), with its cap where _cap proves one."""
     if beta < 1.0:
         raise ValueError("beta must be >= 1")
-    anchor = nsw_direction(users, spec) if _anchor is None else _anchor
-    U, n, x = users.embeddings, users.n_users, anchor.point
+    U, n, anchor = users.embeddings, users.n_users, _anchor or _Anchor(users, spec)
     bar = n * (1.0 + _delta(beta))
-    cap = _cap(U, x, beta, spec) if users.dim > 2 else None  # only the ascent reads it
-    p, value, status = price(U, U @ x, beta, spec, bar, cap)
+    p, value, status = price(U, anchor.a, beta, spec, bar, _cap(anchor, beta))
     if value <= bar:
         return True, value - n, None, status
     return False, value - n, tuple(p.tolist()), "beaten"
@@ -256,7 +261,7 @@ def threshold_report(users, spec) -> ThresholdReport:
     upper = beta_upper(users, spec)
     if math.isinf(upper):
         return ThresholdReport(closed, upper, math.inf, (), True)
-    anchor, probes, lo, hi = nsw_direction(users, spec), [], 1.0, upper
+    anchor, probes, lo, hi = _Anchor(users, spec), [], 1.0, upper
     while hi - lo > _GAP:
         mid = 0.5 * (lo + hi)
         probes.append(ConditionProbe(mid, *max_condition_holds(users, spec, mid, anchor)))

@@ -348,7 +348,7 @@ def test_a_probe_in_a_search_answers_as_it_does_alone(users, q):
     # A probe reads only the users, the cost, beta and the anchor, so each
     # entry of the trace is the same probe run on its own, to the last bit.
     spec = CostSpec(q=q)
-    anchor = nsw_direction(users, spec)
+    anchor = threshold_mod._Anchor(users, spec)
     rep = threshold_report(users, spec)
     assert rep.condition_trace
     for p in rep.condition_trace:
@@ -461,7 +461,8 @@ def test_no_point_of_the_cap_prices_above_the_bar(name):
     # 5,000 points a set, so over 20,000 on the ten sets.
     users = UserSet(CAP_SETS[name])
     U, spec = users.embeddings, SPEC2
-    x, n = nsw_direction(users, spec).point, users.n_users
+    anchor = threshold_mod._Anchor(users, spec)
+    x, n = anchor.point, users.n_users
     a, T = U @ x, _tangential(U, x)
     lam, V = np.linalg.eigh(T.T @ T)
     beta_loc = 1.0 + n / lam[-1]
@@ -469,7 +470,7 @@ def test_no_point_of_the_cap_prices_above_the_bar(name):
     rng = np.random.default_rng(123)
     priced = 0
     for beta in np.linspace(2.0, beta_loc, 7)[:-1].tolist() + [beta_loc * (1.0 - 1e-6)]:
-        p0, cos = threshold_mod._cap(U, x, beta, spec)
+        p0, cos = threshold_mod._cap(anchor, beta)
         assert p0 is x and 0.0 <= cos <= 1.0
         theta = math.acos(cos)
         E = rng.standard_normal((3000, U.shape[1]))
@@ -487,29 +488,108 @@ def test_no_point_of_the_cap_prices_above_the_bar(name):
         priced += len(P)
     assert priced >= 5000
     for beta in (beta_loc, beta_loc * 1.001, 2.0 * beta_loc):
-        assert threshold_mod._cap(U, x, beta, spec) is None
+        assert threshold_mod._cap(anchor, beta) is None
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.0, 1.2])
 def test_beta_loc_is_the_two_user_closed_form(theta):
     # For two unit users at angle theta the anchor is the bisector and
     # lambda = 2 tan^2(theta/2), so 1 + N/lambda = 2/(1 - cos theta); _cap
-    # proves a cap just below it and none just above.
+    # proves a cap just below it and none just above.  A third feature that
+    # neither user has lets the anchor carry the cap's data, which it builds
+    # for the D > 2 ascent only.
     users = angle_pair(theta)
+    anchor = threshold_mod._Anchor(UserSet(np.hstack([users.embeddings, [[0.0], [0.0]]])), SPEC2)
     U, x = users.embeddings, nsw_direction(users, SPEC2).point
     T = _tangential(U, x)
     closed = beta_star_two_user(users)
     assert 1.0 + 2.0 / np.linalg.eigvalsh(T.T @ T)[-1] == pytest.approx(closed, rel=1e-9, abs=0.0)
-    assert threshold_mod._cap(U, x, closed * (1.0 - 1e-8), SPEC2) is not None
-    assert threshold_mod._cap(U, x, closed * (1.0 + 1e-8), SPEC2) is None
+    assert threshold_mod._cap(anchor, closed * (1.0 - 1e-8)) is not None
+    assert threshold_mod._cap(anchor, closed * (1.0 + 1e-8)) is None
 
 
 def test_no_cap_off_q2_or_below_beta_2():
-    U, x = USERS_30X5.embeddings, nsw_direction(USERS_30X5, SPEC2).point
-    assert threshold_mod._cap(U, x, 1.99, SPEC2) is None
+    anchor = threshold_mod._Anchor(USERS_30X5, SPEC2)
+    assert threshold_mod._cap(anchor, 1.99) is None
     for q in (1.0, 1.5, 3.0, math.inf):
-        assert threshold_mod._cap(U, x, 5.0, CostSpec(q=q)) is None
-    assert threshold_mod._cap(U, x, 5.0, SPEC2) is not None
+        assert threshold_mod._cap(threshold_mod._Anchor(USERS_30X5, CostSpec(q=q)), 5.0) is None
+    assert threshold_mod._cap(anchor, 5.0) is not None
+
+
+def _cap_reference(U, anchor, beta, spec):
+    # The cap rebuilt from the anchor's point on every call: the reference
+    # that the anchor's once-per-report build must match to the bit.
+    if spec.q != 2.0 or beta < 2.0:
+        return None
+    (n, d), eps = U.shape, np.finfo(float).eps
+    p0 = anchor / math.sqrt(anchor @ anchor)
+    W = U / (U @ anchor)[:, None]
+    c = W @ p0
+    T = W - np.outer(c, p0)
+    tn2, g = np.einsum("ij,ij->i", T, T), np.ones(n) @ T
+    wn = np.sqrt(c * c + tn2)
+    eta, grow = (d + 3) * eps * wn, 1.0 + threshold_mod._CAP_MARGIN + n * d * eps
+    lam = (math.sqrt(max(np.linalg.eigvalsh(T.T @ T)[-1], 0.0)) * grow
+           + math.sqrt(eta @ eta)) ** 2
+    m = float((np.sqrt(tn2) + eta).max()) * grow
+    gam = math.sqrt(g @ g) + (n + d + 3) * eps * float(wn.sum())
+    slack = (1.0 + delta(beta)) / max(1.0, float(c.max()) * (1.0 + (d + 2) * eps)) ** beta - 1.0
+    r = n / ((beta - 1.0) * lam)
+    if r <= 1.0 or slack <= 0.0:
+        return None
+    tau = math.inf if beta == 2.0 else math.expm1(min(math.log(r) / (beta - 2.0), 700.0)) / m
+    tau = min(tau, n * slack / (beta * gam))
+    return anchor, 1.0 / math.hypot(1.0, tau)
+
+
+def _same_caps(users, spec, betas):
+    # The number of proved caps among betas, each the reference's to the bit.
+    anchor, proved = threshold_mod._Anchor(users, spec), 0
+    for beta in betas:
+        ref = _cap_reference(users.embeddings, anchor.point, beta, spec) if users.dim > 2 else None
+        cap = threshold_mod._cap(anchor, beta)
+        assert (cap is None) is (ref is None)
+        if cap is not None:
+            assert cap[0] is ref[0] and cap[1].hex() == ref[1].hex()
+            proved += 1
+    return proved
+
+
+@pytest.mark.parametrize("name, q", ASCENT_CASES)
+def test_the_cap_built_once_a_report_is_the_per_probe_cap_bitwise(name, q):
+    # The anchor's tangential data, built once for the report, gives each
+    # probe the cosine the per-probe build gave, to the last bit.
+    users, spec = UserSet(ASCENT_SETS[name]), CostSpec(q=q)
+    betas = [p.beta for p in threshold_report(users, spec).condition_trace]
+    assert betas
+    proved = _same_caps(users, spec, betas)
+    assert (proved > 0) is (q == 2.0)
+
+
+@pytest.mark.parametrize("name", list(CAP_SETS))
+def test_the_cap_built_once_a_report_matches_on_the_cap_grid_bitwise(name):
+    users = UserSet(CAP_SETS[name])
+    T = _tangential(users.embeddings, nsw_direction(users, SPEC2).point)
+    beta_loc = 1.0 + users.n_users / np.linalg.eigvalsh(T.T @ T)[-1]
+    betas = np.linspace(2.0, beta_loc, 7)[:-1].tolist() + [beta_loc * (1.0 - 1e-6)]
+    assert _same_caps(users, SPEC2, betas) == 7
+    assert _same_caps(users, SPEC2, [beta_loc, beta_loc * 1.001, 2.0 * beta_loc, 1.99]) == 0
+
+
+def test_a_report_takes_one_eigvalsh_and_prints_the_per_probe_report_bitwise(monkeypatch):
+    # The tangential data is built once per report, not once per probe, and
+    # the report is the one each probe's own build gives.
+    calls, real = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(A.shape) or real(A))
+    rep = threshold_report(USERS_30X5, SPEC2)
+    assert len(rep.condition_trace) == 10
+    assert calls == [(5, 5)]
+    U = USERS_30X5.embeddings
+    monkeypatch.setattr(threshold_mod, "_cap",
+                        lambda anchor, beta: _cap_reference(U, anchor.point, beta, SPEC2))
+    calls.clear()
+    assert threshold_report(USERS_30X5, SPEC2) == rep
+    assert len(calls) == 1 + 10  # the anchor's, then one per probe
 
 
 @pytest.mark.parametrize("name, q", [("30x5", 2.0), ("200x10", 3.0), ("rng7_10x3", 1.5),
