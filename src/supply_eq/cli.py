@@ -11,14 +11,15 @@ their results: validation and per-family behaviour stay in the library.
 The argument parser is built once per process and holds no per-call state, so
 repeated ``run`` calls in one process behave as separate invocations.
 
-Reports are flat JSON objects with snake_case keys and embed the resolved run
-configuration.  Floats are serialized at 17 significant digits, infinities as
-the strings "inf"/"-inf", so identical argv reproduces every output byte for
-byte.  ``--seed`` (default 0) is read by ``eq``, ``verify`` and ``nmf``;
-``nsw``, ``threshold`` and ``profit`` accept it and ignore it.  Exit codes:
-0 success, 2 usage error, 3 input-data error, failed linear algebra, a
-non-finite intermediate (``NumericalError``) or an array too large to
-allocate (``MemoryError``), 4 non-convergence (the report is still written).
+Reports are flat JSON objects with snake_case keys and embed, as run_config,
+the subcommand and its options as given.  Floats are serialized at 17
+significant digits, infinities as the strings "inf"/"-inf", so identical argv
+reproduces every output byte for byte.  ``--seed`` (default 0) is read by
+``eq``, ``verify`` and ``nmf``; ``nsw``, ``threshold`` and ``profit`` accept
+it and ignore it.  Exit codes: 0 success, 2 usage error, 3 input-data error,
+failed linear algebra, a non-finite intermediate (``NumericalError``) or an
+array too large to allocate (``MemoryError``), 4 non-convergence (the report
+is still written).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -57,7 +58,7 @@ from .optimize import nsw_direction
 from .threshold import threshold_report
 from .verify import best_response_gap, positive_profit_condition
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 _EXIT_OK = 0
 _EXIT_USAGE = 2
@@ -68,40 +69,10 @@ _EXIT_NOCONV = 4
 _ROW_BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation parameters, embedded in every JSON report."""
-
-    subcommand: str
-    users_source: str | None = None
-    variant: str | None = None
-    q: float | None = None
-    beta: float | None = None
-    alpha: tuple | None = None
-    producers: int | None = None
-    samples: int | None = None
-    n_users: int | None = None
-    theta: float | None = None
-    seed: int = 0
-    cdf_grid: int | None = None
-    grid_angles: int | None = None
-    grid_radii: int | None = None
-    factors: int | None = None
-    epochs: int | None = None
-    format: str = "json"
-    out: str | None = None
-
-
-_RUN_FIELDS = {f.name for f in fields(RunConfig)}
-
-
-def _run_config(ns, **resolved) -> dict:
-    """The report's run_config: the RunConfig fields the namespace holds, alpha
-    parsed, then the values the subcommand resolved itself."""
-    given = {k: v for k, v in vars(ns).items() if k in _RUN_FIELDS}
-    if given.get("alpha") is not None:
-        given["alpha"] = tuple(_parse_alpha(given["alpha"]))
-    return asdict(RunConfig(subcommand=ns.cmd, **{**given, **resolved}))
+def _run_config(ns) -> dict:
+    """The report's run_config: the subcommand, then each of its options as
+    parsed from argv (or its default), under its argparse dest name."""
+    return {"subcommand": ns.cmd, **{k: v for k, v in vars(ns).items() if k not in ("cmd", "fn")}}
 
 
 def _render(value, indent):
@@ -441,7 +412,7 @@ def _cmd_nsw(ns) -> int:
         "kkt_residual": res.kkt_residual,
         "iters": res.iters,
         "converged": res.converged,
-        "run_config": _run_config(ns, users_source=ns.users),
+        "run_config": _run_config(ns),
     }
     _write_text(render_json(report), ns.out)
     return _EXIT_OK if res.converged else _EXIT_NOCONV
@@ -460,7 +431,7 @@ def _cmd_threshold(ns) -> int:
         "beta_estimate": rep.beta_estimate,
         "condition_trace": trace,
         "anchor_converged": rep.anchor_converged,
-        "run_config": _run_config(ns, users_source=ns.users),
+        "run_config": _run_config(ns),
     }
     _write_text(render_json(report), ns.out)
     return _EXIT_OK if rep.anchor_converged else _EXIT_NOCONV
@@ -526,11 +497,10 @@ def _cmd_report(ns) -> int:
     one stderr line gives the alignment solve's stop reason and its bracket
     on Q, next to the threshold."""
     spec, users, alpha = _spec(ns, _parse_users(ns.users))
-    grid = _parse_grid(ns.grid) if ns.cmd == "verify" else (None, None)
     dist, converged = _build_dist(ns, users, spec)
     if ns.cmd == "verify":
-        report = asdict(best_response_gap(dist, users, spec, n_samples=ns.samples, grid=grid,
-                                          seed=ns.seed))
+        report = asdict(best_response_gap(dist, users, spec, n_samples=ns.samples,
+                                          grid=_parse_grid(ns.grid), seed=ns.seed))
         report["gap_argmax"] /= alpha
     else:
         report = {"eq_profit": dist.profit(users.n_users, spec)}
@@ -539,8 +509,7 @@ def _cmd_report(ns) -> int:
         positive_profit=flag,
         q_alignment=res.value,
         q_threshold=threshold,
-        run_config=_run_config(ns, users_source=ns.users, grid_angles=grid[0],
-                               grid_radii=grid[1]),
+        run_config=_run_config(ns),
     )
     _write_text(render_json(report), ns.out)
     if converged and flag is not None:
@@ -568,7 +537,7 @@ def _cmd_nmf(ns) -> int:
         "n_items": len(res.item_ids),
         "dropped_users": list(res.dropped_users),
         "final_objective": float(res.objective_trace[-1]),
-        "run_config": _run_config(ns, users_source=ns.ratings, format="csv"),
+        "run_config": _run_config(ns),
     }
     sys.stdout.write(render_json(report))
     return _EXIT_OK

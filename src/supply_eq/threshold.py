@@ -1,15 +1,15 @@
 """Specialization threshold: the report (with geometry's two-user closed form),
-the dual-norm upper bound, and a first-order test of whether a single-genre
-equilibrium survives at cost exponent beta.  A content point p scores
-y_i = (<p, u_i>/a_i)^beta against the single-genre optimum (the anchor,
-<anchor, u_i> = a_i).  Mixing p into the anchor changes the summed log values
-at rate sum_i y_i - N, and they are concave over mixtures, so the single genre
-survives exactly when no unit-cost p has sum_i y_i > N.  A probe prices the
-cone-ball once against the bar N (1 + _delta(beta)).  In D = 2 the pricing
-zooms in on the best angle and in D > 2 it is a multistart
-conditional-gradient ascent; both return at the first point above the bar,
-so a probe the ascent decides as holding is a local answer ("local_max", or
-"step_cap" when its step cap cut it short).
+the dual-norm upper bound (the own-point one where it is inf), and a
+first-order test of whether a single-genre equilibrium survives at cost
+exponent beta.  A content point p scores y_i = (<p, u_i>/a_i)^beta against
+the single-genre optimum (the anchor, <anchor, u_i> = a_i).  Mixing p into
+the anchor changes the summed log values at rate sum_i y_i - N, and they are
+concave over mixtures, so the single genre survives exactly when no unit-cost
+p has sum_i y_i > N.  A probe prices the cone-ball once against the bar
+N (1 + _delta(beta)).  In D = 2 the pricing zooms in on the best angle and in
+D > 2 it is a multistart conditional-gradient ascent; both return at the
+first point above the bar, so a probe the ascent decides as holding is a
+local answer ("local_max", or "step_cap" when its step cap cut it short).
 
 At q = 2 the D > 2 ascent also stops a start once it enters a cap around the
 anchor on which no point prices above the bar (second-order optimality
@@ -251,17 +251,44 @@ def max_condition_holds(users, spec, beta, _anchor=None):
     return False, value - n, tuple(p.tolist()), "beaten"
 
 
+@np.errstate(over="ignore")  # a sum past the double range is above any bar
+def _own_point_upper(users, spec, anchor):
+    """The upper end where beta_upper's is inf (near-parallel users): the
+    user j with the largest y_j = ||u_j||_*/a_j, whose own unit-cost point
+    scores y_j^beta alone, and the root of beta log y_j = log(N (1 + delta))
+    by fixed-point steps, raised by 1e-9.  It is kept only if that point,
+    priced as `price` prices it, beats the bar there; +inf otherwise and at
+    q = inf."""
+    if math.isinf(spec.q):
+        return math.inf
+    U, n = users.embeddings, users.n_users
+    y = dual_norm(U, spec) / anchor.a
+    j = int(np.argmax(y))
+    if not y[j] > 1.0:
+        return math.inf
+    beta = math.log(n) / math.log(y[j])
+    for _ in range(3):
+        beta = math.log(n * (1.0 + _delta(beta))) / math.log(y[j])
+    beta *= 1.0 + 1e-9
+    p = np.eye(users.dim)[np.argmax(U[j])] if spec.q == 1.0 else dual_point(U[j], spec)
+    value = ((p[None] @ U.T / anchor.a) ** beta).sum()
+    return beta if value > n * (1.0 + _delta(beta)) else math.inf
+
+
 def threshold_report(users, spec) -> ThresholdReport:
     """Full threshold summary: the two-user closed form where known (two
-    users, q = 2), the bound, and the bisection on [1, beta_upper] with its
-    probes sorted by beta.  The estimate is the midpoint once the bracket is
-    narrower than _GAP (+inf if the bound is); anchor_converged is the NSW
-    anchor's certificate (True when there is no anchor to read)."""
+    users, q = 2), the bound (the own-point one where the dual-norm one is
+    inf), and the bisection on [1, bound] with its probes sorted by beta.
+    The estimate is the midpoint once the bracket is narrower than _GAP
+    (+inf if the bound is); anchor_converged is the NSW anchor's certificate."""
     closed = beta_star_two_user(users) if users.n_users == 2 and spec.q == 2.0 else None
+    anchor = _Anchor(users, spec)
     upper = beta_upper(users, spec)
     if math.isinf(upper):
-        return ThresholdReport(closed, upper, math.inf, (), True)
-    anchor, probes, lo, hi = _Anchor(users, spec), [], 1.0, upper
+        upper = _own_point_upper(users, spec, anchor)
+    if math.isinf(upper):
+        return ThresholdReport(closed, upper, math.inf, (), anchor.converged)
+    probes, lo, hi = [], 1.0, upper
     while hi - lo > _GAP:
         mid = 0.5 * (lo + hi)
         probes.append(ConditionProbe(mid, *max_condition_holds(users, spec, mid, anchor)))

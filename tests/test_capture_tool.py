@@ -1,7 +1,9 @@
 """tools/capture_outputs.py: one command's record, and the compare mode."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -132,3 +134,36 @@ def test_surface_list_passes_every_option_of_every_subcommand():
                if opt.startswith("--") and opt != "--help"
                and not any(argv[0] == cmd and opt in argv for argv in capture.SURFACE)]
     assert missing == []
+
+
+_FIRST_NUMPY_IMPORT = """
+import os, runpy, sys
+
+class Hook:
+    seen = None
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and Hook.seen is None:
+            Hook.seen = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+        return None
+
+assert "numpy" not in sys.modules
+sys.meta_path.insert(0, Hook())
+sys.argv = [{tool!r}, "--compare", sys.argv[1], sys.argv[1]]
+try:
+    runpy.run_path(sys.argv[0], run_name="__main__")
+finally:
+    print("at numpy import:", Hook.seen)
+"""
+
+
+def test_the_tool_pins_blas_threads_before_numpy_is_first_imported(tmp_path):
+    # OpenBLAS reads the variable once, when numpy loads it.
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    code = _FIRST_NUMPY_IMPORT.format(tool=str(ROOT / "tools" / "capture_outputs.py"))
+    proc = subprocess.run([sys.executable, "-c", code, str(empty)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["identical: 0 commands", "at numpy import: 1"]

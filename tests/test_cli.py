@@ -44,7 +44,7 @@ def test_threshold_basis2_example(capsys):
     for probe in rep["condition_trace"]:
         assert set(probe) == {"beta", "holds", "excess", "witness", "status"}
         assert probe["status"] == "priced_out" and probe["witness"] is None
-    assert rep["run_config"]["beta"] is None
+    assert "beta" not in rep["run_config"]
 
 
 def test_profit_p2_example(capsys):
@@ -141,7 +141,7 @@ def test_nsw_weighted_cost(capsys):
     assert rep["direction"] == pytest.approx(
         [1 / (2 * math.sqrt(2)), 1 / math.sqrt(2)], abs=1e-6
     )
-    assert rep["run_config"]["alpha"] == [2.0, 1.0]
+    assert rep["run_config"]["alpha"] == "2,1"
 
 
 def test_out_file_instead_of_stdout(capsys, tmp_path):
@@ -240,7 +240,7 @@ def test_verify_small_run(capsys):
     assert rep["eq_profit"] == 0.5
     assert rep["best_response_gap"] <= 0.1
     assert rep["positive_profit"] is True
-    assert rep["run_config"]["grid_angles"] == 40
+    assert rep["run_config"]["grid"] == "40x40"
 
 
 
@@ -1088,15 +1088,15 @@ def test_nmf_rejects_removed_flags(capsys, tmp_path, flag, value):
 # For each option of a JSON-writing subcommand: a value other than its
 # default, the run_config keys it must appear under, and the values there.
 _OPTION_CASES = {
-    "--users": ("angle:1.2", {"users_source": "angle:1.2"}),
+    "--users": ("angle:1.2", {"users": "angle:1.2"}),
     "--q": ("3", {"q": 3.0}),
-    "--alpha": ("1,2", {"alpha": [1.0, 2.0]}),
+    "--alpha": ("1,2", {"alpha": "1,2"}),
     "--seed": ("5", {"seed": 5}),
     "--variant": ("p2", {"variant": "p2"}),
     "--beta": ("3", {"beta": 3.0}),
     "--producers": ("3", {"producers": 3}),
     "--samples": ("1500", {"samples": 1500}),
-    "--grid": ("6x7", {"grid_angles": 6, "grid_radii": 7}),
+    "--grid": ("6x7", {"grid": "6x7"}),
     "--factors": ("3", {"factors": 3}),
     "--epochs": ("7", {"epochs": 7}),
 }
@@ -1109,8 +1109,12 @@ _JSON_BASE = {
 }
 
 
+def _subparsers():
+    return next(a for a in cli._build_parser()._actions if a.dest == "cmd").choices
+
+
 def _json_options():
-    subs = next(a for a in cli._build_parser()._actions if a.dest == "cmd").choices
+    subs = _subparsers()
     return [(cmd, opt) for cmd in _JSON_BASE for action in subs[cmd]._actions
             for opt in action.option_strings if opt.startswith("--") and opt != "--help"]
 
@@ -1123,7 +1127,7 @@ def test_every_json_option_is_recorded_in_run_config(capsys, tmp_path, cmd, opti
     ratings.write_text("user_id,item_id,rating\n" + "\n".join(
         f"u{u},i{i},{1 + (u + 2 * i) % 5}" for u in range(6) for i in range(4)) + "\n")
     out = tmp_path / "out"
-    cases = {**_OPTION_CASES, "--ratings": (str(ratings), {"users_source": str(ratings)}),
+    cases = {**_OPTION_CASES, "--ratings": (str(ratings), {"ratings": str(ratings)}),
              "--out": (str(out), {"out": str(out)})}
     args = dict(_JSON_BASE[cmd])
     if cmd == "nmf":  # --out names the embeddings CSV; the report goes to stdout
@@ -1135,6 +1139,21 @@ def test_every_json_option_is_recorded_in_run_config(capsys, tmp_path, cmd, opti
     text = capsys.readouterr().out
     rc = json.loads(out.read_text() if option == "--out" and cmd != "nmf" else text)["run_config"]
     assert {key: rc[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("cmd", list(_JSON_BASE))
+def test_run_config_lists_exactly_the_subcommands_options(capsys, tmp_path, cmd):
+    # No key for an option the subcommand does not have, and none missing.
+    dests = {a.dest for a in _subparsers()[cmd]._actions if a.dest != "help"}
+    args = dict(_JSON_BASE[cmd])
+    if cmd == "nmf":
+        ratings = tmp_path / "r.csv"
+        ratings.write_text("user_id,item_id,rating\nu0,i0,1\nu0,i1,2\nu1,i0,3\nu1,i1,1\n")
+        args.update({"--ratings": str(ratings), "--out": str(tmp_path / "e.csv")})
+    assert run([cmd, *[tok for kv in args.items() for tok in kv]]) == 0
+    rc = json.loads(capsys.readouterr().out)["run_config"]
+    assert rc["subcommand"] == cmd
+    assert set(rc) == {"subcommand"} | dests
 
 
 def test_exit_input_on_missing_users_file(capsys, tmp_path):

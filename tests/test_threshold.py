@@ -165,6 +165,41 @@ def test_threshold_report_identical_users():
     assert rep.condition_trace == ()
 
 
+NEAR_PAIR = UserSet(np.array([[1.0, 1.0, 0.3], [1.0, 1.000001, 0.3]]))
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_near_parallel_pair_gets_a_finite_certified_upper_end(q):
+    # The dual-norm bound is inf here: Z rounds to N.  The upper end is where
+    # the user of largest ||u_j||_*/a_j beats the bar at its own dual point,
+    # re-priced here from the anchor and that point built by hand.
+    spec = CostSpec(q=q)
+    assert beta_upper(NEAR_PAIR, spec) == math.inf
+    rep = threshold_report(NEAR_PAIR, spec)
+    top = rep.beta_upper
+    assert 1e13 < top < math.inf
+    if q == 2.0:
+        assert top >= rep.beta_star_closed == beta_star_two_user(NEAR_PAIR)
+    U = NEAR_PAIR.embeddings
+    a = U @ nsw_direction(NEAR_PAIR, spec).point
+    j = int(np.argmax(dual_norm(U, spec) / a))
+    p = U[j] ** (1.0 / (q - 1.0))
+    p /= (p ** q).sum() ** (1.0 / q)
+    assert ((U @ p / a) ** top).sum() > 2.0 * (1.0 + delta(top))
+    assert max_condition_holds(NEAR_PAIR, spec, top)[3] == "beaten"
+    assert rep.condition_trace and rep.beta_estimate <= top
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, math.inf])
+def test_pair_parallel_to_rounding_keeps_an_infinite_upper_end(q):
+    # At 1e-8 apart y_j rounds to 1, at q = 1 the own point is the anchor's
+    # vertex, and q = inf takes no own point: no finite end is certified.
+    users = UserSet(np.array([[1.0, 1.0, 0.3], [1.0, 1.0 + 1e-8, 0.3]]))
+    rep = threshold_report(users, CostSpec(q=q))
+    assert rep.beta_upper == rep.beta_estimate == math.inf
+    assert rep.condition_trace == () and rep.anchor_converged
+
+
 def test_threshold_report_no_closed_form_for_three_users():
     users = UserSet(np.abs(np.random.default_rng(1).standard_normal((3, 2))) + 0.2)
     rep = threshold_report(users, SPEC2)

@@ -40,7 +40,10 @@ import tempfile
 import warnings
 from pathlib import Path
 
-import numpy as np
+if __name__ == "__main__":  # before numpy is first imported, as perfbench/run.py does
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2)
@@ -391,8 +394,6 @@ def main(argv=None) -> int:
         lines = compare(base, new)
         print("\n".join(lines) if lines else f"identical: {len(base)} commands")
         return 1 if lines else 0
-    # Set before capture() first imports numpy, as perfbench/run.py does.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     records = capture(Path(ns.paths[0]).resolve())
     Path(ns.paths[1]).write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     print(f"captured {len(records)} commands into {ns.paths[1]}")
